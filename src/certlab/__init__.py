@@ -14,7 +14,6 @@ from .codes import (
     REDUCTION_CODE_PARAMS,
     CodeParams,
     Codeword,
-    corrupt,
     decode,
     encode,
     get_code,
@@ -23,7 +22,6 @@ from .concepts import (
     CertConcept,
     DecisionTree,
     ExampleLayout,
-    UnifCertConcept,
     build_decision_tree,
     cert_class_vc,
     dt_eval,
@@ -67,7 +65,6 @@ from .reduction import (
     FixedProofMerlin,
     HonestMerlin,
     am_round,
-    am_round_uniform,
     rtime_decide,
     sat_decider,
 )

@@ -190,18 +190,6 @@ def decode(params: CodeParams, y: str) -> str:
     return get_code(params, len(y) // params.c).decode(y)
 
 
-def corrupt(y: str, positions) -> str:
-    """Flip exactly the given positions of y (test utility for the corruption oracle)."""
-    check_bits(y, name="y")
-    pos = set(positions)
-    out = list(y)
-    for p in pos:
-        if not 0 <= p < len(y):
-            raise ShapeError(f"corruption position {p} out of range for length {len(y)}")
-        out[p] = "1" if out[p] == "0" else "0"
-    return "".join(out)
-
-
 @dataclass(frozen=True)
 class RadiusResult:
     tested: int

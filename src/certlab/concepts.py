@@ -10,12 +10,24 @@ and always labeled 0.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 
-from .bits import bits_to_int, check_bits, int_to_bits
+from .bits import bits_to_int, check_bits, int_to_bits, random_bits
 from .codes import CodeParams, get_code
-from .errors import BudgetError, FormatError, ShapeError
+from .errors import BudgetError, ConfigError, FormatError, ShapeError
 from .verifiers import DEFAULT_BUDGET_BITS, StepCounter, Verifier, first_certificate
+
+
+#: The two example layouts: "standard" is z then index, "uniform" is index
+#: then x, where x is ignored.
+LAYOUT_KINDS = ("standard", "uniform")
+
+
+def check_layout_kind(kind: str) -> str:
+    if kind not in LAYOUT_KINDS:
+        raise ConfigError(f"unknown variant {kind!r}")
+    return kind
 
 
 @dataclass(frozen=True)
@@ -25,17 +37,12 @@ class ExampleLayout:
     n: int
     cp: int
     ell: int
-    kind: str  # "standard" (z then index) or "uniform" (index then x)
+    kind: str  # one of LAYOUT_KINDS
 
     @classmethod
-    def standard(cls, n: int, params: CodeParams, p: int) -> "ExampleLayout":
+    def of(cls, n: int, params: CodeParams, p: int, kind: str = "standard") -> "ExampleLayout":
         cp = params.c * p
-        return cls(n=n, cp=cp, ell=(cp - 1).bit_length(), kind="standard")
-
-    @classmethod
-    def uniform(cls, n: int, params: CodeParams, p: int) -> "ExampleLayout":
-        cp = params.c * p
-        return cls(n=n, cp=cp, ell=(cp - 1).bit_length(), kind="uniform")
+        return cls(n=n, cp=cp, ell=(cp - 1).bit_length(), kind=check_layout_kind(kind))
 
     @property
     def example_len(self) -> int:
@@ -53,6 +60,15 @@ class ExampleLayout:
             return z_part + i_bits
         return i_bits + z_part
 
+    def draw(self, rng: random.Random, z: str, m: int) -> tuple[list[str], str]:
+        """m uniform challenge points for the instance z, and the part the
+        codeword is read at: z itself in the standard layout; in the uniform
+        layout a fresh random x, drawn after the points."""
+        if self.kind == "standard":
+            return [z + random_bits(rng, self.ell) for _ in range(m)], z
+        points = [random_bits(rng, self.example_len) for _ in range(m)]
+        return points, random_bits(rng, self.n)
+
     def index_position(self, i_bits: str) -> int:
         """1-indexed codeword position selected by the index bits."""
         return bits_to_int(i_bits) + 1
@@ -60,7 +76,11 @@ class ExampleLayout:
 
 class CertConcept:
     """Reveals one bit of the encoded first certificate per useful example;
-    constant 0 when the instance has no accepted certificate."""
+    constant 0 when the instance has no accepted certificate.
+
+    In the standard layout the useful examples are those whose prefix is z;
+    in the uniform layout every example is useful and its trailing bits are
+    ignored, so the concept is a junta on the leading index bits."""
 
     def __init__(
         self,
@@ -68,6 +88,7 @@ class CertConcept:
         z: str,
         params: CodeParams,
         *,
+        kind: str = "standard",
         budget_bits: int = DEFAULT_BUDGET_BITS,
         counter: StepCounter | None = None,
     ) -> None:
@@ -75,7 +96,7 @@ class CertConcept:
         self.verifier = verifier
         self.z = z
         self.params = params
-        self.layout = ExampleLayout.standard(verifier.n, params, verifier.p)
+        self.layout = ExampleLayout.of(verifier.n, params, verifier.p, kind)
         self.first_cert = first_certificate(verifier, z, budget_bits=budget_bits, counter=counter)
         if self.first_cert is None:
             self.enc = None
@@ -90,55 +111,19 @@ class CertConcept:
 
     def __call__(self, x: str) -> int:
         lay = self.layout
-        check_bits(x, length=lay.example_len, name="example")
-        if self.enc is None or x[: lay.n] != self.z:
+        z_part, i_bits = lay.split(x)
+        if self.enc is None or (lay.kind == "standard" and z_part != self.z):
             return 0
-        pos = lay.index_position(x[lay.n :])
+        pos = lay.index_position(i_bits)
         if pos > lay.cp:
             return 0
         return 1 if (pos - 1) in self.support else 0
 
     def one_points(self) -> list[str]:
-        """All examples labeled 1, in index order (at most c*p of them)."""
+        """All examples labeled 1, in index order (at most c*p of them); in
+        the uniform layout, the ones whose trailing part is z."""
         lay = self.layout
-        return [self.z + int_to_bits(i, lay.ell) for i in sorted(self.support)]
-
-
-class UnifCertConcept:
-    """Uniform-layout variant: the label is a codeword bit chosen by the
-    leading index bits; the trailing instance-length bits are ignored."""
-
-    def __init__(
-        self,
-        verifier: Verifier,
-        z: str,
-        params: CodeParams,
-        *,
-        budget_bits: int = DEFAULT_BUDGET_BITS,
-        counter: StepCounter | None = None,
-    ) -> None:
-        check_bits(z, length=verifier.n, name="z")
-        self.verifier = verifier
-        self.z = z
-        self.params = params
-        self.layout = ExampleLayout.uniform(verifier.n, params, verifier.p)
-        self.first_cert = first_certificate(verifier, z, budget_bits=budget_bits, counter=counter)
-        if self.first_cert is None:
-            self.enc = None
-            self.support = frozenset()
-        else:
-            self.enc = get_code(params, verifier.p).encode(self.first_cert)
-            self.support = frozenset(i for i, b in enumerate(self.enc) if b == "1")
-
-    def __call__(self, x: str) -> int:
-        lay = self.layout
-        check_bits(x, length=lay.example_len, name="example")
-        if self.enc is None:
-            return 0
-        pos = lay.index_position(x[: lay.ell])
-        if pos > lay.cp:
-            return 0
-        return 1 if (pos - 1) in self.support else 0
+        return [lay.join(self.z, int_to_bits(i, lay.ell)) for i in sorted(self.support)]
 
 
 # -- decision trees ------------------------------------------------------------
@@ -165,10 +150,17 @@ class DecisionTree:
         return cls(root=root, size=_count_leaves(root))
 
 
-def _count_leaves(node) -> int:
-    if isinstance(node, int):
-        return 1
-    return _count_leaves(node.lo) + _count_leaves(node.hi)
+def _count_leaves(root) -> int:
+    count = 0
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, int):
+            count += 1
+        else:
+            stack.append(node.hi)
+            stack.append(node.lo)
+    return count
 
 
 def dt_eval(tree: DecisionTree, x: str) -> int:
@@ -204,25 +196,24 @@ def build_decision_tree(concept: CertConcept) -> DecisionTree:
 def serialize_tree(tree: DecisionTree) -> str:
     """Preorder token list: Q<var> for internal nodes, L<bit> for leaves."""
     out: list[str] = []
-
-    def walk(node) -> None:
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
         if isinstance(node, int):
             out.append(f"L{node}")
         else:
             out.append(f"Q{node.var}")
-            walk(node.lo)
-            walk(node.hi)
-
-    walk(tree.root)
+            stack.append(node.hi)
+            stack.append(node.lo)
     return " ".join(out)
 
 
 def parse_tree(text: str) -> DecisionTree:
     tokens = text.split()
     pos = 0
-
-    def read():
-        nonlocal pos
+    # open query nodes: [var] until the low child is read, then [var, lo]
+    stack: list[list] = []
+    while True:
         if pos >= len(tokens):
             raise FormatError("tree text ends prematurely")
         tok = tokens[pos]
@@ -230,21 +221,25 @@ def parse_tree(text: str) -> DecisionTree:
         if tok.startswith("L"):
             if tok not in ("L0", "L1"):
                 raise FormatError(f"bad leaf token {tok!r}")
-            return int(tok[1])
-        if tok.startswith("Q"):
+            node = int(tok[1])
+        elif tok.startswith("Q"):
             try:
-                var = int(tok[1:])
+                stack.append([int(tok[1:])])
             except ValueError:
                 raise FormatError(f"bad query token {tok!r}") from None
-            lo = read()
-            hi = read()
-            return Node(var, lo, hi)
-        raise FormatError(f"bad token {tok!r}")
-
-    root = read()
+            continue
+        else:
+            raise FormatError(f"bad token {tok!r}")
+        # a finished subtree completes every open node waiting for its high child
+        while stack and len(stack[-1]) == 2:
+            var, lo = stack.pop()
+            node = Node(var, lo, node)
+        if not stack:
+            break
+        stack[-1].append(node)
     if pos != len(tokens):
         raise FormatError("trailing tokens after tree")
-    return DecisionTree.of(root)
+    return DecisionTree.of(node)
 
 
 def enumerate_class(

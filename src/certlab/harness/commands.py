@@ -11,17 +11,17 @@ import math
 import random
 from pathlib import Path
 
-from ..bits import int_to_bits
+from ..bits import flip_positions, int_to_bits
 from ..codes import (
     DEFAULT_CODE_PARAMS,
     REDUCTION_CODE_PARAMS,
     CodeParams,
-    corrupt,
     get_code,
     radius_recovery,
 )
 from ..concepts import (
     CertConcept,
+    ExampleLayout,
     cert_class_vc,
     distinct_concept_count,
     enumerate_class,
@@ -37,12 +37,11 @@ from ..paclearn import (
     pac_trial_suite,
     sparse_erm,
 )
-from ..reduction import DeciderConfig, sat_decider
+from ..reduction import DeciderConfig, learner_error_target, sat_decider
 from ..sat import brute_force_sat
-from ..verifiers import ThreeSatVerifier
+from ..verifiers import DEFAULT_BUDGET_BITS, FormulaEncoding, ThreeSatVerifier
 from .config import get_float, get_fraction, get_int, get_int_list, get_str
 from .corpus import Corpus, build_corpus, forcing_formula
-from ..verifiers import FormulaEncoding
 
 
 def _fmt(v) -> str:
@@ -69,7 +68,7 @@ def code_params_from(cfg: dict[str, str], default: CodeParams) -> CodeParams:
 # -- learner adapters (uniform signature: (sample, rng, counter) -> hypothesis) --
 
 
-def make_few_sample(verifier, params, budget_bits: int = 24):
+def make_few_sample(verifier, params, budget_bits: int = DEFAULT_BUDGET_BITS):
     def learn(sample, rng, counter):
         return few_sample_learner(
             sample, verifier, params, budget_bits=budget_bits, counter=counter
@@ -92,15 +91,17 @@ def make_junta(layout):
     return learn
 
 
-LEARNER_FACTORIES = {"few_sample", "sparse_erm"}
+#: The learners `learn` and `tradeoff` accept: name -> factory of (verifier, params).
+LEARNERS = {
+    "few_sample": make_few_sample,
+    "sparse_erm": lambda verifier, params: make_sparse_erm(),
+}
 
 
 def resolve_learner(name: str, verifier, params):
-    if name == "few_sample":
-        return make_few_sample(verifier, params)
-    if name == "sparse_erm":
-        return make_sparse_erm()
-    raise ConfigError(f"unknown learner {name!r} (choose from {sorted(LEARNER_FACTORIES)})")
+    if name not in LEARNERS:
+        raise ConfigError(f"unknown learner {name!r} (choose from {sorted(LEARNERS)})")
+    return LEARNERS[name](verifier, params)
 
 
 # -- distribution suite -----------------------------------------------------------
@@ -224,7 +225,7 @@ def cmd_codes_test(cfg: dict[str, str], out_dir: Path, seed) -> int:
         )
         # beyond-radius inputs must not crash
         x = int_to_bits(rng.getrandbits(m), m)
-        y = corrupt(code.encode(x), range(code.contract_radius + 1))
+        y = flip_positions(code.encode(x), range(code.contract_radius + 1))
         code.decode(y)
         ok = ok and clean and res.recovered == res.tested
         lines.append(
@@ -295,13 +296,9 @@ def cmd_reduce(cfg: dict[str, str], out_dir: Path, seed) -> int:
     )
     v = corpus.verifier
     if variant == "uniform":
-        from ..concepts import ExampleLayout
-
-        learner = make_junta(ExampleLayout.uniform(v.n, params, v.p))
+        learner = make_junta(ExampleLayout.of(v.n, params, v.p, variant))
     else:
         learner = make_sparse_erm()
-    from ..reduction import learner_error_target
-
     lines = [
         f"decider: m={config.m} r={config.r} variant={variant} "
         f"code=(c={params.c}, eps_star={params.eps_star}) "

@@ -81,15 +81,6 @@ def build_corpus(cfg: dict[str, str], seed: int | str) -> Corpus:
     raise ConfigError(f"unknown corpus.kind {kind!r}")
 
 
-def decider_corpus(cfg: dict[str, str], seed: int | str) -> list[Corpus]:
-    """The end-to-end decider corpus: the exhaustive 2-variable corpus plus
-    seeded random 3-4 variable formulas (each with its own encoding)."""
-    return [
-        exhaustive_two_var_corpus(),
-        random_corpus(seed, count=get_int(cfg, "corpus.count", 200)),
-    ]
-
-
 def forcing_formula(num_vars: int = 16, forced: int = 8, extra: int = 4) -> ThreeSatInstance:
     """Formula whose lexicographically first satisfying assignment has high
     rank: unit clauses force the leading variables to 1, then a few wide

@@ -136,7 +136,7 @@ class TableHypothesis:
 
 
 class JuntaHypothesis:
-    """Depends only on the leading index bits; a table over all 2^ell values."""
+    """Depends only on the index bits; a table over all 2^ell values."""
 
     __slots__ = ("bits", "layout")
 
@@ -147,8 +147,7 @@ class JuntaHypothesis:
             raise ShapeError("junta table must cover all index values")
 
     def __call__(self, x: str) -> int:
-        check_bits(x, length=self.layout.example_len, name="example")
-        return self.bits[int(x[: self.layout.ell], 2)]
+        return self.bits[int(self.layout.split(x)[1], 2)]
 
     @property
     def size(self) -> int:
@@ -216,8 +215,7 @@ def junta_learner(
     """Learn a table over the 2^ell index values; unobserved indices map to 0."""
     table: dict[int, int] = {}
     for x, y in sample.pairs:
-        check_bits(x, length=layout.example_len, name="sample point")
-        idx = int(x[: layout.ell], 2)
+        idx = int(layout.split(x)[1], 2)
         prev = table.get(idx)
         if prev is not None and prev != y:
             raise DataInconsistencyError(f"index {idx} observed with both labels")

@@ -12,14 +12,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
-from .bits import int_to_bits, random_bits
+from .bits import check_bits, int_to_bits
 from .codes import CodeParams, get_code
-from .concepts import CertConcept, ExampleLayout, UnifCertConcept
+from .concepts import CertConcept, ExampleLayout, check_layout_kind
 from .errors import BudgetError, CertlabError, ConfigError
 from .paclearn import LabeledSample
 from .sat import ThreeSatInstance
-from .verifiers import DEFAULT_BUDGET_BITS, ThreeSatVerifier, Verifier, verify
+from .verifiers import DEFAULT_BUDGET_BITS, ThreeSatVerifier, Verifier
 
 
 def learner_error_target(params: CodeParams, variant: str = "standard"):
@@ -27,11 +28,7 @@ def learner_error_target(params: CodeParams, variant: str = "standard"):
     code contract: eps_star for the standard rounds, eps_star/100 for the
     uniform rounds (whose single random readout needs the Markov slack)."""
     eps = params.eps_star
-    if variant == "standard":
-        return eps
-    if variant == "uniform":
-        return eps / 100
-    raise ConfigError(f"unknown variant {variant!r}")
+    return eps if check_layout_kind(variant) == "standard" else eps / 100
 
 
 class HonestMerlin:
@@ -43,10 +40,6 @@ class FixedProofMerlin:
     """Answers with a fixed m-bit label string, one bit per requested example."""
 
     labels: str
-
-
-class ExhaustiveMerlin:
-    """Marker: the caller enumerates every label string (rtime_decide only)."""
 
 
 @dataclass
@@ -68,24 +61,59 @@ class AmTranscript:
         )
 
 
-def _verdict(verifier: Verifier, z: str, w: str) -> int:
-    mask_fn = getattr(verifier, "accept_mask", None)
-    if mask_fn is not None:
-        return (mask_fn(z) >> int(w, 2)) & 1
-    return 1 if verify(verifier, z, w) else 0
+class _Proof(NamedTuple):
+    hypothesis: object
+    y: str
+    w_val: int
+    verdict: int
 
 
-def _query_codeword(hypothesis, layout: ExampleLayout, fixed_part: str) -> tuple[str, int]:
-    """Query the hypothesis on every index value; return (y string, int of the
-    first cp positions)."""
-    bits = []
-    y_int = 0
-    for val in range(1 << layout.ell):
-        b = int(hypothesis(layout.join(fixed_part, int_to_bits(val, layout.ell))))
-        bits.append("1" if b else "0")
-        if b and val < layout.cp:
-            y_int |= 1 << val
-    return "".join(bits), y_int
+class _Challenge:
+    """One instance's challenge protocol: its example layout, code and verdict.
+    `prove` runs one proof, for the single round and the decider alike."""
+
+    def __init__(self, z: str, verifier: Verifier, learner, params: CodeParams, variant: str):
+        check_bits(z, length=verifier.n, name="z")
+        self.z = z
+        self.verifier = verifier
+        self.learner = learner
+        self.layout = ExampleLayout.of(verifier.n, params, verifier.p, variant)
+        self.code = get_code(params, verifier.p)
+        self.mask_fn = getattr(verifier, "accept_mask", None)
+
+    def prove(self, points, labels, rng: random.Random, read_at: str) -> _Proof | None:
+        """Learn from the labelled points, query the hypothesis at every index
+        joined to read_at (y; its first cp bits are the received word), decode
+        and check the result; None when the learner raises."""
+        sample = LabeledSample(tuple(zip(points, labels)))
+        try:
+            hypothesis = self.learner(sample, rng, None)
+        except CertlabError:
+            return None
+        lay = self.layout
+        bits = []
+        y_int = 0
+        for val in range(1 << lay.ell):
+            b = int(hypothesis(lay.join(read_at, int_to_bits(val, lay.ell))))
+            bits.append("1" if b else "0")
+            if b and val < lay.cp:
+                y_int |= 1 << val
+        w_val = self.code.decode_value(y_int)
+        if self.mask_fn is not None:
+            verdict = (self.mask_fn(self.z) >> w_val) & 1
+        else:
+            w_tilde = format(w_val, f"0{self.verifier.p}b")
+            verdict = 1 if self.verifier.check(self.z, w_tilde) else 0
+        return _Proof(hypothesis, "".join(bits), w_val, verdict)
+
+    def transcript(self, seed_label: str, points, labels: str, proof) -> AmTranscript:
+        indices = tuple(self.layout.split(x)[1] for x in points)
+        if proof is None:
+            return AmTranscript(seed_label, indices, labels, None, "", "", 0, failed=True)
+        w_tilde = format(proof.w_val, f"0{self.verifier.p}b")
+        return AmTranscript(
+            seed_label, indices, labels, proof.hypothesis, proof.y, w_tilde, proof.verdict
+        )
 
 
 def am_round(
@@ -97,18 +125,19 @@ def am_round(
     rng: random.Random,
     m: int,
     *,
+    variant: str = "standard",
     seed_label: str = "",
     budget_bits: int = DEFAULT_BUDGET_BITS,
 ) -> AmTranscript:
-    """One protocol round: draw m uniform indices, ask Merlin for labels, run
-    the learner, read a codeword off the hypothesis, decode, verify."""
-    layout = ExampleLayout.standard(verifier.n, params, verifier.p)
-    code = get_code(params, verifier.p)
-    indices = tuple(random_bits(rng, layout.ell) for _ in range(m))
-    points = [z + i for i in indices]
+    """One protocol round: draw m challenge examples in the variant's layout,
+    ask Merlin for labels, run the learner, read a codeword off the
+    hypothesis, decode, verify.  The standard round reads the codeword at z;
+    the uniform round reads it at one uniformly random trailing x."""
+    challenge = _Challenge(z, verifier, learner, params, variant)
+    points, read_at = challenge.layout.draw(rng, z, m)
 
     if isinstance(merlin, HonestMerlin):
-        concept = CertConcept(verifier, z, params, budget_bits=budget_bits)
+        concept = CertConcept(verifier, z, params, kind=variant, budget_bits=budget_bits)
         labels = "".join(str(concept(x)) for x in points)
     elif isinstance(merlin, FixedProofMerlin):
         if len(merlin.labels) != m:
@@ -117,58 +146,8 @@ def am_round(
     else:
         raise ConfigError("am_round requires an honest or fixed-proof Merlin")
 
-    sample = LabeledSample(tuple(zip(points, (int(b) for b in labels))))
-    try:
-        hypothesis = learner(sample, rng, None)
-    except CertlabError:
-        return AmTranscript(seed_label, indices, labels, None, "", "", 0, failed=True)
-    y, y_int = _query_codeword(hypothesis, layout, z)
-    w_tilde = format(code.decode_value(y_int), f"0{verifier.p}b")
-    return AmTranscript(
-        seed_label, indices, labels, hypothesis, y, w_tilde, _verdict(verifier, z, w_tilde)
-    )
-
-
-def am_round_uniform(
-    z: str,
-    verifier: Verifier,
-    learner,
-    merlin,
-    params: CodeParams,
-    rng: random.Random,
-    m: int,
-    *,
-    seed_label: str = "",
-    budget_bits: int = DEFAULT_BUDGET_BITS,
-) -> AmTranscript:
-    """Uniform-distribution round: full examples (index, x) are drawn uniformly,
-    and the codeword is read at a single uniformly random trailing x."""
-    layout = ExampleLayout.uniform(verifier.n, params, verifier.p)
-    code = get_code(params, verifier.p)
-    points = tuple(random_bits(rng, layout.example_len) for _ in range(m))
-    indices = tuple(x[: layout.ell] for x in points)
-
-    if isinstance(merlin, HonestMerlin):
-        concept = UnifCertConcept(verifier, z, params, budget_bits=budget_bits)
-        labels = "".join(str(concept(x)) for x in points)
-    elif isinstance(merlin, FixedProofMerlin):
-        if len(merlin.labels) != m:
-            raise ConfigError(f"fixed proof must have {m} labels")
-        labels = merlin.labels
-    else:
-        raise ConfigError("am_round_uniform requires an honest or fixed-proof Merlin")
-
-    sample = LabeledSample(tuple(zip(points, (int(b) for b in labels))))
-    x_star = random_bits(rng, layout.n)
-    try:
-        hypothesis = learner(sample, rng, None)
-    except CertlabError:
-        return AmTranscript(seed_label, indices, labels, None, "", "", 0, failed=True)
-    y, y_int = _query_codeword(hypothesis, layout, x_star)
-    w_tilde = format(code.decode_value(y_int), f"0{verifier.p}b")
-    return AmTranscript(
-        seed_label, indices, labels, hypothesis, y, w_tilde, _verdict(verifier, z, w_tilde)
-    )
+    proof = challenge.prove(points, [int(b) for b in labels], rng, read_at)
+    return challenge.transcript(seed_label, points, labels, proof)
 
 
 # -- the one-sided decider -------------------------------------------------------
@@ -180,15 +159,14 @@ class DeciderConfig:
     r: int
     code_params: CodeParams
     cap_bits: int = 16
-    variant: str = "standard"  # or "uniform"
+    variant: str = "standard"  # one of LAYOUT_KINDS
 
     def __post_init__(self) -> None:
         if self.m < 0 or self.r < 1:
             raise ConfigError("need m >= 0 and r >= 1")
         if self.m > self.cap_bits:
             raise BudgetError(f"2^{self.m} proofs exceed the 2^{self.cap_bits} cap")
-        if self.variant not in ("standard", "uniform"):
-            raise ConfigError(f"unknown variant {self.variant!r}")
+        check_layout_kind(self.variant)
 
 
 @dataclass
@@ -223,25 +201,13 @@ def rtime_decide(
     distinct point covers the whole proof space.  One-sided by construction:
     the verifier check at the end rejects every proof for a false instance.
     """
-    params = config.code_params
-    if config.variant == "uniform":
-        layout = ExampleLayout.uniform(verifier.n, params, verifier.p)
-    else:
-        layout = ExampleLayout.standard(verifier.n, params, verifier.p)
-    code = get_code(params, verifier.p)
-    mask_fn = getattr(verifier, "accept_mask", None)
-
+    challenge = _Challenge(z, verifier, learner, config.code_params, config.variant)
     reps: list[RepetitionRecord] = []
     total_run = 0
-    accepted = False
     for rep in range(config.r):
-        rng = random.Random(f"{master_seed}:rep{rep}")
-        if config.variant == "uniform":
-            points = [random_bits(rng, layout.example_len) for _ in range(config.m)]
-            fixed_part = random_bits(rng, layout.n)
-        else:
-            points = [z + random_bits(rng, layout.ell) for _ in range(config.m)]
-            fixed_part = z
+        seed_label = f"{master_seed}:rep{rep}"
+        rng = random.Random(seed_label)
+        points, read_at = challenge.layout.draw(rng, z, config.m)
         distinct = sorted(set(points))
         slot = {pt: j for j, pt in enumerate(distinct)}
 
@@ -251,42 +217,18 @@ def rtime_decide(
         for assignment in product((0, 1), repeat=len(distinct)):
             proofs_run += 1
             labels = tuple(assignment[slot[pt]] for pt in points)
-            sample = LabeledSample(tuple(zip(points, labels)))
-            try:
-                hypothesis = learner(sample, rng, None)
-            except CertlabError:
-                continue
-            y, y_int = _query_codeword(hypothesis, layout, fixed_part)
-            w_val = code.decode_value(y_int)
-            if mask_fn is not None:
-                verdict = (mask_fn(z) >> w_val) & 1
-            else:
-                verdict = 1 if verify(verifier, z, format(w_val, f"0{verifier.p}b")) else 0
-            if verdict:
-                w_tilde = format(w_val, f"0{verifier.p}b")
-                idx = tuple(
-                    pt[layout.n :] if config.variant == "standard" else pt[: layout.ell]
-                    for pt in points
-                )
-                t = AmTranscript(
-                    f"{master_seed}:rep{rep}",
-                    idx,
-                    "".join(str(b) for b in labels),
-                    hypothesis,
-                    y,
-                    w_tilde,
-                    1,
-                )
+            proof = challenge.prove(points, labels, rng, read_at)
+            if proof is not None and proof.verdict:
+                label_str = "".join(str(b) for b in labels)
+                rep_digest = challenge.transcript(seed_label, points, label_str, proof).digest()
                 rep_accept = True
-                rep_digest = t.digest()
                 break
         total_run += proofs_run
         reps.append(RepetitionRecord(rep, rep_accept, proofs_run, rep_digest))
         if rep_accept:
-            accepted = True
             break
     return DeciderResult(
-        accept=accepted,
+        accept=reps[-1].accept,
         repetitions=reps,
         proof_space=config.r * (1 << config.m),
         proofs_run=total_run,

@@ -181,14 +181,6 @@ class FormulaEncoding:
             raise FormatError(str(exc)) from exc
 
 
-def encode_3sat(encoding: FormulaEncoding, inst: ThreeSatInstance) -> str:
-    return encoding.encode(inst)
-
-
-def decode_3sat(encoding: FormulaEncoding, bits: str) -> ThreeSatInstance:
-    return encoding.decode(bits)
-
-
 class ThreeSatVerifier(Verifier):
     """Certificate checker for encoded formulas: the certificate is an
     assignment to max_vars variables; bits beyond an instance's declared

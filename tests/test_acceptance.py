@@ -205,7 +205,7 @@ def test_criterion_07_uniform_pipeline():
     idx = 0
     for corpus in decider_corpora():
         v = corpus.verifier
-        learner = make_junta(ExampleLayout.uniform(v.n, REDUCTION_CODE_PARAMS, v.p))
+        learner = make_junta(ExampleLayout.of(v.n, REDUCTION_CODE_PARAMS, v.p, "uniform"))
         for inst in corpus.instances:
             truth = brute_force_sat(inst)
             rep = sat_decider(inst, v, config, learner, f"c7:{idx}")

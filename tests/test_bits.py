@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from certlab.bits import (
     bits_of_rank,
@@ -61,6 +61,23 @@ def test_flip_positions_is_an_involution(value, positions):
 def test_flip_positions_out_of_range():
     with pytest.raises(ShapeError):
         flip_positions("0101", [4])
+
+
+def test_flip_positions_examples():
+    y = "0110100"
+    assert flip_positions(y, set()) == y
+    assert flip_positions(flip_positions(y, {0, 3}), {0, 3}) == y
+    with pytest.raises(ShapeError):
+        flip_positions(y, {7})
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**24 - 1), st.sets(st.integers(0, 23)))
+def test_flip_positions_flips_exactly_the_positions(value, positions):
+    y = int_to_bits(value, 24)
+    out = flip_positions(y, positions)
+    diff = {i for i, (a, b) in enumerate(zip(y, out)) if a != b}
+    assert diff == set(positions)
 
 
 def test_random_bits_deterministic():

@@ -2,15 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from certlab.bits import int_to_bits
+from certlab.bits import flip_positions, int_to_bits
 from certlab.codes import (
     DEFAULT_CODE_PARAMS,
     REDUCTION_CODE_PARAMS,
     CodeParams,
     LinearCode,
-    corrupt,
     decode,
     encode,
     get_code,
@@ -92,7 +90,7 @@ def test_decode_within_contract_radius_sampled():
         for _ in range(400):
             x = int_to_bits(rng.getrandbits(m), m)
             k = rng.randint(0, code.contract_radius)
-            y = corrupt(code.encode(x), rng.sample(range(n), k))
+            y = flip_positions(code.encode(x), rng.sample(range(n), k))
             assert code.decode(y) == x
 
 
@@ -116,7 +114,7 @@ def test_beyond_radius_decode_never_crashes():
     rng = random.Random(2)
     for k in range(1, 4):
         x = int_to_bits(rng.getrandbits(8), 8)
-        y = corrupt(code.encode(x), rng.sample(range(64), code.contract_radius + k))
+        y = flip_positions(code.encode(x), rng.sample(range(64), code.contract_radius + k))
         out = code.decode(y)
         assert len(out) == 8  # may differ from x; contract boundary
 
@@ -127,23 +125,6 @@ def test_decode_shape_errors():
     code = get_code(DEFAULT_CODE_PARAMS, 8)
     with pytest.raises(ShapeError):
         code.decode("0" * 63)
-
-
-def test_corrupt_examples():
-    y = "0110100"
-    assert corrupt(y, set()) == y
-    assert corrupt(corrupt(y, {0, 3}), {0, 3}) == y
-    with pytest.raises(ShapeError):
-        corrupt(y, {7})
-
-
-@settings(max_examples=60)
-@given(st.integers(0, 2**24 - 1), st.sets(st.integers(0, 23)))
-def test_corrupt_flips_exactly_the_positions(value, positions):
-    y = int_to_bits(value, 24)
-    out = corrupt(y, positions)
-    diff = {i for i, (a, b) in enumerate(zip(y, out)) if a != b}
-    assert diff == set(positions)
 
 
 def test_construction_is_deterministic():

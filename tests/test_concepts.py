@@ -11,7 +11,6 @@ from certlab.concepts import (
     DecisionTree,
     ExampleLayout,
     Node,
-    UnifCertConcept,
     build_decision_tree,
     cert_class_vc,
     distinct_concept_count,
@@ -43,13 +42,13 @@ def concept0() -> CertConcept:
 
 
 def test_layout_shapes():
-    lay = ExampleLayout.standard(10, DEFAULT_CODE_PARAMS, 2)
+    lay = ExampleLayout.of(10, DEFAULT_CODE_PARAMS, 2, "standard")
     assert (lay.cp, lay.ell, lay.example_len) == (16, 4, 14)
     z, i = lay.split("0" * 10 + "1010")
     assert (z, i) == ("0" * 10, "1010")
     assert lay.index_position("0000") == 1
     assert lay.index_position("1111") == 16
-    ulay = ExampleLayout.uniform(10, DEFAULT_CODE_PARAMS, 2)
+    ulay = ExampleLayout.of(10, DEFAULT_CODE_PARAMS, 2, "uniform")
     zp, ip = ulay.split("1010" + "0" * 10)
     assert (zp, ip) == ("0" * 10, "1010")
     assert ulay.join("0" * 10, "1010") == "1010" + "0" * 10
@@ -133,9 +132,31 @@ def test_tree_serialization_round_trip():
         assert serialize_tree(again) == text
         assert again.size == tree.size
     assert serialize_tree(parse_tree("Q0 L0 L1")) == "Q0 L0 L1"
-    for bad in ("Q0 L0", "L2", "Q0 L0 L1 L0", "X1"):
-        with pytest.raises(FormatError):
+    for bad, message in (
+        ("Q0 L0", "tree text ends prematurely"),
+        ("L2", "bad leaf token 'L2'"),
+        ("Q0 L0 L1 L0", "trailing tokens after tree"),
+        ("X1", "bad token 'X1'"),
+        ("", "tree text ends prematurely"),
+        ("Q0 Q1 L0 L1 Lx", "bad leaf token 'Lx'"),
+        ("Qx L0 L1", "bad query token 'Qx'"),
+    ):
+        with pytest.raises(FormatError) as info:
             parse_tree(bad)
+        assert str(info.value) == message
+
+
+def test_deep_tree_round_trips():
+    # a chain far deeper than the interpreter's recursion limit
+    depth = 5000
+    text = " ".join(f"Q{i} L0" for i in range(depth)) + " L1"
+    tree = parse_tree(text)
+    assert tree.size == depth + 1
+    assert serialize_tree(tree) == text
+    assert dt_eval(tree, "1" * depth) == 1
+    assert dt_eval(tree, "1" * (depth - 1) + "0") == 0
+    with pytest.raises(FormatError, match="ends prematurely"):
+        parse_tree("Q0 " * depth)
 
 
 def test_enumerate_class_matches_eval():
@@ -169,7 +190,7 @@ def test_unifcert_is_a_junta():
     rng = random.Random(8)
     enc = get_code(DEFAULT_CODE_PARAMS, 2).encode("01")
     for z, expected in ((Z0, enc), (Z_UNSAT, None)):
-        c = UnifCertConcept(V2, z, DEFAULT_CODE_PARAMS)
+        c = CertConcept(V2, z, DEFAULT_CODE_PARAMS, kind="uniform")
         lay = c.layout
         for _ in range(1000):
             v = rng.randrange(1 << lay.ell)
@@ -182,7 +203,7 @@ def test_unifcert_is_a_junta():
 @settings(max_examples=50)
 @given(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1), st.integers(0, 15))
 def test_unifcert_ignores_trailing_bits(a, b, idx):
-    c = UnifCertConcept(V2, Z0, DEFAULT_CODE_PARAMS)
+    c = CertConcept(V2, Z0, DEFAULT_CODE_PARAMS, kind="uniform")
     i = int_to_bits(idx, c.layout.ell)
     xa = int_to_bits(a % (1 << c.layout.n), c.layout.n)
     xb = int_to_bits(b % (1 << c.layout.n), c.layout.n)

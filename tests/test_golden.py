@@ -17,7 +17,7 @@ from certlab.concepts import ExampleLayout
 from certlab.harness.cli import main
 from certlab.harness.corpus import forcing_formula
 from certlab.paclearn import junta_learner, sparse_erm
-from certlab.reduction import FixedProofMerlin, HonestMerlin, am_round, am_round_uniform
+from certlab.reduction import FixedProofMerlin, HonestMerlin, am_round
 from certlab.sat import to_dimacs
 from certlab.verifiers import FormulaEncoding, ThreeSatVerifier
 
@@ -126,7 +126,7 @@ FORCING = forcing_formula(6, 3, 2)
 ENC = FormulaEncoding(max_vars=6, max_clauses=len(FORCING.clauses))
 VERIFIER = ThreeSatVerifier(ENC)
 Z = ENC.encode(FORCING)
-UNIFORM_LAYOUT = ExampleLayout.uniform(VERIFIER.n, REDUCTION_CODE_PARAMS, VERIFIER.p)
+UNIFORM_LAYOUT = ExampleLayout.of(VERIFIER.n, REDUCTION_CODE_PARAMS, VERIFIER.p, "uniform")
 
 
 def sparse_adapter(sample, rng, counter):
@@ -138,14 +138,10 @@ def junta_adapter(sample, rng, counter):
 
 
 def challenge_round(variant, merlin, seed, m):
-    if variant == "uniform":
-        return am_round_uniform(
-            Z, VERIFIER, junta_adapter, merlin, REDUCTION_CODE_PARAMS,
-            random.Random(seed), m, seed_label=str(seed),
-        )
+    learner = junta_adapter if variant == "uniform" else sparse_adapter
     return am_round(
-        Z, VERIFIER, sparse_adapter, merlin, REDUCTION_CODE_PARAMS,
-        random.Random(seed), m, seed_label=str(seed),
+        Z, VERIFIER, learner, merlin, REDUCTION_CODE_PARAMS,
+        random.Random(seed), m, variant=variant, seed_label=str(seed),
     )
 
 

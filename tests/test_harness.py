@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from certlab.errors import ConfigError, FormatError
@@ -19,7 +21,7 @@ from certlab.harness.corpus import (
     random_corpus,
     single_clause_corpus,
 )
-from certlab.sat import brute_force_sat, to_dimacs
+from certlab.sat import brute_force_sat, random_instance, to_dimacs
 
 
 def test_config_parse_serialize_round_trip():
@@ -229,6 +231,24 @@ def test_cli_tradeoff_deterministic_csv(tmp_path):
     assert (tmp_path / "tradeoff.csv").read_bytes() == first
     summary = (tmp_path / "tradeoff_summary.txt").read_text()
     assert "step ratio" in summary and "ok" in summary
+
+
+def test_cli_enumerate_and_learn_on_a_wide_instance(tmp_path):
+    # a satisfiable 14-variable, 60-clause formula: its encoding is 1,090 bits
+    # wide, so its decision tree is deeper than the interpreter's recursion limit
+    rng = random.Random("wide")
+    inst = random_instance(rng, 14, num_clauses=60)
+    while not brute_force_sat(inst):
+        inst = random_instance(rng, 14, num_clauses=60)
+    cnf = tmp_path / "wide.cnf"
+    cnf.write_text(to_dimacs(inst))
+    corpus = f"corpus.kind = dimacs\ncorpus.paths = {cnf}\n"
+    assert run_cli(tmp_path, "enumerate", corpus) == 0
+    z, text = (tmp_path / "trees.txt").read_text().rstrip("\n").split(" ", 1)
+    assert len(z) == 1090
+    assert text.count("Q") > 1090  # one query per prefix bit, then the index bits
+    assert run_cli(tmp_path, "learn", corpus + "learn.m = 0,4\nlearn.trials = 3\n") == 0
+    assert len((tmp_path / "learn.csv").read_text().splitlines()) == 1 + 2 * 2 * 4
 
 
 def test_cli_seed_override_changes_output(tmp_path):

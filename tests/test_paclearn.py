@@ -5,7 +5,7 @@ import pytest
 
 from certlab.bits import int_to_bits
 from certlab.codes import DEFAULT_CODE_PARAMS, get_code
-from certlab.concepts import CertConcept, ExampleLayout, UnifCertConcept
+from certlab.concepts import CertConcept, ExampleLayout
 from certlab.errors import ConfigError, DataInconsistencyError
 from certlab.paclearn import (
     ConstantHypothesis,
@@ -179,7 +179,7 @@ def test_sparse_erm_contradiction_raises():
 
 
 def test_junta_learner_full_coverage():
-    c = UnifCertConcept(V2, Z0, DEFAULT_CODE_PARAMS)
+    c = CertConcept(V2, Z0, DEFAULT_CODE_PARAMS, kind="uniform")
     lay = c.layout
     rng = random.Random(5)
     pairs = []
@@ -192,7 +192,7 @@ def test_junta_learner_full_coverage():
 
 
 def test_junta_learner_partial_coverage_error_bound():
-    c = UnifCertConcept(V2, Z0, DEFAULT_CODE_PARAMS)
+    c = CertConcept(V2, Z0, DEFAULT_CODE_PARAMS, kind="uniform")
     lay = c.layout
     seen = range(8)  # half the 16 indices
     pairs = tuple(
@@ -207,7 +207,7 @@ def test_junta_learner_partial_coverage_error_bound():
 
 
 def test_junta_learner_inconsistent_index_raises():
-    lay = ExampleLayout.uniform(V2.n, DEFAULT_CODE_PARAMS, V2.p)
+    lay = ExampleLayout.of(V2.n, DEFAULT_CODE_PARAMS, V2.p, "uniform")
     a = "0000" + "0" * lay.n
     b = "0000" + "1" * lay.n
     with pytest.raises(DataInconsistencyError):
@@ -215,7 +215,7 @@ def test_junta_learner_inconsistent_index_raises():
 
 
 def test_junta_learner_empty_is_constant_zero():
-    lay = ExampleLayout.uniform(V2.n, DEFAULT_CODE_PARAMS, V2.p)
+    lay = ExampleLayout.of(V2.n, DEFAULT_CODE_PARAMS, V2.p, "uniform")
     h = junta_learner(LabeledSample(()), lay)
     assert h("0" * lay.example_len) == 0
 

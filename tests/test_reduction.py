@@ -5,20 +5,19 @@ import pytest
 
 from certlab.bits import int_to_bits
 from certlab.codes import REDUCTION_CODE_PARAMS, get_code
-from certlab.concepts import CertConcept, ExampleLayout, UnifCertConcept
-from certlab.errors import BudgetError, ConfigError
+from certlab.concepts import CertConcept, ExampleLayout
+from certlab.errors import BudgetError, ConfigError, ShapeError
 from certlab.paclearn import ConstantHypothesis, error_of, junta_learner, sparse_erm
 from certlab.reduction import (
     DeciderConfig,
     FixedProofMerlin,
     HonestMerlin,
     am_round,
-    am_round_uniform,
     rtime_decide,
     sat_decider,
 )
 from certlab.sat import ThreeSatInstance, brute_force_sat, exhaustive_formulas
-from certlab.verifiers import FormulaEncoding, ThreeSatVerifier, verify
+from certlab.verifiers import FnVerifier, FormulaEncoding, ThreeSatVerifier, verify
 
 PARAMS = REDUCTION_CODE_PARAMS
 ENC2 = FormulaEncoding(max_vars=2, max_clauses=3)
@@ -34,7 +33,7 @@ def sparse_adapter(sample, rng, counter):
 
 
 def junta_adapter_for(verifier):
-    layout = ExampleLayout.uniform(verifier.n, PARAMS, verifier.p)
+    layout = ExampleLayout.of(verifier.n, PARAMS, verifier.p, "uniform")
 
     def learn(sample, rng, counter):
         return junta_learner(sample, layout, counter=counter)
@@ -75,14 +74,39 @@ def test_am_round_fixed_all_zero_proof_replays_deterministically():
 
 
 def t_layout_ell() -> int:
-    return ExampleLayout.standard(V2.n, PARAMS, V2.p).ell
+    return ExampleLayout.of(V2.n, PARAMS, V2.p).ell
 
 
-def test_am_round_rejects_exhaustive_merlin_marker():
-    from certlab.reduction import ExhaustiveMerlin
-
+def test_am_round_rejects_unknown_merlin():
     with pytest.raises(ConfigError):
-        am_round(Z0, V2, sparse_adapter, ExhaustiveMerlin(), PARAMS, random.Random(0), 4)
+        am_round(Z0, V2, sparse_adapter, object(), PARAMS, random.Random(0), 4)
+
+
+def fn_verifier_like(verifier):
+    """The same language through the plain check path (no accept_mask)."""
+    return FnVerifier("fn", verifier.n, verifier.p, verifier.check)
+
+
+@pytest.mark.parametrize("verifier", [V2, fn_verifier_like(V2)], ids=["mask", "check"])
+def test_wrong_length_z_is_a_shape_error_for_every_verifier_kind(verifier):
+    config = DeciderConfig(m=4, r=2, code_params=PARAMS)
+    fixed = FixedProofMerlin("0" * 4)
+    for z in ("0101", Z0 + "0"):
+        with pytest.raises(ShapeError):
+            rtime_decide(z, verifier, config, sparse_adapter, 0)
+        with pytest.raises(ShapeError):
+            am_round(z, verifier, sparse_adapter, fixed, PARAMS, random.Random(0), 4)
+
+
+def test_check_path_verifier_decides_like_the_mask_path():
+    config = DeciderConfig(m=6, r=2, code_params=PARAMS)
+    fn_v2 = fn_verifier_like(V2)
+    for inst in exhaustive_formulas(2, 2)[:12]:
+        z = ENC2.encode(inst)
+        a = rtime_decide(z, V2, config, sparse_adapter, "fn")
+        b = rtime_decide(z, fn_v2, config, sparse_adapter, "fn")
+        assert (a.accept, a.proofs_run) == (b.accept, b.proofs_run)
+        assert [r.digest for r in a.repetitions] == [r.digest for r in b.repetitions]
 
 
 def test_transcript_verdict_matches_final_verifier_check():
@@ -126,7 +150,7 @@ def test_am_round_learner_failure_is_a_rejecting_transcript():
 def test_completeness_transfer_error_below_eps_star_implies_accept():
     # trial-by-trial: hypothesis error <= eps* over uniform-on-meaningful-useful
     # points implies <= floor(eps**cp) corruptions, exact decode, verdict 1
-    lay = ExampleLayout.standard(V2.n, PARAMS, V2.p)
+    lay = ExampleLayout.of(V2.n, PARAMS, V2.p)
     concept = CertConcept(V2, Z0, PARAMS)
     meaningful = [Z0 + int_to_bits(v, lay.ell) for v in range(lay.cp)]
     from certlab.paclearn import Distribution
@@ -167,25 +191,27 @@ def test_soundness_exhaustive_all_unsat_two_var_formulas_twenty_seeds():
 def test_enumeration_dominance_per_seed():
     # exhaustive accept bit equals the OR over all fixed-proof transcripts
     m = 4
-    config = DeciderConfig(m=m, r=1, code_params=PARAMS)
-    for inst in (PHI0, PHI_UNSAT, ThreeSatInstance(2, [(1,)]), ThreeSatInstance(2, [])):
-        z = ENC2.encode(inst)
-        for seed in ("a", "b", 3):
-            res = rtime_decide(z, V2, config, sparse_adapter, seed)
-            or_over_proofs = False
-            honest_verdict = am_round(
-                z, V2, sparse_adapter, HonestMerlin(), PARAMS,
-                random.Random(f"{seed}:rep0"), m,
-            ).verdict
-            for labels in product("01", repeat=m):
-                t = am_round(
-                    z, V2, sparse_adapter, FixedProofMerlin("".join(labels)), PARAMS,
-                    random.Random(f"{seed}:rep0"), m,
-                )
-                or_over_proofs = or_over_proofs or bool(t.verdict)
-            assert res.repetitions[0].accept == or_over_proofs
-            # honest Merlin's labels are among the enumerated proofs
-            assert or_over_proofs >= bool(honest_verdict)
+    instances = (PHI0, PHI_UNSAT, ThreeSatInstance(2, [(1,)]), ThreeSatInstance(2, []))
+    for variant, learner in (("standard", sparse_adapter), ("uniform", junta_adapter_for(V2))):
+        config = DeciderConfig(m=m, r=1, code_params=PARAMS, variant=variant)
+        for inst in instances:
+            z = ENC2.encode(inst)
+            for seed in ("a", "b", 3):
+                res = rtime_decide(z, V2, config, learner, seed)
+                or_over_proofs = False
+                honest_verdict = am_round(
+                    z, V2, learner, HonestMerlin(), PARAMS,
+                    random.Random(f"{seed}:rep0"), m, variant=variant,
+                ).verdict
+                for labels in product("01", repeat=m):
+                    t = am_round(
+                        z, V2, learner, FixedProofMerlin("".join(labels)), PARAMS,
+                        random.Random(f"{seed}:rep0"), m, variant=variant,
+                    )
+                    or_over_proofs = or_over_proofs or bool(t.verdict)
+                assert res.repetitions[0].accept == or_over_proofs
+                # honest Merlin's labels are among the enumerated proofs
+                assert or_over_proofs >= bool(honest_verdict)
 
 
 def test_rtime_decide_deterministic():
@@ -271,8 +297,9 @@ def test_crafted_unsat_three_var_never_accepts():
 def test_uniform_round_unsat_always_rejects():
     learner = junta_adapter_for(V2)
     for seed in range(10):
-        t = am_round_uniform(
-            Z_UNSAT, V2, learner, HonestMerlin(), PARAMS, random.Random(seed), 8
+        t = am_round(
+            Z_UNSAT, V2, learner, HonestMerlin(), PARAMS, random.Random(seed), 8,
+            variant="uniform",
         )
         assert t.verdict == 0
 
@@ -281,15 +308,16 @@ def test_uniform_round_honest_completeness():
     learner = junta_adapter_for(V2)
     hits = 0
     for seed in range(60):
-        t = am_round_uniform(
-            Z0, V2, learner, HonestMerlin(), PARAMS, random.Random(seed), 40
+        t = am_round(
+            Z0, V2, learner, HonestMerlin(), PARAMS, random.Random(seed), 40,
+            variant="uniform",
         )
         hits += t.verdict
     assert hits / 60 >= 2 / 3
 
 
 def test_uniform_zero_error_hypothesis_recovers_first_certificate():
-    concept = UnifCertConcept(V2, Z0, PARAMS)
+    concept = CertConcept(V2, Z0, PARAMS, kind="uniform")
     lay = concept.layout
     # full index coverage: junta equals the concept, so y has zero corruptions
     pairs = []
