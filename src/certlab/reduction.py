@@ -83,8 +83,8 @@ class _Challenge:
 
     def prove(self, points, labels, rng: random.Random, read_at: str) -> _Proof | None:
         """Learn from the labelled points, query the hypothesis at every index
-        joined to read_at (y; its first cp bits are the received word), decode
-        and check the result; None when the learner raises."""
+        joined to read_at, decode its first cp answers and check the result;
+        None when the learner raises."""
         sample = LabeledSample(tuple(zip(points, labels)))
         try:
             hypothesis = self.learner(sample, rng, None)

@@ -18,8 +18,8 @@ def perfbench_modules(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     before = set(sys.modules)
     yield importlib.import_module
-    for name in set(sys.modules) - before:
-        if not name.startswith("certlab"):
+    for name, module in list(sys.modules.items()):
+        if name not in before and str(getattr(module, "__file__", "")).startswith(str(PERFBENCH)):
             del sys.modules[name]
 
 
