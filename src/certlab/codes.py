@@ -152,11 +152,19 @@ class LinearCode:
 
     def decode_value(self, y_int: int) -> int:
         """Nearest codeword by Hamming distance; ties broken toward the
-        lexicographically smallest message.  Exact within `radius`."""
-        best_v, best_d = 0, (y_int).bit_count()
+        lexicographically smallest message.  Exact within `radius`.
+
+        A codeword within `radius` is the unique nearest one, so the scan
+        stops at it; ties can only arise beyond the radius."""
+        radius = self.radius
+        best_v, best_d = 0, y_int.bit_count()
+        if best_d <= radius:
+            return 0
         for v, cw in enumerate(self.codewords()):
             d = (y_int ^ cw).bit_count()
             if d < best_d:
+                if d <= radius:
+                    return v
                 best_v, best_d = v, d
         return best_v
 

@@ -173,23 +173,26 @@ def dt_eval(tree: DecisionTree, x: str) -> int:
 
 
 def build_decision_tree(concept: CertConcept) -> DecisionTree:
-    """Exact tree for a concept: match the n prefix bits against z with
-    early-exit 0, then fully query the index bits; constant-0 when the
-    instance has no certificate."""
+    """Exact tree for a concept: in the standard layout, match the n prefix
+    bits against z with early-exit 0, then fully query the index bits; in
+    the uniform layout, query only the leading index bits.  Constant-0 when
+    the instance has no certificate."""
     if concept.enc is None:
         return DecisionTree(root=0, size=1)
     lay = concept.layout
+    first_index_bit = lay.n if lay.kind == "standard" else 0
 
     def index_subtree(depth: int, value: int):
         if depth == lay.ell:
             return 1 if (value < lay.cp and value in concept.support) else 0
         lo = index_subtree(depth + 1, value << 1)
         hi = index_subtree(depth + 1, (value << 1) | 1)
-        return Node(lay.n + depth, lo, hi)
+        return Node(first_index_bit + depth, lo, hi)
 
     cur = index_subtree(0, 0)
-    for i in reversed(range(lay.n)):
-        cur = Node(i, 0, cur) if concept.z[i] == "1" else Node(i, cur, 0)
+    if lay.kind == "standard":
+        for i in reversed(range(lay.n)):
+            cur = Node(i, 0, cur) if concept.z[i] == "1" else Node(i, cur, 0)
     return DecisionTree.of(cur)
 
 

@@ -63,7 +63,7 @@ class AmTranscript:
 
 class _Proof(NamedTuple):
     hypothesis: object
-    y: str
+    answers: int  # bit v: the hypothesis's answer at index value v
     w_val: int
     verdict: int
 
@@ -80,6 +80,18 @@ class _Challenge:
         self.layout = ExampleLayout.of(verifier.n, params, verifier.p, variant)
         self.code = get_code(params, verifier.p)
         self.mask_fn = getattr(verifier, "accept_mask", None)
+        self._read_at: str | None = None
+        self._queries: list[str] = []
+
+    def _queries_at(self, read_at: str) -> list[str]:
+        """read_at joined to every index value, built once per read_at."""
+        if read_at != self._read_at:
+            lay = self.layout
+            self._queries = [
+                lay.join(read_at, int_to_bits(v, lay.ell)) for v in range(1 << lay.ell)
+            ]
+            self._read_at = read_at
+        return self._queries
 
     def prove(self, points, labels, rng: random.Random, read_at: str) -> _Proof | None:
         """Learn from the labelled points, query the hypothesis at every index
@@ -90,29 +102,26 @@ class _Challenge:
             hypothesis = self.learner(sample, rng, None)
         except CertlabError:
             return None
-        lay = self.layout
-        bits = []
-        y_int = 0
-        for val in range(1 << lay.ell):
-            b = int(hypothesis(lay.join(read_at, int_to_bits(val, lay.ell))))
-            bits.append("1" if b else "0")
-            if b and val < lay.cp:
-                y_int |= 1 << val
-        w_val = self.code.decode_value(y_int)
+        answers = 0
+        for val, x in enumerate(self._queries_at(read_at)):
+            if hypothesis(x):
+                answers |= 1 << val
+        w_val = self.code.decode_value(answers & ((1 << self.layout.cp) - 1))
         if self.mask_fn is not None:
             verdict = (self.mask_fn(self.z) >> w_val) & 1
         else:
             w_tilde = format(w_val, f"0{self.verifier.p}b")
             verdict = 1 if self.verifier.check(self.z, w_tilde) else 0
-        return _Proof(hypothesis, "".join(bits), w_val, verdict)
+        return _Proof(hypothesis, answers, w_val, verdict)
 
     def transcript(self, seed_label: str, points, labels: str, proof) -> AmTranscript:
         indices = tuple(self.layout.split(x)[1] for x in points)
         if proof is None:
             return AmTranscript(seed_label, indices, labels, None, "", "", 0, failed=True)
+        y = format(proof.answers, f"0{1 << self.layout.ell}b")[::-1]
         w_tilde = format(proof.w_val, f"0{self.verifier.p}b")
         return AmTranscript(
-            seed_label, indices, labels, proof.hypothesis, proof.y, w_tilde, proof.verdict
+            seed_label, indices, labels, proof.hypothesis, y, w_tilde, proof.verdict
         )
 
 
@@ -210,13 +219,14 @@ def rtime_decide(
         points, read_at = challenge.layout.draw(rng, z, config.m)
         distinct = sorted(set(points))
         slot = {pt: j for j, pt in enumerate(distinct)}
+        point_slots = [slot[pt] for pt in points]
 
         rep_accept = False
         rep_digest = ""
         proofs_run = 0
         for assignment in product((0, 1), repeat=len(distinct)):
             proofs_run += 1
-            labels = tuple(assignment[slot[pt]] for pt in points)
+            labels = tuple([assignment[j] for j in point_slots])
             proof = challenge.prove(points, labels, rng, read_at)
             if proof is not None and proof.verdict:
                 label_str = "".join(str(b) for b in labels)

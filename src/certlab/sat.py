@@ -94,10 +94,14 @@ def _var_mask(p: int, j: int) -> int:
     cached = _VAR_MASKS.get(key)
     if cached is not None:
         return cached
+    # one period (2^b zeros then 2^b ones), doubled by shifts to 2^p bits;
+    # a big-int division would be quadratic in the mask width
     b = p - j
-    chunk = ((1 << (1 << b)) - 1) << (1 << b)
-    period = 1 << (b + 1)
-    mask = chunk * (((1 << (1 << p)) - 1) // ((1 << period) - 1))
+    mask = ((1 << (1 << b)) - 1) << (1 << b)
+    width = 1 << (b + 1)
+    while width < (1 << p):
+        mask |= mask << width
+        width <<= 1
     _VAR_MASKS[key] = mask
     return mask
 

@@ -4,6 +4,7 @@ the benchmark uses, instead of leaving a traced layer silently absent or a
 workload unable to start.  They read perfbench/ and never edit it."""
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -38,3 +39,14 @@ def test_workloads_import_cleanly(perfbench_modules):
     workloads = perfbench_modules("workloads")
     assert callable(workloads.make_sparse_erm)
     assert issubclass(workloads.Decide, workloads.Workload)
+
+
+def test_perfbench_selftest_passes():
+    """The benchmark's reference checks still agree with brute force."""
+    result = subprocess.run(
+        [sys.executable, str(PERFBENCH / "selftest.py")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

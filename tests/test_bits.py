@@ -44,6 +44,37 @@ def test_check_bits_rejects_junk():
     assert check_bits("0101", length=4) == "0101"
 
 
+NEAR_BITS = "01\u0660\uff11 _\t\n"  # Arabic-Indic zero, fullwidth one, blanks, underscore
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(), st.text(alphabet="01"), st.text(alphabet=NEAR_BITS)))
+def test_check_bits_accepts_exactly_strings_over_0_and_1(s):
+    if set(s) <= {"0", "1"}:
+        assert check_bits(s) is s
+        assert check_bits(s, length=len(s), name="x") is s
+    else:
+        with pytest.raises(ShapeError) as err:
+            check_bits(s, name="x")
+        assert str(err.value) == f"x must be a string over 0/1, got {s!r}"
+
+
+def test_check_bits_edge_cases_and_messages():
+    assert check_bits("") == ""
+    assert check_bits("", length=0) == ""
+    for bad in ("\u0660", "\uff11", "0\u0661", " ", "0 1", "01\n", "\t", "_", "0_1", "2"):
+        with pytest.raises(ShapeError) as err:
+            check_bits(bad, name="w")
+        assert str(err.value) == f"w must be a string over 0/1, got {bad!r}"
+    for bad in (None, 0, 1, b"01", bytearray(b"01"), ["0", "1"], ("0",)):
+        with pytest.raises(ShapeError) as err:
+            check_bits(bad)
+        assert str(err.value) == f"bitstring must be a string over 0/1, got {bad!r}"
+    with pytest.raises(ShapeError) as err:
+        check_bits("01", length=3, name="w")
+    assert str(err.value) == "w must have length 3, got 2"
+
+
 def test_int_round_trip():
     assert bits_to_int("") == 0
     assert int_to_bits(0, 0) == ""

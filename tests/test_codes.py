@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from certlab.bits import flip_positions, int_to_bits
 from certlab.codes import (
@@ -117,6 +118,45 @@ def test_beyond_radius_decode_never_crashes():
         y = flip_positions(code.encode(x), rng.sample(range(64), code.contract_radius + k))
         out = code.decode(y)
         assert len(out) == 8  # may differ from x; contract boundary
+
+
+def full_scan(code, y_int: int) -> int:
+    """Reference decoder: the smallest message at minimum Hamming distance."""
+    dists = [(y_int ^ cw).bit_count() for cw in code.codewords()]
+    return dists.index(min(dists))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_decode_value_matches_full_scan(data):
+    params = data.draw(st.sampled_from((DEFAULT_CODE_PARAMS, REDUCTION_CODE_PARAMS)))
+    code = get_code(params, data.draw(st.integers(2, 10)))
+    n = code.codeword_len
+    if data.draw(st.booleans()):
+        # a codeword with up to radius + 2 errors: within and just beyond
+        v = data.draw(st.integers(0, (1 << code.message_len) - 1))
+        errors = data.draw(st.sets(st.integers(0, n - 1), max_size=code.radius + 2))
+        y_int = code.codewords()[v] ^ sum(1 << i for i in errors)
+        if len(errors) <= code.radius:
+            assert code.decode_value(y_int) == v
+    else:
+        y_int = data.draw(st.integers(0, (1 << n) - 1))
+    assert code.decode_value(y_int) == full_scan(code, y_int)
+
+
+def test_decode_value_matches_full_scan_sampled_m16():
+    rng = random.Random(16)
+    for params in (DEFAULT_CODE_PARAMS, REDUCTION_CODE_PARAMS):
+        code = get_code(params, 16)
+        n = code.codeword_len
+        cws = code.codewords()
+        words = [rng.getrandbits(n) for _ in range(3)]
+        for k in (0, code.radius, code.radius + 1, code.radius + 4):
+            for _ in range(3):
+                errors = sum(1 << i for i in rng.sample(range(n), k))
+                words.append(cws[rng.getrandbits(16)] ^ errors)
+        for y_int in words:
+            assert code.decode_value(y_int) == full_scan(code, y_int)
 
 
 def test_decode_shape_errors():

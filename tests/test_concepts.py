@@ -4,9 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from certlab.bits import int_to_bits
-from certlab.codes import DEFAULT_CODE_PARAMS, get_code
+from certlab.bits import int_to_bits, random_bits
+from certlab.codes import DEFAULT_CODE_PARAMS, REDUCTION_CODE_PARAMS, get_code
 from certlab.concepts import (
+    LAYOUT_KINDS,
     CertConcept,
     DecisionTree,
     ExampleLayout,
@@ -107,6 +108,24 @@ def test_tree_agrees_with_eval_exhaustively_small_corpus():
             x = int_to_bits(v, total)
             assert dt_eval(tree, x) == c(x)
         assert tree.size <= c.layout.n + 2 * c.layout.cp
+
+
+@pytest.mark.parametrize("kind", LAYOUT_KINDS)
+def test_tree_agrees_with_concept_on_every_index_in_both_layouts(kind):
+    rng = random.Random(kind)
+    for params in (DEFAULT_CODE_PARAMS, REDUCTION_CODE_PARAMS):
+        for inst in exhaustive_formulas(2, 1):
+            z = ENC_SMALL.encode(inst)
+            c = CertConcept(V_SMALL, z, params, kind=kind)
+            tree = build_decision_tree(c)
+            lay = c.layout
+            for v in range(1 << lay.ell):
+                i_bits = int_to_bits(v, lay.ell)
+                # z itself, and another part: the uniform concept ignores it,
+                # the standard one labels it 0
+                for part in (z, random_bits(rng, lay.n)):
+                    x = lay.join(part, i_bits)
+                    assert dt_eval(tree, x) == c(x), (inst, v, part)
 
 
 def test_tree_size_bound():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from certlab import sat
 from certlab.errors import FormatError, ShapeError
 from certlab.sat import (
     ThreeSatInstance,
@@ -59,6 +60,17 @@ def test_satisfying_mask_matches_direct_enumeration():
             a = format(v, f"0{p}b")
             assert bool((mask >> v) & 1) == (a in sols)
         assert brute_force_sat(inst) == (mask != 0)
+
+
+def test_var_mask_matches_the_division_formula(monkeypatch):
+    monkeypatch.setattr(sat, "_VAR_MASKS", {})
+    for p in range(1, 13):
+        ones = (1 << (1 << p)) - 1
+        for j in range(1, p + 1):
+            b = p - j
+            chunk = ((1 << (1 << b)) - 1) << (1 << b)
+            period = 1 << (b + 1)
+            assert sat._var_mask(p, j) == chunk * (ones // ((1 << period) - 1)), (p, j)
 
 
 def test_satisfying_mask_extra_free_variables():
