@@ -5,20 +5,37 @@ generator found by seeded random search, minimum distance certified by a
 Gray-code scan over all nonzero codewords, decoding by nearest codeword.
 The contract radius floor(eps_star*c*m) is what callers may rely on; the
 certified radius (d-1)//2 is usually larger and is exported alongside.
+
+Nearest-codeword decoding is exact and table-driven.  A message splits into
+its low h = min(m, 8) bits and its high part, and by linearity
+cw(hi << h | lo) = cw(hi << h) ^ cw(lo).  For each 4-bit chunk of the
+received word a table holds, per nibble value, one int packing 2^h lanes:
+lane lo is the distance from that nibble to cw(lo)'s bits in the chunk.
+The sum of the entries a word selects is then its distance to every low
+codeword at once (a lane never exceeds the codeword length, so lanes are
+one byte below 256 bits and wider above, and no sum carries across lanes).
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .bits import check_bits
 from .errors import ConfigError, ShapeError
 
 MIN_MESSAGE_LEN = 2
 MAX_MESSAGE_LEN = 16
+
+#: The decoder's low message bits (one table lane each of 2^LOW_BITS) and
+#: the width in bits of the received-word chunk that indexes a table.
+LOW_BITS = 8
+CHUNK_BITS = 4
 
 
 @dataclass(frozen=True)
@@ -60,6 +77,16 @@ REDUCTION_CODE_PARAMS = CodeParams(c=4, eps_star=Fraction(1, 8))
 class Codeword:
     bits: str
     source_len: int
+
+
+def _span(rows: list[int]) -> list[int]:
+    """Every XOR of a subset of rows, indexed by MSB-first message value:
+    message bit j (from the left) selects rows[j]."""
+    k = len(rows)
+    words = [0] * (1 << k)
+    for v in range(1, 1 << k):
+        words[v] = words[v & (v - 1)] ^ rows[k - (v & -v).bit_length()]
+    return words
 
 
 def _min_weight(rows: list[int]) -> int:
@@ -122,18 +149,19 @@ class LinearCode:
                 f"below the contract radius {self.contract_radius}"
             )
         self._codewords: list[int] | None = None
+        self._decoder: _LaneDecoder | None = None
 
     def codewords(self) -> list[int]:
         """All 2^m codewords, indexed by message value (built lazily)."""
         if self._codewords is None:
-            k = self.message_len
-            cws = [0] * (1 << k)
-            for v in range(1, 1 << k):
-                low = v & (v - 1)
-                j = k - (v & -v).bit_length()  # MSB-first message bit index
-                cws[v] = cws[low] ^ self.generator_rows[j]
-            self._codewords = cws
+            self._codewords = _span(self.generator_rows)
         return self._codewords
+
+    def lane_decoder(self) -> "_LaneDecoder":
+        """The tables `decode_value` reads (built lazily)."""
+        if self._decoder is None:
+            self._decoder = _LaneDecoder(self.generator_rows, self.codeword_len)
+        return self._decoder
 
     # codeword int bit i <-> codeword string position i
     def _to_str(self, cw: int) -> str:
@@ -154,24 +182,75 @@ class LinearCode:
         """Nearest codeword by Hamming distance; ties broken toward the
         lexicographically smallest message.  Exact within `radius`.
 
-        A codeword within `radius` is the unique nearest one, so the scan
-        stops at it; ties can only arise beyond the radius."""
+        For each high part hi in ascending order, y ^ cw(hi << h) selects one
+        table entry per 4-bit chunk; their sum packs the distances to all
+        2^h codewords cw(hi << h | lo), and `min` and `.index` over its lanes
+        give the smallest lo at the least distance.  A high part is kept only
+        when strictly better than the best so far, so the result is the
+        smallest message at the global minimum, as a scan in message order
+        would find it.  A codeword within `radius` is the unique nearest one,
+        so the search returns 0 when y itself is that close and otherwise
+        stops at the first high part that reaches it."""
         radius = self.radius
         best_v, best_d = 0, y_int.bit_count()
         if best_d <= radius:
             return 0
-        for v, cw in enumerate(self.codewords()):
-            d = (y_int ^ cw).bit_count()
+        dec = self.lane_decoder()
+        tables, spec, n_bytes, as_lanes, h = (
+            dec.tables, dec.hex_spec, dec.n_bytes, dec.as_lanes, dec.low_bits
+        )
+        for hi, cw in enumerate(dec.high):
+            total = sum(map(dict.__getitem__, tables, format(y_int ^ cw, spec)))
+            lanes = as_lanes(total.to_bytes(n_bytes, sys.byteorder))
+            d = min(lanes)
             if d < best_d:
+                best_v, best_d = (hi << h) | lanes.index(d), d
                 if d <= radius:
-                    return v
-                best_v, best_d = v, d
+                    break
         return best_v
 
     def decode(self, y: str) -> str:
         check_bits(y, length=self.codeword_len, name="received word")
         v = self.decode_value(int(y[::-1], 2) if y else 0)
         return format(v, f"0{self.message_len}b")
+
+
+class _LaneDecoder:
+    """The decoding tables of one code (see the module docstring)."""
+
+    def __init__(self, rows: list[int], codeword_len: int) -> None:
+        h = min(len(rows), LOW_BITS)
+        low = _span(rows[len(rows) - h :])
+        self.low_bits = h
+        self.high = _span(rows[: len(rows) - h])
+        # the narrowest lane that holds every distance 0..codeword_len
+        self.lane_type = next(
+            t for t in "BHIQ" if codeword_len < 1 << (8 * array(t).itemsize)
+        )
+        self.n_bytes = array(self.lane_type).itemsize << h
+        # one-byte lanes are the bytes themselves; wider ones an array over them
+        self.as_lanes = bytes if self.lane_type == "B" else partial(array, self.lane_type)
+
+        def packed(lanes: list[int]) -> int:
+            return int.from_bytes(array(self.lane_type, lanes).tobytes(), sys.byteorder)
+
+        n_chunks = -(-codeword_len // CHUNK_BITS)
+        self.hex_spec = f"0{n_chunks}x"
+        ones = packed([1] * len(low))
+        # planes[p], lane lo: bit p of cw(lo), its distance to a received 0
+        planes = [packed([(cw >> p) & 1 for cw in low]) for p in range(CHUNK_BITS * n_chunks)]
+        # one dict per chunk, keyed by the chunk's hex digit, in the order
+        # `format(word, hex_spec)` lists them: most significant chunk first
+        self.tables = [
+            {
+                f"{nib:x}": sum(
+                    ones - planes[base + b] if nib >> b & 1 else planes[base + b]
+                    for b in range(CHUNK_BITS)
+                )
+                for nib in range(1 << CHUNK_BITS)
+            }
+            for base in reversed(range(0, CHUNK_BITS * n_chunks, CHUNK_BITS))
+        ]
 
 
 _CODE_CACHE: dict[tuple[int, Fraction, int], LinearCode] = {}

@@ -8,7 +8,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .bits import check_bits
+from .bits import check_bits, is_bits
 from .codes import CodeParams
 from .concepts import (
     CertConcept,
@@ -68,12 +68,25 @@ class LabeledSample:
     pairs: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        if self.pairs:
-            length = len(self.pairs[0][0])
-            for x, y in self.pairs:
+        pairs = self.pairs
+        if not pairs:
+            return
+        length = len(pairs[0][0])
+        # One check of all points joined; "?" stands for a point of the wrong
+        # type or length.  Only a failure (or a malformed pair) walks the
+        # pairs one by one, which reports the first fault in pair order.
+        try:
+            joined = "".join(
+                [x if isinstance(x, str) and len(x) == length else "?" for x, _ in pairs]
+            )
+        except (TypeError, ValueError):
+            joined = "?"
+        points_ok = is_bits(joined)
+        for x, y in pairs:
+            if not points_ok:
                 check_bits(x, length=length, name="sample point")
-                if y not in (0, 1):
-                    raise ShapeError(f"label must be 0/1, got {y!r}")
+            if y not in (0, 1):
+                raise ShapeError(f"label must be 0/1, got {y!r}")
 
     @property
     def m(self) -> int:

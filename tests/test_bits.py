@@ -7,6 +7,7 @@ from certlab.bits import (
     check_bits,
     flip_positions,
     int_to_bits,
+    is_bits,
     lex_rank,
     random_bits,
 )
@@ -57,6 +58,18 @@ def test_check_bits_accepts_exactly_strings_over_0_and_1(s):
         with pytest.raises(ShapeError) as err:
             check_bits(s, name="x")
         assert str(err.value) == f"x must be a string over 0/1, got {s!r}"
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        st.text(alphabet=NEAR_BITS),
+        st.text(alphabet=st.characters(exclude_categories=())),  # surrogates too
+        st.lists(st.sampled_from(["0", "1", "01" * 40, "\ud800", "\x80", "2"])).map("".join),
+    )
+)
+def test_is_bits_is_membership_in_0_and_1(s):
+    assert is_bits(s) == (set(s) <= {"0", "1"})
 
 
 def test_check_bits_edge_cases_and_messages():

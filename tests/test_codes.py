@@ -1,4 +1,5 @@
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -157,6 +158,48 @@ def test_decode_value_matches_full_scan_sampled_m16():
                 words.append(cws[rng.getrandbits(16)] ^ errors)
         for y_int in words:
             assert code.decode_value(y_int) == full_scan(code, y_int)
+
+
+def words_around_codewords(code, rng, count=4):
+    """Random words, and codewords with errors within, just beyond and far
+    beyond the radius."""
+    n = code.codeword_len
+    cws = code.codewords()
+    words = [rng.getrandbits(n) for _ in range(count)]
+    for k in (0, 1, code.radius, code.radius + 1, code.radius + 2, 2 * code.radius + 3):
+        for _ in range(count):
+            errors = sum(1 << i for i in rng.sample(range(n), min(k, n)))
+            words.append(cws[rng.getrandbits(code.message_len)] ^ errors)
+    return words
+
+
+def test_decode_value_matches_full_scan_with_two_byte_lanes():
+    rng = random.Random(256)
+    for c, m in ((130, 2), (130, 3), (70, 4)):
+        code = get_code(CodeParams(c=c, eps_star=Fraction(1, 16)), m)
+        assert code.codeword_len >= 256
+        assert array(code.lane_decoder().lane_type).itemsize == 2
+        for y_int in words_around_codewords(code, rng, count=8):
+            assert code.decode_value(y_int) == full_scan(code, y_int)
+
+
+def test_decode_value_matches_full_scan_over_several_high_parts():
+    rng = random.Random(912)
+    for params in (DEFAULT_CODE_PARAMS, REDUCTION_CODE_PARAMS):
+        for m in (9, 12):
+            code = get_code(params, m)
+            assert len(code.lane_decoder().high) == 1 << (m - 8)
+            for y_int in words_around_codewords(code, rng):
+                assert code.decode_value(y_int) == full_scan(code, y_int)
+
+
+def test_decoder_tables_stay_small_at_m16():
+    # 32 chunks x 16 nibbles, each entry 256 one-byte lanes: 128 KiB in all
+    dec = get_code(DEFAULT_CODE_PARAMS, 16).lane_decoder()
+    assert dec.lane_type == "B" and dec.n_bytes == 256
+    assert len(dec.tables) <= 32
+    assert all(len(table) == 16 for table in dec.tables)
+    assert all(entry < 1 << (8 * 256) for table in dec.tables for entry in table.values())
 
 
 def test_decode_shape_errors():

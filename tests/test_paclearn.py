@@ -2,11 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from certlab.bits import int_to_bits
 from certlab.codes import DEFAULT_CODE_PARAMS, get_code
 from certlab.concepts import CertConcept, ExampleLayout
-from certlab.errors import ConfigError, DataInconsistencyError
+from certlab.errors import ConfigError, DataInconsistencyError, ShapeError
 from certlab.paclearn import (
     ConstantHypothesis,
     Distribution,
@@ -81,6 +82,82 @@ def test_draw_sample_deterministic_given_seed():
     a = draw_sample(dist, c, 20, random.Random("s"))
     b = draw_sample(dist, c, 20, random.Random("s"))
     assert a == b
+
+
+def reference_sample_check(pairs) -> None:
+    """Per-pair validation as the sample documents it: every point a string
+    over 0/1 as long as the first, every label equal to 0 or 1."""
+    if pairs:
+        length = len(pairs[0][0])
+        for x, y in pairs:
+            if not isinstance(x, str) or not set(x) <= {"0", "1"}:
+                raise ShapeError(f"sample point must be a string over 0/1, got {x!r}")
+            if len(x) != length:
+                raise ShapeError(f"sample point must have length {length}, got {len(x)}")
+            if y not in (0, 1):
+                raise ShapeError(f"label must be 0/1, got {y!r}")
+
+
+def outcome(check, pairs):
+    try:
+        check(pairs)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+SAMPLE_LABELS = st.sampled_from([0, 1, True, False, 1.0, 2, "1", None])
+
+
+@st.composite
+def sample_point(draw, length: int):
+    kind = draw(st.sampled_from(["good", "good", "good", "chars", "length", "type"]))
+    if kind == "good":
+        return draw(st.text("01", min_size=length, max_size=length))
+    if kind == "chars":
+        # a string of the right length with at least one character not 0/1
+        good = draw(st.text("01", min_size=max(length, 1), max_size=max(length, 1)))
+        bad = draw(st.sampled_from(["2", "a", " ", "_", "?", "\u0660", "\uff11", "\u0661"]))
+        at = draw(st.integers(0, len(good) - 1))
+        return good[:at] + bad + good[at + 1 :]
+    if kind == "length":
+        return draw(st.text("01", max_size=length + 3).filter(lambda t: len(t) != length))
+    return draw(
+        st.sampled_from([None, 0, 1, 101, b"01", ["0", "1"], ("1",), 1.0])
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_labeled_sample_accepts_exactly_what_a_per_pair_check_accepts(data):
+    length = data.draw(st.integers(0, 12))
+    pairs = tuple(
+        (data.draw(sample_point(length)), data.draw(SAMPLE_LABELS))
+        for _ in range(data.draw(st.integers(0, 6)))
+    )
+    expected = outcome(reference_sample_check, pairs)
+    assert outcome(LabeledSample, pairs) == expected
+    if expected is None:
+        assert LabeledSample(pairs).pairs == pairs
+
+
+def test_labeled_sample_messages():
+    good = ("0101", 1)
+    cases = [
+        ((good, ("01\u0661" + "1", 0)), "sample point must be a string over 0/1, got '01\u06611'"),
+        ((good, ("010", 0)), "sample point must have length 4, got 3"),
+        ((good, (b"0101", 0)), "sample point must be a string over 0/1, got b'0101'"),
+        ((good, ("0101", 2)), "label must be 0/1, got 2"),
+        ((good, ("0101", "1")), "label must be 0/1, got '1'"),
+        # the first fault in pair order is reported
+        ((("0101", None), ("0x01", 1)), "label must be 0/1, got None"),
+        ((good, ("0x01", None)), "sample point must be a string over 0/1, got '0x01'"),
+    ]
+    for pairs, message in cases:
+        with pytest.raises(ShapeError) as err:
+            LabeledSample(pairs)
+        assert str(err.value) == message
+    assert LabeledSample((good, ("1111", True), ("0000", 1.0))).m == 3
 
 
 def test_error_of_examples():
