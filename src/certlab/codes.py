@@ -12,8 +12,12 @@ cw(hi << h | lo) = cw(hi << h) ^ cw(lo).  For each 4-bit chunk of the
 received word a table holds, per nibble value, one int packing 2^h lanes:
 lane lo is the distance from that nibble to cw(lo)'s bits in the chunk.
 The sum of the entries a word selects is then its distance to every low
-codeword at once (a lane never exceeds the codeword length, so lanes are
-one byte below 256 bits and wider above, and no sum carries across lanes).
+codeword at once.  No lane of the sum exceeds the codeword length, so lanes
+are one byte below 256 bits and wider above, and no sum carries into the
+next lane: the lanes are exact distances.  `LinearCode.decode_value` walks
+the high parts in ascending order, so with a strict-improvement rule and
+the smallest lane index at each minimum it returns what a scan of all 2^m
+codewords in message order returns, the smallest message at least distance.
 """
 
 from __future__ import annotations
@@ -32,8 +36,9 @@ from .errors import ConfigError, ShapeError
 MIN_MESSAGE_LEN = 2
 MAX_MESSAGE_LEN = 16
 
-#: The decoder's low message bits (one table lane each of 2^LOW_BITS) and
-#: the width in bits of the received-word chunk that indexes a table.
+#: The decoder resolves the low LOW_BITS message bits at once: a table
+#: entry packs one lane per low message.  It indexes its tables by chunks of
+#: CHUNK_BITS received bits, one hex digit of the received word.
 LOW_BITS = 8
 CHUNK_BITS = 4
 
@@ -157,7 +162,7 @@ class LinearCode:
             self._codewords = _span(self.generator_rows)
         return self._codewords
 
-    def lane_decoder(self) -> "_LaneDecoder":
+    def lane_decoder(self) -> _LaneDecoder:
         """The tables `decode_value` reads (built lazily)."""
         if self._decoder is None:
             self._decoder = _LaneDecoder(self.generator_rows, self.codeword_len)
@@ -215,6 +220,14 @@ class LinearCode:
         return format(v, f"0{self.message_len}b")
 
 
+#: _HEX_DISTANCE[nib] translates a hex digit's ASCII code to the Hamming
+#: distance between the digit's 4 bits and nib.
+_HEX_DISTANCE = [
+    bytes.maketrans(b"0123456789abcdef", bytes((d ^ nib).bit_count() for d in range(16)))
+    for nib in range(1 << CHUNK_BITS)
+]
+
+
 class _LaneDecoder:
     """The decoding tables of one code (see the module docstring)."""
 
@@ -224,32 +237,28 @@ class _LaneDecoder:
         self.low_bits = h
         self.high = _span(rows[: len(rows) - h])
         # the narrowest lane that holds every distance 0..codeword_len
-        self.lane_type = next(
-            t for t in "BHIQ" if codeword_len < 1 << (8 * array(t).itemsize)
-        )
-        self.n_bytes = array(self.lane_type).itemsize << h
+        lane_type = next(t for t in "BHIQ" if codeword_len < 1 << (8 * array(t).itemsize))
+        wide = lane_type != "B"
+        self.lane_type = lane_type
+        self.n_bytes = array(lane_type).itemsize << h
         # one-byte lanes are the bytes themselves; wider ones an array over them
-        self.as_lanes = bytes if self.lane_type == "B" else partial(array, self.lane_type)
+        self.as_lanes = partial(array, lane_type) if wide else bytes
 
-        def packed(lanes: list[int]) -> int:
-            return int.from_bytes(array(self.lane_type, lanes).tobytes(), sys.byteorder)
+        def packed(distances: bytes) -> int:
+            if wide:
+                distances = array(lane_type, list(distances)).tobytes()
+            return int.from_bytes(distances, sys.byteorder)
 
-        n_chunks = -(-codeword_len // CHUNK_BITS)
-        self.hex_spec = f"0{n_chunks}x"
-        ones = packed([1] * len(low))
-        # planes[p], lane lo: bit p of cw(lo), its distance to a received 0
-        planes = [packed([(cw >> p) & 1 for cw in low]) for p in range(CHUNK_BITS * n_chunks)]
-        # one dict per chunk, keyed by the chunk's hex digit, in the order
-        # `format(word, hex_spec)` lists them: most significant chunk first
+        self.hex_spec = f"0{-(-codeword_len // CHUNK_BITS)}x"
+        # one column per chunk, most significant first as `format(word,
+        # hex_spec)` lists them: that chunk's hex digit of every low codeword
+        columns = zip(*[format(cw, self.hex_spec) for cw in low])
         self.tables = [
             {
-                f"{nib:x}": sum(
-                    ones - planes[base + b] if nib >> b & 1 else planes[base + b]
-                    for b in range(CHUNK_BITS)
-                )
+                f"{nib:x}": packed(digits.translate(_HEX_DISTANCE[nib]))
                 for nib in range(1 << CHUNK_BITS)
             }
-            for base in reversed(range(0, CHUNK_BITS * n_chunks, CHUNK_BITS))
+            for digits in ("".join(col).encode("ascii") for col in columns)
         ]
 
 
