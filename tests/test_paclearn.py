@@ -152,6 +152,8 @@ def test_labeled_sample_messages():
         # the first fault in pair order is reported
         ((("0101", None), ("0x01", 1)), "label must be 0/1, got None"),
         ((good, ("0x01", None)), "sample point must be a string over 0/1, got '0x01'"),
+        # ... also when a later pair is malformed
+        ((("0101", 2), ("0101", 1, 0)), "label must be 0/1, got 2"),
     ]
     for pairs, message in cases:
         with pytest.raises(ShapeError) as err:
