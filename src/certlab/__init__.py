@@ -13,9 +13,7 @@ from .codes import (
     DEFAULT_CODE_PARAMS,
     REDUCTION_CODE_PARAMS,
     CodeParams,
-    Codeword,
     decode,
-    encode,
     get_code,
 )
 from .concepts import (

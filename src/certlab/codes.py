@@ -78,12 +78,6 @@ DEFAULT_CODE_PARAMS = CodeParams(c=8, eps_star=Fraction(1, 16))
 REDUCTION_CODE_PARAMS = CodeParams(c=4, eps_star=Fraction(1, 8))
 
 
-@dataclass(frozen=True)
-class Codeword:
-    bits: str
-    source_len: int
-
-
 def _span(rows: list[int]) -> list[int]:
     """Every XOR of a subset of rows, indexed by MSB-first message value:
     message bit j (from the left) selects rows[j]."""
@@ -272,11 +266,6 @@ def get_code(params: CodeParams, message_len: int) -> LinearCode:
         code = LinearCode(params, message_len)
         _CODE_CACHE[key] = code
     return code
-
-
-def encode(params: CodeParams, x: str) -> Codeword:
-    code = get_code(params, len(x))
-    return Codeword(bits=code.encode(x), source_len=len(x))
 
 
 def decode(params: CodeParams, y: str) -> str:

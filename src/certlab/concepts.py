@@ -13,10 +13,10 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .bits import bits_to_int, check_bits, int_to_bits, random_bits
+from .bits import check_bits, int_to_bits, random_bits
 from .codes import CodeParams, get_code
 from .errors import BudgetError, ConfigError, FormatError, ShapeError
-from .verifiers import DEFAULT_BUDGET_BITS, StepCounter, Verifier, first_certificate
+from .verifiers import StepCounter, Verifier, first_certificate
 
 
 #: The two example layouts: "standard" is z then index, "uniform" is index
@@ -69,10 +69,6 @@ class ExampleLayout:
         points = [random_bits(rng, self.example_len) for _ in range(m)]
         return points, random_bits(rng, self.n)
 
-    def index_position(self, i_bits: str) -> int:
-        """1-indexed codeword position selected by the index bits."""
-        return bits_to_int(i_bits) + 1
-
 
 class CertConcept:
     """Reveals one bit of the encoded first certificate per useful example;
@@ -89,7 +85,6 @@ class CertConcept:
         params: CodeParams,
         *,
         kind: str = "standard",
-        budget_bits: int = DEFAULT_BUDGET_BITS,
         counter: StepCounter | None = None,
     ) -> None:
         check_bits(z, length=verifier.n, name="z")
@@ -97,7 +92,7 @@ class CertConcept:
         self.z = z
         self.params = params
         self.layout = ExampleLayout.of(verifier.n, params, verifier.p, kind)
-        self.first_cert = first_certificate(verifier, z, budget_bits=budget_bits, counter=counter)
+        self.first_cert = first_certificate(verifier, z, counter=counter)
         if self.first_cert is None:
             self.enc = None
             self.support: frozenset[int] = frozenset()
@@ -114,10 +109,7 @@ class CertConcept:
         z_part, i_bits = lay.split(x)
         if self.enc is None or (lay.kind == "standard" and z_part != self.z):
             return 0
-        pos = lay.index_position(i_bits)
-        if pos > lay.cp:
-            return 0
-        return 1 if (pos - 1) in self.support else 0
+        return 1 if int(i_bits, 2) in self.support else 0
 
     def one_points(self) -> list[str]:
         """All examples labeled 1, in index order (at most c*p of them); in
@@ -245,27 +237,24 @@ def parse_tree(text: str) -> DecisionTree:
     return DecisionTree.of(node)
 
 
-def enumerate_class(
-    verifier: Verifier,
-    params: CodeParams,
-    zs=None,
-    *,
-    budget_bits: int = DEFAULT_BUDGET_BITS,
-    enum_bits: int = 20,
-):
+#: Widest instance length n whose 2^n instance strings enumerate_class walks.
+ENUM_BITS = 20
+
+
+def enumerate_class(verifier: Verifier, params: CodeParams, zs=None):
     """Yield (z, decision tree) for each seed instance, in the given order.
 
     Without an explicit seed list, enumerates all 2^n instance strings
-    (budget-capped).
+    (capped at ENUM_BITS).
     """
     if zs is None:
-        if verifier.n > enum_bits:
+        if verifier.n > ENUM_BITS:
             raise BudgetError(
-                f"enumerating 2^{verifier.n} instances exceeds the {enum_bits}-bit budget"
+                f"enumerating 2^{verifier.n} instances exceeds the {ENUM_BITS}-bit budget"
             )
         zs = (int_to_bits(v, verifier.n) for v in range(1 << verifier.n))
     for z in zs:
-        concept = CertConcept(verifier, z, params, budget_bits=budget_bits)
+        concept = CertConcept(verifier, z, params)
         yield z, build_decision_tree(concept)
 
 

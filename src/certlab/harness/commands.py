@@ -39,7 +39,7 @@ from ..paclearn import (
 )
 from ..reduction import DeciderConfig, learner_error_target, sat_decider
 from ..sat import brute_force_sat
-from ..verifiers import DEFAULT_BUDGET_BITS, FormulaEncoding, ThreeSatVerifier
+from ..verifiers import FormulaEncoding, ThreeSatVerifier
 from .config import get_float, get_fraction, get_int, get_int_list, get_str
 from .corpus import Corpus, build_corpus, forcing_formula
 
@@ -68,11 +68,9 @@ def code_params_from(cfg: dict[str, str], default: CodeParams) -> CodeParams:
 # -- learner adapters (uniform signature: (sample, rng, counter) -> hypothesis) --
 
 
-def make_few_sample(verifier, params, budget_bits: int = DEFAULT_BUDGET_BITS):
+def make_few_sample(verifier, params):
     def learn(sample, rng, counter):
-        return few_sample_learner(
-            sample, verifier, params, budget_bits=budget_bits, counter=counter
-        )
+        return few_sample_learner(sample, verifier, params, counter=counter)
 
     return learn
 
@@ -291,7 +289,6 @@ def cmd_reduce(cfg: dict[str, str], out_dir: Path, seed) -> int:
         m=get_int(cfg, "decider.m", 12),
         r=get_int(cfg, "decider.r", 5),
         code_params=params,
-        cap_bits=get_int(cfg, "decider.cap_bits", 16),
         variant=variant,
     )
     v = corpus.verifier
@@ -332,6 +329,8 @@ TRADEOFF_CSV_HEADER = ["n", "p", "learner", "m", "trials", "success_rate", "mean
 def cmd_tradeoff(cfg: dict[str, str], out_dir: Path, seed) -> int:
     params = code_params_from(cfg, DEFAULT_CODE_PARAMS)
     num_vars = get_int(cfg, "tradeoff.vars", 16)
+    if num_vars < 1:
+        raise ConfigError(f"tradeoff.vars must be >= 1, got {num_vars}")
     formula = forcing_formula(num_vars=num_vars, forced=max(1, num_vars // 2), extra=4)
     encoding = FormulaEncoding(max_vars=num_vars, max_clauses=len(formula.clauses))
     verifier = ThreeSatVerifier(encoding)

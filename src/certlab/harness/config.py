@@ -60,7 +60,7 @@ def get_float(cfg: dict[str, str], key: str, default: float | None = None) -> fl
         return default
     try:
         return float(Fraction(cfg[key]))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ConfigError(f"config key {key!r} must be a number, got {cfg[key]!r}") from None
 
 
@@ -81,6 +81,9 @@ def get_int_list(cfg: dict[str, str], key: str, default: list[int] | None = None
             raise ConfigError(f"missing config key {key!r}")
         return default
     try:
-        return [int(tok) for tok in cfg[key].split(",") if tok.strip() != ""]
+        values = [int(tok) for tok in cfg[key].split(",") if tok.strip() != ""]
     except ValueError:
         raise ConfigError(f"config key {key!r} must be comma-separated integers") from None
+    if not values:
+        raise ConfigError(f"config key {key!r} must list at least one integer")
+    return values

@@ -38,6 +38,8 @@ def random_corpus(seed: int | str, count: int, vars_min: int = 3, vars_max: int 
     rule out at most k*2^(v-3) of the 2^v assignments)."""
     if not 3 <= vars_min <= vars_max:
         raise ConfigError("random corpus needs 3 <= vars_min <= vars_max")
+    if count < 1:
+        raise ConfigError(f"random corpus needs count >= 1, got {count}")
     rng = random.Random(f"corpus:{seed}")
     instances = []
     for _ in range(count):

@@ -7,14 +7,13 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass
 
 from .codes import CodeParams
 from .concepts import CertConcept
 from .errors import AdversaryInconsistencyError, BudgetError, ConfigError
 from .paclearn import ConstantHypothesis, LabeledSample, TableHypothesis
-from .verifiers import DEFAULT_BUDGET_BITS, StepCounter, Verifier
+from .verifiers import StepCounter, Verifier
 
 #: Sample-count constant for the online-to-PAC conversion; artifact constant,
 #: validated empirically by the property suite.
@@ -27,7 +26,6 @@ class OnlineRound:
     prediction: int
     true_label: int
     mistake: bool
-    elapsed_s: float
 
 
 @dataclass
@@ -45,16 +43,10 @@ class SingleMistakeLearner:
     Total mistakes <= 1 against any consistent adversary."""
 
     def __init__(
-        self,
-        verifier: Verifier,
-        params: CodeParams,
-        *,
-        budget_bits: int = DEFAULT_BUDGET_BITS,
-        counter: StepCounter | None = None,
+        self, verifier: Verifier, params: CodeParams, *, counter: StepCounter | None = None
     ) -> None:
         self.verifier = verifier
         self.params = params
-        self.budget_bits = budget_bits
         self.counter = counter
         self.concept: CertConcept | None = None
 
@@ -71,9 +63,7 @@ class SingleMistakeLearner:
         if label != 1:
             return
         z = x[: self.verifier.n]
-        concept = CertConcept(
-            self.verifier, z, self.params, budget_bits=self.budget_bits, counter=self.counter
-        )
+        concept = CertConcept(self.verifier, z, self.params, counter=self.counter)
         if concept(x) != 1:
             raise AdversaryInconsistencyError(
                 "1-label is consistent with no certificate concept"
@@ -84,9 +74,7 @@ class SingleMistakeLearner:
         return ConstantHypothesis(0) if self.concept is None else self.concept
 
     def fork(self) -> "SingleMistakeLearner":
-        other = SingleMistakeLearner(
-            self.verifier, self.params, budget_bits=self.budget_bits, counter=self.counter
-        )
+        other = SingleMistakeLearner(self.verifier, self.params, counter=self.counter)
         other.concept = self.concept
         return other
 
@@ -147,11 +135,10 @@ def run_online(learner, rounds) -> OnlineRunLog:
     """Feed (point, label) rounds to a learner, logging predictions and mistakes."""
     log = []
     for x, label in rounds:
-        t0 = time.perf_counter()
         pred = learner.predict(x)
         mistake = pred != label
         learner.observe(x, label)
-        log.append(OnlineRound(x, pred, int(label), mistake, time.perf_counter() - t0))
+        log.append(OnlineRound(x, pred, int(label), mistake))
     return OnlineRunLog(tuple(log))
 
 
@@ -215,10 +202,9 @@ def random_consistent_adversary(
         if not options:
             raise AdversaryInconsistencyError("version space emptied")
         label, nvs = rng.choice(options)
-        t0 = time.perf_counter()
         pred = learner.predict(x)
         learner.observe(x, label)
-        log.append(OnlineRound(x, pred, label, pred != label, time.perf_counter() - t0))
+        log.append(OnlineRound(x, pred, label, pred != label))
         vs = nvs
     return OnlineRunLog(tuple(log))
 
@@ -226,7 +212,12 @@ def random_consistent_adversary(
 # -- Littlestone dimension ----------------------------------------------------------
 
 
-def ldim_oracle(concepts, domain, *, max_depth: int = 3, max_domain: int = 16) -> int:
+#: Largest domain and search depth ldim_oracle accepts.
+LDIM_MAX_DOMAIN = 16
+LDIM_MAX_DEPTH = 6
+
+
+def ldim_oracle(concepts, domain, *, max_depth: int = 3) -> int:
     """Optimal mistake bound via minimax game-tree search.
 
     Returns min(Ldim, max_depth): the adversary presents a point on which the
@@ -236,7 +227,7 @@ def ldim_oracle(concepts, domain, *, max_depth: int = 3, max_domain: int = 16) -
     """
     domain = list(domain)
     concepts = list(concepts)
-    if len(domain) > max_domain or max_depth > 6:
+    if len(domain) > LDIM_MAX_DOMAIN or max_depth > LDIM_MAX_DEPTH:
         raise BudgetError(
             f"ldim search over {len(domain)} points at depth {max_depth} exceeds budget"
         )
@@ -270,24 +261,19 @@ def ldim_oracle(concepts, domain, *, max_depth: int = 3, max_domain: int = 16) -
 class OnlineToPacLearner:
     """Conservative conversion: run the online learner over the i.i.d. sample,
     update only on mistakes, and return the hypothesis with the longest
-    consecutive error-free run.  Sample count ceil(kappa*(m + ln(1/delta))/eps)."""
+    consecutive error-free run.  Sample count
+    ceil(ONLINE_TO_PAC_KAPPA*(m + ln(1/delta))/eps)."""
 
-    def __init__(
-        self,
-        make_learner,
-        mistake_bound: int,
-        eps: float,
-        delta: float,
-        kappa: int = ONLINE_TO_PAC_KAPPA,
-    ) -> None:
+    def __init__(self, make_learner, mistake_bound: int, eps: float, delta: float) -> None:
         if not 0 < eps < 1 or not 0 < delta < 1:
             raise ConfigError("eps and delta must lie in (0, 1)")
         self.make_learner = make_learner
         self.mistake_bound = mistake_bound
         self.eps = eps
         self.delta = delta
-        self.kappa = kappa
-        self.sample_size = math.ceil(kappa * (mistake_bound + math.log(1 / delta)) / eps)
+        self.sample_size = math.ceil(
+            ONLINE_TO_PAC_KAPPA * (mistake_bound + math.log(1 / delta)) / eps
+        )
 
     def learn(self, sample: LabeledSample):
         learner = self.make_learner()

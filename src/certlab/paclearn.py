@@ -18,7 +18,7 @@ from .concepts import (
     dt_eval,
 )
 from .errors import ConfigError, DataInconsistencyError, ShapeError
-from .verifiers import DEFAULT_BUDGET_BITS, StepCounter, Verifier
+from .verifiers import StepCounter, Verifier
 
 WEIGHT_TOLERANCE = 1e-9
 
@@ -71,10 +71,12 @@ class LabeledSample:
         pairs = self.pairs
         if not pairs:
             return
-        length = len(pairs[0][0])
+        first = pairs[0][0]
+        length = len(first) if isinstance(first, str) else None
         # One check of all points joined; "?" stands for a point of the wrong
-        # type or length.  Only a failure (or a malformed pair) walks the
-        # pairs one by one, which reports the first fault in pair order.
+        # type or length (every point, when the first is not a string).  Only
+        # a failure (or a malformed pair) walks the pairs one by one, which
+        # reports the first fault in pair order.
         try:
             joined = "".join(
                 [x if isinstance(x, str) and len(x) == length else "?" for x, _ in pairs]
@@ -189,7 +191,6 @@ def few_sample_learner(
     verifier: Verifier,
     params: CodeParams,
     *,
-    budget_bits: int = DEFAULT_BUDGET_BITS,
     counter: StepCounter | None = None,
 ):
     """Claim-style slow learner: a single 1-labeled example pins the instance,
@@ -201,7 +202,7 @@ def few_sample_learner(
     if len(prefixes) > 1:
         raise DataInconsistencyError("1-labeled examples carry conflicting instance prefixes")
     z = next(iter(prefixes))
-    concept = CertConcept(verifier, z, params, budget_bits=budget_bits, counter=counter)
+    concept = CertConcept(verifier, z, params, counter=counter)
     for x, y in sample.pairs:
         if concept(x) != y:
             raise DataInconsistencyError("sample is not labeled by any certificate concept")
@@ -249,23 +250,6 @@ def erm_learner(stream, sample: LabeledSample):
 
 
 # -- trial harness ----------------------------------------------------------------
-
-
-@dataclass
-class LearnerReport:
-    hypothesis: object
-    samples_used: int
-    wall_s: float
-    steps: int
-
-
-def run_learner(learner, sample: LabeledSample, rng: random.Random) -> LearnerReport:
-    """Time one learner invocation; the learner may tick the provided counter."""
-    counter = StepCounter()
-    t0 = time.perf_counter()
-    hyp = learner(sample, rng, counter)
-    wall = time.perf_counter() - t0
-    return LearnerReport(hypothesis=hyp, samples_used=sample.m, wall_s=wall, steps=counter.steps)
 
 
 @dataclass

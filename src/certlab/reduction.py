@@ -20,7 +20,10 @@ from .concepts import CertConcept, ExampleLayout, check_layout_kind
 from .errors import BudgetError, CertlabError, ConfigError
 from .paclearn import LabeledSample
 from .sat import ThreeSatInstance
-from .verifiers import DEFAULT_BUDGET_BITS, ThreeSatVerifier, Verifier
+from .verifiers import ThreeSatVerifier, Verifier
+
+#: The decider enumerates 2^m proofs per repetition; m may not exceed this.
+PROOF_CAP_BITS = 16
 
 
 def learner_error_target(params: CodeParams, variant: str = "standard"):
@@ -136,7 +139,6 @@ def am_round(
     *,
     variant: str = "standard",
     seed_label: str = "",
-    budget_bits: int = DEFAULT_BUDGET_BITS,
 ) -> AmTranscript:
     """One protocol round: draw m challenge examples in the variant's layout,
     ask Merlin for labels, run the learner, read a codeword off the
@@ -146,7 +148,7 @@ def am_round(
     points, read_at = challenge.layout.draw(rng, z, m)
 
     if isinstance(merlin, HonestMerlin):
-        concept = CertConcept(verifier, z, params, kind=variant, budget_bits=budget_bits)
+        concept = CertConcept(verifier, z, params, kind=variant)
         labels = "".join(str(concept(x)) for x in points)
     elif isinstance(merlin, FixedProofMerlin):
         if len(merlin.labels) != m:
@@ -167,14 +169,13 @@ class DeciderConfig:
     m: int
     r: int
     code_params: CodeParams
-    cap_bits: int = 16
     variant: str = "standard"  # one of LAYOUT_KINDS
 
     def __post_init__(self) -> None:
         if self.m < 0 or self.r < 1:
             raise ConfigError("need m >= 0 and r >= 1")
-        if self.m > self.cap_bits:
-            raise BudgetError(f"2^{self.m} proofs exceed the 2^{self.cap_bits} cap")
+        if self.m > PROOF_CAP_BITS:
+            raise BudgetError(f"2^{self.m} proofs exceed the 2^{PROOF_CAP_BITS} cap")
         check_layout_kind(self.variant)
 
 

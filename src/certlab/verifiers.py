@@ -14,6 +14,7 @@ from .bits import bits_of_rank, bits_to_int, check_bits, int_to_bits, lex_rank
 from .errors import BudgetError, ConfigError, FormatError, ShapeError
 from .sat import ThreeSatInstance, eval_assignment, satisfying_mask
 
+#: Longest certificate length p whose 2^p certificates the oracles enumerate.
 DEFAULT_BUDGET_BITS = 24
 
 
@@ -173,12 +174,7 @@ class FormulaEncoding:
                     raise FormatError(f"literal references variable {var} > num_vars {num_vars}")
                 lits.append(var if polarity == "1" else -var)
             clauses.append(tuple(lits))
-        try:
-            return ThreeSatInstance(num_vars, clauses[:count])
-        except FormatError:
-            raise
-        except Exception as exc:  # pragma: no cover - defensive
-            raise FormatError(str(exc)) from exc
+        return ThreeSatInstance(num_vars, clauses[:count])
 
 
 class ThreeSatVerifier(Verifier):
@@ -241,31 +237,24 @@ def lex_verify(v: Verifier, query: LexQuery, w: str) -> bool:
     return lex_rank(w) <= query.k and verify(v, query.instance, w)
 
 
-def _check_budget(v: Verifier, budget_bits: int) -> None:
-    if v.p > budget_bits:
+def _check_budget(v: Verifier) -> None:
+    if v.p > DEFAULT_BUDGET_BITS:
         raise BudgetError(
-            f"certificate length {v.p} exceeds enumeration budget of {budget_bits} bits"
+            f"certificate length {v.p} exceeds enumeration budget of {DEFAULT_BUDGET_BITS} bits"
         )
 
 
-def nondet_oracle(v: Verifier, z: str, *, budget_bits: int = DEFAULT_BUDGET_BITS) -> bool:
+def nondet_oracle(v: Verifier, z: str) -> bool:
     """Deterministic 2^p simulation of the nondeterministic oracle."""
     check_bits(z, length=v.n, name="instance")
-    _check_budget(v, budget_bits)
+    _check_budget(v)
     mask_fn = getattr(v, "accept_mask", None)
     if mask_fn is not None:
         return mask_fn(z) != 0
     return any(v.check(z, int_to_bits(val, v.p)) for val in range(1 << v.p))
 
 
-def lex_oracle(
-    v: Verifier,
-    z: str,
-    k: int,
-    *,
-    budget_bits: int = DEFAULT_BUDGET_BITS,
-    counter: StepCounter | None = None,
-) -> bool:
+def lex_oracle(v: Verifier, z: str, k: int, *, counter: StepCounter | None = None) -> bool:
     """Accept iff some certificate of rank <= k is accepted.
 
     Exhaustive scan in rank order with early exit; the counter records one
@@ -275,7 +264,7 @@ def lex_oracle(
     check_bits(z, length=v.n, name="instance")
     if not 1 <= k <= (1 << v.p):
         raise ShapeError(f"rank threshold {k} out of [1, 2^{v.p}]")
-    _check_budget(v, budget_bits)
+    _check_budget(v)
     mask_fn = getattr(v, "accept_mask", None)
     if mask_fn is not None:
         hits = mask_fn(z) & ((1 << k) - 1)
@@ -294,24 +283,18 @@ def lex_oracle(
     return accept
 
 
-def first_certificate(
-    v: Verifier,
-    z: str,
-    *,
-    budget_bits: int = DEFAULT_BUDGET_BITS,
-    counter: StepCounter | None = None,
-) -> str | None:
+def first_certificate(v: Verifier, z: str, *, counter: StepCounter | None = None) -> str | None:
     """Lexicographically first accepted certificate, or None.
 
     Binary search for the minimal k with an accepted certificate of rank <= k;
     exactly p lex-oracle calls, then one direct verify to assert consistency.
     """
     check_bits(z, length=v.n, name="instance")
-    _check_budget(v, budget_bits)
+    _check_budget(v)
     lo, hi = 1, 1 << v.p
     while lo < hi:
         mid = (lo + hi) // 2
-        if lex_oracle(v, z, mid, budget_bits=budget_bits, counter=counter):
+        if lex_oracle(v, z, mid, counter=counter):
             hi = mid
         else:
             lo = mid + 1
@@ -319,12 +302,10 @@ def first_certificate(
     return w if verify(v, z, w) else None
 
 
-def naive_first_certificate(
-    v: Verifier, z: str, *, budget_bits: int = DEFAULT_BUDGET_BITS
-) -> str | None:
+def naive_first_certificate(v: Verifier, z: str) -> str | None:
     """Reference scan in rank order; test oracle for first_certificate."""
     check_bits(z, length=v.n, name="instance")
-    _check_budget(v, budget_bits)
+    _check_budget(v)
     for rank in range(1, (1 << v.p) + 1):
         w = bits_of_rank(rank, v.p)
         if v.check(z, w):

@@ -12,7 +12,6 @@ from certlab.codes import (
     CodeParams,
     LinearCode,
     decode,
-    encode,
     get_code,
     radius_recovery,
 )
@@ -32,9 +31,8 @@ def test_params_validation():
 
 def test_rate_is_exact():
     for m in (2, 5, 8, 12, 16):
-        cw = encode(DEFAULT_CODE_PARAMS, int_to_bits(1, m))
-        assert len(cw.bits) == DEFAULT_CODE_PARAMS.c * m
-        assert cw.source_len == m
+        code = get_code(DEFAULT_CODE_PARAMS, m)
+        assert len(code.encode(int_to_bits(1, m))) == code.codeword_len == DEFAULT_CODE_PARAMS.c * m
 
 
 def test_round_trip_random_messages():
@@ -219,5 +217,5 @@ def test_construction_is_deterministic():
 
 
 def test_module_level_encode_decode():
-    cw = encode(DEFAULT_CODE_PARAMS, "10110010")
-    assert decode(DEFAULT_CODE_PARAMS, cw.bits) == "10110010"
+    cw = get_code(DEFAULT_CODE_PARAMS, 8).encode("10110010")
+    assert decode(DEFAULT_CODE_PARAMS, cw) == "10110010"

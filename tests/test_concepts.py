@@ -47,8 +47,6 @@ def test_layout_shapes():
     assert (lay.cp, lay.ell, lay.example_len) == (16, 4, 14)
     z, i = lay.split("0" * 10 + "1010")
     assert (z, i) == ("0" * 10, "1010")
-    assert lay.index_position("0000") == 1
-    assert lay.index_position("1111") == 16
     ulay = ExampleLayout.of(10, DEFAULT_CODE_PARAMS, 2, "uniform")
     zp, ip = ulay.split("1010" + "0" * 10)
     assert (zp, ip) == ("0" * 10, "1010")

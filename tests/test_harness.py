@@ -127,6 +127,24 @@ def test_cli_bad_config_is_exit_2(tmp_path):
     assert run_cli(tmp_path, "vcdim", "corpus.kind = bogus\n") == 2
 
 
+@pytest.mark.parametrize(
+    "command,cfg_text",
+    [
+        ("learn", "learn.eps = 1e400\n"),
+        ("tradeoff", "tradeoff.m =\n"),
+        ("codes-test", "codes.lengths =\n"),
+        ("tradeoff", "tradeoff.vars = 0\n"),
+        ("tradeoff", "tradeoff.vars = -3\n"),
+        ("enumerate", "corpus.kind = random\ncorpus.count = 0\n"),
+        ("vcdim", "corpus.kind = random\ncorpus.count = -1\n"),
+    ],
+)
+def test_cli_rejects_unusable_values_in_one_line(tmp_path, capsys, command, cfg_text):
+    assert run_cli(tmp_path, command, cfg_text) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("configuration error: ")
+
+
 def test_cli_enumerate(tmp_path):
     assert run_cli(tmp_path, "enumerate", "corpus.kind = single_clause\n") == 0
     lines = (tmp_path / "trees.txt").read_text().strip().splitlines()

@@ -22,7 +22,7 @@ from certlab.paclearn import (
 )
 from certlab.concepts import enumerate_class
 from certlab.sat import ThreeSatInstance, exhaustive_formulas
-from certlab.verifiers import FormulaEncoding, ThreeSatVerifier
+from certlab.verifiers import FormulaEncoding, StepCounter, ThreeSatVerifier
 
 ENC2 = FormulaEncoding(max_vars=2, max_clauses=3)
 V2 = ThreeSatVerifier(ENC2)
@@ -87,15 +87,15 @@ def test_draw_sample_deterministic_given_seed():
 def reference_sample_check(pairs) -> None:
     """Per-pair validation as the sample documents it: every point a string
     over 0/1 as long as the first, every label equal to 0 or 1."""
-    if pairs:
+    for x, y in pairs:
+        if not isinstance(x, str) or not set(x) <= {"0", "1"}:
+            raise ShapeError(f"sample point must be a string over 0/1, got {x!r}")
+        # the first point is a string here: it passed the check above
         length = len(pairs[0][0])
-        for x, y in pairs:
-            if not isinstance(x, str) or not set(x) <= {"0", "1"}:
-                raise ShapeError(f"sample point must be a string over 0/1, got {x!r}")
-            if len(x) != length:
-                raise ShapeError(f"sample point must have length {length}, got {len(x)}")
-            if y not in (0, 1):
-                raise ShapeError(f"label must be 0/1, got {y!r}")
+        if len(x) != length:
+            raise ShapeError(f"sample point must have length {length}, got {len(x)}")
+        if y not in (0, 1):
+            raise ShapeError(f"label must be 0/1, got {y!r}")
 
 
 def outcome(check, pairs):
@@ -154,6 +154,9 @@ def test_labeled_sample_messages():
         ((good, ("0x01", None)), "sample point must be a string over 0/1, got '0x01'"),
         # ... also when a later pair is malformed
         ((("0101", 2), ("0101", 1, 0)), "label must be 0/1, got 2"),
+        # a first point that is not a string has no length to compare with
+        (((5, 1),), "sample point must be a string over 0/1, got 5"),
+        (((None, 0), good), "sample point must be a string over 0/1, got None"),
     ]
     for pairs, message in cases:
         with pytest.raises(ShapeError) as err:
@@ -231,8 +234,10 @@ def test_few_sample_impossible_one_label_raises():
 def test_sparse_erm_table_rule():
     c = concept0()
     zi, zj = c.one_points()[0], next(x for x in useful_points(c) if c(x) == 0)
-    h = sparse_erm(LabeledSample(((zi, 1), (zj, 0))))
+    counter = StepCounter()
+    h = sparse_erm(LabeledSample(((zi, 1), (zj, 0))), counter=counter)
     assert h(zi) == 1 and h(zj) == 0
+    assert counter.steps == 2  # one pass over the sample
     assert h("0" * len(zi)) == 0
 
 
@@ -392,20 +397,3 @@ def test_realizable_consistency_property():
             sparse_erm(sample),
         ):
             assert all(h(x) == y for x, y in sample.pairs)
-
-
-def test_run_learner_reports_samples_and_steps():
-    from certlab.paclearn import run_learner
-
-    c = concept0()
-    dist = Distribution.uniform(useful_points(c))
-    sample = draw_sample(dist, c, 12, random.Random(0))
-
-    def learner(s, rng, counter):
-        return sparse_erm(s, counter=counter)
-
-    report = run_learner(learner, sample, random.Random(1))
-    assert report.samples_used == sample.m == 12
-    assert report.steps == 12  # one pass
-    assert report.wall_s >= 0.0
-    assert all(report.hypothesis(x) == y for x, y in sample.pairs)

@@ -248,7 +248,7 @@ def test_learner_error_target_reads_code_params():
 
 def test_decider_config_validation():
     with pytest.raises(BudgetError):
-        DeciderConfig(m=20, r=1, code_params=PARAMS, cap_bits=16)
+        DeciderConfig(m=20, r=1, code_params=PARAMS)
     with pytest.raises(ConfigError):
         DeciderConfig(m=4, r=0, code_params=PARAMS)
     with pytest.raises(ConfigError):

@@ -1,8 +1,10 @@
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from certlab.bits import int_to_bits
+from certlab.bits import flip_positions, int_to_bits
 from certlab.errors import BudgetError, ConfigError, FormatError, ShapeError
 from certlab.sat import ThreeSatInstance, exhaustive_formulas
 from certlab.verifiers import (
@@ -194,6 +196,74 @@ def test_encoding_var_reference_above_num_vars_rejected():
     )
     with pytest.raises(FormatError):
         enc.decode(bits)
+
+
+ENCODINGS = st.builds(FormulaEncoding, st.integers(1, 5), st.integers(0, 4))
+
+
+def decode_outcome(enc: FormulaEncoding, word: str):
+    """The decoded instance, or None on FormatError; any other exception
+    propagates and fails the calling test."""
+    try:
+        inst = enc.decode(word)
+    except FormatError:
+        return None
+    assert isinstance(inst, ThreeSatInstance)
+    return inst
+
+
+@st.composite
+def raw_formula(draw):
+    """An encoding, a variable count and clause lists that fit it; a clause
+    may repeat a literal, which ThreeSatInstance merges."""
+    enc = draw(ENCODINGS)
+    num_vars = draw(st.integers(0, enc.max_vars))
+    literal = st.integers(1, max(num_vars, 1)).flatmap(lambda v: st.sampled_from([v, -v]))
+    clause = st.lists(literal, max_size=3 if num_vars else 0).map(tuple)
+    return enc, num_vars, draw(st.lists(clause, max_size=enc.max_clauses))
+
+
+@st.composite
+def encoding_word(draw):
+    """An encoding and a word of its width: uniform bits, or the encoding of
+    raw clause lists with up to three bits flipped, so that many words pass
+    the field checks and reach the instance constructor."""
+    if draw(st.booleans()):
+        enc = draw(ENCODINGS)
+        return enc, draw(st.text("01", min_size=enc.width, max_size=enc.width))
+    enc, num_vars, clauses = draw(raw_formula())
+    # encode reads only these two fields, so repeated literals encode as they are
+    word = enc.encode(SimpleNamespace(num_vars=num_vars, clauses=clauses))
+    flips = draw(st.lists(st.integers(0, enc.width - 1), max_size=3))
+    return enc, flip_positions(word, flips)
+
+
+@settings(max_examples=400, deadline=None)
+@given(encoding_word())
+def test_encoding_decode_returns_an_instance_or_raises_format_error(case):
+    enc, word = case
+    inst = decode_outcome(enc, word)
+    if inst is not None:
+        assert enc.decode(enc.encode(inst)) == inst
+
+
+def test_encoding_decode_of_every_narrow_word_is_an_instance_or_format_error():
+    for max_vars in range(1, 6):
+        for max_clauses in range(5):
+            enc = FormulaEncoding(max_vars, max_clauses)
+            if enc.width <= 12:
+                for v in range(1 << enc.width):
+                    decode_outcome(enc, int_to_bits(v, enc.width))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_formula())
+def test_encoding_round_trips_generated_instances(case):
+    enc, num_vars, clauses = case
+    inst = ThreeSatInstance(num_vars, clauses)
+    z = enc.encode(inst)
+    assert len(z) == enc.width
+    assert enc.decode(z) == inst
 
 
 def test_three_sat_verifier_rejects_on_malformed_instance():
