@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .bits import check_bits, int_to_bits, random_bits
+from .bits import check_bits, int_to_bits, is_bits, random_bits
 from .codes import CodeParams, get_code
 from .errors import BudgetError, ConfigError, FormatError, ShapeError
 from .verifiers import StepCounter, Verifier, first_certificate
@@ -122,12 +122,13 @@ class CertConcept:
 
 
 class Node:
-    __slots__ = ("var", "lo", "hi")
+    __slots__ = ("var", "lo", "hi", "run")
 
     def __init__(self, var: int, lo, hi) -> None:
         self.var = var
         self.lo = lo
         self.hi = hi
+        self.run = None  # (end, pattern, miss, target) on a run head; see DecisionTree.of
 
 
 @dataclass
@@ -139,28 +140,52 @@ class DecisionTree:
 
     @classmethod
     def of(cls, root) -> "DecisionTree":
-        return cls(root=root, size=_count_leaves(root))
-
-
-def _count_leaves(root) -> int:
-    count = 0
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, int):
-            count += 1
-        else:
-            stack.append(node.hi)
-            stack.append(node.lo)
-    return count
+        """Count the leaves and mark each run head in one walk.  A run is a
+        chain of two or more nodes over the variables var, var+1, ..., end-1
+        whose off-path children are all the leaf `miss`; `pattern` spells
+        the on-path bits and `target` is where the chain leads."""
+        size = 0
+        stack = [root]
+        while stack:
+            head = stack.pop()
+            if isinstance(head, int):
+                size += 1
+                continue
+            bits, miss, node = [], None, head
+            while head.var >= 0 and not isinstance(node, int) and node.var == head.var + len(bits):
+                if isinstance(node.lo, int) and miss in (None, node.lo):
+                    bits.append("1")
+                    miss, node = node.lo, node.hi
+                elif isinstance(node.hi, int) and miss in (None, node.hi):
+                    bits.append("0")
+                    miss, node = node.hi, node.lo
+                else:
+                    break
+            head.run = (head.var + len(bits), "".join(bits), miss, node) if len(bits) >= 2 else None
+            if head.run is None:
+                stack += (head.hi, head.lo)
+            else:
+                size += len(bits)
+                stack.append(node)
+        return cls(root=root, size=size)
 
 
 def dt_eval(tree: DecisionTree, x: str) -> int:
     node = tree.root
     while not isinstance(node, int):
-        if node.var >= len(x):
-            raise ShapeError(f"tree queries bit {node.var}, example has {len(x)}")
-        node = node.hi if x[node.var] == "1" else node.lo
+        var, run = node.var, node.run
+        if run is not None and run[0] <= len(x):
+            # a 0/1 mismatch leaves the chain at its first differing bit; any
+            # other character, which goes low, is left to the node walk
+            part = x[var : run[0]]
+            if part == run[1]:
+                node = run[3]
+                continue
+            if is_bits(part):
+                return run[2]
+        if var >= len(x):
+            raise ShapeError(f"tree queries bit {var}, example has {len(x)}")
+        node = node.hi if x[var] == "1" else node.lo
     return node
 
 
@@ -218,10 +243,10 @@ def parse_tree(text: str) -> DecisionTree:
                 raise FormatError(f"bad leaf token {tok!r}")
             node = int(tok[1])
         elif tok.startswith("Q"):
-            try:
-                stack.append([int(tok[1:])])
-            except ValueError:
-                raise FormatError(f"bad query token {tok!r}") from None
+            var = tok[1:]
+            if not (var.isascii() and var.isdigit()) or (var[0] == "0" and var != "0"):
+                raise FormatError(f"bad query token {tok!r}")
+            stack.append([int(var)])
             continue
         else:
             raise FormatError(f"bad token {tok!r}")

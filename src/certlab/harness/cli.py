@@ -19,7 +19,7 @@ from .commands import (
     cmd_tradeoff,
     cmd_vcdim,
 )
-from .config import parse_config
+from .config import parse_config, read_text_file
 
 COMMANDS = {
     "enumerate": cmd_enumerate,
@@ -47,10 +47,7 @@ def main(argv=None) -> int:
     try:
         cfg: dict[str, str] = {}
         if args.config is not None:
-            path = Path(args.config)
-            if not path.exists():
-                raise ConfigError(f"config file not found: {args.config}")
-            cfg = parse_config(path.read_text())
+            cfg = parse_config(read_text_file(args.config, "config file"))
         seed = args.seed if args.seed is not None else int(cfg.get("seed", "0"))
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

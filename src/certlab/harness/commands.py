@@ -207,6 +207,8 @@ def cmd_codes_test(cfg: dict[str, str], out_dir: Path, seed) -> int:
     params = code_params_from(cfg, DEFAULT_CODE_PARAMS)
     lengths = get_int_list(cfg, "codes.lengths", [8, 12])
     samples = get_int(cfg, "codes.samples", 2000)
+    if samples < 1:
+        raise ConfigError(f"codes.samples must be >= 1, got {samples}")
     exhaustive_limit = get_int(cfg, "codes.exhaustive_limit", 0)
     lines = [f"code: c={params.c} eps_star={params.eps_star}"]
     ok = True

@@ -7,6 +7,7 @@ and serialize(parse(text)) round-trips to the same mapping.
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 from ..errors import ConfigError, FormatError
 
@@ -28,6 +29,18 @@ def parse_config(text: str) -> dict[str, str]:
             raise FormatError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value
     return out
+
+
+def read_text_file(path: str, what: str) -> str:
+    """The UTF-8 text of the file at path, or a one-line ConfigError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{what} is not UTF-8 text: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"{what} cannot be read: {path} ({exc.strerror})") from None
 
 
 def serialize_config(cfg: dict[str, str]) -> str:

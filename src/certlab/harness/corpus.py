@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..errors import ConfigError
 from ..sat import ThreeSatInstance, exhaustive_formulas, parse_dimacs, random_instance
 from ..verifiers import FormulaEncoding, ThreeSatVerifier
-from .config import get_int, get_str
+from .config import get_int, get_str, read_text_file
 
 
 @dataclass
@@ -50,12 +49,7 @@ def random_corpus(seed: int | str, count: int, vars_min: int = 3, vars_max: int 
 
 
 def dimacs_corpus(paths: list[str]) -> Corpus:
-    instances = []
-    for path in paths:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"DIMACS file not found: {path}")
-        instances.append(parse_dimacs(p.read_text()))
+    instances = [parse_dimacs(read_text_file(path, "DIMACS file")) for path in paths]
     if not instances:
         raise ConfigError("DIMACS corpus needs at least one file")
     max_vars = max(inst.num_vars for inst in instances)

@@ -23,6 +23,7 @@ from certlab.concepts import (
     vc_dimension,
 )
 from certlab.errors import BudgetError, FormatError, ShapeError
+from certlab.harness.corpus import forcing_formula
 from certlab.sat import ThreeSatInstance, exhaustive_formulas
 from certlab.verifiers import FormulaEncoding, ThreeSatVerifier
 
@@ -157,6 +158,11 @@ def test_tree_serialization_round_trip():
         ("", "tree text ends prematurely"),
         ("Q0 Q1 L0 L1 Lx", "bad leaf token 'Lx'"),
         ("Qx L0 L1", "bad query token 'Qx'"),
+        ("Q-5 L0 L1", "bad query token 'Q-5'"),
+        ("Q+3 L0 L1", "bad query token 'Q+3'"),
+        ("Q03 L0 L1", "bad query token 'Q03'"),
+        ("Q L0 L1", "bad query token 'Q'"),
+        ("Q\u0663 L0 L1", "bad query token 'Q\u0663'"),
     ):
         with pytest.raises(FormatError) as info:
             parse_tree(bad)
@@ -174,6 +180,104 @@ def test_deep_tree_round_trips():
     assert dt_eval(tree, "1" * (depth - 1) + "0") == 0
     with pytest.raises(FormatError, match="ends prematurely"):
         parse_tree("Q0 " * depth)
+
+
+# -- chain evaluation against a node-by-node walk ------------------------------
+
+LEAVES = st.sampled_from(["L0", "L1"])
+MAX_VAR = 12
+
+
+@st.composite
+def tree_texts(draw, depth=0):
+    """(preorder tokens, [(start, on-path bits)] of its chains): leaves,
+    single queries with any var (gaps and repeats), chains over mostly
+    consecutive vars in both orientations whose off-path leaves sometimes
+    disagree, and full subtrees over consecutive vars."""
+    kind = draw(st.sampled_from(["leaf", "node", "chain", "chain", "full"])) if depth < 4 else "leaf"
+    if kind == "leaf":
+        return [draw(LEAVES)], []
+    if kind == "node":
+        lo, lo_chains = draw(tree_texts(depth + 1))
+        hi, hi_chains = draw(tree_texts(depth + 1))
+        return [f"Q{draw(st.integers(0, MAX_VAR))}", *lo, *hi], lo_chains + hi_chains
+    start = draw(st.integers(0, MAX_VAR))
+    if kind == "full":
+        span = draw(st.integers(1, 3))
+
+        def full(var):
+            if var == start + span:
+                return [draw(LEAVES)]
+            return [f"Q{var}", *full(var + 1), *full(var + 1)]
+
+        return full(start), []
+    miss = draw(LEAVES)
+    steps = draw(st.lists(
+        st.tuples(st.sampled_from("01"), st.sampled_from([1, 1, 1, 1, 0, 2]),
+                  st.sampled_from([miss] * 3 + ["L0", "L1"])),
+        min_size=1, max_size=7,
+    ))
+    var, nodes = start, []
+    for bit, gap, off in steps:
+        nodes.append((var, bit, off))
+        var += gap
+    tokens, chains = draw(tree_texts(depth + 1))
+    for var, bit, off in reversed(nodes):  # from the deepest chain node up
+        tokens = [f"Q{var}", off, *tokens] if bit == "1" else [f"Q{var}", *tokens, off]
+    return tokens, chains + [(start, "".join(bit for _, bit, _ in nodes))]
+
+
+def walk(tree, x):
+    """dt_eval written as one step per node."""
+    node = tree.root
+    while not isinstance(node, int):
+        if node.var >= len(x):
+            raise ShapeError(f"tree queries bit {node.var}, example has {len(x)}")
+        node = node.hi if x[node.var] == "1" else node.lo
+    return node
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree_texts(), st.lists(st.tuples(
+    st.text(alphabet="0101012 \u00e9", max_size=MAX_VAR + 12),
+    st.integers(0, 20),
+    st.one_of(st.none(), st.integers(0, 8)),
+), max_size=12), st.data())
+def test_dt_eval_matches_a_node_walk(tree, strings, data):
+    tokens, chains = tree
+    text = " ".join(tokens)
+    parsed = parse_tree(text)
+    assert serialize_tree(parsed) == text
+    assert parsed.size == sum(tok.startswith("L") for tok in tokens)
+    for base, which, flip in strings:
+        x = base
+        if flip is not None and chains:
+            # copy a chain's on-path bits into x, so that a whole run matches,
+            # or all of it but the bit at flip
+            start, pattern = chains[which % len(chains)]
+            if flip < len(pattern):
+                pattern = pattern[:flip] + "10"[int(pattern[flip])] + pattern[flip + 1:]
+            x = x.ljust(start, "0")[:start] + pattern + x[start + len(pattern):]
+            x = x[: data.draw(st.integers(0, len(x) + 2))]
+        assert outcome(dt_eval, parsed, x) == outcome(walk, parsed, x), (text, x)
+
+
+def test_tradeoff_tree_crosses_the_prefix_in_one_run():
+    formula = forcing_formula(num_vars=16, forced=8, extra=4)
+    encoding = FormulaEncoding(max_vars=16, max_clauses=len(formula.clauses))
+    concept = CertConcept(ThreeSatVerifier(encoding), encoding.encode(formula), DEFAULT_CODE_PARAMS)
+    n = concept.layout.n
+    assert (n, concept.verifier.p) == (225, 16)
+    root = build_decision_tree(concept).root
+    end, pattern, miss, target = root.run
+    assert (root.var, end, pattern, miss, target.var) == (0, n, concept.z, 0, n)
 
 
 def test_enumerate_class_matches_eval():

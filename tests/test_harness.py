@@ -111,7 +111,10 @@ def test_distribution_suite_shapes():
 
 def run_cli(tmp_path, command, cfg_text, seed=None):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text(cfg_text)
+    if isinstance(cfg_text, bytes):
+        cfg.write_bytes(cfg_text)
+    else:
+        cfg.write_text(cfg_text)
     args = [command, "--config", str(cfg), "--out", str(tmp_path)]
     if seed is not None:
         args += ["--seed", str(seed)]
@@ -137,10 +140,24 @@ def test_cli_bad_config_is_exit_2(tmp_path):
         ("tradeoff", "tradeoff.vars = -3\n"),
         ("enumerate", "corpus.kind = random\ncorpus.count = 0\n"),
         ("vcdim", "corpus.kind = random\ncorpus.count = -1\n"),
+        ("codes-test", "codes.lengths = 4\ncodes.samples = -1\n"),
+        ("codes-test", "codes.lengths = 4\ncodes.samples = 0\n"),
+        ("enumerate", "corpus.kind = dimacs\ncorpus.paths = {tmp}/empty_dir\n"),
+        ("enumerate", "corpus.kind = dimacs\ncorpus.paths = {tmp}/not_utf8.cnf\n"),
+        ("vcdim", b"seed = 1 # \xff\n"),
+        ("vcdim", None),  # --config names a directory
     ],
 )
 def test_cli_rejects_unusable_values_in_one_line(tmp_path, capsys, command, cfg_text):
-    assert run_cli(tmp_path, command, cfg_text) == 2
+    (tmp_path / "empty_dir").mkdir()
+    (tmp_path / "not_utf8.cnf").write_bytes(b"c \xff\np cnf 1 1\n1 0\n")
+    if cfg_text is None:
+        code = main([command, "--config", str(tmp_path / "empty_dir"), "--out", str(tmp_path)])
+    else:
+        if isinstance(cfg_text, str):
+            cfg_text = cfg_text.format(tmp=tmp_path)
+        code = run_cli(tmp_path, command, cfg_text)
+    assert code == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("configuration error: ")
 
