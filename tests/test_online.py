@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -129,6 +130,45 @@ def test_random_consistent_adversary_respects_version_space():
         random.Random(3), make_single(), concepts, probe_domain(8), 20
     )
     assert log.mistakes <= 1
+
+
+@pytest.mark.parametrize(
+    "make_learner, digest, mistakes",
+    [
+        (make_single, "2ef59e6c0ae561e1b0b91e087f320d038578042b76b40192d9b974faff64e4dd", 14),
+        (
+            lambda: SortedListLearner(sparsity_bound=16),
+            "2a96b0d7a2828f5b3cb05583fbd3dbafcbad5ce8dbb1876e4ec95e5ab29d33c9",
+            39,
+        ),
+    ],
+    ids=["single", "sorted_list"],
+)
+def test_random_consistent_adversary_log_is_pinned(make_learner, digest, mistakes):
+    """Every round of 30 seeded games, hashed: any change in RNG order fails."""
+    concepts = concepts_for(
+        [PHI0, PHI_UNSAT, ThreeSatInstance(2, [(2,)]), ThreeSatInstance(2, [(-1,)])]
+    )
+    h = hashlib.sha256()
+    total = 0
+    for seed in range(30):
+        log = random_consistent_adversary(
+            random.Random(seed), make_learner(), concepts, probe_domain(8), 20
+        )
+        for r in log.rounds:
+            row = f"{seed} {r.point} {r.prediction} {r.true_label} {int(r.mistake)}\n"
+            h.update(row.encode())
+        total += log.mistakes
+    assert (h.hexdigest(), total) == (digest, mistakes)
+
+
+def test_random_consistent_adversary_empty_class_raises_before_predicting():
+    class NoPredict:
+        def predict(self, x):
+            raise AssertionError("predicted on an empty version space")
+
+    with pytest.raises(AdversaryInconsistencyError, match="version space emptied"):
+        random_consistent_adversary(random.Random(0), NoPredict(), [], probe_domain(8), 3)
 
 
 # -- Littlestone dimension -----------------------------------------------------------
