@@ -31,10 +31,12 @@ from fractions import Fraction
 from functools import partial
 
 from .bits import check_bits
-from .errors import ConfigError, ShapeError
+from .errors import BudgetError, ConfigError, ShapeError
 
 MIN_MESSAGE_LEN = 2
 MAX_MESSAGE_LEN = 16
+#: Longest codeword c*m the generator search builds.
+MAX_CODEWORD_BITS = 1024
 
 #: The decoder resolves the low LOW_BITS message bits at once: a table
 #: entry packs one lane per low message.  It indexes its tables by chunks of
@@ -126,6 +128,8 @@ class LinearCode:
         self.params = params
         self.message_len = message_len
         self.codeword_len = params.codeword_len(message_len)
+        if self.codeword_len > MAX_CODEWORD_BITS:
+            raise BudgetError(f"codeword length {self.codeword_len} exceeds {MAX_CODEWORD_BITS} bits")
         self.contract_radius = params.contract_radius(message_len)
         rng = random.Random(f"certlab-code-c{params.c}-eps{params.eps_star}-m{message_len}")
         target = 2 * self.contract_radius + 1
@@ -314,28 +318,21 @@ def radius_recovery(
     radius = code.contract_radius
     codewords = code.codewords()
     n_msgs = 1 << message_len
+    exhaustive = _pattern_count(n, radius) <= exhaustive_limit
+    if exhaustive:
+        patterns = itertools.chain.from_iterable(
+            itertools.combinations(range(n), w) for w in range(radius + 1)
+        )
+        cases = ((idx % n_msgs, positions) for idx, positions in enumerate(patterns))
+    else:
+        rng = random.Random(f"radius:{seed}:{params.c}:{message_len}")
+        cases = (
+            (rng.randrange(n_msgs), rng.sample(range(n), radius)) for _ in range(samples)
+        )
     tested = recovered = 0
-    if _pattern_count(n, radius) <= exhaustive_limit:
-        idx = 0
-        for w in range(radius + 1):
-            for positions in itertools.combinations(range(n), w):
-                pattern = 0
-                for p in positions:
-                    pattern |= 1 << p
-                val = idx % n_msgs
-                idx += 1
-                tested += 1
-                if code.decode_value(codewords[val] ^ pattern) == val:
-                    recovered += 1
-        return RadiusResult(tested=tested, recovered=recovered, exhaustive=True)
-    rng = random.Random(f"radius:{seed}:{params.c}:{message_len}")
-    for _ in range(samples):
-        val = rng.randrange(n_msgs)
-        positions = rng.sample(range(n), radius)
-        pattern = 0
-        for p in positions:
-            pattern |= 1 << p
+    for val, positions in cases:
+        pattern = sum(1 << p for p in positions)
         tested += 1
         if code.decode_value(codewords[val] ^ pattern) == val:
             recovered += 1
-    return RadiusResult(tested=tested, recovered=recovered, exhaustive=False)
+    return RadiusResult(tested=tested, recovered=recovered, exhaustive=exhaustive)

@@ -29,7 +29,7 @@ from ..concepts import (
     serialize_tree,
 )
 from ..errors import ConfigError
-from ..online import ldim_oracle
+from ..online import LDIM_DEPTH, ldim_oracle
 from ..paclearn import (
     Distribution,
     few_sample_learner,
@@ -186,7 +186,7 @@ def cmd_vcdim(cfg: dict[str, str], out_dir: Path, seed) -> int:
     report = cert_class_vc(concepts)
     n_distinct = distinct_concept_count(concepts)
     probe = probe_domain(concepts)
-    ldim = ldim_oracle(concepts, probe, max_depth=3) if probe else 0
+    ldim = ldim_oracle(concepts, probe) if probe else 0
     log_bound = math.log2(n_distinct) if n_distinct else 0.0
     ok = report.dimension <= log_bound + 1e-9 and ldim >= report.dimension
     lines = [
@@ -196,7 +196,7 @@ def cmd_vcdim(cfg: dict[str, str], out_dir: Path, seed) -> int:
         f"shattered_singleton = {report.shattered_singleton or '-'}",
         f"candidate_points = {report.candidate_points}",
         f"pairs_checked = {report.pairs_checked}",
-        f"ldim = {ldim} (probe of {len(probe)} points, depth 3)",
+        f"ldim = {ldim} (probe of {len(probe)} points, depth {LDIM_DEPTH})",
         f"vc_le_log2_class_size = {report.dimension} <= {_fmt(log_bound)}: {'ok' if ok else 'VIOLATED'}",
     ]
     (out_dir / "dimension_report.txt").write_text("\n".join(lines) + "\n")

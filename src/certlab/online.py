@@ -87,8 +87,7 @@ class SortedListLearner:
     on mistakes.  Mistakes never exceed the target's sparsity; per-round work
     is one binary search plus an optional insert."""
 
-    def __init__(self, sparsity_bound: int) -> None:
-        self.sparsity_bound = sparsity_bound
+    def __init__(self) -> None:
         self.ones: list[str] = []
         self.last_comparisons = 0
 
@@ -123,7 +122,7 @@ class SortedListLearner:
         return TableHypothesis(frozenset(self.ones))
 
     def fork(self) -> "SortedListLearner":
-        other = SortedListLearner(self.sparsity_bound)
+        other = SortedListLearner()
         other.ones = list(self.ones)
         return other
 
@@ -190,46 +189,45 @@ def random_consistent_adversary(
     """Random adversary that keeps the version space nonempty each round."""
     concepts = list(concepts)
     domain = list(domain)
-    vs = set(range(len(concepts)))
-    log = []
-    for _ in range(rounds):
-        x = rng.choice(domain)
-        options = []
-        for label in (0, 1):
-            nvs = {ci for ci in vs if int(concepts[ci](x)) == label}
-            if nvs:
-                options.append((label, nvs))
-        if not options:
-            raise AdversaryInconsistencyError("version space emptied")
-        label, nvs = rng.choice(options)
-        pred = learner.predict(x)
-        learner.observe(x, label)
-        log.append(OnlineRound(x, pred, label, pred != label))
-        vs = nvs
-    return OnlineRunLog(tuple(log))
+
+    def moves():
+        vs = set(range(len(concepts)))
+        for _ in range(rounds):
+            x = rng.choice(domain)
+            options = []
+            for label in (0, 1):
+                nvs = {ci for ci in vs if int(concepts[ci](x)) == label}
+                if nvs:
+                    options.append((label, nvs))
+            if not options:
+                raise AdversaryInconsistencyError("version space emptied")
+            label, vs = rng.choice(options)
+            yield x, label
+
+    return run_online(learner, moves())
 
 
 # -- Littlestone dimension ----------------------------------------------------------
 
 
-#: Largest domain and search depth ldim_oracle accepts.
+#: Largest domain ldim_oracle accepts, and the depth it searches to.
 LDIM_MAX_DOMAIN = 16
-LDIM_MAX_DEPTH = 6
+LDIM_DEPTH = 3
 
 
-def ldim_oracle(concepts, domain, *, max_depth: int = 3) -> int:
+def ldim_oracle(concepts, domain) -> int:
     """Optimal mistake bound via minimax game-tree search.
 
-    Returns min(Ldim, max_depth): the adversary presents a point on which the
+    Returns min(Ldim, LDIM_DEPTH): the adversary presents a point on which the
     surviving version space splits, the learner predicts optimally, and a
     mistake is forced on the branch the adversary keeps.  Exact whenever the
-    result is below max_depth.
+    result is below LDIM_DEPTH.
     """
     domain = list(domain)
     concepts = list(concepts)
-    if len(domain) > LDIM_MAX_DOMAIN or max_depth > LDIM_MAX_DEPTH:
+    if len(domain) > LDIM_MAX_DOMAIN:
         raise BudgetError(
-            f"ldim search over {len(domain)} points at depth {max_depth} exceeds budget"
+            f"ldim search over {len(domain)} points at depth {LDIM_DEPTH} exceeds budget"
         )
     labels = [tuple(int(c(x)) for x in domain) for c in concepts]
     memo: dict[tuple, int] = {}
@@ -252,7 +250,7 @@ def ldim_oracle(concepts, domain, *, max_depth: int = 3) -> int:
         memo[key] = out
         return out
 
-    return value(frozenset(range(len(concepts))), max_depth)
+    return value(frozenset(range(len(concepts))), LDIM_DEPTH)
 
 
 # -- online-to-PAC conversion ---------------------------------------------------------

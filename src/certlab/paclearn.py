@@ -277,6 +277,8 @@ def pac_trial_suite(
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    if not 0 < eps < 1:
+        raise ConfigError(f"eps must lie in (0, 1), got {eps}")
     errors = []
     successes = 0
     total_steps = 0

@@ -48,7 +48,6 @@ class Verifier:
     the oracles below use it as a fast exhaustive-enumeration path.
     """
 
-    name: str
     n: int
     p: int
 
@@ -60,7 +59,6 @@ class Verifier:
 class FnVerifier(Verifier):
     """Verifier backed by an arbitrary check function (tests, custom languages)."""
 
-    name: str
     n: int
     p: int
     fn: object
@@ -187,9 +185,8 @@ class ThreeSatVerifier(Verifier):
     concurrent readers stay consistent.
     """
 
-    def __init__(self, encoding: FormulaEncoding, name: str = "3sat") -> None:
+    def __init__(self, encoding: FormulaEncoding) -> None:
         self.encoding = encoding
-        self.name = name
         self.n = encoding.width
         self.p = encoding.max_vars
         self._instances: dict[str, ThreeSatInstance | None] = {}

@@ -99,7 +99,7 @@ def test_criterion_02_littlestone_dimension_is_one():
     _corpus, concepts = two_var_concepts()
     probe = probe_domain(concepts, limit=16)
     assert len(probe) <= 16
-    ldim = ldim_oracle(concepts, probe, max_depth=3)
+    ldim = ldim_oracle(concepts, probe)
     vc = cert_class_vc(concepts).dimension
     ok = ldim == 1 and ldim >= vc
     report(2, ok, f"ldim={ldim} >= vc={vc} (probe {len(probe)} pts, depth 3)",
@@ -241,7 +241,7 @@ def test_criterion_08_online_mistake_bounds():
 
     cp = concepts[0].layout.cp
     def make_sorted():
-        return SortedListLearner(sparsity_bound=cp)
+        return SortedListLearner()
 
     worst_sorted = exhaustive_adversary_max_mistakes(make_sorted, concepts, probe, 6)
     domain_sparsity = max(sum(c(x) for x in probe) for c in concepts)

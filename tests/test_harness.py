@@ -1,4 +1,6 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +108,20 @@ def test_distribution_suite_shapes():
     assert max(heavy.weights) == pytest.approx(0.9)
 
 
+def test_readme_config_block_lists_exactly_the_keys_read():
+    root = Path(__file__).resolve().parents[1]
+    read = set()
+    for path in (root / "src" / "certlab" / "harness").glob("*.py"):
+        text = path.read_text()
+        read |= set(re.findall(r'get_\w+\(cfg, "([^"]+)"', text))
+        read |= set(re.findall(r'cfg\.get\("([^"]+)"', text))
+    readme = (root / "README.md").read_text()
+    block = readme.split("### Config format", 1)[1].split("```", 2)[1]
+    listed = re.findall(r"^(\S+) =", block, flags=re.MULTILINE)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == read
+
+
 # -- CLI end-to-end -------------------------------------------------------------------
 
 
@@ -134,6 +150,13 @@ def test_cli_bad_config_is_exit_2(tmp_path):
     "command,cfg_text",
     [
         ("learn", "learn.eps = 1e400\n"),
+        ("learn", "learn.eps = -1\n"),
+        ("learn", "learn.eps = 0\n"),
+        ("tradeoff", "tradeoff.eps = -1\n"),
+        ("tradeoff", "tradeoff.eps = 0\n"),
+        ("tradeoff", "tradeoff.eps = 1\n"),
+        ("tradeoff", "tradeoff.eps = 5\n"),
+        ("codes-test", "code.c = 1000000\ncodes.lengths = 2\n"),
         ("tradeoff", "tradeoff.m =\n"),
         ("codes-test", "codes.lengths =\n"),
         ("tradeoff", "tradeoff.vars = 0\n"),

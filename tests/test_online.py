@@ -83,13 +83,13 @@ def test_single_mistake_inconsistent_adversary_detected():
 
 
 def test_sorted_list_zero_mistakes_on_all_zero_target():
-    learner = SortedListLearner(sparsity_bound=16)
+    learner = SortedListLearner()
     log = run_online(learner, [(int_to_bits(v, 8), 0) for v in range(20)])
     assert log.mistakes == 0
 
 
 def test_sorted_list_first_presentation_mistakes_only():
-    learner = SortedListLearner(sparsity_bound=16)
+    learner = SortedListLearner()
     ones = ["0001", "0100", "1110"]
     seq = []
     for x in ones:
@@ -107,7 +107,7 @@ def test_sorted_list_mistakes_bounded_by_sparsity_monte_carlo():
     for trial in range(1000):
         rng = random.Random(trial)
         target = rng.choice(concepts)
-        learner = SortedListLearner(sparsity_bound=target.layout.cp)
+        learner = SortedListLearner()
         pts = [rng.choice(domain) for _ in range(12)]
         log = run_online(learner, [(x, target(x)) for x in pts])
         assert log.mistakes <= target.layout.cp
@@ -115,7 +115,7 @@ def test_sorted_list_mistakes_bounded_by_sparsity_monte_carlo():
 
 
 def test_sorted_list_per_round_comparisons_logarithmic():
-    learner = SortedListLearner(sparsity_bound=1 << 12)
+    learner = SortedListLearner()
     rng = random.Random(0)
     points = [int_to_bits(v, 14) for v in rng.sample(range(1 << 14), 4096)]
     for x in points:
@@ -137,7 +137,7 @@ def test_random_consistent_adversary_respects_version_space():
     [
         (make_single, "2ef59e6c0ae561e1b0b91e087f320d038578042b76b40192d9b974faff64e4dd", 14),
         (
-            lambda: SortedListLearner(sparsity_bound=16),
+            SortedListLearner,
             "2a96b0d7a2828f5b3cb05583fbd3dbafcbad5ce8dbb1876e4ec95e5ab29d33c9",
             39,
         ),
@@ -186,7 +186,7 @@ def test_ldim_two_constants_is_one():
 def test_ldim_restricted_cert_class_is_one():
     concepts = concepts_for(exhaustive_formulas(2, 1))
     probe = probe_domain(8)
-    dim = ldim_oracle(concepts, probe, max_depth=3)
+    dim = ldim_oracle(concepts, probe)
     assert dim == 1
     vc = cert_class_vc(concepts).dimension
     assert dim >= vc

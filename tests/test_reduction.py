@@ -84,7 +84,7 @@ def test_am_round_rejects_unknown_merlin():
 
 def fn_verifier_like(verifier):
     """The same language through the plain check path (no accept_mask)."""
-    return FnVerifier("fn", verifier.n, verifier.p, verifier.check)
+    return FnVerifier(verifier.n, verifier.p, verifier.check)
 
 
 @pytest.mark.parametrize("verifier", [V2, fn_verifier_like(V2)], ids=["mask", "check"])

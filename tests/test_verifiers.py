@@ -55,7 +55,7 @@ def test_lex_verify_examples():
 def test_lex_verify_equals_conjunction_exhaustively():
     # generic verifier at p = 8: all (k, w) pairs against rank <= k AND check
     accept = {13, 77, 200, 255}
-    v = FnVerifier("tt", n=1, p=8, fn=lambda z, w: int(w, 2) in accept)
+    v = FnVerifier(n=1, p=8, fn=lambda z, w: int(w, 2) in accept)
     words = [int_to_bits(val, 8) for val in range(256)]
     for k in range(1, 257):
         q = LexQuery("0", k)
@@ -71,7 +71,7 @@ def test_nondet_oracle_examples():
 
 
 def test_nondet_oracle_budget():
-    v = FnVerifier("big", n=1, p=30, fn=lambda z, w: False)
+    v = FnVerifier(n=1, p=30, fn=lambda z, w: False)
     with pytest.raises(BudgetError):
         nondet_oracle(v, "0")
 
@@ -103,7 +103,7 @@ def test_first_certificate_matches_naive_scan_generic_p12():
     rng = random.Random(3)
     for trial in range(12):
         accept = {rng.randrange(1 << 12) for _ in range(rng.choice([0, 1, 3, 40]))}
-        v = FnVerifier(f"tt{trial}", n=1, p=12, fn=lambda z, w, a=accept: int(w, 2) in a)
+        v = FnVerifier(n=1, p=12, fn=lambda z, w, a=accept: int(w, 2) in a)
         got = first_certificate(v, "1")
         want = naive_first_certificate(v, "1")
         assert got == want
@@ -122,7 +122,7 @@ def test_mask_path_equals_generic_path():
     # wrap the 3-SAT verifier so the oracles lose the mask fast path
     for inst in exhaustive_formulas(2, 2):
         z = ENC2.encode(inst)
-        plain = FnVerifier("wrapped", n=V2.n, p=V2.p, fn=V2.check)
+        plain = FnVerifier(n=V2.n, p=V2.p, fn=V2.check)
         assert nondet_oracle(V2, z) == nondet_oracle(plain, z)
         assert first_certificate(V2, z) == first_certificate(plain, z)
         for k in (1, 2, 3, 4):
