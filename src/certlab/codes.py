@@ -23,6 +23,7 @@ codewords in message order returns, the smallest message at least distance.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import sys
 from array import array
@@ -287,13 +288,7 @@ class RadiusResult:
 
 
 def _pattern_count(n: int, radius: int) -> int:
-    total = 0
-    for w in range(radius + 1):
-        c = 1
-        for i in range(w):
-            c = c * (n - i) // (i + 1)
-        total += c
-    return total
+    return sum(math.comb(n, w) for w in range(radius + 1))
 
 
 def radius_recovery(

@@ -1,10 +1,12 @@
 """Certificate-indexed concept classes, decision trees, and dimension oracles.
 
-A standard-layout example is (z, i): an n-bit instance prefix followed by
-an ell-bit index.  The uniform-layout variant puts the index first and
-ignores the trailing bits entirely.  Index bits are read MSB-first; value+1
-is a 1-indexed position into the codeword, positions beyond c*p are padding
-and always labeled 0.
+An example is the first `matched` bits of an instance, an ell-bit index,
+then the instance's other bits.  The standard layout matches all n bits of
+z, so its examples are (z, i); the uniform layout matches none, puts the
+index first and ignores the trailing bits.  An example is useful when its
+matched bits equal z's.  Index bits are read MSB-first; value+1 is a
+1-indexed position into the codeword, positions beyond c*p are padding and
+always labeled 0.
 """
 
 from __future__ import annotations
@@ -37,37 +39,34 @@ class ExampleLayout:
     n: int
     cp: int
     ell: int
-    kind: str  # one of LAYOUT_KINDS
+    matched: int  # leading instance bits a useful example shares with z: n or 0
 
     @classmethod
     def of(cls, n: int, params: CodeParams, p: int, kind: str = "standard") -> "ExampleLayout":
         cp = params.c * p
-        return cls(n=n, cp=cp, ell=(cp - 1).bit_length(), kind=check_layout_kind(kind))
+        matched = n if check_layout_kind(kind) == "standard" else 0
+        return cls(n=n, cp=cp, ell=(cp - 1).bit_length(), matched=matched)
 
     @property
     def example_len(self) -> int:
         return self.n + self.ell
 
     def split(self, x: str) -> tuple[str, str]:
-        """Return (prefix-or-trailing part, index bits)."""
+        """Return (instance part, index bits)."""
         check_bits(x, length=self.example_len, name="example")
-        if self.kind == "standard":
-            return x[: self.n], x[self.n :]
-        return x[self.ell :], x[: self.ell]
+        k, end = self.matched, self.matched + self.ell
+        return x[:k] + x[end:], x[k:end]
 
     def join(self, z_part: str, i_bits: str) -> str:
-        if self.kind == "standard":
-            return z_part + i_bits
-        return i_bits + z_part
+        return z_part[: self.matched] + i_bits + z_part[self.matched :]
 
     def draw(self, rng: random.Random, z: str, m: int) -> tuple[list[str], str]:
         """m uniform challenge points for the instance z, and the part the
-        codeword is read at: z itself in the standard layout; in the uniform
-        layout a fresh random x, drawn after the points."""
-        if self.kind == "standard":
-            return [z + random_bits(rng, self.ell) for _ in range(m)], z
-        points = [random_bits(rng, self.example_len) for _ in range(m)]
-        return points, random_bits(rng, self.n)
+        codeword is read at: z's matched bits, then the rest drawn after the
+        points (z itself in the standard layout, a fresh x in the uniform)."""
+        head = z[: self.matched]
+        points = [head + random_bits(rng, self.example_len - self.matched) for _ in range(m)]
+        return points, head + random_bits(rng, self.n - self.matched)
 
 
 class CertConcept:
@@ -92,6 +91,7 @@ class CertConcept:
         self.z = z
         self.params = params
         self.layout = ExampleLayout.of(verifier.n, params, verifier.p, kind)
+        self.z_matched = z[: self.layout.matched]
         self.first_cert = first_certificate(verifier, z, counter=counter)
         if self.first_cert is None:
             self.enc = None
@@ -106,10 +106,10 @@ class CertConcept:
 
     def __call__(self, x: str) -> int:
         lay = self.layout
-        z_part, i_bits = lay.split(x)
-        if self.enc is None or (lay.kind == "standard" and z_part != self.z):
+        check_bits(x, length=lay.example_len, name="example")
+        if self.enc is None or not x.startswith(self.z_matched):
             return 0
-        return 1 if int(i_bits, 2) in self.support else 0
+        return 1 if int(x[lay.matched : lay.matched + lay.ell], 2) in self.support else 0
 
     def one_points(self) -> list[str]:
         """All examples labeled 1, in index order (at most c*p of them); in
@@ -128,7 +128,7 @@ class Node:
         self.var = var
         self.lo = lo
         self.hi = hi
-        self.run = None  # (end, pattern, miss, target) on a run head; see DecisionTree.of
+        self.run = None  # (end, pattern, miss, target) on a run head; see build_decision_tree
 
 
 @dataclass
@@ -137,37 +137,6 @@ class DecisionTree:
 
     root: object
     size: int
-
-    @classmethod
-    def of(cls, root) -> "DecisionTree":
-        """Count the leaves and mark each run head in one walk.  A run is a
-        chain of two or more nodes over the variables var, var+1, ..., end-1
-        whose off-path children are all the leaf `miss`; `pattern` spells
-        the on-path bits and `target` is where the chain leads."""
-        size = 0
-        stack = [root]
-        while stack:
-            head = stack.pop()
-            if isinstance(head, int):
-                size += 1
-                continue
-            bits, miss, node = [], None, head
-            while head.var >= 0 and not isinstance(node, int) and node.var == head.var + len(bits):
-                if isinstance(node.lo, int) and miss in (None, node.lo):
-                    bits.append("1")
-                    miss, node = node.lo, node.hi
-                elif isinstance(node.hi, int) and miss in (None, node.hi):
-                    bits.append("0")
-                    miss, node = node.hi, node.lo
-                else:
-                    break
-            head.run = (head.var + len(bits), "".join(bits), miss, node) if len(bits) >= 2 else None
-            if head.run is None:
-                stack += (head.hi, head.lo)
-            else:
-                size += len(bits)
-                stack.append(node)
-        return cls(root=root, size=size)
 
 
 def dt_eval(tree: DecisionTree, x: str) -> int:
@@ -190,27 +159,32 @@ def dt_eval(tree: DecisionTree, x: str) -> int:
 
 
 def build_decision_tree(concept: CertConcept) -> DecisionTree:
-    """Exact tree for a concept: in the standard layout, match the n prefix
-    bits against z with early-exit 0, then fully query the index bits; in
-    the uniform layout, query only the leading index bits.  Constant-0 when
-    the instance has no certificate."""
+    """Exact tree for a concept: match the layout's matched bits against z
+    with early-exit 0, then fully query the index bits.  Constant-0 when the
+    instance has no certificate.
+
+    The matched chain is marked as a run on its head: `dt_eval` crosses its
+    nodes over variables 0..end-1 with one comparison against `pattern`,
+    leaving for the leaf `miss` on a 0/1 mismatch and going on to `target`
+    on a match."""
     if concept.enc is None:
         return DecisionTree(root=0, size=1)
     lay = concept.layout
-    first_index_bit = lay.n if lay.kind == "standard" else 0
+    k = lay.matched
 
     def index_subtree(depth: int, value: int):
         if depth == lay.ell:
-            return 1 if (value < lay.cp and value in concept.support) else 0
+            return 1 if value in concept.support else 0
         lo = index_subtree(depth + 1, value << 1)
         hi = index_subtree(depth + 1, (value << 1) | 1)
-        return Node(first_index_bit + depth, lo, hi)
+        return Node(k + depth, lo, hi)
 
-    cur = index_subtree(0, 0)
-    if lay.kind == "standard":
-        for i in reversed(range(lay.n)):
-            cur = Node(i, 0, cur) if concept.z[i] == "1" else Node(i, cur, 0)
-    return DecisionTree.of(cur)
+    cur = index_root = index_subtree(0, 0)
+    for i in reversed(range(k)):
+        cur = Node(i, 0, cur) if concept.z[i] == "1" else Node(i, cur, 0)
+    if k >= 2:
+        cur.run = (k, concept.z_matched, 0, index_root)
+    return DecisionTree(root=cur, size=k + (1 << lay.ell))
 
 
 def serialize_tree(tree: DecisionTree) -> str:
@@ -230,7 +204,7 @@ def serialize_tree(tree: DecisionTree) -> str:
 
 def parse_tree(text: str) -> DecisionTree:
     tokens = text.split()
-    pos = 0
+    pos = size = 0
     # open query nodes: [var] until the low child is read, then [var, lo]
     stack: list[list] = []
     while True:
@@ -242,6 +216,7 @@ def parse_tree(text: str) -> DecisionTree:
             if tok not in ("L0", "L1"):
                 raise FormatError(f"bad leaf token {tok!r}")
             node = int(tok[1])
+            size += 1
         elif tok.startswith("Q"):
             var = tok[1:]
             if not (var.isascii() and var.isdigit()) or (var[0] == "0" and var != "0"):
@@ -259,7 +234,7 @@ def parse_tree(text: str) -> DecisionTree:
         stack[-1].append(node)
     if pos != len(tokens):
         raise FormatError("trailing tokens after tree")
-    return DecisionTree.of(node)
+    return DecisionTree(root=node, size=size)
 
 
 #: Widest instance length n whose 2^n instance strings enumerate_class walks.

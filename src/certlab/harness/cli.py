@@ -19,7 +19,7 @@ from .commands import (
     cmd_tradeoff,
     cmd_vcdim,
 )
-from .config import parse_config, read_text_file
+from .config import get_int, parse_config, read_text_file
 
 COMMANDS = {
     "enumerate": cmd_enumerate,
@@ -48,9 +48,12 @@ def main(argv=None) -> int:
         cfg: dict[str, str] = {}
         if args.config is not None:
             cfg = parse_config(read_text_file(args.config, "config file"))
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", "0"))
+        seed = args.seed if args.seed is not None else get_int(cfg, "seed", 0)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output directory cannot be made: {args.out} ({exc.strerror})") from None
         code = COMMANDS[args.command](cfg, out_dir, seed)
     except (ConfigError, FormatError, BudgetError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -43,7 +43,7 @@ def random_corpus(seed: int | str, count: int, vars_min: int = 3, vars_max: int 
     instances = []
     for _ in range(count):
         v = rng.randint(vars_min, vars_max)
-        instances.append(random_instance(rng, v, num_clauses=v, width=3))
+        instances.append(random_instance(rng, v, num_clauses=v))
     encoding = FormulaEncoding(max_vars=vars_max, max_clauses=vars_max)
     return Corpus(instances, encoding, ThreeSatVerifier(encoding))
 

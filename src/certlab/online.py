@@ -13,7 +13,7 @@ from .codes import CodeParams
 from .concepts import CertConcept
 from .errors import AdversaryInconsistencyError, BudgetError, ConfigError
 from .paclearn import ConstantHypothesis, LabeledSample, TableHypothesis
-from .verifiers import StepCounter, Verifier
+from .verifiers import Verifier
 
 #: Sample-count constant for the online-to-PAC conversion; artifact constant,
 #: validated empirically by the property suite.
@@ -42,12 +42,9 @@ class SingleMistakeLearner:
     instance's first certificate and predicts the exact concept thereafter.
     Total mistakes <= 1 against any consistent adversary."""
 
-    def __init__(
-        self, verifier: Verifier, params: CodeParams, *, counter: StepCounter | None = None
-    ) -> None:
+    def __init__(self, verifier: Verifier, params: CodeParams) -> None:
         self.verifier = verifier
         self.params = params
-        self.counter = counter
         self.concept: CertConcept | None = None
 
     def predict(self, x: str) -> int:
@@ -63,7 +60,7 @@ class SingleMistakeLearner:
         if label != 1:
             return
         z = x[: self.verifier.n]
-        concept = CertConcept(self.verifier, z, self.params, counter=self.counter)
+        concept = CertConcept(self.verifier, z, self.params)
         if concept(x) != 1:
             raise AdversaryInconsistencyError(
                 "1-label is consistent with no certificate concept"
@@ -74,7 +71,7 @@ class SingleMistakeLearner:
         return ConstantHypothesis(0) if self.concept is None else self.concept
 
     def fork(self) -> "SingleMistakeLearner":
-        other = SingleMistakeLearner(self.verifier, self.params, counter=self.counter)
+        other = SingleMistakeLearner(self.verifier, self.params)
         other.concept = self.concept
         return other
 

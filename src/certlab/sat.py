@@ -201,10 +201,10 @@ def to_dimacs(inst: ThreeSatInstance) -> str:
 # -- corpora -----------------------------------------------------------------
 
 
-def clause_universe(num_vars: int, max_width: int = 3) -> list[Clause]:
-    """All canonical clauses over distinct variables, widths 1..max_width."""
+def clause_universe(num_vars: int) -> list[Clause]:
+    """All canonical clauses over distinct variables, widths 1..3."""
     out = []
-    for width in range(1, min(max_width, num_vars, 3) + 1):
+    for width in range(1, min(num_vars, 3) + 1):
         for vs in itertools.combinations(range(1, num_vars + 1), width):
             for signs in itertools.product((1, -1), repeat=width):
                 out.append(tuple(s * v for v, s in zip(vs, signs)))
@@ -221,14 +221,12 @@ def exhaustive_formulas(num_vars: int, max_clauses: int) -> list[ThreeSatInstanc
     return out
 
 
-def random_instance(
-    rng: random.Random, num_vars: int, num_clauses: int, width: int = 3
-) -> ThreeSatInstance:
-    """Random formula: fixed clause count, distinct variables per clause."""
-    if width > num_vars:
-        raise ShapeError(f"clause width {width} exceeds num_vars {num_vars}")
+def random_instance(rng: random.Random, num_vars: int, num_clauses: int) -> ThreeSatInstance:
+    """Random formula: fixed clause count, 3 distinct variables per clause."""
+    if num_vars < 3:
+        raise ShapeError(f"clause width 3 exceeds num_vars {num_vars}")
     clauses = []
     for _ in range(num_clauses):
-        vs = rng.sample(range(1, num_vars + 1), width)
+        vs = rng.sample(range(1, num_vars + 1), 3)
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
     return ThreeSatInstance(num_vars, clauses)

@@ -135,11 +135,11 @@ def test_tree_size_bound():
 
 
 def test_dt_eval_dictator_and_errors():
-    dictator = DecisionTree.of(Node(0, 0, 1))
+    dictator = DecisionTree(Node(0, 0, 1), 2)
     assert dt_eval(dictator, "10") == 1
     assert dt_eval(dictator, "01") == 0
     with pytest.raises(ShapeError):
-        dt_eval(DecisionTree.of(Node(5, 0, 1)), "01")
+        dt_eval(DecisionTree(Node(5, 0, 1), 2), "01")
 
 
 def test_tree_serialization_round_trip():
@@ -244,13 +244,39 @@ def outcome(f, *args):
         return type(exc), str(exc)
 
 
+# trees built for concepts, whose matched z prefix is a run, in both layouts
+CONCEPT_TREES = [
+    (c.z, c.layout.ell, build_decision_tree(c))
+    for kind in LAYOUT_KINDS
+    for inst in (PHI0, ThreeSatInstance(2, [(1,)]), ThreeSatInstance(2, [(-2,)]), ThreeSatInstance(2, []))
+    for c in [CertConcept(V2, ENC2.encode(inst), DEFAULT_CODE_PARAMS, kind=kind)]
+]
+
+
+@st.composite
+def concept_cases(draw):
+    """(concept tree, string): z whole, with one bit flipped, with one
+    character replaced by 2 or \u00e9, or cut short inside the prefix, then
+    random index bits."""
+    z, ell, tree = draw(st.sampled_from(CONCEPT_TREES))
+    at = draw(st.integers(0, len(z) - 1))
+    how = draw(st.sampled_from(["whole", "flip", "char", "cut"]))
+    if how == "flip":
+        z = z[:at] + "10"[int(z[at])] + z[at + 1:]
+    elif how == "char":
+        z = z[:at] + draw(st.sampled_from("2\u00e9")) + z[at + 1:]
+    elif how == "cut":
+        z = z[:at]
+    return tree, z + draw(st.text(alphabet="01", min_size=ell, max_size=ell))
+
+
 @settings(max_examples=400, deadline=None)
 @given(tree_texts(), st.lists(st.tuples(
     st.text(alphabet="0101012 \u00e9", max_size=MAX_VAR + 12),
     st.integers(0, 20),
     st.one_of(st.none(), st.integers(0, 8)),
-), max_size=12), st.data())
-def test_dt_eval_matches_a_node_walk(tree, strings, data):
+), max_size=12), st.lists(concept_cases(), max_size=12), st.data())
+def test_dt_eval_matches_a_node_walk(tree, strings, concept_strings, data):
     tokens, chains = tree
     text = " ".join(tokens)
     parsed = parse_tree(text)
@@ -267,6 +293,8 @@ def test_dt_eval_matches_a_node_walk(tree, strings, data):
             x = x.ljust(start, "0")[:start] + pattern + x[start + len(pattern):]
             x = x[: data.draw(st.integers(0, len(x) + 2))]
         assert outcome(dt_eval, parsed, x) == outcome(walk, parsed, x), (text, x)
+    for built, x in concept_strings:
+        assert outcome(dt_eval, built, x) == outcome(walk, built, x), x
 
 
 def test_tradeoff_tree_crosses_the_prefix_in_one_run():

@@ -168,6 +168,8 @@ def test_cli_bad_config_is_exit_2(tmp_path):
         ("enumerate", "corpus.kind = dimacs\ncorpus.paths = {tmp}/empty_dir\n"),
         ("enumerate", "corpus.kind = dimacs\ncorpus.paths = {tmp}/not_utf8.cnf\n"),
         ("vcdim", b"seed = 1 # \xff\n"),
+        ("vcdim", "seed = abc\n"),
+        ("vcdim", "seed = 1.5\n"),
         ("vcdim", None),  # --config names a directory
     ],
 )
@@ -183,6 +185,15 @@ def test_cli_rejects_unusable_values_in_one_line(tmp_path, capsys, command, cfg_
     assert code == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_cli_out_that_cannot_be_a_directory_is_one_line_exit_2(tmp_path, capsys, out):
+    (tmp_path / "afile").write_text("")
+    assert main(["vcdim", "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"configuration error: output directory cannot be made: {tmp_path / out} (")
 
 
 def test_cli_enumerate(tmp_path):
