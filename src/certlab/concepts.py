@@ -51,11 +51,10 @@ class ExampleLayout:
     def example_len(self) -> int:
         return self.n + self.ell
 
-    def split(self, x: str) -> tuple[str, str]:
-        """Return (instance part, index bits)."""
+    def index_bits(self, x: str) -> str:
+        """The example's ell index bits."""
         check_bits(x, length=self.example_len, name="example")
-        k, end = self.matched, self.matched + self.ell
-        return x[:k] + x[end:], x[k:end]
+        return x[self.matched : self.matched + self.ell]
 
     def join(self, z_part: str, i_bits: str) -> str:
         return z_part[: self.matched] + i_bits + z_part[self.matched :]

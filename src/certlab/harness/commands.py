@@ -108,17 +108,19 @@ def resolve_learner(name: str, verifier, params):
 def useless_point(concept: CertConcept) -> str:
     """A fixed example whose prefix mismatches the concept's instance."""
     lay = concept.layout
+    if lay.matched == 0:
+        raise ConfigError("the uniform layout has no useless example")
     z = concept.z
     flipped = ("1" if z[0] == "0" else "0") + z[1:]
-    return flipped + "0" * lay.ell
+    return lay.join(flipped, "0" * lay.ell)
 
 
 def distribution_suite(concept: CertConcept) -> list[tuple[str, Distribution]]:
     """The adversarial distributions every batch-learner criterion runs against:
     uniform on useful points, 90% mass on one useless point, and point masses."""
     lay = concept.layout
-    useful = [concept.z + int_to_bits(v, lay.ell) for v in range(1 << lay.ell)]
     far = useless_point(concept)
+    useful = [lay.join(concept.z, int_to_bits(v, lay.ell)) for v in range(1 << lay.ell)]
     ones = concept.one_points()
     suite = [
         ("uniform_useful", Distribution.uniform(useful)),
@@ -168,7 +170,7 @@ def probe_domain(concepts: list[CertConcept], limit: int = 16) -> list[str]:
         lay = c.layout
         zeros = [v for v in range(1 << lay.ell) if (v >= lay.cp or v not in c.support)]
         for v in zeros[:1]:
-            add(c.z + int_to_bits(v, lay.ell))
+            add(lay.join(c.z, int_to_bits(v, lay.ell)))
         if len(pts) >= limit - 2:
             break
     for c in concepts[:2]:

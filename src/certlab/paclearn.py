@@ -90,6 +90,19 @@ class LabeledSample:
             if y not in (0, 1):
                 raise ShapeError(f"label must be 0/1, got {y!r}")
 
+    def with_labels(self, labels) -> "LabeledSample":
+        """These points, checked already, with new labels, checked as the
+        constructor checks them."""
+        if len(labels) != len(self.pairs):
+            raise ShapeError(f"need {len(self.pairs)} labels, got {len(labels)}")
+        for y in labels:
+            if y not in (0, 1):
+                raise ShapeError(f"label must be 0/1, got {y!r}")
+        sample = object.__new__(LabeledSample)
+        pairs = tuple([(x, y) for (x, _), y in zip(self.pairs, labels)])
+        object.__setattr__(sample, "pairs", pairs)
+        return sample
+
     @property
     def m(self) -> int:
         return len(self.pairs)
@@ -162,7 +175,7 @@ class JuntaHypothesis:
             raise ShapeError("junta table must cover all index values")
 
     def __call__(self, x: str) -> int:
-        return self.bits[int(self.layout.split(x)[1], 2)]
+        return self.bits[int(self.layout.index_bits(x), 2)]
 
     @property
     def size(self) -> int:
@@ -229,7 +242,7 @@ def junta_learner(
     """Learn a table over the 2^ell index values; unobserved indices map to 0."""
     table: dict[int, int] = {}
     for x, y in sample.pairs:
-        idx = int(layout.split(x)[1], 2)
+        idx = int(layout.index_bits(x), 2)
         prev = table.get(idx)
         if prev is not None and prev != y:
             raise DataInconsistencyError(f"index {idx} observed with both labels")

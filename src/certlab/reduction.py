@@ -18,7 +18,7 @@ from .bits import check_bits, int_to_bits
 from .codes import CodeParams, get_code
 from .concepts import CertConcept, ExampleLayout, check_layout_kind
 from .errors import BudgetError, CertlabError, ConfigError
-from .paclearn import LabeledSample
+from .paclearn import LabeledSample, TableHypothesis
 from .sat import ThreeSatInstance
 from .verifiers import ThreeSatVerifier, Verifier
 
@@ -84,31 +84,44 @@ class _Challenge:
         self.code = get_code(params, verifier.p)
         self.mask_fn = getattr(verifier, "accept_mask", None)
         self._read_at: str | None = None
-        self._queries: list[str] = []
+        self._queries: dict[str, int] = {}
 
-    def _queries_at(self, read_at: str) -> list[str]:
-        """read_at joined to every index value, built once per read_at."""
+    def _queries_at(self, read_at: str) -> dict[str, int]:
+        """read_at joined to each index value, mapped to that value, in value
+        order; built once per read_at."""
         if read_at != self._read_at:
             lay = self.layout
-            self._queries = [
-                lay.join(read_at, int_to_bits(v, lay.ell)) for v in range(1 << lay.ell)
-            ]
+            self._queries = {
+                lay.join(read_at, int_to_bits(v, lay.ell)): v for v in range(1 << lay.ell)
+            }
             self._read_at = read_at
         return self._queries
 
-    def prove(self, points, labels, rng: random.Random, read_at: str) -> _Proof | None:
-        """Learn from the labelled points, query the hypothesis at every index
-        joined to read_at, decode its first cp answers and check the result;
-        None when the learner raises."""
-        sample = LabeledSample(tuple(zip(points, labels)))
+    def answers(self, hypothesis, read_at: str) -> int:
+        """Bit v: the hypothesis's answer at index value v joined to read_at.
+        A table hypothesis is answered from its ones that are queries."""
+        queries = self._queries_at(read_at)
+        word = 0
+        if type(hypothesis) is TableHypothesis:
+            for x in hypothesis.ones:
+                val = queries.get(x)
+                if val is not None:
+                    word |= 1 << val
+        else:
+            for x, val in queries.items():
+                if hypothesis(x):
+                    word |= 1 << val
+        return word
+
+    def prove(self, sample: LabeledSample, rng: random.Random, read_at: str) -> _Proof | None:
+        """Learn from the sample, query the hypothesis at every index joined
+        to read_at, decode its first cp answers and check the result; None
+        when the learner raises."""
         try:
             hypothesis = self.learner(sample, rng, None)
         except CertlabError:
             return None
-        answers = 0
-        for val, x in enumerate(self._queries_at(read_at)):
-            if hypothesis(x):
-                answers |= 1 << val
+        answers = self.answers(hypothesis, read_at)
         w_val = self.code.decode_value(answers & ((1 << self.layout.cp) - 1))
         if self.mask_fn is not None:
             verdict = (self.mask_fn(self.z) >> w_val) & 1
@@ -118,7 +131,7 @@ class _Challenge:
         return _Proof(hypothesis, answers, w_val, verdict)
 
     def transcript(self, seed_label: str, points, labels: str, proof) -> AmTranscript:
-        indices = tuple(self.layout.split(x)[1] for x in points)
+        indices = tuple(self.layout.index_bits(x) for x in points)
         if proof is None:
             return AmTranscript(seed_label, indices, labels, None, "", "", 0, failed=True)
         y = format(proof.answers, f"0{1 << self.layout.ell}b")[::-1]
@@ -157,7 +170,8 @@ def am_round(
     else:
         raise ConfigError("am_round requires an honest or fixed-proof Merlin")
 
-    proof = challenge.prove(points, [int(b) for b in labels], rng, read_at)
+    sample = LabeledSample(tuple(zip(points, [int(b) for b in labels])))
+    proof = challenge.prove(sample, rng, read_at)
     return challenge.transcript(seed_label, points, labels, proof)
 
 
@@ -221,6 +235,7 @@ def rtime_decide(
         distinct = sorted(set(points))
         slot = {pt: j for j, pt in enumerate(distinct)}
         point_slots = [slot[pt] for pt in points]
+        base = LabeledSample(tuple((pt, 0) for pt in points))
 
         rep_accept = False
         rep_digest = ""
@@ -228,7 +243,7 @@ def rtime_decide(
         for assignment in product((0, 1), repeat=len(distinct)):
             proofs_run += 1
             labels = tuple([assignment[j] for j in point_slots])
-            proof = challenge.prove(points, labels, rng, read_at)
+            proof = challenge.prove(base.with_labels(labels), rng, read_at)
             if proof is not None and proof.verdict:
                 label_str = "".join(str(b) for b in labels)
                 rep_digest = challenge.transcript(seed_label, points, label_str, proof).digest()

@@ -46,12 +46,16 @@ def concept0() -> CertConcept:
 def test_layout_shapes():
     lay = ExampleLayout.of(10, DEFAULT_CODE_PARAMS, 2, "standard")
     assert (lay.cp, lay.ell, lay.example_len) == (16, 4, 14)
-    z, i = lay.split("0" * 10 + "1010")
-    assert (z, i) == ("0" * 10, "1010")
+    x = "0" * 10 + "1010"
+    assert lay.index_bits(x) == "1010"
+    assert lay.join("0" * 10, lay.index_bits(x)) == x
     ulay = ExampleLayout.of(10, DEFAULT_CODE_PARAMS, 2, "uniform")
-    zp, ip = ulay.split("1010" + "0" * 10)
-    assert (zp, ip) == ("0" * 10, "1010")
-    assert ulay.join("0" * 10, "1010") == "1010" + "0" * 10
+    ux = "1010" + "0" * 10
+    assert ulay.index_bits(ux) == "1010"
+    assert ulay.join("0" * 10, ulay.index_bits(ux)) == ux
+    for layout in (lay, ulay):
+        with pytest.raises(ShapeError, match="example must have length 14"):
+            layout.index_bits("0" * 13)
 
 
 def test_eval_cert_unsat_is_constant_zero():

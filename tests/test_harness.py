@@ -108,6 +108,21 @@ def test_distribution_suite_shapes():
     assert max(heavy.weights) == pytest.approx(0.9)
 
 
+def test_uniform_concepts_have_no_useless_example():
+    from certlab.codes import DEFAULT_CODE_PARAMS
+    from certlab.concepts import CertConcept
+    from certlab.errors import ConfigError
+    from certlab.harness.commands import probe_domain
+
+    corpus = exhaustive_two_var_corpus()
+    inst = next(f for f in corpus.instances if brute_force_sat(f))
+    z = corpus.encoding.encode(inst)
+    concept = CertConcept(corpus.verifier, z, DEFAULT_CODE_PARAMS, kind="uniform")
+    for build in (distribution_suite, lambda c: probe_domain([c])):
+        with pytest.raises(ConfigError, match="no useless example"):
+            build(concept)
+
+
 def test_readme_config_block_lists_exactly_the_keys_read():
     root = Path(__file__).resolve().parents[1]
     read = set()

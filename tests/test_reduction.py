@@ -2,16 +2,25 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from certlab.bits import int_to_bits
+from certlab.bits import flip_positions, int_to_bits
 from certlab.codes import REDUCTION_CODE_PARAMS, get_code
-from certlab.concepts import CertConcept, ExampleLayout
+from certlab import paclearn
+from certlab.concepts import LAYOUT_KINDS, CertConcept, ExampleLayout
 from certlab.errors import BudgetError, ConfigError, ShapeError
-from certlab.paclearn import ConstantHypothesis, error_of, junta_learner, sparse_erm
+from certlab.paclearn import (
+    ConstantHypothesis,
+    TableHypothesis,
+    error_of,
+    junta_learner,
+    sparse_erm,
+)
 from certlab.reduction import (
     DeciderConfig,
     FixedProofMerlin,
     HonestMerlin,
+    _Challenge,
     am_round,
     rtime_decide,
     sat_decider,
@@ -340,3 +349,77 @@ def test_uniform_decider_routes_and_stays_sound():
     learner = junta_adapter_for(V2)
     assert not rtime_decide(Z_UNSAT, V2, config, learner, 7).accept
     assert rtime_decide(Z0, V2, config, learner, 7).accept
+
+
+# -- table hypotheses answered from their table ---------------------------------------
+
+
+class OpaqueHypothesis:
+    """Answers as the wrapped hypothesis does, but is no TableHypothesis, so
+    the decider queries it at every index value."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+
+    def __call__(self, x: str) -> int:
+        return self.inner(x)
+
+
+def opaque_sparse_adapter(sample, rng, counter):
+    return OpaqueHypothesis(sparse_erm(sample, counter=counter))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_table_answers_match_the_per_index_loop(data):
+    variant = data.draw(st.sampled_from(LAYOUT_KINDS))
+    z = data.draw(st.sampled_from([Z0, Z_UNSAT]))
+    challenge = _Challenge(z, V2, sparse_adapter, PARAMS, variant)
+    lay = challenge.layout
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    for _ in range(2):  # a second read-out point rebuilds the queries in the uniform layout
+        _, read_at = lay.draw(rng, z, 0)
+        queries = [lay.join(read_at, int_to_bits(v, lay.ell)) for v in range(1 << lay.ell)]
+        # a query with one bit of its read-out point flipped is no query
+        near_misses = [
+            lay.join(flip_positions(read_at, [j]), int_to_bits(j % (1 << lay.ell), lay.ell))
+            for j in range(lay.n)
+        ]
+        ones = data.draw(
+            st.lists(
+                st.one_of(
+                    st.sampled_from(queries),
+                    st.sampled_from(near_misses),
+                    st.text("01", min_size=lay.example_len, max_size=lay.example_len),
+                    st.text("01", max_size=lay.example_len + 2),
+                ),
+                max_size=12,
+            )
+        )
+        table = TableHypothesis(ones)
+        word = challenge.answers(table, read_at)
+        assert word == challenge.answers(OpaqueHypothesis(table), read_at)
+        assert word == sum(1 << v for v, x in enumerate(queries) if x in table.ones)
+
+
+@pytest.mark.parametrize("variant", LAYOUT_KINDS)
+def test_table_answers_leave_the_decider_result_unchanged(variant):
+    config = DeciderConfig(m=6, r=3, code_params=PARAMS, variant=variant)
+    results = {}
+    for z in (Z0, Z_UNSAT):
+        results[z] = rtime_decide(z, V2, config, sparse_adapter, 0)
+        assert results[z] == rtime_decide(z, V2, config, opaque_sparse_adapter, 0)
+    assert not results[Z_UNSAT].accept
+    if variant == "standard":
+        # a rejecting repetition, then one that accepts on a proof past the first
+        assert [rec.accept for rec in results[Z0].repetitions] == [False, True]
+
+
+def test_decider_checks_the_points_once_per_repetition(monkeypatch):
+    calls = []
+    real = paclearn.is_bits
+    monkeypatch.setattr(paclearn, "is_bits", lambda s: calls.append(s) or real(s))
+    config = DeciderConfig(m=6, r=3, code_params=PARAMS)
+    res = rtime_decide(Z_UNSAT, V2, config, sparse_adapter, 0)
+    assert len(res.repetitions) == 3 and res.proofs_run > 3
+    assert len(calls) == 3
