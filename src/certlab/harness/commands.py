@@ -36,6 +36,7 @@ from ..paclearn import (
     junta_learner,
     pac_trial_suite,
     sparse_erm,
+    support_labels,
 )
 from ..reduction import DeciderConfig, learner_error_target, sat_decider
 from ..sat import brute_force_sat
@@ -267,14 +268,18 @@ def cmd_learn(cfg: dict[str, str], out_dir: Path, seed) -> int:
     min_success = get_float(cfg, "learn.min_success", 0.0)
     concept = _target_concept(corpus, params)
     v = corpus.verifier
+    suite = [
+        (dist_name, dist, support_labels(dist, concept))
+        for dist_name, dist in distribution_suite(concept)
+    ]
     rows = []
     ok = True
     for name in names:
         learner = resolve_learner(name, v, params)
         for m in budgets:
-            for dist_name, dist in distribution_suite(concept):
+            for dist_name, dist, labels in suite:
                 res = pac_trial_suite(
-                    learner, concept, dist, eps, m, trials, f"{seed}:{name}:{m}:{dist_name}"
+                    learner, labels, dist, eps, m, trials, f"{seed}:{name}:{m}:{dist_name}"
                 )
                 rows.append(
                     (v.n, v.p, name, dist_name, m, trials, res.success_rate, res.mean_error, res.mean_steps)
@@ -346,13 +351,14 @@ def cmd_tradeoff(cfg: dict[str, str], out_dir: Path, seed) -> int:
     budgets = get_int_list(cfg, "tradeoff.m", [1, 2, 4, 8, 16, 47])
     factor = get_float(cfg, "tradeoff.factor", 100.0)
     dist = distribution_suite(concept)[0][1]  # uniform on useful points
+    labels = support_labels(dist, concept)
     rows = []
     walls = []
     stats: dict[tuple[str, int], float] = {}
     for name in ("few_sample", "sparse_erm"):
         learner = resolve_learner(name, verifier, params)
         for m in budgets:
-            res = pac_trial_suite(learner, concept, dist, eps, m, trials, f"{seed}:{name}:{m}")
+            res = pac_trial_suite(learner, labels, dist, eps, m, trials, f"{seed}:{name}:{m}")
             rows.append(
                 (verifier.n, verifier.p, name, m, trials, res.success_rate, res.mean_error, res.mean_steps)
             )

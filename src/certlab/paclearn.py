@@ -4,6 +4,7 @@ batch learners (few-sample/slow, sparse ERM/fast, junta, enumeration ERM).
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -33,6 +34,9 @@ class Distribution:
         self.weights = tuple(float(w) for w in weights)
         if len(self.points) != len(self.weights):
             raise ConfigError("points and weights must have equal length")
+        for w in self.weights:
+            if not math.isfinite(w):
+                raise ConfigError(f"weights must be finite, got {w}")
         if any(w < 0 for w in self.weights):
             raise ConfigError("weights must be nonnegative")
         if self.points:
@@ -117,6 +121,13 @@ class LabeledSample:
 def draw_sample(dist: Distribution, concept, m: int, rng: random.Random) -> LabeledSample:
     """m i.i.d. draws from the distribution, labeled by the concept."""
     return LabeledSample(tuple((x, int(concept(x))) for x in dist.draw(rng, m)))
+
+
+def support_labels(dist: Distribution, concept):
+    """The concept's 0/1 labels on the support, as a lookup that stands in for
+    the concept in `draw_sample` and `error_of` on this distribution.  The
+    concept is called once per support point, in support order."""
+    return {x: int(concept(x)) for x in dist.points}.__getitem__
 
 
 def error_of(dist: Distribution, f, h) -> float:
@@ -240,9 +251,13 @@ def junta_learner(
     sample: LabeledSample, layout: ExampleLayout, *, counter: StepCounter | None = None
 ):
     """Learn a table over the 2^ell index values; unobserved indices map to 0."""
+    if sample.pairs:
+        # the sample's points are checked bit strings of one length already
+        check_bits(sample.pairs[0][0], length=layout.example_len, name="example")
+    lo, hi = layout.matched, layout.matched + layout.ell
     table: dict[int, int] = {}
     for x, y in sample.pairs:
-        idx = int(layout.index_bits(x), 2)
+        idx = int(x[lo:hi], 2)
         prev = table.get(idx)
         if prev is not None and prev != y:
             raise DataInconsistencyError(f"index {idx} observed with both labels")

@@ -18,7 +18,7 @@ from .bits import check_bits, int_to_bits
 from .codes import CodeParams, get_code
 from .concepts import CertConcept, ExampleLayout, check_layout_kind
 from .errors import BudgetError, CertlabError, ConfigError
-from .paclearn import LabeledSample, TableHypothesis
+from .paclearn import JuntaHypothesis, LabeledSample, TableHypothesis
 from .sat import ThreeSatInstance
 from .verifiers import ThreeSatVerifier, Verifier
 
@@ -99,7 +99,10 @@ class _Challenge:
 
     def answers(self, hypothesis, read_at: str) -> int:
         """Bit v: the hypothesis's answer at index value v joined to read_at.
-        A table hypothesis is answered from its ones that are queries."""
+        A table hypothesis is answered from its ones that are queries, and a
+        junta on this layout from its table."""
+        if type(hypothesis) is JuntaHypothesis and hypothesis.layout == self.layout:
+            return sum(1 << v for v, b in enumerate(hypothesis.bits) if b)
         queries = self._queries_at(read_at)
         word = 0
         if type(hypothesis) is TableHypothesis:

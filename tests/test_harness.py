@@ -3,10 +3,14 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from certlab.codes import DEFAULT_CODE_PARAMS
+from certlab.concepts import CertConcept
 from certlab.errors import ConfigError, FormatError
+from certlab.harness import commands
 from certlab.harness.cli import main
-from certlab.harness.commands import distribution_suite, write_csv
+from certlab.harness.commands import distribution_suite, resolve_learner, write_csv
 from certlab.harness.config import (
     get_fraction,
     get_int,
@@ -23,6 +27,7 @@ from certlab.harness.corpus import (
     random_corpus,
     single_clause_corpus,
 )
+from certlab.paclearn import pac_trial_suite, support_labels
 from certlab.sat import brute_force_sat, random_instance, to_dimacs
 
 
@@ -106,6 +111,57 @@ def test_distribution_suite_shapes():
     assert names == ["uniform_useful", "useless_mass", "pm_useful", "pm_useless"]
     heavy = dict(suite)["useless_mass"]
     assert max(heavy.weights) == pytest.approx(0.9)
+
+
+TWO_VAR = exhaustive_two_var_corpus()
+TWO_VAR_SAT = [f for f in TWO_VAR.instances if brute_force_sat(f)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(TWO_VAR_SAT),
+    st.sampled_from(sorted(commands.LEARNERS)),
+    st.integers(0, 30),
+    st.integers(1, 4),
+    st.integers(0, 2**32),
+)
+def test_trial_suites_label_alike_from_the_concept_and_its_support_labels(inst, name, m, trials, seed):
+    v = TWO_VAR.verifier
+    concept = CertConcept(v, TWO_VAR.encoding.encode(inst), DEFAULT_CODE_PARAMS)
+    learner = resolve_learner(name, v, DEFAULT_CODE_PARAMS)
+    for dist_name, dist in distribution_suite(concept):
+        labels = support_labels(dist, concept)
+        a = pac_trial_suite(learner, concept, dist, 0.1, m, trials, f"{seed}:{dist_name}")
+        b = pac_trial_suite(learner, labels, dist, 0.1, m, trials, f"{seed}:{dist_name}")
+        assert (a.success_rate, a.mean_error, a.errors, a.mean_steps) == (
+            b.success_rate, b.mean_error, b.errors, b.mean_steps
+        )
+
+
+def test_tradeoff_labels_its_support_once_per_sweep(tmp_path, monkeypatch):
+    """Outside the slow learner, which builds and runs its own concept, a sweep
+    calls the target concept only on the 128 points of its support."""
+    depth = [0]
+    outside = []
+    real_call = CertConcept.__call__
+    real_learner = commands.few_sample_learner
+
+    def counting_call(self, x):
+        if not depth[0]:
+            outside.append(x)
+        return real_call(self, x)
+
+    def marked_learner(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return real_learner(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(CertConcept, "__call__", counting_call)
+    monkeypatch.setattr(commands, "few_sample_learner", marked_learner)
+    assert commands.cmd_tradeoff({}, tmp_path, 0) == 0
+    assert 0 < len(outside) <= 128
 
 
 def test_uniform_concepts_have_no_useless_example():

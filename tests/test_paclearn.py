@@ -19,6 +19,7 @@ from certlab.paclearn import (
     junta_learner,
     pac_trial_suite,
     sparse_erm,
+    support_labels,
 )
 from certlab.concepts import enumerate_class
 from certlab.sat import ThreeSatInstance, exhaustive_formulas
@@ -52,6 +53,9 @@ def test_distribution_validation():
         Distribution(["00"], [-1.0])
     with pytest.raises(ConfigError):
         Distribution.uniform([])
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError, match="weights must be finite"):
+            Distribution(["00", "01"], [bad, 1.0])
     Distribution(["00", "01"], [0.25, 0.75])
 
 
@@ -190,6 +194,37 @@ def test_labeled_sample_messages():
     assert LabeledSample((good, ("1111", True), ("0000", 1.0))).m == 3
 
 
+def test_support_labels_call_the_concept_once_per_support_point():
+    c = concept0()
+    dist = Distribution.uniform(useful_points(c) + ["0" * c.layout.example_len])
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return c(x)
+
+    labels = support_labels(dist, counting)
+    assert calls == list(dist.points)
+    for x in dist.points:
+        assert labels(x) == int(c(x))
+    assert calls == list(dist.points)
+
+
+def test_support_labels_raise_what_the_concept_raises():
+    c = concept0()
+    dist = Distribution.uniform(useful_points(c) + ["0" * c.layout.example_len])
+    bad = dist.points[3]
+
+    def picky(x):
+        if x == bad:
+            raise DataInconsistencyError(f"no label for {x}")
+        return c(x)
+
+    with pytest.raises(DataInconsistencyError) as err:
+        support_labels(dist, picky)
+    assert str(err.value) == f"no label for {bad}"
+
+
 def test_error_of_examples():
     c = concept0()
     dist = Distribution.uniform(useful_points(c))
@@ -321,6 +356,14 @@ def test_junta_learner_inconsistent_index_raises():
     b = "0000" + "1" * lay.n
     with pytest.raises(DataInconsistencyError):
         junta_learner(LabeledSample(((a, 1), (b, 0))), lay)
+
+
+def test_junta_learner_checks_the_example_length_once():
+    lay = ExampleLayout.of(V2.n, DEFAULT_CODE_PARAMS, V2.p, "uniform")
+    short = LabeledSample((("0" * (lay.example_len - 1), 1), ("1" * (lay.example_len - 1), 0)))
+    with pytest.raises(ShapeError) as err:
+        junta_learner(short, lay)
+    assert str(err.value) == f"example must have length {lay.example_len}, got {lay.example_len - 1}"
 
 
 def test_junta_learner_empty_is_constant_zero():

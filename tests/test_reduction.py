@@ -11,6 +11,7 @@ from certlab.concepts import LAYOUT_KINDS, CertConcept, ExampleLayout
 from certlab.errors import BudgetError, ConfigError, ShapeError
 from certlab.paclearn import (
     ConstantHypothesis,
+    JuntaHypothesis,
     TableHypothesis,
     error_of,
     junta_learner,
@@ -400,6 +401,25 @@ def test_table_answers_match_the_per_index_loop(data):
         word = challenge.answers(table, read_at)
         assert word == challenge.answers(OpaqueHypothesis(table), read_at)
         assert word == sum(1 << v for v, x in enumerate(queries) if x in table.ones)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_junta_answers_match_the_per_index_loop(data):
+    """A junta on the challenge's layout is answered from its table; one on
+    the other layout is queried, and reads the read-out point's bits."""
+    variant = data.draw(st.sampled_from(LAYOUT_KINDS))
+    challenge = _Challenge(Z0, V2, sparse_adapter, PARAMS, variant)
+    lay = challenge.layout
+    _, read_at = lay.draw(random.Random(data.draw(st.integers(0, 2**32))), Z0, 0)
+    queries = [lay.join(read_at, int_to_bits(v, lay.ell)) for v in range(1 << lay.ell)]
+    size = 1 << lay.ell
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+    for junta_kind in LAYOUT_KINDS:
+        junta = JuntaHypothesis(bits, ExampleLayout.of(V2.n, PARAMS, V2.p, junta_kind))
+        word = challenge.answers(junta, read_at)
+        assert word == challenge.answers(OpaqueHypothesis(junta), read_at)
+        assert word == sum(1 << v for v, x in enumerate(queries) if junta(x))
 
 
 @pytest.mark.parametrize("variant", LAYOUT_KINDS)
