@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import partial
 from pathlib import Path
 
 from ..bits import flip_positions, int_to_bits
@@ -66,34 +67,19 @@ def code_params_from(cfg: dict[str, str], default: CodeParams) -> CodeParams:
     )
 
 
-# -- learner adapters (uniform signature: (sample, rng, counter) -> hypothesis) --
-
-
-def make_few_sample(verifier, params):
-    def learn(sample, rng, counter):
-        return few_sample_learner(sample, verifier, params, counter=counter)
-
-    return learn
+# -- learners: learner(sample, counter=None) -> hypothesis ----------------------------
 
 
 def make_sparse_erm():
-    def learn(sample, rng, counter):
-        return sparse_erm(sample, counter=counter)
-
-    return learn
-
-
-def make_junta(layout):
-    def learn(sample, rng, counter):
-        return junta_learner(sample, layout, counter=counter)
-
-    return learn
+    """`sparse_erm` as this module holds it now (perfbench's decide learner)."""
+    return sparse_erm
 
 
 #: The learners `learn` and `tradeoff` accept: name -> factory of (verifier, params).
+#: Each factory looks its learner up when called, so traced runs see the wrapped one.
 LEARNERS = {
-    "few_sample": make_few_sample,
-    "sparse_erm": lambda verifier, params: make_sparse_erm(),
+    "few_sample": lambda v, params: partial(few_sample_learner, verifier=v, params=params),
+    "sparse_erm": lambda v, params: sparse_erm,
 }
 
 
@@ -266,6 +252,8 @@ def cmd_learn(cfg: dict[str, str], out_dir: Path, seed) -> int:
     budgets = get_int_list(cfg, "learn.m", [47])
     names = [s.strip() for s in get_str(cfg, "learn.learners", "few_sample,sparse_erm").split(",")]
     min_success = get_float(cfg, "learn.min_success", 0.0)
+    if not 0 <= min_success <= 1:
+        raise ConfigError(f"learn.min_success must lie in [0, 1], got {min_success}")
     concept = _target_concept(corpus, params)
     v = corpus.verifier
     suite = [
@@ -302,9 +290,9 @@ def cmd_reduce(cfg: dict[str, str], out_dir: Path, seed) -> int:
     )
     v = corpus.verifier
     if variant == "uniform":
-        learner = make_junta(ExampleLayout.of(v.n, params, v.p, variant))
+        learner = partial(junta_learner, layout=ExampleLayout.of(v.n, params, v.p, variant))
     else:
-        learner = make_sparse_erm()
+        learner = sparse_erm
     lines = [
         f"decider: m={config.m} r={config.r} variant={variant} "
         f"code=(c={params.c}, eps_star={params.eps_star}) "
@@ -350,6 +338,8 @@ def cmd_tradeoff(cfg: dict[str, str], out_dir: Path, seed) -> int:
     trials = get_int(cfg, "tradeoff.trials", 5)
     budgets = get_int_list(cfg, "tradeoff.m", [1, 2, 4, 8, 16, 47])
     factor = get_float(cfg, "tradeoff.factor", 100.0)
+    if factor <= 0:
+        raise ConfigError(f"tradeoff.factor must be > 0, got {factor}")
     dist = distribution_suite(concept)[0][1]  # uniform on useful points
     labels = support_labels(dist, concept)
     rows = []

@@ -270,7 +270,7 @@ class OnlineToPacLearner:
             ONLINE_TO_PAC_KAPPA * (mistake_bound + math.log(1 / delta)) / eps
         )
 
-    def learn(self, sample: LabeledSample):
+    def __call__(self, sample: LabeledSample, counter=None):
         learner = self.make_learner()
         current = learner.current_hypothesis()
         best_hyp, best_streak = current, -1
@@ -287,6 +287,3 @@ class OnlineToPacLearner:
         if streak > best_streak:
             best_hyp = current
         return best_hyp
-
-    def __call__(self, sample: LabeledSample, rng=None, counter=None):
-        return self.learn(sample)

@@ -1,5 +1,9 @@
 """PAC framework: finite-support distributions, samples, hypotheses, and the
 batch learners (few-sample/slow, sparse ERM/fast, junta, enumeration ERM).
+
+A learner is any callable learner(sample, counter=None) -> hypothesis, and a
+hypothesis is any callable h(x) -> 0/1; learners that need more (a verifier,
+a layout) have it bound first, e.g. with functools.partial.
 """
 
 from __future__ import annotations
@@ -111,12 +115,6 @@ class LabeledSample:
     def m(self) -> int:
         return len(self.pairs)
 
-    @property
-    def example_len(self) -> int:
-        if not self.pairs:
-            raise ShapeError("empty sample has no example length")
-        return len(self.pairs[0][0])
-
 
 def draw_sample(dist: Distribution, concept, m: int, rng: random.Random) -> LabeledSample:
     """m i.i.d. draws from the distribution, labeled by the concept."""
@@ -147,10 +145,6 @@ class ConstantHypothesis:
     def __call__(self, x: str) -> int:
         return self.bit
 
-    @property
-    def size(self) -> int:
-        return 1
-
     def __repr__(self) -> str:
         return f"ConstantHypothesis({self.bit})"
 
@@ -165,10 +159,6 @@ class TableHypothesis:
 
     def __call__(self, x: str) -> int:
         return 1 if x in self.ones else 0
-
-    @property
-    def size(self) -> int:
-        return max(1, len(self.ones))
 
     def __repr__(self) -> str:
         return f"TableHypothesis(<{len(self.ones)} ones>)"
@@ -188,10 +178,6 @@ class JuntaHypothesis:
     def __call__(self, x: str) -> int:
         return self.bits[int(self.layout.index_bits(x), 2)]
 
-    @property
-    def size(self) -> int:
-        return len(self.bits)
-
 
 class TreeHypothesis:
     __slots__ = ("tree",)
@@ -201,10 +187,6 @@ class TreeHypothesis:
 
     def __call__(self, x: str) -> int:
         return dt_eval(self.tree, x)
-
-    @property
-    def size(self) -> int:
-        return self.tree.size
 
 
 # -- learners -------------------------------------------------------------------
@@ -300,8 +282,9 @@ def pac_trial_suite(
 ) -> SuiteResult:
     """Empirical estimate of the PAC success event Pr[error <= eps].
 
-    learner(sample, rng, counter) -> hypothesis.  Trial t draws from a
-    private generator seeded by (master_seed, t); results are deterministic.
+    learner(sample, counter=None) -> hypothesis, called with a fresh
+    StepCounter per trial.  Trial t draws from a private generator seeded by
+    (master_seed, t); results are deterministic.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -315,7 +298,7 @@ def pac_trial_suite(
         rng = random.Random(f"{master_seed}:{t}")
         sample = draw_sample(dist, concept, m, rng)
         counter = StepCounter()
-        hyp = learner(sample, rng, counter)
+        hyp = learner(sample, counter=counter)
         err = error_of(dist, concept, hyp)
         errors.append(err)
         total_steps += counter.steps

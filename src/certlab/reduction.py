@@ -116,12 +116,12 @@ class _Challenge:
                     word |= 1 << val
         return word
 
-    def prove(self, sample: LabeledSample, rng: random.Random, read_at: str) -> _Proof | None:
+    def prove(self, sample: LabeledSample, read_at: str) -> _Proof | None:
         """Learn from the sample, query the hypothesis at every index joined
         to read_at, decode its first cp answers and check the result; None
         when the learner raises."""
         try:
-            hypothesis = self.learner(sample, rng, None)
+            hypothesis = self.learner(sample)
         except CertlabError:
             return None
         answers = self.answers(hypothesis, read_at)
@@ -174,7 +174,7 @@ def am_round(
         raise ConfigError("am_round requires an honest or fixed-proof Merlin")
 
     sample = LabeledSample(tuple(zip(points, [int(b) for b in labels])))
-    proof = challenge.prove(sample, rng, read_at)
+    proof = challenge.prove(sample, read_at)
     return challenge.transcript(seed_label, points, labels, proof)
 
 
@@ -246,7 +246,7 @@ def rtime_decide(
         for assignment in product((0, 1), repeat=len(distinct)):
             proofs_run += 1
             labels = tuple([assignment[j] for j in point_slots])
-            proof = challenge.prove(base.with_labels(labels), rng, read_at)
+            proof = challenge.prove(base.with_labels(labels), read_at)
             if proof is not None and proof.verdict:
                 label_str = "".join(str(b) for b in labels)
                 rep_digest = challenge.transcript(seed_label, points, label_str, proof).digest()

@@ -4,7 +4,7 @@ pass/fail line each.  Run with `pytest -s tests/test_acceptance.py -v`.
 
 import math
 import time
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from certlab.bits import int_to_bits
 from certlab.codes import DEFAULT_CODE_PARAMS, REDUCTION_CODE_PARAMS, radius_recovery
@@ -17,8 +17,6 @@ from certlab.concepts import (
 from certlab.harness.commands import (
     probe_domain,
     distribution_suite,
-    make_sparse_erm,
-    make_junta,
 )
 from certlab.harness.corpus import (
     exhaustive_two_var_corpus,
@@ -34,7 +32,7 @@ from certlab.online import (
     exhaustive_adversary_max_mistakes,
     ldim_oracle,
 )
-from certlab.paclearn import few_sample_learner, pac_trial_suite, sparse_erm
+from certlab.paclearn import few_sample_learner, junta_learner, pac_trial_suite, sparse_erm
 from certlab.reduction import DeciderConfig, sat_decider
 from certlab.concepts import ExampleLayout
 from certlab.sat import brute_force_sat
@@ -127,9 +125,7 @@ def test_criterion_04_few_sample_learner_succeeds_at_47_samples():
     m = math.ceil(math.log(100) / eps)
     assert m == 47
     verifier, concept = few_sample_target()
-
-    def learner(sample, rng, counter):
-        return few_sample_learner(sample, verifier, DEFAULT_CODE_PARAMS, counter=counter)
+    learner = partial(few_sample_learner, verifier=verifier, params=DEFAULT_CODE_PARAMS)
 
     rates = {}
     ok = True
@@ -151,13 +147,10 @@ def test_criterion_05_sparse_erm_succeeds_at_union_bound_samples():
     concept = next(c for c in concepts if c.enc is not None and c.sparsity >= 4)
     assert concept.layout.cp == sparsity
 
-    def learner(sample, rng, counter):
-        return sparse_erm(sample, counter=counter)
-
     rates = {}
     ok = True
     for name, dist in distribution_suite(concept):
-        res = pac_trial_suite(learner, concept, dist, eps, m, 200, f"c5:{name}")
+        res = pac_trial_suite(sparse_erm, concept, dist, eps, m, 200, f"c5:{name}")
         rates[name] = res.success_rate
         ok = ok and res.success_rate >= 0.95
     detail = " ".join(f"{k}={v:.3f}" for k, v in rates.items())
@@ -168,7 +161,6 @@ def test_criterion_05_sparse_erm_succeeds_at_union_bound_samples():
 def test_criterion_06_decider_agrees_with_brute_force():
     t0 = time.perf_counter()
     config = DeciderConfig(m=12, r=5, code_params=REDUCTION_CODE_PARAMS)
-    learner = make_sparse_erm()
     false_accepts = 0
     sat_total = sat_hit = 0
     unsat_total = 0
@@ -176,7 +168,7 @@ def test_criterion_06_decider_agrees_with_brute_force():
     for corpus in decider_corpora():
         for inst in corpus.instances:
             truth = brute_force_sat(inst)
-            rep = sat_decider(inst, corpus.verifier, config, learner, f"c6:{idx}")
+            rep = sat_decider(inst, corpus.verifier, config, sparse_erm, f"c6:{idx}")
             idx += 1
             if truth:
                 sat_total += 1
@@ -205,7 +197,8 @@ def test_criterion_07_uniform_pipeline():
     idx = 0
     for corpus in decider_corpora():
         v = corpus.verifier
-        learner = make_junta(ExampleLayout.of(v.n, REDUCTION_CODE_PARAMS, v.p, "uniform"))
+        layout = ExampleLayout.of(v.n, REDUCTION_CODE_PARAMS, v.p, "uniform")
+        learner = partial(junta_learner, layout=layout)
         for inst in corpus.instances:
             truth = brute_force_sat(inst)
             rep = sat_decider(inst, v, config, learner, f"c7:{idx}")

@@ -50,3 +50,28 @@ def test_perfbench_selftest_passes():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_learners_are_looked_up_when_made(monkeypatch):
+    """A traced run replaces `sparse_erm` and `few_sample_learner` where the
+    harness module holds them; the learners it hands out must be those."""
+    from certlab.codes import DEFAULT_CODE_PARAMS
+    from certlab.harness import commands
+    from certlab.harness.corpus import exhaustive_two_var_corpus
+
+    calls = []
+
+    def traced_sparse_erm(sample, counter=None):
+        calls.append(("sparse_erm", sample, counter))
+
+    def traced_few_sample(sample, verifier, params, *, counter=None):
+        calls.append(("few_sample", sample, verifier, params, counter))
+
+    monkeypatch.setattr(commands, "sparse_erm", traced_sparse_erm)
+    monkeypatch.setattr(commands, "few_sample_learner", traced_few_sample)
+    verifier = exhaustive_two_var_corpus().verifier
+    assert commands.make_sparse_erm() is traced_sparse_erm
+    assert commands.resolve_learner("sparse_erm", verifier, DEFAULT_CODE_PARAMS) is traced_sparse_erm
+    learner = commands.resolve_learner("few_sample", verifier, DEFAULT_CODE_PARAMS)
+    learner("sample", counter="counter")
+    assert calls == [("few_sample", "sample", verifier, DEFAULT_CODE_PARAMS, "counter")]

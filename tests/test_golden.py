@@ -9,6 +9,7 @@ a change that alters outputs on purpose says so and why.
 
 import hashlib
 import random
+from functools import partial
 
 import pytest
 
@@ -129,16 +130,8 @@ Z = ENC.encode(FORCING)
 UNIFORM_LAYOUT = ExampleLayout.of(VERIFIER.n, REDUCTION_CODE_PARAMS, VERIFIER.p, "uniform")
 
 
-def sparse_adapter(sample, rng, counter):
-    return sparse_erm(sample, counter=counter)
-
-
-def junta_adapter(sample, rng, counter):
-    return junta_learner(sample, UNIFORM_LAYOUT, counter=counter)
-
-
 def challenge_round(variant, merlin, seed, m):
-    learner = junta_adapter if variant == "uniform" else sparse_adapter
+    learner = partial(junta_learner, layout=UNIFORM_LAYOUT) if variant == "uniform" else sparse_erm
     return am_round(
         Z, VERIFIER, learner, merlin, REDUCTION_CODE_PARAMS,
         random.Random(seed), m, variant=variant, seed_label=str(seed),

@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from certlab.bits import int_to_bits
 from certlab.codes import DEFAULT_CODE_PARAMS
-from certlab.concepts import CertConcept
+from certlab.concepts import CertConcept, ExampleLayout
 from certlab.errors import ConfigError, FormatError
 from certlab.harness import commands
 from certlab.harness.cli import main
@@ -27,8 +28,17 @@ from certlab.harness.corpus import (
     random_corpus,
     single_clause_corpus,
 )
-from certlab.paclearn import pac_trial_suite, support_labels
+from certlab.paclearn import (
+    Distribution,
+    draw_sample,
+    few_sample_learner,
+    junta_learner,
+    pac_trial_suite,
+    sparse_erm,
+    support_labels,
+)
 from certlab.sat import brute_force_sat, random_instance, to_dimacs
+from certlab.verifiers import StepCounter
 
 
 def test_config_parse_serialize_round_trip():
@@ -138,6 +148,59 @@ def test_trial_suites_label_alike_from_the_concept_and_its_support_labels(inst, 
         )
 
 
+def _same_as_direct(learner, direct, sample, support):
+    """learner(sample) and learner(sample, counter=c) answer as direct(sample, c)
+    does on the support, and c ends with direct's step count."""
+    direct_counter, counter = StepCounter(), StepCounter()
+    want = [direct(sample, direct_counter)(x) for x in support]
+    assert [learner(sample)(x) for x in support] == want
+    assert [learner(sample, counter=counter)(x) for x in support] == want
+    assert counter.steps == direct_counter.steps
+
+
+@pytest.mark.parametrize("name", ["few_sample", "sparse_erm"])
+def test_every_table_learner_is_the_learner_it_names(name):
+    assert set(commands.LEARNERS) == {"few_sample", "sparse_erm"}
+    v = TWO_VAR.verifier
+    params = DEFAULT_CODE_PARAMS
+    direct = {
+        "few_sample": lambda s, c: few_sample_learner(s, v, params, counter=c),
+        "sparse_erm": lambda s, c: sparse_erm(s, counter=c),
+    }[name]
+    learners = [resolve_learner(name, v, params)]
+    if name == "sparse_erm":
+        learners.append(commands.make_sparse_erm())
+    for inst in TWO_VAR_SAT[:4]:
+        concept = CertConcept(v, TWO_VAR.encoding.encode(inst), params)
+        for dist_name, dist in distribution_suite(concept):
+            sample = draw_sample(dist, concept, 12, random.Random(dist_name))
+            for learner in learners:
+                _same_as_direct(learner, direct, sample, dist.points)
+
+
+def test_reduce_plugs_in_the_junta_learner_on_the_uniform_layout(tmp_path, monkeypatch):
+    plugged = []
+
+    class Plugged(Exception):
+        pass
+
+    def capture(inst, verifier, config, learner, master_seed):
+        plugged.append((verifier, config, learner))
+        raise Plugged
+
+    monkeypatch.setattr(commands, "sat_decider", capture)
+    cfg = {"corpus.kind": "single_clause", "decider.variant": "uniform"}
+    with pytest.raises(Plugged):
+        commands.cmd_reduce(cfg, tmp_path, 0)
+    (v, config, learner), = plugged
+    layout = ExampleLayout.of(v.n, config.code_params, v.p, "uniform")
+    inst = next(f for f in single_clause_corpus().instances if brute_force_sat(f))
+    concept = CertConcept(v, v.encoding.encode(inst), config.code_params, kind="uniform")
+    points = [layout.join("0" * v.n, int_to_bits(i, layout.ell)) for i in range(1 << layout.ell)]
+    sample = draw_sample(Distribution.uniform(points), concept, 10, random.Random(0))
+    _same_as_direct(learner, lambda s, c: junta_learner(s, layout, counter=c), sample, points)
+
+
 def test_tradeoff_labels_its_support_once_per_sweep(tmp_path, monkeypatch):
     """Outside the slow learner, which builds and runs its own concept, a sweep
     calls the target concept only on the 128 points of its support."""
@@ -232,6 +295,10 @@ def test_cli_bad_config_is_exit_2(tmp_path):
         ("codes-test", "codes.lengths =\n"),
         ("tradeoff", "tradeoff.vars = 0\n"),
         ("tradeoff", "tradeoff.vars = -3\n"),
+        ("tradeoff", "tradeoff.factor = 0\n"),
+        ("tradeoff", "tradeoff.factor = -5\n"),
+        ("learn", "learn.min_success = 1.5\n"),
+        ("learn", "learn.min_success = -0.1\n"),
         ("enumerate", "corpus.kind = random\ncorpus.count = 0\n"),
         ("vcdim", "corpus.kind = random\ncorpus.count = -1\n"),
         ("codes-test", "codes.lengths = 4\ncodes.samples = -1\n"),

@@ -227,7 +227,7 @@ def test_conversion_of_zero_mistake_learner_returns_the_concept():
     conv = OnlineToPacLearner(lambda: FixedHypothesisLearner(c), 0, eps=0.1, delta=0.1)
     pts = [Z0 + int_to_bits(v, 4) for v in range(16)]
     sample = draw_sample(Distribution.uniform(pts), c, conv.sample_size, random.Random(0))
-    h = conv.learn(sample)
+    h = conv(sample)
     assert h is c
     assert error_of(Distribution.uniform(pts), c, h) == 0.0
 
@@ -241,7 +241,7 @@ def test_conversion_monte_carlo_success():
     trials = 40
     for t in range(trials):
         sample = draw_sample(dist, c, conv.sample_size, random.Random(f"mc:{t}"))
-        h = conv.learn(sample)
+        h = conv(sample)
         if error_of(dist, c, h) <= 0.1:
             ok += 1
     assert ok / trials >= 0.9
@@ -260,5 +260,5 @@ def test_conversion_returns_intermediate_hypothesis():
     conv = OnlineToPacLearner(lambda: Recorder(V2, DEFAULT_CODE_PARAMS), 1, 0.1, 0.1)
     pts = [Z0 + int_to_bits(v, 4) for v in range(16)]
     sample = draw_sample(Distribution.uniform(pts), c, 50, random.Random(1))
-    h = conv.learn(sample)
+    h = conv(sample)
     assert any(h is s for s in seen)

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import product
 
 import pytest
@@ -38,27 +39,17 @@ Z0 = ENC2.encode(PHI0)
 Z_UNSAT = ENC2.encode(PHI_UNSAT)
 
 
-def sparse_adapter(sample, rng, counter):
-    return sparse_erm(sample, counter=counter)
+JUNTA_V2 = partial(junta_learner, layout=ExampleLayout.of(V2.n, PARAMS, V2.p, "uniform"))
 
 
-def junta_adapter_for(verifier):
-    layout = ExampleLayout.of(verifier.n, PARAMS, verifier.p, "uniform")
-
-    def learn(sample, rng, counter):
-        return junta_learner(sample, layout, counter=counter)
-
-    return learn
-
-
-def constant_zero_learner(sample, rng, counter):
+def constant_zero_learner(sample, counter=None):
     return ConstantHypothesis(0)
 
 
 def test_am_round_unsat_verdict_zero_for_any_merlin_and_learner():
     rng = random.Random(0)
     for merlin in (HonestMerlin(), FixedProofMerlin("1" * 6), FixedProofMerlin("0" * 6)):
-        for learner in (sparse_adapter, constant_zero_learner):
+        for learner in (sparse_erm, constant_zero_learner):
             t = am_round(Z_UNSAT, V2, learner, merlin, PARAMS, random.Random(rng.random()), 6)
             assert t.verdict == 0
 
@@ -66,7 +57,7 @@ def test_am_round_unsat_verdict_zero_for_any_merlin_and_learner():
 def test_am_round_honest_completeness_with_coupon_coverage():
     hits = 0
     for seed in range(60):
-        t = am_round(Z0, V2, sparse_adapter, HonestMerlin(), PARAMS, random.Random(seed), 40)
+        t = am_round(Z0, V2, sparse_erm, HonestMerlin(), PARAMS, random.Random(seed), 40)
         hits += t.verdict
     assert hits / 60 >= 2 / 3
 
@@ -89,7 +80,7 @@ def t_layout_ell() -> int:
 
 def test_am_round_rejects_unknown_merlin():
     with pytest.raises(ConfigError):
-        am_round(Z0, V2, sparse_adapter, object(), PARAMS, random.Random(0), 4)
+        am_round(Z0, V2, sparse_erm, object(), PARAMS, random.Random(0), 4)
 
 
 def fn_verifier_like(verifier):
@@ -103,9 +94,9 @@ def test_wrong_length_z_is_a_shape_error_for_every_verifier_kind(verifier):
     fixed = FixedProofMerlin("0" * 4)
     for z in ("0101", Z0 + "0"):
         with pytest.raises(ShapeError):
-            rtime_decide(z, verifier, config, sparse_adapter, 0)
+            rtime_decide(z, verifier, config, sparse_erm, 0)
         with pytest.raises(ShapeError):
-            am_round(z, verifier, sparse_adapter, fixed, PARAMS, random.Random(0), 4)
+            am_round(z, verifier, sparse_erm, fixed, PARAMS, random.Random(0), 4)
 
 
 def test_check_path_verifier_decides_like_the_mask_path():
@@ -113,15 +104,15 @@ def test_check_path_verifier_decides_like_the_mask_path():
     fn_v2 = fn_verifier_like(V2)
     for inst in exhaustive_formulas(2, 2)[:12]:
         z = ENC2.encode(inst)
-        a = rtime_decide(z, V2, config, sparse_adapter, "fn")
-        b = rtime_decide(z, fn_v2, config, sparse_adapter, "fn")
+        a = rtime_decide(z, V2, config, sparse_erm, "fn")
+        b = rtime_decide(z, fn_v2, config, sparse_erm, "fn")
         assert (a.accept, a.proofs_run) == (b.accept, b.proofs_run)
         assert [r.digest for r in a.repetitions] == [r.digest for r in b.repetitions]
 
 
 def test_transcript_verdict_matches_final_verifier_check():
     for seed in range(6):
-        t = am_round(Z0, V2, sparse_adapter, HonestMerlin(), PARAMS, random.Random(seed), 9)
+        t = am_round(Z0, V2, sparse_erm, HonestMerlin(), PARAMS, random.Random(seed), 9)
         assert t.verdict == (1 if verify(V2, Z0, t.w_tilde) else 0)
 
 
@@ -134,7 +125,7 @@ def test_transcript_digest_golden():
 
 
 def test_am_round_transcript_records_everything():
-    t = am_round(Z0, V2, sparse_adapter, HonestMerlin(), PARAMS, random.Random(4), 7)
+    t = am_round(Z0, V2, sparse_erm, HonestMerlin(), PARAMS, random.Random(4), 7)
     assert len(t.indices) == 7
     assert len(t.merlin_labels) == 7
     assert len(t.y) == 1 << t_layout_ell()
@@ -147,13 +138,9 @@ def test_am_round_transcript_records_everything():
 def test_am_round_learner_failure_is_a_rejecting_transcript():
     from certlab.paclearn import few_sample_learner
 
-    def few_sample_adapter(sample, rng, counter):
-        return few_sample_learner(sample, V2, PARAMS, counter=counter)
-
+    learner = partial(few_sample_learner, verifier=V2, params=PARAMS)
     # a 1-label on an unsatisfiable instance makes the learner raise
-    t = am_round(
-        Z_UNSAT, V2, few_sample_adapter, FixedProofMerlin("1111"), PARAMS, random.Random(0), 4
-    )
+    t = am_round(Z_UNSAT, V2, learner, FixedProofMerlin("1111"), PARAMS, random.Random(0), 4)
     assert t.failed and t.verdict == 0
 
 
@@ -169,7 +156,7 @@ def test_completeness_transfer_error_below_eps_star_implies_accept():
     eps_star = float(PARAMS.eps_star)
     captured = {}
 
-    def recording_learner(sample, rng, counter):
+    def recording_learner(sample, counter=None):
         h = sparse_erm(sample)
         captured["h"] = h
         return h
@@ -193,7 +180,7 @@ def test_soundness_exhaustive_all_unsat_two_var_formulas_twenty_seeds():
     for inst in unsat:
         z = ENC2.encode(inst)
         for seed in range(20):
-            res = rtime_decide(z, V2, config, sparse_adapter, seed)
+            res = rtime_decide(z, V2, config, sparse_erm, seed)
             assert not res.accept
             assert all(not rec.accept for rec in res.repetitions)
 
@@ -202,7 +189,7 @@ def test_enumeration_dominance_per_seed():
     # exhaustive accept bit equals the OR over all fixed-proof transcripts
     m = 4
     instances = (PHI0, PHI_UNSAT, ThreeSatInstance(2, [(1,)]), ThreeSatInstance(2, []))
-    for variant, learner in (("standard", sparse_adapter), ("uniform", junta_adapter_for(V2))):
+    for variant, learner in (("standard", sparse_erm), ("uniform", JUNTA_V2)):
         config = DeciderConfig(m=m, r=1, code_params=PARAMS, variant=variant)
         for inst in instances:
             z = ENC2.encode(inst)
@@ -226,8 +213,8 @@ def test_enumeration_dominance_per_seed():
 
 def test_rtime_decide_deterministic():
     config = DeciderConfig(m=10, r=3, code_params=PARAMS)
-    a = rtime_decide(Z0, V2, config, sparse_adapter, 123)
-    b = rtime_decide(Z0, V2, config, sparse_adapter, 123)
+    a = rtime_decide(Z0, V2, config, sparse_erm, 123)
+    b = rtime_decide(Z0, V2, config, sparse_erm, 123)
     assert a.accept == b.accept
     assert [r.digest for r in a.repetitions] == [r.digest for r in b.repetitions]
     assert a.proofs_run == b.proofs_run
@@ -268,7 +255,7 @@ def test_decider_config_validation():
 def test_sat_decider_agrees_with_brute_force_on_a_slice():
     config = DeciderConfig(m=12, r=5, code_params=PARAMS)
     for i, inst in enumerate(exhaustive_formulas(2, 2)[:40]):
-        report = sat_decider(inst, V2, config, sparse_adapter, f"slice:{i}")
+        report = sat_decider(inst, V2, config, sparse_erm, f"slice:{i}")
         truth = brute_force_sat(inst)
         if not truth:
             assert not report.accept
@@ -280,8 +267,8 @@ def test_sat_decider_agrees_with_brute_force_on_a_slice():
 def test_sat_decider_tautology_and_contradiction():
     config = DeciderConfig(m=12, r=5, code_params=PARAMS)
     taut = ThreeSatInstance(2, [(1, -1)])
-    assert sat_decider(taut, V2, config, sparse_adapter, 0).accept
-    assert not sat_decider(PHI_UNSAT, V2, config, sparse_adapter, 0).accept
+    assert sat_decider(taut, V2, config, sparse_erm, 0).accept
+    assert not sat_decider(PHI_UNSAT, V2, config, sparse_erm, 0).accept
 
 
 def test_crafted_unsat_three_var_never_accepts():
@@ -298,14 +285,44 @@ def test_crafted_unsat_three_var_never_accepts():
     v = ThreeSatVerifier(enc)
     config = DeciderConfig(m=10, r=3, code_params=PARAMS)
     for seed in range(5):
-        assert not sat_decider(inst, v, config, sparse_adapter, seed).accept
+        assert not sat_decider(inst, v, config, sparse_erm, seed).accept
+
+
+# -- one learner call per proof ------------------------------------------------------
+
+
+class CountingLearner:
+    def __init__(self, learner) -> None:
+        self.learner = learner
+        self.calls = 0
+
+    def __call__(self, sample, counter=None):
+        self.calls += 1
+        return self.learner(sample, counter=counter)
+
+
+@pytest.mark.parametrize("variant", LAYOUT_KINDS)
+def test_the_decider_calls_the_learner_once_per_proof(variant):
+    inner = JUNTA_V2 if variant == "uniform" else sparse_erm
+    config = DeciderConfig(m=6, r=3, code_params=PARAMS, variant=variant)
+    for z in (Z0, Z_UNSAT):
+        for seed in range(3):
+            learner = CountingLearner(inner)
+            result = rtime_decide(z, V2, config, learner, seed)
+            assert result.proofs_run > 0
+            assert learner.calls == result.proofs_run
+            learner = CountingLearner(inner)
+            am_round(
+                z, V2, learner, HonestMerlin(), PARAMS, random.Random(seed), 6, variant=variant
+            )
+            assert learner.calls == 1
 
 
 # -- uniform variant -----------------------------------------------------------------
 
 
 def test_uniform_round_unsat_always_rejects():
-    learner = junta_adapter_for(V2)
+    learner = JUNTA_V2
     for seed in range(10):
         t = am_round(
             Z_UNSAT, V2, learner, HonestMerlin(), PARAMS, random.Random(seed), 8,
@@ -315,7 +332,7 @@ def test_uniform_round_unsat_always_rejects():
 
 
 def test_uniform_round_honest_completeness():
-    learner = junta_adapter_for(V2)
+    learner = JUNTA_V2
     hits = 0
     for seed in range(60):
         t = am_round(
@@ -347,7 +364,7 @@ def test_uniform_zero_error_hypothesis_recovers_first_certificate():
 
 def test_uniform_decider_routes_and_stays_sound():
     config = DeciderConfig(m=10, r=3, code_params=PARAMS, variant="uniform")
-    learner = junta_adapter_for(V2)
+    learner = JUNTA_V2
     assert not rtime_decide(Z_UNSAT, V2, config, learner, 7).accept
     assert rtime_decide(Z0, V2, config, learner, 7).accept
 
@@ -366,7 +383,7 @@ class OpaqueHypothesis:
         return self.inner(x)
 
 
-def opaque_sparse_adapter(sample, rng, counter):
+def opaque_sparse_erm(sample, counter=None):
     return OpaqueHypothesis(sparse_erm(sample, counter=counter))
 
 
@@ -375,7 +392,7 @@ def opaque_sparse_adapter(sample, rng, counter):
 def test_table_answers_match_the_per_index_loop(data):
     variant = data.draw(st.sampled_from(LAYOUT_KINDS))
     z = data.draw(st.sampled_from([Z0, Z_UNSAT]))
-    challenge = _Challenge(z, V2, sparse_adapter, PARAMS, variant)
+    challenge = _Challenge(z, V2, sparse_erm, PARAMS, variant)
     lay = challenge.layout
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     for _ in range(2):  # a second read-out point rebuilds the queries in the uniform layout
@@ -409,7 +426,7 @@ def test_junta_answers_match_the_per_index_loop(data):
     """A junta on the challenge's layout is answered from its table; one on
     the other layout is queried, and reads the read-out point's bits."""
     variant = data.draw(st.sampled_from(LAYOUT_KINDS))
-    challenge = _Challenge(Z0, V2, sparse_adapter, PARAMS, variant)
+    challenge = _Challenge(Z0, V2, sparse_erm, PARAMS, variant)
     lay = challenge.layout
     _, read_at = lay.draw(random.Random(data.draw(st.integers(0, 2**32))), Z0, 0)
     queries = [lay.join(read_at, int_to_bits(v, lay.ell)) for v in range(1 << lay.ell)]
@@ -427,8 +444,8 @@ def test_table_answers_leave_the_decider_result_unchanged(variant):
     config = DeciderConfig(m=6, r=3, code_params=PARAMS, variant=variant)
     results = {}
     for z in (Z0, Z_UNSAT):
-        results[z] = rtime_decide(z, V2, config, sparse_adapter, 0)
-        assert results[z] == rtime_decide(z, V2, config, opaque_sparse_adapter, 0)
+        results[z] = rtime_decide(z, V2, config, sparse_erm, 0)
+        assert results[z] == rtime_decide(z, V2, config, opaque_sparse_erm, 0)
     assert not results[Z_UNSAT].accept
     if variant == "standard":
         # a rejecting repetition, then one that accepts on a proof past the first
@@ -440,6 +457,6 @@ def test_decider_checks_the_points_once_per_repetition(monkeypatch):
     real = paclearn.is_bits
     monkeypatch.setattr(paclearn, "is_bits", lambda s: calls.append(s) or real(s))
     config = DeciderConfig(m=6, r=3, code_params=PARAMS)
-    res = rtime_decide(Z_UNSAT, V2, config, sparse_adapter, 0)
+    res = rtime_decide(Z_UNSAT, V2, config, sparse_erm, 0)
     assert len(res.repetitions) == 3 and res.proofs_run > 3
     assert len(calls) == 3
