@@ -1,4 +1,5 @@
-"""3-SAT instances: evaluation, DIMACS io, brute-force oracles, corpora.
+"""3-SAT instances: evaluation, satisfying-assignment masks, DIMACS io,
+a brute-force SAT oracle, corpora.
 
 A clause is a tuple of signed variable indices (DIMACS convention, 1-based,
 at most 3 literals).  Assignments are bitstrings with variable j at string
@@ -110,19 +111,41 @@ def satisfying_mask(inst: ThreeSatInstance, p: int) -> int:
     """Big-int mask of all satisfying assignments in {0,1}^p.
 
     p may exceed num_vars; the extra variables are unconstrained.
+
+    A doubling fold from the last variable to the first: after step e the
+    mask covers variables p-e+1..p in 2^e bits and holds the clauses whose
+    first variable is among them.  Variable j = p-e+1 is the top bit of
+    step e, so a clause whose first literal is on x_j restricts only one
+    half (x_j = 0 for a positive literal, x_j = 1 for a negative one) to the
+    clause's other literals, which live on the lower 2^(e-1) bits.  Every
+    big-int operation is as wide as the variables seen so far.
     """
     if p < inst.num_vars:
         raise ShapeError(f"p={p} smaller than num_vars={inst.num_vars}")
-    full = (1 << (1 << p)) - 1
-    mask = full
+    buckets: list[list[Clause]] = [[] for _ in range(p + 1)]
     for clause in inst.clauses:
-        sat = 0
-        for lit in clause:
-            m = _var_mask(p, abs(lit))
-            sat |= m if lit > 0 else (full ^ m)
-        mask &= sat
-        if not mask:
-            break
+        if not clause:
+            return 0
+        # canonical clauses are sorted by variable, so clause[0] is the first
+        buckets[p - abs(clause[0]) + 1].append(clause)
+    mask = 1
+    for e in range(1, p + 1):
+        half = 1 << (e - 1)
+        full = (1 << half) - 1
+        lo = hi = mask
+        for clause in buckets[e]:
+            rest = 0
+            for lit in clause[1:]:
+                # x_j's own mask cuts to 0, so (x_j, -x_j) needs no case
+                m = _var_mask(p, abs(lit)) & full
+                rest |= m if lit > 0 else m ^ full
+            if clause[0] > 0:
+                lo &= rest
+            else:
+                hi &= rest
+        if not (lo or hi):
+            return 0
+        mask = (hi << half) | lo
     return mask
 
 
@@ -133,17 +156,6 @@ def brute_force_sat(inst: ThreeSatInstance) -> bool:
         if eval_assignment(inst, format(v, f"0{n}b") if n else ""):
             return True
     return False
-
-
-def solutions(inst: ThreeSatInstance) -> list[str]:
-    """All satisfying assignments in lexicographic order (direct evaluation)."""
-    n = inst.num_vars
-    out = []
-    for v in range(1 << n):
-        a = format(v, f"0{n}b") if n else ""
-        if eval_assignment(inst, a):
-            out.append(a)
-    return out
 
 
 # -- DIMACS ------------------------------------------------------------------

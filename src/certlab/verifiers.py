@@ -3,7 +3,9 @@
 The lex-oracle machinery answers "is there an accepted certificate among the
 lexicographically first k?" and is the only nondeterminism primitive the rest
 of the package uses.  first_certificate pins the lexicographically first
-accepted certificate with a p-call binary search over that oracle.
+accepted certificate with a p-call binary search over that oracle.  It finds
+the first accepted rank once and answers each call from it; the StepCounter
+charges the search's p calls exactly as p lex_oracle calls would be charged.
 """
 
 from __future__ import annotations
@@ -241,14 +243,36 @@ def _check_budget(v: Verifier) -> None:
         )
 
 
+def _first_rank(v: Verifier, z: str, k: int) -> int:
+    """Rank of the first accepted certificate if it is at most k, else a
+    number above k.
+
+    The mask fast path reads the mask's lowest set bit; otherwise the
+    certificates are checked in rank order with early exit.
+    """
+    mask_fn = getattr(v, "accept_mask", None)
+    if mask_fn is not None:
+        mask = mask_fn(z)
+        return (mask & -mask).bit_length() or k + 1
+    for rank in range(1, k + 1):
+        if v.check(z, bits_of_rank(rank, v.p)):
+            return rank
+    return k + 1
+
+
+def _charge(counter: StepCounter | None, rank: int, k: int) -> None:
+    """One lex-oracle call at threshold k, given the first accepted rank: the
+    rank-order scan inspects rank candidates if rank <= k, all k otherwise."""
+    if counter is not None:
+        counter.oracle_calls += 1
+        counter.steps += min(rank, k)
+
+
 def nondet_oracle(v: Verifier, z: str) -> bool:
     """Deterministic 2^p simulation of the nondeterministic oracle."""
     check_bits(z, length=v.n, name="instance")
     _check_budget(v)
-    mask_fn = getattr(v, "accept_mask", None)
-    if mask_fn is not None:
-        return mask_fn(z) != 0
-    return any(v.check(z, int_to_bits(val, v.p)) for val in range(1 << v.p))
+    return _first_rank(v, z, 1 << v.p) <= 1 << v.p
 
 
 def lex_oracle(v: Verifier, z: str, k: int, *, counter: StepCounter | None = None) -> bool:
@@ -262,49 +286,29 @@ def lex_oracle(v: Verifier, z: str, k: int, *, counter: StepCounter | None = Non
     if not 1 <= k <= (1 << v.p):
         raise ShapeError(f"rank threshold {k} out of [1, 2^{v.p}]")
     _check_budget(v)
-    mask_fn = getattr(v, "accept_mask", None)
-    if mask_fn is not None:
-        hits = mask_fn(z) & ((1 << k) - 1)
-        accept = hits != 0
-        scanned = ((hits & -hits).bit_length()) if accept else k
-    else:
-        accept = False
-        scanned = k
-        for rank in range(1, k + 1):
-            if v.check(z, bits_of_rank(rank, v.p)):
-                accept, scanned = True, rank
-                break
-    if counter is not None:
-        counter.oracle_calls += 1
-        counter.steps += scanned
-    return accept
+    rank = _first_rank(v, z, k)
+    _charge(counter, rank, k)
+    return rank <= k
 
 
 def first_certificate(v: Verifier, z: str, *, counter: StepCounter | None = None) -> str | None:
     """Lexicographically first accepted certificate, or None.
 
-    Binary search for the minimal k with an accepted certificate of rank <= k;
-    exactly p lex-oracle calls, then one direct verify to assert consistency.
+    Binary search for the minimal k with an accepted certificate of rank <= k.
+    The first accepted rank is found once and answers each of the p
+    lex-oracle calls, which the counter charges as lex_oracle would; one
+    direct verify then asserts consistency.
     """
     check_bits(z, length=v.n, name="instance")
     _check_budget(v)
+    rank = _first_rank(v, z, 1 << v.p)
     lo, hi = 1, 1 << v.p
     while lo < hi:
         mid = (lo + hi) // 2
-        if lex_oracle(v, z, mid, counter=counter):
+        _charge(counter, rank, mid)
+        if rank <= mid:
             hi = mid
         else:
             lo = mid + 1
     w = bits_of_rank(lo, v.p)
     return w if verify(v, z, w) else None
-
-
-def naive_first_certificate(v: Verifier, z: str) -> str | None:
-    """Reference scan in rank order; test oracle for first_certificate."""
-    check_bits(z, length=v.n, name="instance")
-    _check_budget(v)
-    for rank in range(1, (1 << v.p) + 1):
-        w = bits_of_rank(rank, v.p)
-        if v.check(z, w):
-            return w
-    return None

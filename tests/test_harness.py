@@ -97,7 +97,7 @@ def test_build_corpus_kinds(tmp_path):
 def test_forcing_formula_is_satisfiable_with_high_rank_witness():
     f = forcing_formula(10, 5, 3)
     assert brute_force_sat(f)
-    from certlab.sat import solutions
+    from oracles import solutions
 
     first = solutions(f)[0]
     assert first.startswith("1" * 5)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from certlab import sat
 from certlab.errors import FormatError, ShapeError
@@ -13,9 +14,9 @@ from certlab.sat import (
     parse_dimacs,
     random_instance,
     satisfying_mask,
-    solutions,
     to_dimacs,
 )
+from oracles import clausewise_mask, solutions
 
 PHI0 = ThreeSatInstance(2, [(1, 2), (-1, 2)])
 PHI_UNSAT = ThreeSatInstance(2, [(1,), (-1,)])
@@ -60,6 +61,36 @@ def test_satisfying_mask_matches_direct_enumeration():
             a = format(v, f"0{p}b")
             assert bool((mask >> v) & 1) == (a in sols)
         assert brute_force_sat(inst) == (mask != 0)
+
+
+@st.composite
+def formula_and_width(draw):
+    """A formula over 0..8 variables and a certificate width p of num_vars to
+    num_vars + 2.  Clauses have 1..3 literals and may repeat a literal or hold
+    both signs of a variable; now and then an empty clause is added."""
+    n = draw(st.integers(0, 8))
+    p = n + draw(st.integers(0, 2))
+    clauses = []
+    if n:
+        literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+        clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=3), max_size=12))
+    if draw(st.integers(0, 7)) == 0:
+        clauses.insert(draw(st.integers(0, len(clauses))), ())
+    return ThreeSatInstance(n, clauses), p
+
+
+@settings(max_examples=500, deadline=None)
+@given(formula_and_width())
+def test_satisfying_mask_equals_the_clausewise_mask(case):
+    inst, p = case
+    assert satisfying_mask(inst, p) == clausewise_mask(inst, p)
+
+
+def test_satisfying_mask_equals_the_clausewise_mask_at_p20():
+    rng = random.Random(20)
+    for _ in range(5):
+        inst = random_instance(rng, 20, 88)
+        assert satisfying_mask(inst, 20) == clausewise_mask(inst, 20)
 
 
 def test_var_mask_matches_the_division_formula(monkeypatch):

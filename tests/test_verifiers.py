@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from certlab.bits import flip_positions, int_to_bits
 from certlab.errors import BudgetError, ConfigError, FormatError, ShapeError
-from certlab.sat import ThreeSatInstance, exhaustive_formulas
+from certlab import sat
+from certlab.sat import ThreeSatInstance, exhaustive_formulas, random_instance
 from certlab.verifiers import (
     FnVerifier,
     FormulaEncoding,
@@ -16,10 +17,10 @@ from certlab.verifiers import (
     first_certificate,
     lex_oracle,
     lex_verify,
-    naive_first_certificate,
     nondet_oracle,
     verify,
 )
+from oracles import naive_first_certificate
 
 ENC2 = FormulaEncoding(max_vars=2, max_clauses=3)
 V2 = ThreeSatVerifier(ENC2)
@@ -116,6 +117,76 @@ def test_first_certificate_uses_at_most_p_oracle_calls():
         c = StepCounter()
         first_certificate(V2, ENC2.encode(inst), counter=c)
         assert c.oracle_calls <= V2.p
+
+
+def binary_search_counts(v, z):
+    """(oracle_calls, steps) of the binary search for the first accepted
+    certificate, made call by call through lex_oracle."""
+    c = StepCounter()
+    lo, hi = 1, 1 << v.p
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if lex_oracle(v, z, mid, counter=c):
+            hi = mid
+        else:
+            lo = mid + 1
+    return c.oracle_calls, c.steps
+
+
+def assert_charged_as_the_search(v, z):
+    c = StepCounter()
+    first_certificate(v, z, counter=c)
+    assert (c.oracle_calls, c.steps) == binary_search_counts(v, z)
+    assert c.oracle_calls == v.p
+
+
+def test_first_certificate_counts_equal_the_binary_search_over_lex_oracle():
+    for inst in exhaustive_formulas(2, 3):
+        assert_charged_as_the_search(V2, ENC2.encode(inst))
+    rng = random.Random(12)
+    enc12 = FormulaEncoding(max_vars=12, max_clauses=60)
+    v12 = ThreeSatVerifier(enc12)
+    for _ in range(10):
+        assert_charged_as_the_search(v12, enc12.encode(random_instance(rng, 12, rng.randrange(30, 61))))
+
+
+def test_first_certificate_counts_equal_the_binary_search_generic_p12():
+    # without a mask the lex oracle really scans, so its modeled steps are
+    # also the number of checks the search runs
+    rng = random.Random(4)
+    for _ in range(8):
+        accept = {rng.randrange(1 << 12) for _ in range(rng.choice([0, 1, 3, 40]))}
+        checks = []
+
+        def fn(z, w, a=accept):
+            checks.append(w)
+            return int(w, 2) in a
+
+        v = FnVerifier(n=1, p=12, fn=fn)
+        assert_charged_as_the_search(v, "1")
+        checks.clear()
+        assert binary_search_counts(v, "1")[1] == len(checks)
+
+
+def test_first_certificate_matches_the_reference_solver_p17_to_p24(perfbench_modules, monkeypatch):
+    reference = perfbench_modules("reference")
+    # the full-width variable masks of p = 17..24 would stay cached for the
+    # rest of the session; keep them for this test only
+    monkeypatch.setattr(sat, "_VAR_MASKS", {})
+    outcomes = set()
+    for p in range(17, 25):
+        rng = random.Random(f"scaled:{p}")
+        clauses = round(4.3 * p)
+        enc = FormulaEncoding(max_vars=p, max_clauses=clauses)
+        v = ThreeSatVerifier(enc)
+        for _ in range(2):
+            inst = random_instance(rng, p, clauses)
+            c = StepCounter()
+            w = first_certificate(v, enc.encode(inst), counter=c)
+            assert w == reference.lex_first_solution(p, inst.clauses), (p, inst)
+            assert c.oracle_calls == p
+            outcomes.add(w is None)
+    assert outcomes == {True, False}  # both satisfiable and unsatisfiable ones
 
 
 def test_mask_path_equals_generic_path():
