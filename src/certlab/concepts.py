@@ -15,7 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .bits import check_bits, int_to_bits, is_bits, random_bits
+from .bits import check_bits, int_to_bits, random_bits
 from .codes import CodeParams, get_code
 from .errors import BudgetError, ConfigError, FormatError, ShapeError
 from .verifiers import StepCounter, Verifier, first_certificate
@@ -121,13 +121,12 @@ class CertConcept:
 
 
 class Node:
-    __slots__ = ("var", "lo", "hi", "run")
+    __slots__ = ("var", "lo", "hi")
 
     def __init__(self, var: int, lo, hi) -> None:
         self.var = var
         self.lo = lo
         self.hi = hi
-        self.run = None  # (end, pattern, miss, target) on a run head; see build_decision_tree
 
 
 @dataclass
@@ -141,31 +140,16 @@ class DecisionTree:
 def dt_eval(tree: DecisionTree, x: str) -> int:
     node = tree.root
     while not isinstance(node, int):
-        var, run = node.var, node.run
-        if run is not None and run[0] <= len(x):
-            # a 0/1 mismatch leaves the chain at its first differing bit; any
-            # other character, which goes low, is left to the node walk
-            part = x[var : run[0]]
-            if part == run[1]:
-                node = run[3]
-                continue
-            if is_bits(part):
-                return run[2]
-        if var >= len(x):
-            raise ShapeError(f"tree queries bit {var}, example has {len(x)}")
-        node = node.hi if x[var] == "1" else node.lo
+        if node.var >= len(x):
+            raise ShapeError(f"tree queries bit {node.var}, example has {len(x)}")
+        node = node.hi if x[node.var] == "1" else node.lo
     return node
 
 
 def build_decision_tree(concept: CertConcept) -> DecisionTree:
     """Exact tree for a concept: match the layout's matched bits against z
     with early-exit 0, then fully query the index bits.  Constant-0 when the
-    instance has no certificate.
-
-    The matched chain is marked as a run on its head: `dt_eval` crosses its
-    nodes over variables 0..end-1 with one comparison against `pattern`,
-    leaving for the leaf `miss` on a 0/1 mismatch and going on to `target`
-    on a match."""
+    instance has no certificate."""
     if concept.enc is None:
         return DecisionTree(root=0, size=1)
     lay = concept.layout
@@ -178,11 +162,9 @@ def build_decision_tree(concept: CertConcept) -> DecisionTree:
         hi = index_subtree(depth + 1, (value << 1) | 1)
         return Node(k + depth, lo, hi)
 
-    cur = index_root = index_subtree(0, 0)
+    cur = index_subtree(0, 0)
     for i in reversed(range(k)):
         cur = Node(i, 0, cur) if concept.z[i] == "1" else Node(i, cur, 0)
-    if k >= 2:
-        cur.run = (k, concept.z_matched, 0, index_root)
     return DecisionTree(root=cur, size=k + (1 << lay.ell))
 
 

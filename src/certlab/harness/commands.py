@@ -155,7 +155,7 @@ def probe_domain(concepts: list[CertConcept], limit: int = 16) -> list[str]:
         for x in ones[:2]:
             add(x)
         lay = c.layout
-        zeros = [v for v in range(1 << lay.ell) if (v >= lay.cp or v not in c.support)]
+        zeros = [v for v in range(1 << lay.ell) if v not in c.support]
         for v in zeros[:1]:
             add(lay.join(c.z, int_to_bits(v, lay.ell)))
         if len(pts) >= limit - 2:

@@ -1,5 +1,5 @@
 """PAC framework: finite-support distributions, samples, hypotheses, and the
-batch learners (few-sample/slow, sparse ERM/fast, junta, enumeration ERM).
+batch learners (few-sample/slow, sparse ERM/fast, junta).
 
 A learner is any callable learner(sample, counter=None) -> hypothesis, and a
 hypothesis is any callable h(x) -> 0/1; learners that need more (a verifier,
@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 from .bits import check_bits, is_bits
 from .codes import CodeParams
-from .concepts import (
-    CertConcept,
-    DecisionTree,
-    ExampleLayout,
-    build_decision_tree,
-    dt_eval,
-)
+from .concepts import CertConcept, ExampleLayout
 from .errors import ConfigError, DataInconsistencyError, ShapeError
 from .verifiers import StepCounter, Verifier
 
@@ -179,16 +173,6 @@ class JuntaHypothesis:
         return self.bits[int(self.layout.index_bits(x), 2)]
 
 
-class TreeHypothesis:
-    __slots__ = ("tree",)
-
-    def __init__(self, tree: DecisionTree) -> None:
-        self.tree = tree
-
-    def __call__(self, x: str) -> int:
-        return dt_eval(self.tree, x)
-
-
 # -- learners -------------------------------------------------------------------
 
 
@@ -200,7 +184,8 @@ def few_sample_learner(
     counter: StepCounter | None = None,
 ):
     """Claim-style slow learner: a single 1-labeled example pins the instance,
-    an exponential-time certificate search pins the concept exactly."""
+    an exponential-time certificate search pins the concept exactly, and the
+    concept, checked against the sample, is the hypothesis."""
     ones = [x for x, y in sample.pairs if y == 1]
     if not ones:
         return ConstantHypothesis(0)
@@ -212,7 +197,7 @@ def few_sample_learner(
     for x, y in sample.pairs:
         if concept(x) != y:
             raise DataInconsistencyError("sample is not labeled by any certificate concept")
-    return TreeHypothesis(build_decision_tree(concept))
+    return concept
 
 
 def sparse_erm(sample: LabeledSample, *, counter: StepCounter | None = None):
@@ -248,15 +233,6 @@ def junta_learner(
         counter.steps += sample.m
     bits = tuple(table.get(i, 0) for i in range(1 << layout.ell))
     return JuntaHypothesis(bits, layout)
-
-
-def erm_learner(stream, sample: LabeledSample):
-    """First enumerated tree with zero empirical error (enumeration order
-    breaks ties); the realizable setting guarantees one exists."""
-    for _z, tree in stream:
-        if all(dt_eval(tree, x) == y for x, y in sample.pairs):
-            return TreeHypothesis(tree)
-    raise DataInconsistencyError("no enumerated concept is consistent with the sample")
 
 
 # -- trial harness ----------------------------------------------------------------

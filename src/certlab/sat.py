@@ -162,14 +162,17 @@ def brute_force_sat(inst: ThreeSatInstance) -> bool:
 
 
 def parse_dimacs(text: str) -> ThreeSatInstance:
-    """Parse standard DIMACS CNF.  Clauses with more than 3 literals are rejected."""
+    """Parse standard DIMACS CNF.  Clauses with more than 3 literals are rejected.
+    A line starting with "%" ends the clause list, as in SATLIB's files."""
     num_vars = None
     declared_clauses = None
     lits: list[int] = []
     clauses: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             parts = line.split()

@@ -8,7 +8,9 @@ perfbench/reference.py keeps the benchmark's checks.
 from __future__ import annotations
 
 from certlab.bits import bits_of_rank, check_bits
-from certlab.errors import ShapeError
+from certlab.concepts import DecisionTree, dt_eval
+from certlab.errors import DataInconsistencyError, ShapeError
+from certlab.paclearn import LabeledSample
 from certlab.sat import ThreeSatInstance, _var_mask, eval_assignment
 from certlab.verifiers import Verifier, _check_budget
 
@@ -51,3 +53,22 @@ def naive_first_certificate(v: Verifier, z: str) -> str | None:
         if v.check(z, w):
             return w
     return None
+
+
+class TreeHypothesis:
+    __slots__ = ("tree",)
+
+    def __init__(self, tree: DecisionTree) -> None:
+        self.tree = tree
+
+    def __call__(self, x: str) -> int:
+        return dt_eval(self.tree, x)
+
+
+def erm_learner(stream, sample: LabeledSample):
+    """First enumerated tree with zero empirical error (enumeration order
+    breaks ties); the realizable setting guarantees one exists."""
+    for _z, tree in stream:
+        if all(dt_eval(tree, x) == y for x, y in sample.pairs):
+            return TreeHypothesis(tree)
+    raise DataInconsistencyError("no enumerated concept is consistent with the sample")

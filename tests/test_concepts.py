@@ -23,7 +23,6 @@ from certlab.concepts import (
     vc_dimension,
 )
 from certlab.errors import BudgetError, FormatError, ShapeError
-from certlab.harness.corpus import forcing_formula
 from certlab.sat import ThreeSatInstance, exhaustive_formulas
 from certlab.verifiers import FormulaEncoding, ThreeSatVerifier
 
@@ -299,17 +298,6 @@ def test_dt_eval_matches_a_node_walk(tree, strings, concept_strings, data):
         assert outcome(dt_eval, parsed, x) == outcome(walk, parsed, x), (text, x)
     for built, x in concept_strings:
         assert outcome(dt_eval, built, x) == outcome(walk, built, x), x
-
-
-def test_tradeoff_tree_crosses_the_prefix_in_one_run():
-    formula = forcing_formula(num_vars=16, forced=8, extra=4)
-    encoding = FormulaEncoding(max_vars=16, max_clauses=len(formula.clauses))
-    concept = CertConcept(ThreeSatVerifier(encoding), encoding.encode(formula), DEFAULT_CODE_PARAMS)
-    n = concept.layout.n
-    assert (n, concept.verifier.p) == (225, 16)
-    root = build_decision_tree(concept).root
-    end, pattern, miss, target = root.run
-    assert (root.var, end, pattern, miss, target.var) == (0, n, concept.z, 0, n)
 
 
 def test_enumerate_class_matches_eval():

@@ -202,15 +202,23 @@ def test_reduce_plugs_in_the_junta_learner_on_the_uniform_layout(tmp_path, monke
 
 
 def test_tradeoff_labels_its_support_once_per_sweep(tmp_path, monkeypatch):
-    """Outside the slow learner, which builds and runs its own concept, a sweep
-    calls the target concept only on the 128 points of its support."""
+    """Leaving out the slow learner and the concepts it builds, which it
+    returns as its hypotheses, a sweep calls the target concept only on the
+    128 points of its support."""
     depth = [0]
+    learned = {}  # the concepts built inside the learner, kept alive by id
     outside = []
+    real_init = CertConcept.__init__
     real_call = CertConcept.__call__
     real_learner = commands.few_sample_learner
 
+    def marking_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        if depth[0]:
+            learned[id(self)] = self
+
     def counting_call(self, x):
-        if not depth[0]:
+        if not depth[0] and id(self) not in learned:
             outside.append(x)
         return real_call(self, x)
 
@@ -221,9 +229,11 @@ def test_tradeoff_labels_its_support_once_per_sweep(tmp_path, monkeypatch):
         finally:
             depth[0] -= 1
 
+    monkeypatch.setattr(CertConcept, "__init__", marking_init)
     monkeypatch.setattr(CertConcept, "__call__", counting_call)
     monkeypatch.setattr(commands, "few_sample_learner", marked_learner)
     assert commands.cmd_tradeoff({}, tmp_path, 0) == 0
+    assert learned
     assert 0 < len(outside) <= 128
 
 
@@ -456,6 +466,13 @@ def test_cli_enumerate_and_learn_on_a_wide_instance(tmp_path):
     assert text.count("Q") > 1090  # one query per prefix bit, then the index bits
     assert run_cli(tmp_path, "learn", corpus + "learn.m = 0,4\nlearn.trials = 3\n") == 0
     assert len((tmp_path / "learn.csv").read_text().splitlines()) == 1 + 2 * 2 * 4
+
+
+def test_cli_enumerate_reads_a_satlib_file(tmp_path):
+    cnf = tmp_path / "satlib.cnf"
+    cnf.write_text("p cnf 3 2\n1 -2 3 0\n-1 2 0\n%\n0\n")
+    assert run_cli(tmp_path, "enumerate", f"corpus.kind = dimacs\ncorpus.paths = {cnf}\n") == 0
+    assert len((tmp_path / "trees.txt").read_text().splitlines()) == 1
 
 
 def test_cli_seed_override_changes_output(tmp_path):

@@ -14,7 +14,6 @@ from certlab.paclearn import (
     Distribution,
     LabeledSample,
     draw_sample,
-    erm_learner,
     error_of,
     few_sample_learner,
     junta_learner,
@@ -25,6 +24,7 @@ from certlab.paclearn import (
 from certlab.concepts import enumerate_class
 from certlab.sat import ThreeSatInstance, exhaustive_formulas
 from certlab.verifiers import FormulaEncoding, StepCounter, ThreeSatVerifier
+from oracles import erm_learner
 
 ENC2 = FormulaEncoding(max_vars=2, max_clauses=3)
 V2 = ThreeSatVerifier(ENC2)
@@ -254,6 +254,14 @@ def test_few_sample_exact_after_one_useful_example():
         assert h(x) == c(x)
     # exact hypothesis has zero error on every distribution over the domain
     assert error_of(Distribution.uniform(useful_points(c)), c, h) == 0.0
+
+
+def test_few_sample_returns_the_concept_it_pins():
+    c = concept0()
+    zero_pt = next(x for x in useful_points(c) if c(x) == 0)
+    sample = LabeledSample(((zero_pt, 0), (c.one_points()[0], 1)))
+    h = few_sample_learner(sample, V2, DEFAULT_CODE_PARAMS)
+    assert isinstance(h, CertConcept) and h.z == Z0
 
 
 def test_few_sample_all_zero_sample_returns_constant_zero():

@@ -131,6 +131,14 @@ def test_dimacs_rejects():
     assert inst == ThreeSatInstance(2, [(-1, 2)])
 
 
+def test_dimacs_percent_line_ends_the_clause_list():
+    # SATLIB's files end with a "%" line and then a lone 0
+    satlib = "p cnf 3 2\n1 -2 3 0\n-1 2 0\n%\n0\n"
+    assert parse_dimacs(satlib) == ThreeSatInstance(3, [(1, -2, 3), (-1, 2)])
+    with pytest.raises(FormatError, match="not terminated"):
+        parse_dimacs("p cnf 3 2\n1 -2 3 0\n-1 2\n%\n0\n")
+
+
 def test_two_var_universe_and_corpus_sizes():
     assert len(clause_universe(2)) == 8
     # sum_{k<=3} C(8,k) = 1 + 8 + 28 + 56
