@@ -38,17 +38,9 @@ def int_to_bits(value: int, length: int) -> str:
     return format(value, f"0{length}b") if length else ""
 
 
-def lex_rank(w: str) -> int:
-    """1-indexed position of w in MSB-first lexicographic order of {0,1}^|w|.
-
-    Equals the integer value of w plus one.
-    """
-    check_bits(w, name="w")
-    return bits_to_int(w) + 1
-
-
 def bits_of_rank(rank: int, length: int) -> str:
-    """Inverse of lex_rank over {0,1}^length."""
+    """The string of the given 1-indexed rank in MSB-first lexicographic
+    order of {0,1}^length: rank - 1 in binary."""
     if not 1 <= rank <= (1 << length):
         raise ShapeError(f"rank {rank} out of range for length {length}")
     return int_to_bits(rank - 1, length)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .bits import check_bits, int_to_bits, random_bits
 from .codes import CodeParams, get_code
 from .errors import BudgetError, ConfigError, FormatError, ShapeError
-from .verifiers import StepCounter, Verifier, first_certificate
+from .verifiers import StepCounter, ThreeSatVerifier, first_certificate
 
 
 #: The two example layouts: "standard" is z then index, "uniform" is index
@@ -78,7 +78,7 @@ class CertConcept:
 
     def __init__(
         self,
-        verifier: Verifier,
+        verifier: ThreeSatVerifier,
         z: str,
         params: CodeParams,
         *,
@@ -222,7 +222,7 @@ def parse_tree(text: str) -> DecisionTree:
 ENUM_BITS = 20
 
 
-def enumerate_class(verifier: Verifier, params: CodeParams, zs=None):
+def enumerate_class(verifier: ThreeSatVerifier, params: CodeParams, zs=None):
     """Yield (z, decision tree) for each seed instance, in the given order.
 
     Without an explicit seed list, enumerates all 2^n instance strings
@@ -240,45 +240,6 @@ def enumerate_class(verifier: Verifier, params: CodeParams, zs=None):
 
 
 # -- dimension oracles ----------------------------------------------------------
-
-
-def is_shattered(points, concepts, *, budget: int = 10_000_000) -> bool:
-    """True iff every labeling of the points is realized by some concept."""
-    pts = list(points)
-    if (1 << len(pts)) * max(1, len(concepts)) > budget:
-        raise BudgetError(f"shattering check for {len(pts)} points exceeds budget")
-    if not pts:
-        return True
-    realized = {tuple(int(c(x)) for x in pts) for c in concepts}
-    return len(realized) == 1 << len(pts)
-
-
-def vc_dimension(concepts, domain, *, max_dim: int = 4, budget: int = 10_000_000) -> int:
-    """Exact VC dimension of the concepts over the given finite domain.
-
-    Brute force over all subsets of each size; sizes above max_dim raise
-    a budget error rather than run forever.
-    """
-    pts = list(domain)
-    concepts = list(concepts)
-    dim = 0
-    for d in range(1, min(len(pts), max_dim + 1) + 1):
-        cost = 1
-        for i in range(d):
-            cost = cost * (len(pts) - i) // (i + 1)
-        if cost * (1 << d) * max(1, len(concepts)) > budget:
-            raise BudgetError(f"VC search at size {d} exceeds budget")
-        found = False
-        for subset in itertools.combinations(pts, d):
-            if is_shattered(subset, concepts, budget=budget):
-                found = True
-                break
-        if not found:
-            return dim
-        dim = d
-        if d == max_dim + 1:
-            raise BudgetError(f"VC dimension exceeds max_dim={max_dim}")
-    return dim
 
 
 @dataclass

@@ -1,7 +1,6 @@
 """Flat, line-oriented `key = value` config files with dotted section keys.
 
-No nesting, no quoting; `#` starts a comment.  Parsing preserves key order,
-and serialize(parse(text)) round-trips to the same mapping.
+No nesting, no quoting; `#` starts a comment.  Parsing preserves key order.
 """
 
 from __future__ import annotations
@@ -41,10 +40,6 @@ def read_text_file(path: str, what: str) -> str:
         raise ConfigError(f"{what} is not UTF-8 text: {path}") from None
     except OSError as exc:
         raise ConfigError(f"{what} cannot be read: {path} ({exc.strerror})") from None
-
-
-def serialize_config(cfg: dict[str, str]) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in cfg.items())
 
 
 def get_str(cfg: dict[str, str], key: str, default: str | None = None) -> str:

@@ -1,6 +1,7 @@
 """Online (mistake-bound) learning: the single-mistake learner for the
-certificate class, the sorted-list learner for sparse classes, an optimal
-adversary (Littlestone dimension) oracle, and the online-to-PAC conversion.
+certificate class, the sorted-list learner for sparse classes, a random
+consistent adversary, the Littlestone-dimension oracle, and the
+online-to-PAC conversion.
 """
 
 from __future__ import annotations
@@ -11,9 +12,14 @@ from dataclasses import dataclass
 
 from .codes import CodeParams
 from .concepts import CertConcept
-from .errors import AdversaryInconsistencyError, BudgetError, ConfigError
-from .paclearn import ConstantHypothesis, LabeledSample, TableHypothesis
-from .verifiers import Verifier
+from .errors import (
+    AdversaryInconsistencyError,
+    BudgetError,
+    ConfigError,
+    DataInconsistencyError,
+)
+from .paclearn import ConstantHypothesis, LabeledSample, TableHypothesis, few_sample_learner
+from .verifiers import ThreeSatVerifier
 
 #: Sample-count constant for the online-to-PAC conversion; artifact constant,
 #: validated empirically by the property suite.
@@ -38,11 +44,12 @@ class OnlineRunLog:
 
 
 class SingleMistakeLearner:
-    """Predicts 0 until the first 1-labeled example, then brute-forces the
-    instance's first certificate and predicts the exact concept thereafter.
+    """Predicts 0 until the first 1-labeled example, then pins the concept
+    from it as the few-sample learner does (a brute-force search for the
+    instance's first certificate) and predicts that concept thereafter.
     Total mistakes <= 1 against any consistent adversary."""
 
-    def __init__(self, verifier: Verifier, params: CodeParams) -> None:
+    def __init__(self, verifier: ThreeSatVerifier, params: CodeParams) -> None:
         self.verifier = verifier
         self.params = params
         self.concept: CertConcept | None = None
@@ -59,13 +66,12 @@ class SingleMistakeLearner:
             return
         if label != 1:
             return
-        z = x[: self.verifier.n]
-        concept = CertConcept(self.verifier, z, self.params)
-        if concept(x) != 1:
+        try:
+            self.concept = few_sample_learner(LabeledSample(((x, 1),)), self.verifier, self.params)
+        except DataInconsistencyError:
             raise AdversaryInconsistencyError(
                 "1-label is consistent with no certificate concept"
-            )
-        self.concept = concept
+            ) from None
 
     def current_hypothesis(self):
         return ConstantHypothesis(0) if self.concept is None else self.concept
@@ -139,45 +145,6 @@ def run_online(learner, rounds) -> OnlineRunLog:
 
 
 # -- adversaries -----------------------------------------------------------------
-
-
-def exhaustive_adversary_max_mistakes(
-    make_learner, concepts, domain, max_rounds: int
-) -> int:
-    """Most mistakes any consistent adversary can extract within max_rounds.
-
-    Full game-tree search over (point, label) moves; the adversary must keep
-    the version space nonempty.  Memoized on (learner state, version space,
-    rounds left), so the learner must expose fork() and state_key().
-    """
-    concepts = list(concepts)
-    domain = list(domain)
-    labels = [tuple(int(c(x)) for x in domain) for c in concepts]
-    memo: dict[tuple, int] = {}
-
-    def best(learner, vs: frozenset[int], rounds_left: int) -> int:
-        if rounds_left == 0 or not vs:
-            return 0
-        key = (learner.state_key(), vs, rounds_left)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        out = 0
-        for xi, x in enumerate(domain):
-            for label in (0, 1):
-                nvs = frozenset(ci for ci in vs if labels[ci][xi] == label)
-                if not nvs:
-                    continue
-                child = learner.fork()
-                pred = child.predict(x)
-                child.observe(x, label)
-                got = (1 if pred != label else 0) + best(child, nvs, rounds_left - 1)
-                if got > out:
-                    out = got
-        memo[key] = out
-        return out
-
-    return best(make_learner(), frozenset(range(len(concepts))), max_rounds)
 
 
 def random_consistent_adversary(

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .bits import check_bits, is_bits
 from .codes import CodeParams
 from .concepts import CertConcept, ExampleLayout
-from .errors import ConfigError, DataInconsistencyError, ShapeError
-from .verifiers import StepCounter, Verifier
+from .errors import CertlabError, ConfigError, DataInconsistencyError, ShapeError
+from .verifiers import StepCounter, ThreeSatVerifier
 
 WEIGHT_TOLERANCE = 1e-9
 
@@ -178,7 +178,7 @@ class JuntaHypothesis:
 
 def few_sample_learner(
     sample: LabeledSample,
-    verifier: Verifier,
+    verifier: ThreeSatVerifier,
     params: CodeParams,
     *,
     counter: StepCounter | None = None,
@@ -259,8 +259,10 @@ def pac_trial_suite(
     """Empirical estimate of the PAC success event Pr[error <= eps].
 
     learner(sample, counter=None) -> hypothesis, called with a fresh
-    StepCounter per trial.  Trial t draws from a private generator seeded by
-    (master_seed, t); results are deterministic.
+    StepCounter per trial.  A learner that raises a CertlabError fails its
+    trial with error 1.0, as a raising proof rejects in the decider; the
+    trial's steps are those its counter had reached.  Trial t draws from a
+    private generator seeded by (master_seed, t); results are deterministic.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -274,8 +276,12 @@ def pac_trial_suite(
         rng = random.Random(f"{master_seed}:{t}")
         sample = draw_sample(dist, concept, m, rng)
         counter = StepCounter()
-        hyp = learner(sample, counter=counter)
-        err = error_of(dist, concept, hyp)
+        try:
+            hyp = learner(sample, counter=counter)
+        except CertlabError:
+            err = 1.0
+        else:
+            err = error_of(dist, concept, hyp)
         errors.append(err)
         total_steps += counter.steps
         if err <= eps + 1e-12:

@@ -1,10 +1,10 @@
-"""The learner-to-decider reduction: challenge rounds with Merlin-supplied
-labels, the one-sided randomized simulation that enumerates all proofs, and
-the assembled SAT decider.
+"""The learner-to-decider reduction: the challenge protocol, the one-sided
+randomized simulation that enumerates all proofs (label strings for the
+drawn examples), and the assembled SAT decider.
 
-Soundness is structural: the final step always runs the verifier on the
-decoded certificate, so an unsatisfiable instance is rejected for every seed
-and every proof.
+Soundness is structural: the final step always checks the decoded
+certificate against the verifier's accept mask, so an unsatisfiable instance
+is rejected for every seed and every proof.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from typing import NamedTuple
 
 from .bits import check_bits, int_to_bits
 from .codes import CodeParams, get_code
-from .concepts import CertConcept, ExampleLayout, check_layout_kind
+from .concepts import ExampleLayout, check_layout_kind
 from .errors import BudgetError, CertlabError, ConfigError
 from .paclearn import JuntaHypothesis, LabeledSample, TableHypothesis
 from .sat import ThreeSatInstance
-from .verifiers import ThreeSatVerifier, Verifier
+from .verifiers import ThreeSatVerifier
 
 #: The decider enumerates 2^m proofs per repetition; m may not exceed this.
 PROOF_CAP_BITS = 16
@@ -32,17 +32,6 @@ def learner_error_target(params: CodeParams, variant: str = "standard"):
     uniform rounds (whose single random readout needs the Markov slack)."""
     eps = params.eps_star
     return eps if check_layout_kind(variant) == "standard" else eps / 100
-
-
-class HonestMerlin:
-    """Answers with the true concept labels (computed via the first certificate)."""
-
-
-@dataclass(frozen=True)
-class FixedProofMerlin:
-    """Answers with a fixed m-bit label string, one bit per requested example."""
-
-    labels: str
 
 
 @dataclass
@@ -73,16 +62,18 @@ class _Proof(NamedTuple):
 
 class _Challenge:
     """One instance's challenge protocol: its example layout, code and verdict.
-    `prove` runs one proof, for the single round and the decider alike."""
+    `prove` runs one proof; its verdict is a bit of the verifier's accept mask."""
 
-    def __init__(self, z: str, verifier: Verifier, learner, params: CodeParams, variant: str):
+    def __init__(
+        self, z: str, verifier: ThreeSatVerifier, learner, params: CodeParams, variant: str
+    ):
         check_bits(z, length=verifier.n, name="z")
         self.z = z
         self.verifier = verifier
         self.learner = learner
         self.layout = ExampleLayout.of(verifier.n, params, verifier.p, variant)
         self.code = get_code(params, verifier.p)
-        self.mask_fn = getattr(verifier, "accept_mask", None)
+        self.mask_fn = verifier.accept_mask
         self._read_at: str | None = None
         self._queries: dict[str, int] = {}
 
@@ -126,11 +117,7 @@ class _Challenge:
             return None
         answers = self.answers(hypothesis, read_at)
         w_val = self.code.decode_value(answers & ((1 << self.layout.cp) - 1))
-        if self.mask_fn is not None:
-            verdict = (self.mask_fn(self.z) >> w_val) & 1
-        else:
-            w_tilde = format(w_val, f"0{self.verifier.p}b")
-            verdict = 1 if self.verifier.check(self.z, w_tilde) else 0
+        verdict = (self.mask_fn(self.z) >> w_val) & 1
         return _Proof(hypothesis, answers, w_val, verdict)
 
     def transcript(self, seed_label: str, points, labels: str, proof) -> AmTranscript:
@@ -142,40 +129,6 @@ class _Challenge:
         return AmTranscript(
             seed_label, indices, labels, proof.hypothesis, y, w_tilde, proof.verdict
         )
-
-
-def am_round(
-    z: str,
-    verifier: Verifier,
-    learner,
-    merlin,
-    params: CodeParams,
-    rng: random.Random,
-    m: int,
-    *,
-    variant: str = "standard",
-    seed_label: str = "",
-) -> AmTranscript:
-    """One protocol round: draw m challenge examples in the variant's layout,
-    ask Merlin for labels, run the learner, read a codeword off the
-    hypothesis, decode, verify.  The standard round reads the codeword at z;
-    the uniform round reads it at one uniformly random trailing x."""
-    challenge = _Challenge(z, verifier, learner, params, variant)
-    points, read_at = challenge.layout.draw(rng, z, m)
-
-    if isinstance(merlin, HonestMerlin):
-        concept = CertConcept(verifier, z, params, kind=variant)
-        labels = "".join(str(concept(x)) for x in points)
-    elif isinstance(merlin, FixedProofMerlin):
-        if len(merlin.labels) != m:
-            raise ConfigError(f"fixed proof must have {m} labels")
-        labels = merlin.labels
-    else:
-        raise ConfigError("am_round requires an honest or fixed-proof Merlin")
-
-    sample = LabeledSample(tuple(zip(points, [int(b) for b in labels])))
-    proof = challenge.prove(sample, read_at)
-    return challenge.transcript(seed_label, points, labels, proof)
 
 
 # -- the one-sided decider -------------------------------------------------------
@@ -214,7 +167,7 @@ class DeciderResult:
 
 def rtime_decide(
     z: str,
-    verifier: Verifier,
+    verifier: ThreeSatVerifier,
     config: DeciderConfig,
     learner,
     master_seed: int | str,

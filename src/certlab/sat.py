@@ -206,13 +206,6 @@ def parse_dimacs(text: str) -> ThreeSatInstance:
     return ThreeSatInstance(num_vars, clauses)
 
 
-def to_dimacs(inst: ThreeSatInstance) -> str:
-    lines = [f"p cnf {inst.num_vars} {len(inst.clauses)}"]
-    for clause in inst.clauses:
-        lines.append(" ".join(str(l) for l in clause) + " 0")
-    return "\n".join(lines) + "\n"
-
-
 # -- corpora -----------------------------------------------------------------
 
 

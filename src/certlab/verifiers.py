@@ -1,22 +1,29 @@
-"""NP-style verifiers, the fixed-width formula encoding, and certificate oracles.
+"""NP-style verifiers, the fixed-width formula encoding, and the
+first-certificate search.
 
-The lex-oracle machinery answers "is there an accepted certificate among the
-lexicographically first k?" and is the only nondeterminism primitive the rest
-of the package uses.  first_certificate pins the lexicographically first
-accepted certificate with a p-call binary search over that oracle.  It finds
-the first accepted rank once and answers each call from it; the StepCounter
-charges the search's p calls exactly as p lex_oracle calls would be charged.
+A verifier has an instance length n, a certificate length p and two answers
+for an instance z: check(z, w), whether it accepts the certificate w, and
+accept_mask(z), the big-int mask of the certificates it accepts (bit v set
+iff it accepts the certificate with integer value v).  `ThreeSatVerifier` is
+the verifier every command builds.
+
+The one NP primitive the rest of the package uses is the lexicographically
+first accepted certificate, which `first_certificate` reads off the accept
+mask.  Its cost model is a binary search over k made of p lex-oracle calls
+"is one of the first k certificates accepted?", each a rank-order scan with
+early exit.  The lex oracle in tests/oracles.py runs those scans, and the
+tests check the StepCounter's charges against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import bits_of_rank, bits_to_int, check_bits, int_to_bits, lex_rank
-from .errors import BudgetError, ConfigError, FormatError, ShapeError
+from .bits import bits_of_rank, bits_to_int, check_bits, int_to_bits
+from .errors import BudgetError, ConfigError, FormatError
 from .sat import ThreeSatInstance, eval_assignment, satisfying_mask
 
-#: Longest certificate length p whose 2^p certificates the oracles enumerate.
+#: Longest certificate length p whose 2^p certificates first_certificate searches.
 DEFAULT_BUDGET_BITS = 24
 
 
@@ -31,46 +38,6 @@ class StepCounter:
 
     def __repr__(self) -> str:
         return f"StepCounter(oracle_calls={self.oracle_calls}, steps={self.steps})"
-
-
-@dataclass(frozen=True)
-class LexQuery:
-    """A (instance, rank threshold) query against Lex of a verifier."""
-
-    instance: str
-    k: int
-
-
-class Verifier:
-    """Deterministic certificate checker for instances of length n.
-
-    Subclasses implement check(z, w).  A subclass may also provide
-    accept_mask(z) returning the big-int mask of accepted certificates
-    (bit v set iff the certificate with integer value v is accepted);
-    the oracles below use it as a fast exhaustive-enumeration path.
-    """
-
-    n: int
-    p: int
-
-    def check(self, z: str, w: str) -> bool:
-        raise NotImplementedError
-
-
-@dataclass
-class FnVerifier(Verifier):
-    """Verifier backed by an arbitrary check function (tests, custom languages)."""
-
-    n: int
-    p: int
-    fn: object
-
-    def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ConfigError("certificate length p must be >= 1")
-
-    def check(self, z: str, w: str) -> bool:
-        return bool(self.fn(z, w))
 
 
 # -- fixed-width binary encoding of formulas ----------------------------------
@@ -177,7 +144,7 @@ class FormulaEncoding:
         return ThreeSatInstance(num_vars, clauses[:count])
 
 
-class ThreeSatVerifier(Verifier):
+class ThreeSatVerifier:
     """Certificate checker for encoded formulas: the certificate is an
     assignment to max_vars variables; bits beyond an instance's declared
     num_vars are ignored.  Malformed instance strings reject everything.
@@ -217,91 +184,48 @@ class ThreeSatVerifier(Verifier):
         return mask
 
 
-# -- oracles -------------------------------------------------------------------
+# -- the first certificate -----------------------------------------------------
 
 
-def verify(v: Verifier, z: str, w: str) -> bool:
+def verify(v: ThreeSatVerifier, z: str, w: str) -> bool:
     """Run the verifier's deterministic check; shape errors on bad lengths."""
     check_bits(z, length=v.n, name="instance")
     check_bits(w, length=v.p, name="certificate")
     return bool(v.check(z, w))
 
 
-def lex_verify(v: Verifier, query: LexQuery, w: str) -> bool:
-    """Accept iff the certificate is within the first k strings and accepted."""
-    if not 1 <= query.k <= (1 << v.p):
-        raise ShapeError(f"rank threshold {query.k} out of [1, 2^{v.p}]")
-    check_bits(query.instance, length=v.n, name="instance")
-    check_bits(w, length=v.p, name="certificate")
-    return lex_rank(w) <= query.k and verify(v, query.instance, w)
-
-
-def _check_budget(v: Verifier) -> None:
+def _check_budget(v: ThreeSatVerifier) -> None:
     if v.p > DEFAULT_BUDGET_BITS:
         raise BudgetError(
             f"certificate length {v.p} exceeds enumeration budget of {DEFAULT_BUDGET_BITS} bits"
         )
 
 
-def _first_rank(v: Verifier, z: str, k: int) -> int:
-    """Rank of the first accepted certificate if it is at most k, else a
-    number above k.
-
-    The mask fast path reads the mask's lowest set bit; otherwise the
-    certificates are checked in rank order with early exit.
-    """
-    mask_fn = getattr(v, "accept_mask", None)
-    if mask_fn is not None:
-        mask = mask_fn(z)
-        return (mask & -mask).bit_length() or k + 1
-    for rank in range(1, k + 1):
-        if v.check(z, bits_of_rank(rank, v.p)):
-            return rank
-    return k + 1
-
-
 def _charge(counter: StepCounter | None, rank: int, k: int) -> None:
-    """One lex-oracle call at threshold k, given the first accepted rank: the
-    rank-order scan inspects rank candidates if rank <= k, all k otherwise."""
+    """Charge one lex-oracle call at threshold k, given the first accepted
+    rank: the rank-order scan of the first k certificates checks rank of them
+    if rank <= k and all k otherwise.  The lex oracle in tests/oracles.py
+    runs that scan and counts the same steps."""
     if counter is not None:
         counter.oracle_calls += 1
         counter.steps += min(rank, k)
 
 
-def nondet_oracle(v: Verifier, z: str) -> bool:
-    """Deterministic 2^p simulation of the nondeterministic oracle."""
-    check_bits(z, length=v.n, name="instance")
-    _check_budget(v)
-    return _first_rank(v, z, 1 << v.p) <= 1 << v.p
-
-
-def lex_oracle(v: Verifier, z: str, k: int, *, counter: StepCounter | None = None) -> bool:
-    """Accept iff some certificate of rank <= k is accepted.
-
-    Exhaustive scan in rank order with early exit; the counter records one
-    oracle call plus the number of candidates the scan inspects (the mask
-    fast path computes the same count without looping).
-    """
-    check_bits(z, length=v.n, name="instance")
-    if not 1 <= k <= (1 << v.p):
-        raise ShapeError(f"rank threshold {k} out of [1, 2^{v.p}]")
-    _check_budget(v)
-    rank = _first_rank(v, z, k)
-    _charge(counter, rank, k)
-    return rank <= k
-
-
-def first_certificate(v: Verifier, z: str, *, counter: StepCounter | None = None) -> str | None:
+def first_certificate(
+    v: ThreeSatVerifier, z: str, *, counter: StepCounter | None = None
+) -> str | None:
     """Lexicographically first accepted certificate, or None.
 
-    Binary search for the minimal k with an accepted certificate of rank <= k.
-    The first accepted rank is found once and answers each of the p
-    lex-oracle calls, which the counter charges as lex_oracle would; one
+    Its rank is read off the accept mask's lowest set bit.  The counter is
+    charged for the binary search that finds the minimal k with an accepted
+    certificate among the first k: p lex-oracle calls, each a rank-order
+    scan charged as the lex oracle in tests/oracles.py counts it.  One
     direct verify then asserts consistency.
     """
     check_bits(z, length=v.n, name="instance")
     _check_budget(v)
-    rank = _first_rank(v, z, 1 << v.p)
+    mask = v.accept_mask(z)
+    rank = (mask & -mask).bit_length() or (1 << v.p) + 1
     lo, hi = 1, 1 << v.p
     while lo < hi:
         mid = (lo + hi) // 2

@@ -1,18 +1,26 @@
-"""Brute-force oracles the tests check certlab against.
+"""Brute-force oracles and reference views the tests check certlab against.
 
-The package does not need these; they are the slow, obviously correct
-versions of what it computes, kept apart from the code they check the way
-perfbench/reference.py keeps the benchmark's checks.
+No command needs these.  They are the slow, obviously correct versions of
+what the package computes, the NP-oracle view of its verifiers, the single
+challenge round, and the writers its parsers' round trips read back.  They
+are kept apart from the code they check the way perfbench/reference.py
+keeps the benchmark's checks.
 """
 
 from __future__ import annotations
 
-from certlab.bits import bits_of_rank, check_bits
-from certlab.concepts import DecisionTree, dt_eval
-from certlab.errors import DataInconsistencyError, ShapeError
+import itertools
+import random
+from dataclasses import dataclass
+
+from certlab.bits import bits_of_rank, bits_to_int, check_bits
+from certlab.codes import CodeParams
+from certlab.concepts import CertConcept, DecisionTree, dt_eval
+from certlab.errors import BudgetError, ConfigError, DataInconsistencyError, ShapeError
 from certlab.paclearn import LabeledSample
+from certlab.reduction import AmTranscript, _Challenge
 from certlab.sat import ThreeSatInstance, _var_mask, eval_assignment
-from certlab.verifiers import Verifier, _check_budget
+from certlab.verifiers import StepCounter, ThreeSatVerifier, _check_budget, verify
 
 
 def clausewise_mask(inst: ThreeSatInstance, p: int) -> int:
@@ -44,7 +52,7 @@ def solutions(inst: ThreeSatInstance) -> list[str]:
     return out
 
 
-def naive_first_certificate(v: Verifier, z: str) -> str | None:
+def naive_first_certificate(v: ThreeSatVerifier, z: str) -> str | None:
     """Reference scan in rank order; test oracle for first_certificate."""
     check_bits(z, length=v.n, name="instance")
     _check_budget(v)
@@ -72,3 +80,225 @@ def erm_learner(stream, sample: LabeledSample):
         if all(dt_eval(tree, x) == y for x, y in sample.pairs):
             return TreeHypothesis(tree)
     raise DataInconsistencyError("no enumerated concept is consistent with the sample")
+
+
+# -- writers whose output the parsers read back ---------------------------------
+
+
+def to_dimacs(inst: ThreeSatInstance) -> str:
+    lines = [f"p cnf {inst.num_vars} {len(inst.clauses)}"]
+    for clause in inst.clauses:
+        lines.append(" ".join(str(l) for l in clause) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+def serialize_config(cfg: dict[str, str]) -> str:
+    return "".join(f"{k} = {v}\n" for k, v in cfg.items())
+
+
+# -- verifiers and the NP-oracle view --------------------------------------------
+
+
+@dataclass
+class FnVerifier:
+    """Verifier backed by an arbitrary check function; its accept mask calls
+    the function on every certificate in rank order."""
+
+    n: int
+    p: int
+    fn: object
+
+    def __post_init__(self) -> None:
+        if self.p < 1:
+            raise ConfigError("certificate length p must be >= 1")
+
+    def check(self, z: str, w: str) -> bool:
+        return bool(self.fn(z, w))
+
+    def accept_mask(self, z: str) -> int:
+        mask = 0
+        for v in range(1 << self.p):
+            if self.check(z, format(v, f"0{self.p}b")):
+                mask |= 1 << v
+        return mask
+
+
+def lex_rank(w: str) -> int:
+    """1-indexed position of w in MSB-first lexicographic order of {0,1}^|w|.
+
+    Equals the integer value of w plus one.
+    """
+    check_bits(w, name="w")
+    return bits_to_int(w) + 1
+
+
+@dataclass(frozen=True)
+class LexQuery:
+    """A (instance, rank threshold) query against Lex of a verifier."""
+
+    instance: str
+    k: int
+
+
+def lex_verify(v, query: LexQuery, w: str) -> bool:
+    """Accept iff the certificate is within the first k strings and accepted."""
+    if not 1 <= query.k <= (1 << v.p):
+        raise ShapeError(f"rank threshold {query.k} out of [1, 2^{v.p}]")
+    check_bits(query.instance, length=v.n, name="instance")
+    check_bits(w, length=v.p, name="certificate")
+    return lex_rank(w) <= query.k and verify(v, query.instance, w)
+
+
+def lex_oracle(v, z: str, k: int, *, counter: StepCounter | None = None) -> bool:
+    """Accept iff some certificate of rank <= k is accepted.
+
+    Checks the certificates in rank order with early exit; the counter
+    records one oracle call plus the number of candidates checked.  This is
+    the scan whose cost first_certificate charges without running it.
+    """
+    check_bits(z, length=v.n, name="instance")
+    if not 1 <= k <= (1 << v.p):
+        raise ShapeError(f"rank threshold {k} out of [1, 2^{v.p}]")
+    _check_budget(v)
+    if counter is not None:
+        counter.oracle_calls += 1
+    for rank in range(1, k + 1):
+        if counter is not None:
+            counter.steps += 1
+        if v.check(z, bits_of_rank(rank, v.p)):
+            return True
+    return False
+
+
+def nondet_oracle(v, z: str) -> bool:
+    """Deterministic 2^p simulation of the nondeterministic oracle."""
+    return lex_oracle(v, z, 1 << v.p)
+
+
+# -- dimension and mistake-bound oracles ---------------------------------------------
+
+
+def is_shattered(points, concepts, *, budget: int = 10_000_000) -> bool:
+    """True iff every labeling of the points is realized by some concept."""
+    pts = list(points)
+    if (1 << len(pts)) * max(1, len(concepts)) > budget:
+        raise BudgetError(f"shattering check for {len(pts)} points exceeds budget")
+    if not pts:
+        return True
+    realized = {tuple(int(c(x)) for x in pts) for c in concepts}
+    return len(realized) == 1 << len(pts)
+
+
+def vc_dimension(concepts, domain, *, max_dim: int = 4, budget: int = 10_000_000) -> int:
+    """Exact VC dimension of the concepts over the given finite domain.
+
+    Brute force over all subsets of each size; sizes above max_dim raise
+    a budget error rather than run forever.
+    """
+    pts = list(domain)
+    concepts = list(concepts)
+    dim = 0
+    for d in range(1, min(len(pts), max_dim + 1) + 1):
+        cost = 1
+        for i in range(d):
+            cost = cost * (len(pts) - i) // (i + 1)
+        if cost * (1 << d) * max(1, len(concepts)) > budget:
+            raise BudgetError(f"VC search at size {d} exceeds budget")
+        found = False
+        for subset in itertools.combinations(pts, d):
+            if is_shattered(subset, concepts, budget=budget):
+                found = True
+                break
+        if not found:
+            return dim
+        dim = d
+        if d == max_dim + 1:
+            raise BudgetError(f"VC dimension exceeds max_dim={max_dim}")
+    return dim
+
+
+def exhaustive_adversary_max_mistakes(
+    make_learner, concepts, domain, max_rounds: int
+) -> int:
+    """Most mistakes any consistent adversary can extract within max_rounds.
+
+    Full game-tree search over (point, label) moves; the adversary must keep
+    the version space nonempty.  Memoized on (learner state, version space,
+    rounds left), so the learner must expose fork() and state_key().
+    """
+    concepts = list(concepts)
+    domain = list(domain)
+    labels = [tuple(int(c(x)) for x in domain) for c in concepts]
+    memo: dict[tuple, int] = {}
+
+    def best(learner, vs: frozenset[int], rounds_left: int) -> int:
+        if rounds_left == 0 or not vs:
+            return 0
+        key = (learner.state_key(), vs, rounds_left)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        out = 0
+        for xi, x in enumerate(domain):
+            for label in (0, 1):
+                nvs = frozenset(ci for ci in vs if labels[ci][xi] == label)
+                if not nvs:
+                    continue
+                child = learner.fork()
+                pred = child.predict(x)
+                child.observe(x, label)
+                got = (1 if pred != label else 0) + best(child, nvs, rounds_left - 1)
+                if got > out:
+                    out = got
+        memo[key] = out
+        return out
+
+    return best(make_learner(), frozenset(range(len(concepts))), max_rounds)
+
+
+# -- one challenge round -------------------------------------------------------------
+
+
+class HonestMerlin:
+    """Answers with the true concept labels (computed via the first certificate)."""
+
+
+@dataclass(frozen=True)
+class FixedProofMerlin:
+    """Answers with a fixed m-bit label string, one bit per requested example."""
+
+    labels: str
+
+
+def am_round(
+    z: str,
+    verifier,
+    learner,
+    merlin,
+    params: CodeParams,
+    rng: random.Random,
+    m: int,
+    *,
+    variant: str = "standard",
+    seed_label: str = "",
+) -> AmTranscript:
+    """One protocol round: draw m challenge examples in the variant's layout,
+    ask Merlin for labels, run the learner, read a codeword off the
+    hypothesis, decode, verify.  The standard round reads the codeword at z;
+    the uniform round reads it at one uniformly random trailing x."""
+    challenge = _Challenge(z, verifier, learner, params, variant)
+    points, read_at = challenge.layout.draw(rng, z, m)
+
+    if isinstance(merlin, HonestMerlin):
+        concept = CertConcept(verifier, z, params, kind=variant)
+        labels = "".join(str(concept(x)) for x in points)
+    elif isinstance(merlin, FixedProofMerlin):
+        if len(merlin.labels) != m:
+            raise ConfigError(f"fixed proof must have {m} labels")
+        labels = merlin.labels
+    else:
+        raise ConfigError("am_round requires an honest or fixed-proof Merlin")
+
+    sample = LabeledSample(tuple(zip(points, [int(b) for b in labels])))
+    proof = challenge.prove(sample, read_at)
+    return challenge.transcript(seed_label, points, labels, proof)

@@ -29,7 +29,6 @@ from certlab.online import (
     OnlineToPacLearner,
     SingleMistakeLearner,
     SortedListLearner,
-    exhaustive_adversary_max_mistakes,
     ldim_oracle,
 )
 from certlab.paclearn import few_sample_learner, junta_learner, pac_trial_suite, sparse_erm
@@ -37,6 +36,7 @@ from certlab.reduction import DeciderConfig, sat_decider
 from certlab.concepts import ExampleLayout
 from certlab.sat import brute_force_sat
 from certlab.verifiers import FormulaEncoding, StepCounter, ThreeSatVerifier, first_certificate
+from oracles import exhaustive_adversary_max_mistakes
 
 
 def report(num: int, ok: bool, detail: str, elapsed: float, budget: float) -> None:

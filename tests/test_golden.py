@@ -18,9 +18,8 @@ from certlab.concepts import ExampleLayout
 from certlab.harness.cli import main
 from certlab.harness.corpus import forcing_formula
 from certlab.paclearn import junta_learner, sparse_erm
-from certlab.reduction import FixedProofMerlin, HonestMerlin, am_round
-from certlab.sat import to_dimacs
 from certlab.verifiers import FormulaEncoding, ThreeSatVerifier
+from oracles import FixedProofMerlin, HonestMerlin, am_round, to_dimacs
 
 
 def sha(data: bytes) -> str:

@@ -12,14 +12,7 @@ from certlab.errors import ConfigError, FormatError
 from certlab.harness import commands
 from certlab.harness.cli import main
 from certlab.harness.commands import distribution_suite, resolve_learner, write_csv
-from certlab.harness.config import (
-    get_fraction,
-    get_int,
-    get_int_list,
-    get_str,
-    parse_config,
-    serialize_config,
-)
+from certlab.harness.config import get_fraction, get_int, get_int_list, get_str, parse_config
 from certlab.harness.corpus import (
     build_corpus,
     dimacs_corpus,
@@ -37,8 +30,9 @@ from certlab.paclearn import (
     sparse_erm,
     support_labels,
 )
-from certlab.sat import brute_force_sat, random_instance, to_dimacs
+from certlab.sat import brute_force_sat, random_instance
 from certlab.verifiers import StepCounter
+from oracles import serialize_config, to_dimacs
 
 
 def test_config_parse_serialize_round_trip():

@@ -7,20 +7,26 @@ import pytest
 from certlab.bits import int_to_bits
 from certlab.codes import DEFAULT_CODE_PARAMS
 from certlab.concepts import CertConcept, cert_class_vc
-from certlab.errors import AdversaryInconsistencyError, BudgetError
+from certlab.errors import AdversaryInconsistencyError, BudgetError, DataInconsistencyError
 from certlab.online import (
     ONLINE_TO_PAC_KAPPA,
     OnlineToPacLearner,
     SingleMistakeLearner,
     SortedListLearner,
-    exhaustive_adversary_max_mistakes,
     ldim_oracle,
     random_consistent_adversary,
     run_online,
 )
-from certlab.paclearn import Distribution, draw_sample, error_of
+from certlab.paclearn import (
+    Distribution,
+    LabeledSample,
+    draw_sample,
+    error_of,
+    few_sample_learner,
+)
 from certlab.sat import ThreeSatInstance, exhaustive_formulas
 from certlab.verifiers import FormulaEncoding, ThreeSatVerifier
+from oracles import exhaustive_adversary_max_mistakes
 
 ENC2 = FormulaEncoding(max_vars=2, max_clauses=3)
 V2 = ThreeSatVerifier(ENC2)
@@ -80,6 +86,20 @@ def test_single_mistake_inconsistent_adversary_detected():
         learner.observe(zero_pt, 1)
     with pytest.raises(AdversaryInconsistencyError):
         make_single().observe(Z_UNSAT + "0000", 1)
+
+
+def test_both_learners_name_a_one_label_the_pinned_concept_rejects():
+    c = CertConcept(V2, Z0, DEFAULT_CODE_PARAMS)
+    zero_pt = next(x for x in [Z0 + int_to_bits(v, 4) for v in range(16)] if c(x) == 0)
+    for x in (zero_pt, Z_UNSAT + "0000"):
+        with pytest.raises(
+            DataInconsistencyError, match="^sample is not labeled by any certificate concept$"
+        ):
+            few_sample_learner(LabeledSample(((x, 1),)), V2, DEFAULT_CODE_PARAMS)
+        with pytest.raises(
+            AdversaryInconsistencyError, match="^1-label is consistent with no certificate concept$"
+        ):
+            make_single().observe(x, 1)
 
 
 def test_sorted_list_zero_mistakes_on_all_zero_target():

@@ -22,6 +22,8 @@ from certlab.paclearn import (
     support_labels,
 )
 from certlab.concepts import enumerate_class
+from certlab.harness.commands import _target_concept, distribution_suite
+from certlab.harness.corpus import build_corpus
 from certlab.sat import ThreeSatInstance, exhaustive_formulas
 from certlab.verifiers import FormulaEncoding, StepCounter, ThreeSatVerifier
 from oracles import erm_learner
@@ -457,6 +459,37 @@ def test_constant_zero_learner_fails_heavy_one_mass():
 
     res = pac_trial_suite(learner, c, dist, 0.1, 5, 20, 0)
     assert res.success_rate == 0.0
+
+
+def test_a_raising_learner_fails_its_trial_with_error_one():
+    # on useless_mass the junta learner sees index 0 with both labels whenever
+    # a draw labels it 1, as learn's target for this corpus does
+    corpus = build_corpus({"corpus.kind": "random", "corpus.count": "50"}, 5)
+    concept = _target_concept(corpus, DEFAULT_CODE_PARAMS)
+    dist = dict(distribution_suite(concept))["useless_mass"]
+    junta = partial(junta_learner, layout=concept.layout)
+    raised = []
+
+    def learner(sample, counter=None):
+        try:
+            hypothesis = junta(sample, counter=counter)
+        except DataInconsistencyError:
+            raised.append(True)
+            raise
+        raised.append(False)
+        return hypothesis
+
+    res = pac_trial_suite(learner, concept, dist, 0.1, 47, 200, 5)
+    assert any(raised) and not all(raised)
+    assert all(err == 1.0 for err, r in zip(res.errors, raised) if r)
+    assert res.success_rate <= raised.count(False) / 200
+
+    def counts_then_raises(sample, counter=None):
+        counter.steps += 3
+        raise DataInconsistencyError("always")
+
+    res = pac_trial_suite(counts_then_raises, concept, dist, 0.1, 5, 4, 0)
+    assert (res.success_rate, res.errors, res.mean_steps) == (0.0, (1.0,) * 4, 3.0)
 
 
 def test_realizable_consistency_property():

@@ -18,17 +18,10 @@ from certlab.paclearn import (
     junta_learner,
     sparse_erm,
 )
-from certlab.reduction import (
-    DeciderConfig,
-    FixedProofMerlin,
-    HonestMerlin,
-    _Challenge,
-    am_round,
-    rtime_decide,
-    sat_decider,
-)
+from certlab.reduction import DeciderConfig, _Challenge, rtime_decide, sat_decider
 from certlab.sat import ThreeSatInstance, brute_force_sat, exhaustive_formulas
-from certlab.verifiers import FnVerifier, FormulaEncoding, ThreeSatVerifier, verify
+from certlab.verifiers import FormulaEncoding, ThreeSatVerifier, verify
+from oracles import FixedProofMerlin, FnVerifier, HonestMerlin, am_round
 
 PARAMS = REDUCTION_CODE_PARAMS
 ENC2 = FormulaEncoding(max_vars=2, max_clauses=3)
@@ -84,7 +77,8 @@ def test_am_round_rejects_unknown_merlin():
 
 
 def fn_verifier_like(verifier):
-    """The same language through the plain check path (no accept_mask)."""
+    """The same language through a verifier whose accept mask comes from
+    calling its check function on every certificate."""
     return FnVerifier(verifier.n, verifier.p, verifier.check)
 
 

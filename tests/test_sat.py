@@ -14,9 +14,8 @@ from certlab.sat import (
     parse_dimacs,
     random_instance,
     satisfying_mask,
-    to_dimacs,
 )
-from oracles import clausewise_mask, solutions
+from oracles import clausewise_mask, solutions, to_dimacs
 
 PHI0 = ThreeSatInstance(2, [(1, 2), (-1, 2)])
 PHI_UNSAT = ThreeSatInstance(2, [(1,), (-1,)])

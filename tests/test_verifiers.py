@@ -9,18 +9,20 @@ from certlab.errors import BudgetError, ConfigError, FormatError, ShapeError
 from certlab import sat
 from certlab.sat import ThreeSatInstance, exhaustive_formulas, random_instance
 from certlab.verifiers import (
-    FnVerifier,
     FormulaEncoding,
-    LexQuery,
     StepCounter,
     ThreeSatVerifier,
     first_certificate,
-    lex_oracle,
-    lex_verify,
-    nondet_oracle,
     verify,
 )
-from oracles import naive_first_certificate
+from oracles import (
+    FnVerifier,
+    LexQuery,
+    lex_oracle,
+    lex_verify,
+    naive_first_certificate,
+    nondet_oracle,
+)
 
 ENC2 = FormulaEncoding(max_vars=2, max_clauses=3)
 V2 = ThreeSatVerifier(ENC2)
