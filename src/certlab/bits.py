@@ -28,10 +28,6 @@ def check_bits(s: str, length: int | None = None, name: str = "bitstring") -> st
     return s
 
 
-def bits_to_int(s: str) -> int:
-    return int(s, 2) if s else 0
-
-
 def int_to_bits(value: int, length: int) -> str:
     if value < 0 or value >= (1 << length):
         raise ShapeError(f"value {value} does not fit in {length} bits")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .bits import check_bits, int_to_bits, random_bits
 from .codes import CodeParams, get_code
-from .errors import BudgetError, ConfigError, FormatError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError
 from .verifiers import StepCounter, ThreeSatVerifier, first_certificate
 
 
@@ -218,22 +218,8 @@ def parse_tree(text: str) -> DecisionTree:
     return DecisionTree(root=node, size=size)
 
 
-#: Widest instance length n whose 2^n instance strings enumerate_class walks.
-ENUM_BITS = 20
-
-
-def enumerate_class(verifier: ThreeSatVerifier, params: CodeParams, zs=None):
-    """Yield (z, decision tree) for each seed instance, in the given order.
-
-    Without an explicit seed list, enumerates all 2^n instance strings
-    (capped at ENUM_BITS).
-    """
-    if zs is None:
-        if verifier.n > ENUM_BITS:
-            raise BudgetError(
-                f"enumerating 2^{verifier.n} instances exceeds the {ENUM_BITS}-bit budget"
-            )
-        zs = (int_to_bits(v, verifier.n) for v in range(1 << verifier.n))
+def enumerate_class(verifier: ThreeSatVerifier, params: CodeParams, zs):
+    """Yield (z, decision tree) for each seed instance, in the given order."""
     for z in zs:
         concept = CertConcept(verifier, z, params)
         yield z, build_decision_tree(concept)

@@ -17,9 +17,9 @@ tests check the StepCounter's charges against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .bits import bits_of_rank, bits_to_int, check_bits, int_to_bits
+from .bits import bits_of_rank, check_bits
 from .errors import BudgetError, ConfigError, FormatError
 from .sat import ThreeSatInstance, eval_assignment, satisfying_mask
 
@@ -56,34 +56,28 @@ class FormulaEncoding:
 
     max_vars: int
     max_clauses: int
+    num_vars_bits: int = field(init=False, repr=False)
+    clause_count_bits: int = field(init=False, repr=False)
+    var_bits: int = field(init=False, repr=False)
+    slot_bits: int = field(init=False, repr=False)
+    clause_bits: int = field(init=False, repr=False)
+    width: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.max_vars < 1 or self.max_clauses < 0:
             raise ConfigError("max_vars must be >= 1 and max_clauses >= 0")
-
-    @property
-    def num_vars_bits(self) -> int:
-        return self.max_vars.bit_length()
-
-    @property
-    def clause_count_bits(self) -> int:
-        return max(1, self.max_clauses.bit_length())
-
-    @property
-    def var_bits(self) -> int:
-        return max(1, (self.max_vars - 1).bit_length())
-
-    @property
-    def slot_bits(self) -> int:
-        return 2 + self.var_bits
-
-    @property
-    def clause_bits(self) -> int:
-        return 3 * self.slot_bits
-
-    @property
-    def width(self) -> int:
-        return self.num_vars_bits + self.clause_count_bits + self.max_clauses * self.clause_bits
+        var_bits = max(1, (self.max_vars - 1).bit_length())
+        # derived fields: a frozen dataclass sets them through its __dict__
+        self.__dict__.update(
+            num_vars_bits=self.max_vars.bit_length(),
+            clause_count_bits=max(1, self.max_clauses.bit_length()),
+            var_bits=var_bits,
+            slot_bits=2 + var_bits,
+            clause_bits=3 * (2 + var_bits),
+        )
+        self.__dict__["width"] = (
+            self.num_vars_bits + self.clause_count_bits + self.max_clauses * self.clause_bits
+        )
 
     def encode(self, inst: ThreeSatInstance) -> str:
         if inst.num_vars > self.max_vars:
@@ -92,56 +86,48 @@ class FormulaEncoding:
             raise ConfigError(
                 f"instance has {len(inst.clauses)} clauses, encoding allows {self.max_clauses}"
             )
-        parts = [
-            int_to_bits(inst.num_vars, self.num_vars_bits),
-            int_to_bits(len(inst.clauses), self.clause_count_bits),
-        ]
+        slot_bits, present, positive = self.slot_bits, 2 << self.var_bits, 1 << self.var_bits
+        value = inst.num_vars << self.clause_count_bits | len(inst.clauses)
         for clause in inst.clauses:
-            block = []
             for lit in clause:
-                block.append("1" + ("1" if lit > 0 else "0") + int_to_bits(abs(lit) - 1, self.var_bits))
-            block.extend("0" * self.slot_bits for _ in range(3 - len(clause)))
-            parts.append("".join(block))
-        parts.extend("0" * self.clause_bits for _ in range(self.max_clauses - len(inst.clauses)))
-        return "".join(parts)
+                value = value << slot_bits | present | (positive if lit > 0 else 0) | abs(lit) - 1
+            value <<= slot_bits * (3 - len(clause))
+        value <<= self.clause_bits * (self.max_clauses - len(inst.clauses))
+        return format(value, f"0{self.width}b")
 
     def decode(self, bits: str) -> ThreeSatInstance:
         check_bits(bits, name="encoded formula")
         if len(bits) != self.width:
             raise FormatError(f"encoded formula must have {self.width} bits, got {len(bits)}")
-        pos = 0
-
-        def take(k: int) -> str:
-            nonlocal pos
-            out = bits[pos : pos + k]
-            pos += k
-            return out
-
-        num_vars = bits_to_int(take(self.num_vars_bits))
-        if num_vars > self.max_vars:
-            raise FormatError(f"num_vars field {num_vars} exceeds {self.max_vars}")
-        count = bits_to_int(take(self.clause_count_bits))
-        if count > self.max_clauses:
-            raise FormatError(f"clause count field {count} exceeds {self.max_clauses}")
+        head = self.num_vars_bits + self.clause_count_bits
+        num_vars = int(bits[: self.num_vars_bits], 2)
+        count = int(bits[self.num_vars_bits : head], 2)
+        if num_vars > self.max_vars or count > self.max_clauses:
+            raise FormatError(
+                f"header declares {num_vars} vars and {count} clauses,"
+                f" encoding allows {self.max_vars} and {self.max_clauses}"
+            )
+        end = head + count * self.clause_bits
+        if "1" in bits[end:]:
+            raise FormatError("bits set past the declared clause blocks")
+        slot_bits, present, positive = self.slot_bits, 2 << self.var_bits, 1 << self.var_bits
+        shifts = (2 * slot_bits, slot_bits, 0)
         clauses = []
-        for b in range(self.max_clauses):
+        for start in range(head, end, self.clause_bits):
+            block = int(bits[start : start + self.clause_bits], 2)
             lits = []
-            ended = False
-            for _ in range(3):
-                present, polarity, var_field = take(1), take(1), take(self.var_bits)
-                if present == "0":
-                    if polarity != "0" or bits_to_int(var_field) != 0:
-                        raise FormatError("nonzero bits in an absent literal slot")
-                    ended = True
-                    continue
-                if b >= count or ended:
-                    raise FormatError("literal slot set outside the declared clause layout")
-                var = bits_to_int(var_field) + 1
-                if var > num_vars:
-                    raise FormatError(f"literal references variable {var} > num_vars {num_vars}")
-                lits.append(var if polarity == "1" else -var)
-            clauses.append(tuple(lits))
-        return ThreeSatInstance(num_vars, clauses[:count])
+            for shift in shifts:
+                slot = block >> shift
+                if slot < present:
+                    # an absent slot: it and every slot after it are all-zero
+                    if block:
+                        raise FormatError("a literal slot follows an absent one or has stray bits")
+                    break
+                block ^= slot << shift
+                var = (slot & (positive - 1)) + 1
+                lits.append(var if slot & positive else -var)
+            clauses.append(lits)
+        return ThreeSatInstance(num_vars, clauses)
 
 
 class ThreeSatVerifier:

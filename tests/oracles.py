@@ -1,10 +1,11 @@
 """Brute-force oracles and reference views the tests check certlab against.
 
 No command needs these.  They are the slow, obviously correct versions of
-what the package computes, the NP-oracle view of its verifiers, the single
-challenge round, and the writers its parsers' round trips read back.  They
-are kept apart from the code they check the way perfbench/reference.py
-keeps the benchmark's checks.
+what the package computes, the field-by-field formula encoding, the
+NP-oracle view of its verifiers, the single challenge round, and the
+writers its parsers' round trips read back.  They are kept apart from the
+code they check the way perfbench/reference.py keeps the benchmark's
+checks.
 """
 
 from __future__ import annotations
@@ -13,14 +14,31 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from certlab.bits import bits_of_rank, bits_to_int, check_bits
+from certlab.bits import bits_of_rank, check_bits, int_to_bits
 from certlab.codes import CodeParams
 from certlab.concepts import CertConcept, DecisionTree, dt_eval
-from certlab.errors import BudgetError, ConfigError, DataInconsistencyError, ShapeError
+from certlab.errors import (
+    BudgetError,
+    ConfigError,
+    DataInconsistencyError,
+    FormatError,
+    ShapeError,
+)
 from certlab.paclearn import LabeledSample
 from certlab.reduction import AmTranscript, _Challenge
 from certlab.sat import ThreeSatInstance, _var_mask, eval_assignment
-from certlab.verifiers import StepCounter, ThreeSatVerifier, _check_budget, verify
+from certlab.verifiers import (
+    FormulaEncoding,
+    StepCounter,
+    ThreeSatVerifier,
+    _check_budget,
+    verify,
+)
+
+
+def bits_to_int(s: str) -> int:
+    """The integer value of a bitstring; the empty string is 0."""
+    return int(s, 2) if s else 0
 
 
 def clausewise_mask(inst: ThreeSatInstance, p: int) -> int:
@@ -94,6 +112,73 @@ def to_dimacs(inst: ThreeSatInstance) -> str:
 
 def serialize_config(cfg: dict[str, str]) -> str:
     return "".join(f"{k} = {v}\n" for k, v in cfg.items())
+
+
+# -- the formula encoding, field by field --------------------------------------------
+
+
+def reference_encode(enc: FormulaEncoding, inst) -> str:
+    """FormulaEncoding.encode joined slot by slot; inst needs only num_vars
+    and clauses, so raw clause lists encode as they are."""
+    if inst.num_vars > enc.max_vars:
+        raise ConfigError(f"instance has {inst.num_vars} vars, encoding allows {enc.max_vars}")
+    if len(inst.clauses) > enc.max_clauses:
+        raise ConfigError(
+            f"instance has {len(inst.clauses)} clauses, encoding allows {enc.max_clauses}"
+        )
+    parts = [
+        int_to_bits(inst.num_vars, enc.num_vars_bits),
+        int_to_bits(len(inst.clauses), enc.clause_count_bits),
+    ]
+    for clause in inst.clauses:
+        block = []
+        for lit in clause:
+            block.append("1" + ("1" if lit > 0 else "0") + int_to_bits(abs(lit) - 1, enc.var_bits))
+        block.extend("0" * enc.slot_bits for _ in range(3 - len(clause)))
+        parts.append("".join(block))
+    parts.extend("0" * enc.clause_bits for _ in range(enc.max_clauses - len(inst.clauses)))
+    return "".join(parts)
+
+
+def reference_decode(enc: FormulaEncoding, bits: str) -> ThreeSatInstance:
+    """FormulaEncoding.decode read field by field, checking every field as
+    it goes, the variable range included."""
+    check_bits(bits, name="encoded formula")
+    if len(bits) != enc.width:
+        raise FormatError(f"encoded formula must have {enc.width} bits, got {len(bits)}")
+    pos = 0
+
+    def take(k: int) -> str:
+        nonlocal pos
+        out = bits[pos : pos + k]
+        pos += k
+        return out
+
+    num_vars = bits_to_int(take(enc.num_vars_bits))
+    if num_vars > enc.max_vars:
+        raise FormatError(f"num_vars field {num_vars} exceeds {enc.max_vars}")
+    count = bits_to_int(take(enc.clause_count_bits))
+    if count > enc.max_clauses:
+        raise FormatError(f"clause count field {count} exceeds {enc.max_clauses}")
+    clauses = []
+    for b in range(enc.max_clauses):
+        lits = []
+        ended = False
+        for _ in range(3):
+            present, polarity, var_field = take(1), take(1), take(enc.var_bits)
+            if present == "0":
+                if polarity != "0" or bits_to_int(var_field) != 0:
+                    raise FormatError("nonzero bits in an absent literal slot")
+                ended = True
+                continue
+            if b >= count or ended:
+                raise FormatError("literal slot set outside the declared clause layout")
+            var = bits_to_int(var_field) + 1
+            if var > num_vars:
+                raise FormatError(f"literal references variable {var} > num_vars {num_vars}")
+            lits.append(var if polarity == "1" else -var)
+        clauses.append(tuple(lits))
+    return ThreeSatInstance(num_vars, clauses[:count])
 
 
 # -- verifiers and the NP-oracle view --------------------------------------------

@@ -3,7 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 from certlab.bits import (
     bits_of_rank,
-    bits_to_int,
     check_bits,
     flip_positions,
     int_to_bits,
@@ -11,7 +10,7 @@ from certlab.bits import (
     random_bits,
 )
 from certlab.errors import ShapeError
-from oracles import lex_rank
+from oracles import bits_to_int, lex_rank
 
 
 def test_lex_rank_examples():

@@ -320,11 +320,6 @@ def test_enumerate_class_unsat_seed_list_all_constant():
         assert tree.size == 1
 
 
-def test_enumerate_class_budget():
-    with pytest.raises(BudgetError):
-        list(enumerate_class(V2, DEFAULT_CODE_PARAMS))  # n = 31 > 20-bit budget
-
-
 def test_unifcert_is_a_junta():
     # 10^3 randomized trailing-bit trials per concept
     rng = random.Random(8)

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import random
 import re
+import signal
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from certlab.bits import int_to_bits
 from certlab.codes import DEFAULT_CODE_PARAMS
@@ -246,16 +250,23 @@ def test_uniform_concepts_have_no_useless_example():
             build(concept)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_config_keys() -> list[str]:
+    """The keys of the README's config block, in the order it lists them."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("### Config format", 1)[1].split("```", 2)[1]
+    return re.findall(r"^(\S+) =", block, flags=re.MULTILINE)
+
+
 def test_readme_config_block_lists_exactly_the_keys_read():
-    root = Path(__file__).resolve().parents[1]
     read = set()
-    for path in (root / "src" / "certlab" / "harness").glob("*.py"):
+    for path in (ROOT / "src" / "certlab" / "harness").glob("*.py"):
         text = path.read_text()
         read |= set(re.findall(r'get_\w+\(cfg, "([^"]+)"', text))
         read |= set(re.findall(r'cfg\.get\("([^"]+)"', text))
-    readme = (root / "README.md").read_text()
-    block = readme.split("### Config format", 1)[1].split("```", 2)[1]
-    listed = re.findall(r"^(\S+) =", block, flags=re.MULTILINE)
+    listed = readme_config_keys()
     assert len(listed) == len(set(listed))
     assert set(listed) == read
 
@@ -327,6 +338,52 @@ def test_cli_rejects_unusable_values_in_one_line(tmp_path, capsys, command, cfg_
     assert code == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("configuration error: ")
+
+
+#: A small config per command, so that a fuzzed value that is accepted
+#: still runs in milliseconds.
+FUZZ_BASES = {
+    "enumerate": {"corpus.kind": "random", "corpus.count": "2"},
+    "vcdim": {"corpus.kind": "single_clause"},
+    "codes-test": {"codes.lengths": "4", "codes.samples": "20"},
+    "learn": {"corpus.kind": "single_clause", "learn.m": "2", "learn.trials": "2"},
+    "reduce": {"corpus.kind": "random", "corpus.count": "2", "decider.m": "2", "decider.r": "1"},
+    "tradeoff": {"tradeoff.vars": "3", "tradeoff.m": "1,2", "tradeoff.trials": "1"},
+}
+FUZZ_VALUES = [
+    "-1", "-7", "0", "1", "2", "3", "1/3", "1/2", "3/2", "0.5", "-0.25", "nan", "inf",
+    "-inf", "1e400", "", "junk", "0x10", "1/0", "1,2", "2,,3", "-1,4", "nan,1", "1 2",
+]
+FUZZ_CASE_SECONDS = 10
+
+
+def _case_timed_out(signum, frame):
+    raise TimeoutError(f"a fuzzed CLI case ran for over {FUZZ_CASE_SECONDS} s")
+
+
+# No shrinking: a case is at most three keys already, and shrinking a hang
+# would wait out the time limit once per step.
+@settings(max_examples=300, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(
+    command=st.sampled_from(sorted(FUZZ_BASES)),
+    overrides=st.dictionaries(
+        st.sampled_from(readme_config_keys()), st.sampled_from(FUZZ_VALUES), min_size=1, max_size=3
+    ),
+)
+def test_cli_fuzzed_config_values_exit_0_1_or_2_with_one_line(command, overrides):
+    cfg_text = serialize_config({**FUZZ_BASES[command], **overrides})
+    err = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _case_timed_out)
+    signal.alarm(FUZZ_CASE_SECONDS)
+    try:
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            code = run_cli(Path(tmp), command, cfg_text)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2), cfg_text
+    if code:
+        assert len(err.getvalue().splitlines()) == 1, (cfg_text, err.getvalue())
 
 
 @pytest.mark.parametrize("out", ["afile", "afile/sub"])

@@ -22,6 +22,8 @@ from oracles import (
     lex_verify,
     naive_first_certificate,
     nondet_oracle,
+    reference_decode,
+    reference_encode,
 )
 
 ENC2 = FormulaEncoding(max_vars=2, max_clauses=3)
@@ -274,14 +276,22 @@ def test_encoding_var_reference_above_num_vars_rejected():
 ENCODINGS = st.builds(FormulaEncoding, st.integers(1, 5), st.integers(0, 4))
 
 
-def decode_outcome(enc: FormulaEncoding, word: str):
+def decode_outcome(decode, enc: FormulaEncoding, word: str):
     """The decoded instance, or None on FormatError; any other exception
     propagates and fails the calling test."""
     try:
-        inst = enc.decode(word)
+        inst = decode(enc, word)
     except FormatError:
         return None
     assert isinstance(inst, ThreeSatInstance)
+    return inst
+
+
+def assert_decodes_as_reference(enc: FormulaEncoding, word: str):
+    """decode and the field-by-field reference agree on the word: an equal
+    instance, or FormatError from both.  Returns the instance or None."""
+    inst = decode_outcome(FormulaEncoding.decode, enc, word)
+    assert inst == decode_outcome(reference_decode, enc, word)
     return inst
 
 
@@ -315,7 +325,7 @@ def encoding_word(draw):
 @given(encoding_word())
 def test_encoding_decode_returns_an_instance_or_raises_format_error(case):
     enc, word = case
-    inst = decode_outcome(enc, word)
+    inst = assert_decodes_as_reference(enc, word)
     if inst is not None:
         assert enc.decode(enc.encode(inst)) == inst
 
@@ -326,15 +336,18 @@ def test_encoding_decode_of_every_narrow_word_is_an_instance_or_format_error():
             enc = FormulaEncoding(max_vars, max_clauses)
             if enc.width <= 12:
                 for v in range(1 << enc.width):
-                    decode_outcome(enc, int_to_bits(v, enc.width))
+                    assert_decodes_as_reference(enc, int_to_bits(v, enc.width))
 
 
 @settings(max_examples=300, deadline=None)
 @given(raw_formula())
 def test_encoding_round_trips_generated_instances(case):
     enc, num_vars, clauses = case
+    raw = SimpleNamespace(num_vars=num_vars, clauses=clauses)
+    assert enc.encode(raw) == reference_encode(enc, raw)
     inst = ThreeSatInstance(num_vars, clauses)
     z = enc.encode(inst)
+    assert z == reference_encode(enc, inst)
     assert len(z) == enc.width
     assert enc.decode(z) == inst
 
