@@ -51,13 +51,14 @@ class ExampleLayout:
     def example_len(self) -> int:
         return self.n + self.ell
 
-    def index_bits(self, x: str) -> str:
-        """The example's ell index bits."""
-        check_bits(x, length=self.example_len, name="example")
-        return x[self.matched : self.matched + self.ell]
+    def example(self, part: str, value: int) -> str:
+        """The example with index value `value` whose other bits are part's."""
+        return part[: self.matched] + int_to_bits(value, self.ell) + part[self.matched :]
 
-    def join(self, z_part: str, i_bits: str) -> str:
-        return z_part[: self.matched] + i_bits + z_part[self.matched :]
+    def index(self, x: str) -> int:
+        """The example's index value."""
+        check_bits(x, length=self.example_len, name="example")
+        return int(x[self.matched : self.matched + self.ell], 2)
 
     def draw(self, rng: random.Random, z: str, m: int) -> tuple[list[str], str]:
         """m uniform challenge points for the instance z, and the part the
@@ -104,17 +105,14 @@ class CertConcept:
         return len(self.support)
 
     def __call__(self, x: str) -> int:
-        lay = self.layout
-        check_bits(x, length=lay.example_len, name="example")
-        if self.enc is None or not x.startswith(self.z_matched):
-            return 0
-        return 1 if int(x[lay.matched : lay.matched + lay.ell], 2) in self.support else 0
+        # the support is empty when there is no certificate
+        i = self.layout.index(x)
+        return 1 if i in self.support and x.startswith(self.z_matched) else 0
 
     def one_points(self) -> list[str]:
         """All examples labeled 1, in index order (at most c*p of them); in
         the uniform layout, the ones whose trailing part is z."""
-        lay = self.layout
-        return [lay.join(self.z, int_to_bits(i, lay.ell)) for i in sorted(self.support)]
+        return [self.layout.example(self.z, i) for i in sorted(self.support)]
 
 
 # -- decision trees ------------------------------------------------------------

@@ -99,7 +99,7 @@ def useless_point(concept: CertConcept) -> str:
         raise ConfigError("the uniform layout has no useless example")
     z = concept.z
     flipped = ("1" if z[0] == "0" else "0") + z[1:]
-    return lay.join(flipped, "0" * lay.ell)
+    return lay.example(flipped, 0)
 
 
 def distribution_suite(concept: CertConcept) -> list[tuple[str, Distribution]]:
@@ -107,7 +107,7 @@ def distribution_suite(concept: CertConcept) -> list[tuple[str, Distribution]]:
     uniform on useful points, 90% mass on one useless point, and point masses."""
     lay = concept.layout
     far = useless_point(concept)
-    useful = [lay.join(concept.z, int_to_bits(v, lay.ell)) for v in range(1 << lay.ell)]
+    useful = [lay.example(concept.z, v) for v in range(1 << lay.ell)]
     ones = concept.one_points()
     suite = [
         ("uniform_useful", Distribution.uniform(useful)),
@@ -157,7 +157,7 @@ def probe_domain(concepts: list[CertConcept], limit: int = 16) -> list[str]:
         lay = c.layout
         zeros = [v for v in range(1 << lay.ell) if v not in c.support]
         for v in zeros[:1]:
-            add(lay.join(c.z, int_to_bits(v, lay.ell)))
+            add(lay.example(c.z, v))
         if len(pts) >= limit - 2:
             break
     for c in concepts[:2]:

@@ -42,56 +42,42 @@ def read_text_file(path: str, what: str) -> str:
         raise ConfigError(f"{what} cannot be read: {path} ({exc.strerror})") from None
 
 
+def _get(cfg: dict[str, str], key: str, default, convert, errors, expected: str):
+    """cfg[key] converted, default when the key is absent; a ConfigError when
+    it is absent with no default or fails to convert."""
+    if key not in cfg:
+        if default is None:
+            raise ConfigError(f"missing config key {key!r}")
+        return default
+    try:
+        return convert(cfg[key])
+    except errors:
+        raise ConfigError(f"config key {key!r} must be {expected}, got {cfg[key]!r}") from None
+
+
 def get_str(cfg: dict[str, str], key: str, default: str | None = None) -> str:
-    if key in cfg:
-        return cfg[key]
-    if default is None:
-        raise ConfigError(f"missing config key {key!r}")
-    return default
+    return _get(cfg, key, default, str, (), "")
 
 
 def get_int(cfg: dict[str, str], key: str, default: int | None = None) -> int:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing config key {key!r}")
-        return default
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ConfigError(f"config key {key!r} must be an integer, got {cfg[key]!r}") from None
+    return _get(cfg, key, default, int, ValueError, "an integer")
 
 
 def get_float(cfg: dict[str, str], key: str, default: float | None = None) -> float:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing config key {key!r}")
-        return default
-    try:
-        return float(Fraction(cfg[key]))
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise ConfigError(f"config key {key!r} must be a number, got {cfg[key]!r}") from None
+    errors = (ValueError, ZeroDivisionError, OverflowError)
+    return _get(cfg, key, default, lambda s: float(Fraction(s)), errors, "a number")
 
 
 def get_fraction(cfg: dict[str, str], key: str, default: Fraction | None = None) -> Fraction:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing config key {key!r}")
-        return default
-    try:
-        return Fraction(cfg[key])
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"config key {key!r} must be a fraction, got {cfg[key]!r}") from None
+    return _get(cfg, key, default, Fraction, (ValueError, ZeroDivisionError), "a fraction")
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
 def get_int_list(cfg: dict[str, str], key: str, default: list[int] | None = None) -> list[int]:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing config key {key!r}")
-        return default
-    try:
-        values = [int(tok) for tok in cfg[key].split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"config key {key!r} must be comma-separated integers") from None
+    values = _get(cfg, key, default, _int_list, ValueError, "comma-separated integers")
     if not values:
         raise ConfigError(f"config key {key!r} must list at least one integer")
     return values

@@ -18,7 +18,7 @@ from .errors import (
     ConfigError,
     DataInconsistencyError,
 )
-from .paclearn import ConstantHypothesis, LabeledSample, TableHypothesis, few_sample_learner
+from .paclearn import LabeledSample, TableHypothesis, few_sample_learner
 from .verifiers import ThreeSatVerifier
 
 #: Sample-count constant for the online-to-PAC conversion; artifact constant,
@@ -74,7 +74,7 @@ class SingleMistakeLearner:
             ) from None
 
     def current_hypothesis(self):
-        return ConstantHypothesis(0) if self.concept is None else self.concept
+        return TableHypothesis(()) if self.concept is None else self.concept
 
     def fork(self) -> "SingleMistakeLearner":
         other = SingleMistakeLearner(self.verifier, self.params)

@@ -38,7 +38,8 @@ class Distribution:
         if any(w < 0 for w in self.weights):
             raise ConfigError("weights must be nonnegative")
         if self.points:
-            length = len(self.points[0])
+            first = self.points[0]
+            length = len(first) if isinstance(first, str) else None
             for pt in self.points:
                 check_bits(pt, length=length, name="support point")
         if abs(sum(self.weights) - 1.0) > WEIGHT_TOLERANCE:
@@ -130,19 +131,6 @@ def error_of(dist: Distribution, f, h) -> float:
 # -- hypotheses -----------------------------------------------------------------
 
 
-class ConstantHypothesis:
-    __slots__ = ("bit",)
-
-    def __init__(self, bit: int) -> None:
-        self.bit = int(bit)
-
-    def __call__(self, x: str) -> int:
-        return self.bit
-
-    def __repr__(self) -> str:
-        return f"ConstantHypothesis({self.bit})"
-
-
 class TableHypothesis:
     """1 exactly on an explicit finite set of points; 0 elsewhere."""
 
@@ -159,18 +147,19 @@ class TableHypothesis:
 
 
 class JuntaHypothesis:
-    """Depends only on the index bits; a table over all 2^ell values."""
+    """Depends only on the index value: bit v of word is the answer at index
+    value v."""
 
-    __slots__ = ("bits", "layout")
+    __slots__ = ("word", "layout")
 
-    def __init__(self, bits, layout: ExampleLayout) -> None:
-        self.bits = tuple(int(b) for b in bits)
+    def __init__(self, word: int, layout: ExampleLayout) -> None:
+        if not 0 <= word < 1 << (1 << layout.ell):
+            raise ShapeError(f"junta word must fit in {1 << layout.ell} bits, got {word}")
+        self.word = word
         self.layout = layout
-        if len(self.bits) != 1 << layout.ell:
-            raise ShapeError("junta table must cover all index values")
 
     def __call__(self, x: str) -> int:
-        return self.bits[int(self.layout.index_bits(x), 2)]
+        return (self.word >> self.layout.index(x)) & 1
 
 
 # -- learners -------------------------------------------------------------------
@@ -188,8 +177,8 @@ def few_sample_learner(
     concept, checked against the sample, is the hypothesis."""
     ones = [x for x, y in sample.pairs if y == 1]
     if not ones:
-        return ConstantHypothesis(0)
-    prefixes = {x[: verifier.n] for x in ones}
+        return TableHypothesis(())
+    prefixes = {x[: verifier.n] for x in ones}  # the standard layout's instance bits
     if len(prefixes) > 1:
         raise DataInconsistencyError("1-labeled examples carry conflicting instance prefixes")
     z = next(iter(prefixes))
@@ -218,21 +207,18 @@ def junta_learner(
     sample: LabeledSample, layout: ExampleLayout, *, counter: StepCounter | None = None
 ):
     """Learn a table over the 2^ell index values; unobserved indices map to 0."""
-    if sample.pairs:
-        # the sample's points are checked bit strings of one length already
-        check_bits(sample.pairs[0][0], length=layout.example_len, name="example")
-    lo, hi = layout.matched, layout.matched + layout.ell
-    table: dict[int, int] = {}
+    zeros = ones = 0  # bit v: index value v seen with label 0, with label 1
     for x, y in sample.pairs:
-        idx = int(x[lo:hi], 2)
-        prev = table.get(idx)
-        if prev is not None and prev != y:
+        idx = layout.index(x)
+        if y == 1:
+            ones |= 1 << idx
+        else:
+            zeros |= 1 << idx
+        if zeros & ones:
             raise DataInconsistencyError(f"index {idx} observed with both labels")
-        table[idx] = y
     if counter is not None:
         counter.steps += sample.m
-    bits = tuple(table.get(i, 0) for i in range(1 << layout.ell))
-    return JuntaHypothesis(bits, layout)
+    return JuntaHypothesis(ones, layout)
 
 
 # -- trial harness ----------------------------------------------------------------

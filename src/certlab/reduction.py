@@ -78,22 +78,20 @@ class _Challenge:
         self._queries: dict[str, int] = {}
 
     def _queries_at(self, read_at: str) -> dict[str, int]:
-        """read_at joined to each index value, mapped to that value, in value
-        order; built once per read_at."""
+        """`layout.example(read_at, v)` mapped to v for each index value v, in
+        value order; built once per read_at."""
         if read_at != self._read_at:
             lay = self.layout
-            self._queries = {
-                lay.join(read_at, int_to_bits(v, lay.ell)): v for v in range(1 << lay.ell)
-            }
+            self._queries = {lay.example(read_at, v): v for v in range(1 << lay.ell)}
             self._read_at = read_at
         return self._queries
 
     def answers(self, hypothesis, read_at: str) -> int:
-        """Bit v: the hypothesis's answer at index value v joined to read_at.
-        A table hypothesis is answered from its ones that are queries, and a
-        junta on this layout from its table."""
+        """Bit v: the hypothesis's answer at `layout.example(read_at, v)`.  A
+        table hypothesis is answered from its ones that are queries, and a
+        junta on this layout by its word."""
         if type(hypothesis) is JuntaHypothesis and hypothesis.layout == self.layout:
-            return sum(1 << v for v, b in enumerate(hypothesis.bits) if b)
+            return hypothesis.word
         queries = self._queries_at(read_at)
         word = 0
         if type(hypothesis) is TableHypothesis:
@@ -108,9 +106,9 @@ class _Challenge:
         return word
 
     def prove(self, sample: LabeledSample, read_at: str) -> _Proof | None:
-        """Learn from the sample, query the hypothesis at every index joined
-        to read_at, decode its first cp answers and check the result; None
-        when the learner raises."""
+        """Learn from the sample, query the hypothesis at every index value
+        with read_at's other bits, decode its first cp answers and check the
+        result; None when the learner raises."""
         try:
             hypothesis = self.learner(sample)
         except CertlabError:
@@ -121,10 +119,11 @@ class _Challenge:
         return _Proof(hypothesis, answers, w_val, verdict)
 
     def transcript(self, seed_label: str, points, labels: str, proof) -> AmTranscript:
-        indices = tuple(self.layout.index_bits(x) for x in points)
+        lay = self.layout
+        indices = tuple(int_to_bits(lay.index(x), lay.ell) for x in points)
         if proof is None:
             return AmTranscript(seed_label, indices, labels, None, "", "", 0, failed=True)
-        y = format(proof.answers, f"0{1 << self.layout.ell}b")[::-1]
+        y = format(proof.answers, f"0{1 << lay.ell}b")[::-1]
         w_tilde = format(proof.w_val, f"0{self.verifier.p}b")
         return AmTranscript(
             seed_label, indices, labels, proof.hypothesis, y, w_tilde, proof.verdict

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from certlab.bits import bits_of_rank, check_bits, int_to_bits
 from certlab.codes import CodeParams
-from certlab.concepts import CertConcept, DecisionTree, dt_eval
+from certlab.concepts import CertConcept, DecisionTree, ExampleLayout, dt_eval
 from certlab.errors import (
     BudgetError,
     ConfigError,
@@ -98,6 +98,22 @@ def erm_learner(stream, sample: LabeledSample):
         if all(dt_eval(tree, x) == y for x, y in sample.pairs):
             return TreeHypothesis(tree)
     raise DataInconsistencyError("no enumerated concept is consistent with the sample")
+
+
+def reference_junta_table(sample: LabeledSample, layout: ExampleLayout) -> tuple[int, ...]:
+    """The junta learner's answers as a tuple over the 2^ell index values,
+    read with a dict of the labels seen per index slice."""
+    if sample.pairs:
+        check_bits(sample.pairs[0][0], length=layout.example_len, name="example")
+    lo, hi = layout.matched, layout.matched + layout.ell
+    table: dict[int, int] = {}
+    for x, y in sample.pairs:
+        idx = int(x[lo:hi], 2)
+        prev = table.get(idx)
+        if prev is not None and prev != y:
+            raise DataInconsistencyError(f"index {idx} observed with both labels")
+        table[idx] = y
+    return tuple(int(table.get(i, 0)) for i in range(1 << layout.ell))
 
 
 # -- writers whose output the parsers read back ---------------------------------

@@ -45,15 +45,15 @@ def test_layout_shapes():
     lay = ExampleLayout.of(10, DEFAULT_CODE_PARAMS, 2, "standard")
     assert (lay.cp, lay.ell, lay.example_len) == (16, 4, 14)
     x = "0" * 10 + "1010"
-    assert lay.index_bits(x) == "1010"
-    assert lay.join("0" * 10, lay.index_bits(x)) == x
+    assert lay.index(x) == 0b1010
+    assert lay.example("0" * 10, lay.index(x)) == x
     ulay = ExampleLayout.of(10, DEFAULT_CODE_PARAMS, 2, "uniform")
     ux = "1010" + "0" * 10
-    assert ulay.index_bits(ux) == "1010"
-    assert ulay.join("0" * 10, ulay.index_bits(ux)) == ux
+    assert ulay.index(ux) == 0b1010
+    assert ulay.example("0" * 10, ulay.index(ux)) == ux
     for layout in (lay, ulay):
         with pytest.raises(ShapeError, match="example must have length 14"):
-            layout.index_bits("0" * 13)
+            layout.index("0" * 13)
 
 
 def test_eval_cert_unsat_is_constant_zero():
@@ -121,11 +121,10 @@ def test_tree_agrees_with_concept_on_every_index_in_both_layouts(kind):
             tree = build_decision_tree(c)
             lay = c.layout
             for v in range(1 << lay.ell):
-                i_bits = int_to_bits(v, lay.ell)
                 # z itself, and another part: the uniform concept ignores it,
                 # the standard one labels it 0
                 for part in (z, random_bits(rng, lay.n)):
-                    x = lay.join(part, i_bits)
+                    x = lay.example(part, v)
                     assert dt_eval(tree, x) == c(x), (inst, v, part)
 
 

@@ -194,7 +194,7 @@ def test_reduce_plugs_in_the_junta_learner_on_the_uniform_layout(tmp_path, monke
     layout = ExampleLayout.of(v.n, config.code_params, v.p, "uniform")
     inst = next(f for f in single_clause_corpus().instances if brute_force_sat(f))
     concept = CertConcept(v, v.encoding.encode(inst), config.code_params, kind="uniform")
-    points = [layout.join("0" * v.n, int_to_bits(i, layout.ell)) for i in range(1 << layout.ell)]
+    points = [layout.example("0" * v.n, i) for i in range(1 << layout.ell)]
     sample = draw_sample(Distribution.uniform(points), concept, 10, random.Random(0))
     _same_as_direct(learner, lambda s, c: junta_learner(s, layout, counter=c), sample, points)
 
@@ -437,12 +437,12 @@ def test_cli_learn_small(tmp_path):
     # m = 0 rows: success is exactly whether constant-0 is eps-close
     from certlab.codes import DEFAULT_CODE_PARAMS
     from certlab.harness.commands import _target_concept
-    from certlab.paclearn import ConstantHypothesis, error_of
+    from certlab.paclearn import TableHypothesis, error_of
 
     corpus = single_clause_corpus()
     concept = _target_concept(corpus, DEFAULT_CODE_PARAMS)
     expected = {
-        name: 1.0 if error_of(dist, concept, ConstantHypothesis(0)) <= 0.1 else 0.0
+        name: 1.0 if error_of(dist, concept, TableHypothesis(())) <= 0.1 else 0.0
         for name, dist in distribution_suite(concept)
     }
     header = body[0].split(",")

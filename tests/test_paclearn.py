@@ -10,9 +10,10 @@ from certlab.codes import DEFAULT_CODE_PARAMS, get_code
 from certlab.concepts import CertConcept, ExampleLayout
 from certlab.errors import ConfigError, DataInconsistencyError, ShapeError
 from certlab.paclearn import (
-    ConstantHypothesis,
     Distribution,
+    JuntaHypothesis,
     LabeledSample,
+    TableHypothesis,
     draw_sample,
     error_of,
     few_sample_learner,
@@ -26,7 +27,7 @@ from certlab.harness.commands import _target_concept, distribution_suite
 from certlab.harness.corpus import build_corpus
 from certlab.sat import ThreeSatInstance, exhaustive_formulas
 from certlab.verifiers import FormulaEncoding, StepCounter, ThreeSatVerifier
-from oracles import erm_learner
+from oracles import erm_learner, reference_junta_table
 
 ENC2 = FormulaEncoding(max_vars=2, max_clauses=3)
 V2 = ThreeSatVerifier(ENC2)
@@ -59,6 +60,10 @@ def test_distribution_validation():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ConfigError, match="weights must be finite"):
             Distribution(["00", "01"], [bad, 1.0])
+    for point in (5, None):
+        with pytest.raises(ShapeError) as err:
+            Distribution([point], [1.0])
+        assert str(err.value) == f"support point must be a string over 0/1, got {point}"
     Distribution(["00", "01"], [0.25, 0.75])
 
 
@@ -237,7 +242,7 @@ def test_error_of_examples():
     # constant-0 error under uniform-on-useful = codeword weight / 2^ell
     enc = get_code(DEFAULT_CODE_PARAMS, 2).encode("01")
     expected = enc.count("1") / (1 << c.layout.ell)
-    assert error_of(dist, c, ConstantHypothesis(0)) == pytest.approx(expected)
+    assert error_of(dist, c, TableHypothesis(())) == pytest.approx(expected)
 
 
 # -- few-sample learner -----------------------------------------------------------
@@ -270,7 +275,7 @@ def test_few_sample_all_zero_sample_returns_constant_zero():
     c = concept0()
     zero_pt = next(x for x in useful_points(c) if c(x) == 0)
     h = few_sample_learner(LabeledSample(((zero_pt, 0),)), V2, DEFAULT_CODE_PARAMS)
-    assert isinstance(h, ConstantHypothesis) and h.bit == 0
+    assert isinstance(h, TableHypothesis) and not h.ones
     h2 = few_sample_learner(LabeledSample(()), V2, DEFAULT_CODE_PARAMS)
     assert h2("0" * c.layout.example_len) == 0
 
@@ -382,6 +387,43 @@ def test_junta_learner_empty_is_constant_zero():
     assert h("0" * lay.example_len) == 0
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_junta_learner_word_matches_the_reference_table(data):
+    """The learner's answer word is the reference's dict-built table read as
+    bits, or both raise the same inconsistency at the same pair."""
+    kind = data.draw(st.sampled_from(["standard", "uniform"]))
+    lay = ExampleLayout.of(V2.n, DEFAULT_CODE_PARAMS, V2.p, kind)
+    # few index values, so a sample repeats some of them
+    values = data.draw(st.lists(st.integers(0, (1 << lay.ell) - 1), min_size=1, max_size=4))
+    pairs = []
+    for _ in range(data.draw(st.integers(0, 12))):
+        part = data.draw(st.text("01", min_size=lay.n, max_size=lay.n))
+        label = data.draw(st.sampled_from([0, 1, True, False, 1.0, 0.0]))
+        pairs.append((lay.example(part, data.draw(st.sampled_from(values))), label))
+    sample = LabeledSample(tuple(pairs))
+    try:
+        table = reference_junta_table(sample, lay)
+    except DataInconsistencyError as expected:
+        with pytest.raises(DataInconsistencyError) as err:
+            junta_learner(sample, lay)
+        assert str(err.value) == str(expected)
+        return
+    h = junta_learner(sample, lay)
+    assert h.word == sum(b << v for v, b in enumerate(table))
+
+
+def test_junta_hypothesis_word_must_fit_the_index_values():
+    lay = ExampleLayout.of(V2.n, DEFAULT_CODE_PARAMS, V2.p, "uniform")
+    size = 1 << lay.ell
+    full = JuntaHypothesis((1 << size) - 1, lay)
+    assert full(lay.example("0" * lay.n, size - 1)) == 1
+    for word in (-1, 1 << size):
+        with pytest.raises(ShapeError) as err:
+            JuntaHypothesis(word, lay)
+        assert str(err.value) == f"junta word must fit in {size} bits, got {word}"
+
+
 # -- enumeration ERM ---------------------------------------------------------------
 
 
@@ -455,7 +497,7 @@ def test_constant_zero_learner_fails_heavy_one_mass():
     dist = Distribution.uniform(ones)  # all mass on 1-points
 
     def learner(sample, counter=None):
-        return ConstantHypothesis(0)
+        return TableHypothesis(())
 
     res = pac_trial_suite(learner, c, dist, 0.1, 5, 20, 0)
     assert res.success_rate == 0.0

@@ -27,7 +27,7 @@ ALLOWLIST = {
     "certlab.online.random_consistent_adversary": "criterion 08: a consistent adversary",
     "certlab.online.OnlineToPacLearner": "criterion 08: the online-to-PAC conversion at p = 16",
     "certlab.paclearn.JuntaHypothesis.__call__": (
-        "a hypothesis is a callable; the decider reads a junta's table without calling it"
+        "a hypothesis is a callable; the decider reads a junta's answer word without calling it"
     ),
 }
 #: Methods Python calls on a class's behalf, whatever the commands do.

@@ -11,7 +11,6 @@ from certlab import paclearn
 from certlab.concepts import LAYOUT_KINDS, CertConcept, ExampleLayout
 from certlab.errors import BudgetError, ConfigError, ShapeError
 from certlab.paclearn import (
-    ConstantHypothesis,
     JuntaHypothesis,
     TableHypothesis,
     error_of,
@@ -36,7 +35,7 @@ JUNTA_V2 = partial(junta_learner, layout=ExampleLayout.of(V2.n, PARAMS, V2.p, "u
 
 
 def constant_zero_learner(sample, counter=None):
-    return ConstantHypothesis(0)
+    return TableHypothesis(())
 
 
 def test_am_round_unsat_verdict_zero_for_any_merlin_and_learner():
@@ -391,11 +390,10 @@ def test_table_answers_match_the_per_index_loop(data):
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     for _ in range(2):  # a second read-out point rebuilds the queries in the uniform layout
         _, read_at = lay.draw(rng, z, 0)
-        queries = [lay.join(read_at, int_to_bits(v, lay.ell)) for v in range(1 << lay.ell)]
+        queries = [lay.example(read_at, v) for v in range(1 << lay.ell)]
         # a query with one bit of its read-out point flipped is no query
         near_misses = [
-            lay.join(flip_positions(read_at, [j]), int_to_bits(j % (1 << lay.ell), lay.ell))
-            for j in range(lay.n)
+            lay.example(flip_positions(read_at, [j]), j % (1 << lay.ell)) for j in range(lay.n)
         ]
         ones = data.draw(
             st.lists(
@@ -417,17 +415,16 @@ def test_table_answers_match_the_per_index_loop(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_junta_answers_match_the_per_index_loop(data):
-    """A junta on the challenge's layout is answered from its table; one on
+    """A junta on the challenge's layout is answered by its word; one on
     the other layout is queried, and reads the read-out point's bits."""
     variant = data.draw(st.sampled_from(LAYOUT_KINDS))
     challenge = _Challenge(Z0, V2, sparse_erm, PARAMS, variant)
     lay = challenge.layout
     _, read_at = lay.draw(random.Random(data.draw(st.integers(0, 2**32))), Z0, 0)
-    queries = [lay.join(read_at, int_to_bits(v, lay.ell)) for v in range(1 << lay.ell)]
-    size = 1 << lay.ell
-    bits = data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+    queries = [lay.example(read_at, v) for v in range(1 << lay.ell)]
+    word = data.draw(st.integers(0, (1 << (1 << lay.ell)) - 1))
     for junta_kind in LAYOUT_KINDS:
-        junta = JuntaHypothesis(bits, ExampleLayout.of(V2.n, PARAMS, V2.p, junta_kind))
+        junta = JuntaHypothesis(word, ExampleLayout.of(V2.n, PARAMS, V2.p, junta_kind))
         word = challenge.answers(junta, read_at)
         assert word == challenge.answers(OpaqueHypothesis(junta), read_at)
         assert word == sum(1 << v for v, x in enumerate(queries) if junta(x))
