@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from certlab.bits import int_to_bits
 from certlab.codes import DEFAULT_CODE_PARAMS
 from certlab.concepts import CertConcept, ExampleLayout
 from certlab.errors import ConfigError, FormatError

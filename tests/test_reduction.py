@@ -422,9 +422,9 @@ def test_junta_answers_match_the_per_index_loop(data):
     lay = challenge.layout
     _, read_at = lay.draw(random.Random(data.draw(st.integers(0, 2**32))), Z0, 0)
     queries = [lay.example(read_at, v) for v in range(1 << lay.ell)]
-    word = data.draw(st.integers(0, (1 << (1 << lay.ell)) - 1))
+    drawn = data.draw(st.integers(0, (1 << (1 << lay.ell)) - 1))
     for junta_kind in LAYOUT_KINDS:
-        junta = JuntaHypothesis(word, ExampleLayout.of(V2.n, PARAMS, V2.p, junta_kind))
+        junta = JuntaHypothesis(drawn, ExampleLayout.of(V2.n, PARAMS, V2.p, junta_kind))
         word = challenge.answers(junta, read_at)
         assert word == challenge.answers(OpaqueHypothesis(junta), read_at)
         assert word == sum(1 << v for v, x in enumerate(queries) if junta(x))
