@@ -69,12 +69,34 @@ class ExampleLayout:
         return points, head + random_bits(rng, self.n - self.matched)
 
 
-class CertConcept:
+class JuntaHypothesis:
+    """Depends only on the index value, gated by a head: bit v of word is the
+    answer at index value v for an example that starts with head, and every
+    other example is labeled 0.  The head is at most the layout's matched
+    bits, so the index bits decide nothing about it; a learned junta has
+    none."""
+
+    __slots__ = ("word", "layout", "head")
+
+    def __init__(self, word: int, layout: ExampleLayout, head: str = "") -> None:
+        if not 0 <= word < 1 << (1 << layout.ell):
+            raise ShapeError(f"junta word must fit in {1 << layout.ell} bits, got {word}")
+        self.word = word
+        self.layout = layout
+        self.head = head
+
+    def __call__(self, x: str) -> int:
+        i = self.layout.index(x)
+        return 1 if (self.word >> i) & 1 and x.startswith(self.head) else 0
+
+
+class CertConcept(JuntaHypothesis):
     """Reveals one bit of the encoded first certificate per useful example;
     constant 0 when the instance has no accepted certificate.
 
-    In the standard layout the useful examples are those whose prefix is z;
-    in the uniform layout every example is useful and its trailing bits are
+    Its word is that codeword and its head is z's matched bits: in the
+    standard layout the useful examples are those whose prefix is z; in the
+    uniform layout every example is useful and its trailing bits are
     ignored, so the concept is a junta on the leading index bits."""
 
     def __init__(
@@ -87,32 +109,25 @@ class CertConcept:
         counter: StepCounter | None = None,
     ) -> None:
         check_bits(z, length=verifier.n, name="z")
+        layout = ExampleLayout.of(verifier.n, params, verifier.p, kind)
         self.verifier = verifier
         self.z = z
         self.params = params
-        self.layout = ExampleLayout.of(verifier.n, params, verifier.p, kind)
-        self.z_matched = z[: self.layout.matched]
         self.first_cert = first_certificate(verifier, z, counter=counter)
-        if self.first_cert is None:
-            self.enc = None
-            self.support: frozenset[int] = frozenset()
-        else:
-            self.enc = get_code(params, verifier.p).encode(self.first_cert)
-            self.support = frozenset(i for i, b in enumerate(self.enc) if b == "1")
+        word = 0
+        if self.first_cert is not None:
+            word = get_code(params, verifier.p).encode_value(int(self.first_cert, 2))
+        super().__init__(word, layout, z[: layout.matched])
 
     @property
     def sparsity(self) -> int:
-        return len(self.support)
-
-    def __call__(self, x: str) -> int:
-        # the support is empty when there is no certificate
-        i = self.layout.index(x)
-        return 1 if i in self.support and x.startswith(self.z_matched) else 0
+        return self.word.bit_count()
 
     def one_points(self) -> list[str]:
         """All examples labeled 1, in index order (at most c*p of them); in
         the uniform layout, the ones whose trailing part is z."""
-        return [self.layout.example(self.z, i) for i in sorted(self.support)]
+        lay = self.layout
+        return [lay.example(self.z, i) for i in range(lay.cp) if (self.word >> i) & 1]
 
 
 # -- decision trees ------------------------------------------------------------
@@ -148,14 +163,14 @@ def build_decision_tree(concept: CertConcept) -> DecisionTree:
     """Exact tree for a concept: match the layout's matched bits against z
     with early-exit 0, then fully query the index bits.  Constant-0 when the
     instance has no certificate."""
-    if concept.enc is None:
+    if concept.first_cert is None:
         return DecisionTree(root=0, size=1)
     lay = concept.layout
     k = lay.matched
 
     def index_subtree(depth: int, value: int):
         if depth == lay.ell:
-            return 1 if value in concept.support else 0
+            return (concept.word >> value) & 1
         lo = index_subtree(depth + 1, value << 1)
         hi = index_subtree(depth + 1, (value << 1) | 1)
         return Node(k + depth, lo, hi)
@@ -290,9 +305,7 @@ def cert_class_vc(concepts: list[CertConcept]) -> CertVcReport:
 
 
 def distinct_concept_count(concepts: list[CertConcept]) -> int:
-    """Number of distinct functions: one per satisfiable instance plus the
-    shared constant-0 function if any instance is unsatisfiable."""
-    keys = set()
-    for c in concepts:
-        keys.add(("zero",) if c.enc is None else ("cert", c.z))
-    return len(keys)
+    """Number of distinct functions on one layout: a concept is its head and
+    word, and every concept with word 0 (no certificate, or the all-zero
+    one) is the one constant-0 function."""
+    return len({(c.head, c.word) if c.word else 0 for c in concepts})

@@ -59,8 +59,6 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
 
 
 def code_params_from(cfg: dict[str, str], default: CodeParams) -> CodeParams:
-    if "code.c" not in cfg and "code.eps_star" not in cfg:
-        return default
     return CodeParams(
         c=get_int(cfg, "code.c", default.c),
         eps_star=get_fraction(cfg, "code.eps_star", default.eps_star),
@@ -149,13 +147,13 @@ def probe_domain(concepts: list[CertConcept], limit: int = 16) -> list[str]:
             pts.append(x)
 
     for c in concepts:
-        if c.enc is None:
+        if c.first_cert is None:
             continue
         ones = c.one_points()
         for x in ones[:2]:
             add(x)
         lay = c.layout
-        zeros = [v for v in range(1 << lay.ell) if v not in c.support]
+        zeros = [v for v in range(1 << lay.ell) if not (c.word >> v) & 1]
         for v in zeros[:1]:
             add(lay.example(c.z, v))
         if len(pts) >= limit - 2:
@@ -232,7 +230,7 @@ def _target_concept(corpus: Corpus, params: CodeParams) -> CertConcept:
     for inst in corpus.instances:
         z = corpus.encoding.encode(inst)
         concept = CertConcept(corpus.verifier, z, params)
-        if concept.enc is not None:
+        if concept.first_cert is not None:
             if concept.sparsity > 0:
                 return concept
             fallback = fallback or concept
@@ -309,8 +307,9 @@ def cmd_reduce(cfg: dict[str, str], out_dir: Path, seed) -> int:
         if truth:
             sat_total += 1
             sat_accepted += int(report.accept)
-        lines.append(f"[{i}] sat={int(truth)} " + report.lines()[0])
-        lines.extend(report.lines()[1:])
+        first, *rest = report.lines()
+        lines.append(f"[{i}] sat={int(truth)} {first}")
+        lines.extend(rest)
     rate = (sat_accepted / sat_total) if sat_total else 1.0
     lines.append(
         f"summary: instances={len(corpus.instances)} satisfiable={sat_total} "
@@ -332,7 +331,7 @@ def cmd_tradeoff(cfg: dict[str, str], out_dir: Path, seed) -> int:
     encoding = FormulaEncoding(max_vars=num_vars, max_clauses=len(formula.clauses))
     verifier = ThreeSatVerifier(encoding)
     concept = CertConcept(verifier, encoding.encode(formula), params)
-    if concept.enc is None:
+    if concept.first_cert is None:
         raise ConfigError("tradeoff formula must be satisfiable")
     eps = get_float(cfg, "tradeoff.eps", 0.1)
     trials = get_int(cfg, "tradeoff.trials", 5)

@@ -13,9 +13,9 @@ import random
 import time
 from dataclasses import dataclass
 
-from .bits import check_bits, is_bits
+from .bits import check_bits
 from .codes import CodeParams
-from .concepts import CertConcept, ExampleLayout
+from .concepts import CertConcept, ExampleLayout, JuntaHypothesis
 from .errors import CertlabError, ConfigError, DataInconsistencyError, ShapeError
 from .verifiers import StepCounter, ThreeSatVerifier
 
@@ -76,20 +76,8 @@ class LabeledSample:
             return
         first = pairs[0][0]
         length = len(first) if isinstance(first, str) else None
-        # One check of all points joined; "?" stands for a point of the wrong
-        # type or length (every point, when the first is not a string).  Only
-        # a failure (or a malformed pair) walks the pairs one by one, which
-        # reports the first fault in pair order.
-        try:
-            joined = "".join(
-                [x if isinstance(x, str) and len(x) == length else "?" for x, _ in pairs]
-            )
-        except (TypeError, ValueError):
-            joined = "?"
-        points_ok = is_bits(joined)
         for x, y in pairs:
-            if not points_ok:
-                check_bits(x, length=length, name="sample point")
+            check_bits(x, length=length, name="sample point")
             if y not in (0, 1):
                 raise ShapeError(f"label must be 0/1, got {y!r}")
 
@@ -144,22 +132,6 @@ class TableHypothesis:
 
     def __repr__(self) -> str:
         return f"TableHypothesis(<{len(self.ones)} ones>)"
-
-
-class JuntaHypothesis:
-    """Depends only on the index value: bit v of word is the answer at index
-    value v."""
-
-    __slots__ = ("word", "layout")
-
-    def __init__(self, word: int, layout: ExampleLayout) -> None:
-        if not 0 <= word < 1 << (1 << layout.ell):
-            raise ShapeError(f"junta word must fit in {1 << layout.ell} bits, got {word}")
-        self.word = word
-        self.layout = layout
-
-    def __call__(self, x: str) -> int:
-        return (self.word >> self.layout.index(x)) & 1
 
 
 # -- learners -------------------------------------------------------------------

@@ -16,9 +16,9 @@ from typing import NamedTuple
 
 from .bits import check_bits, int_to_bits
 from .codes import CodeParams, get_code
-from .concepts import ExampleLayout, check_layout_kind
+from .concepts import ExampleLayout, JuntaHypothesis, check_layout_kind
 from .errors import BudgetError, CertlabError, ConfigError
-from .paclearn import JuntaHypothesis, LabeledSample, TableHypothesis
+from .paclearn import LabeledSample, TableHypothesis
 from .sat import ThreeSatInstance
 from .verifiers import ThreeSatVerifier
 
@@ -89,9 +89,10 @@ class _Challenge:
     def answers(self, hypothesis, read_at: str) -> int:
         """Bit v: the hypothesis's answer at `layout.example(read_at, v)`.  A
         table hypothesis is answered from its ones that are queries, and a
-        junta on this layout by its word."""
-        if type(hypothesis) is JuntaHypothesis and hypothesis.layout == self.layout:
-            return hypothesis.word
+        junta on this layout (a certificate concept too) by its word, or 0
+        when read_at does not start with its head."""
+        if isinstance(hypothesis, JuntaHypothesis) and hypothesis.layout == self.layout:
+            return hypothesis.word if read_at.startswith(hypothesis.head) else 0
         queries = self._queries_at(read_at)
         word = 0
         if type(hypothesis) is TableHypothesis:

@@ -63,7 +63,7 @@ def few_sample_target():
     encoding = FormulaEncoding(max_vars=16, max_clauses=len(formula.clauses))
     verifier = ThreeSatVerifier(encoding)
     concept = CertConcept(verifier, encoding.encode(formula), DEFAULT_CODE_PARAMS)
-    assert concept.enc is not None
+    assert concept.first_cert is not None
     return verifier, concept
 
 
@@ -144,7 +144,7 @@ def test_criterion_05_sparse_erm_succeeds_at_union_bound_samples():
     m = math.ceil((sparsity * math.log(2) + math.log(100)) / eps)
     assert m == 157
     corpus, concepts = two_var_concepts()
-    concept = next(c for c in concepts if c.enc is not None and c.sparsity >= 4)
+    concept = next(c for c in concepts if c.first_cert is not None and c.sparsity >= 4)
     assert concept.layout.cp == sparsity
 
     rates = {}
@@ -222,8 +222,8 @@ def test_criterion_07_uniform_pipeline():
 def test_criterion_08_online_mistake_bounds():
     t0 = time.perf_counter()
     corpus, all_concepts = two_var_concepts()
-    concepts = [c for c in all_concepts if c.enc is not None][:10]
-    concepts += [c for c in all_concepts if c.enc is None][:2]
+    concepts = [c for c in all_concepts if c.first_cert is not None][:10]
+    concepts += [c for c in all_concepts if c.first_cert is None][:2]
     probe = probe_domain(concepts, limit=8)
     assert len(probe) == 8
 

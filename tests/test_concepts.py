@@ -21,6 +21,7 @@ from certlab.concepts import (
     serialize_tree,
 )
 from certlab.errors import BudgetError, FormatError, ShapeError
+from certlab.harness.corpus import exhaustive_two_var_corpus, random_corpus
 from certlab.sat import ThreeSatInstance, exhaustive_formulas
 from certlab.verifiers import FormulaEncoding, ThreeSatVerifier
 from oracles import is_shattered, vc_dimension
@@ -58,7 +59,7 @@ def test_layout_shapes():
 
 def test_eval_cert_unsat_is_constant_zero():
     c = CertConcept(V2, Z_UNSAT, DEFAULT_CODE_PARAMS)
-    assert c.enc is None and c.sparsity == 0
+    assert c.first_cert is None and c.sparsity == 0
     rng = random.Random(0)
     for _ in range(50):
         x = int_to_bits(rng.getrandbits(c.layout.example_len), c.layout.example_len)
@@ -90,6 +91,19 @@ def test_sparsity_bounded_by_cp():
         c = CertConcept(V2, ENC2.encode(inst), DEFAULT_CODE_PARAMS)
         assert c.sparsity <= c.layout.cp
         assert len(c.one_points()) == c.sparsity
+
+
+@pytest.mark.parametrize("params", [DEFAULT_CODE_PARAMS, REDUCTION_CODE_PARAMS])
+def test_concept_word_is_the_encoded_first_certificate(params):
+    corpus = exhaustive_two_var_corpus()
+    for inst in corpus.instances:
+        c = CertConcept(corpus.verifier, corpus.encoding.encode(inst), params)
+        if c.first_cert is None:
+            assert c.word == 0
+            continue
+        enc = get_code(params, corpus.verifier.p).encode(c.first_cert)
+        assert [str((c.word >> i) & 1) for i in range(len(enc))] == list(enc)
+        assert c.word >> len(enc) == 0
 
 
 def test_build_tree_unsat_single_leaf():
@@ -313,7 +327,7 @@ def test_enumerate_class_matches_eval():
 
 def test_enumerate_class_unsat_seed_list_all_constant():
     zs = [ENC2.encode(f) for f in exhaustive_formulas(2, 3)
-          if CertConcept(V2, ENC2.encode(f), DEFAULT_CODE_PARAMS).enc is None]
+          if CertConcept(V2, ENC2.encode(f), DEFAULT_CODE_PARAMS).first_cert is None]
     assert zs
     for _z, tree in enumerate_class(V2, DEFAULT_CODE_PARAMS, zs):
         assert tree.size == 1
@@ -389,9 +403,23 @@ def test_cert_class_vc_on_two_var_corpus():
     assert report.dimension <= math.log2(distinct_concept_count(concepts))
 
 
+@pytest.mark.parametrize(
+    "corpus, expected",
+    [(exhaustive_two_var_corpus(), 46), (random_corpus(0, 200), 66)],
+    ids=["exhaustive2var", "random200"],
+)
+def test_distinct_concept_count_counts_functions(corpus, expected):
+    """Concepts are equal functions exactly when their 1-sets are equal, so
+    an all-zero certificate's concept is the unsatisfiable one's."""
+    concepts = [CertConcept(corpus.verifier, corpus.encoding.encode(f), DEFAULT_CODE_PARAMS)
+                for f in corpus.instances]
+    independent = len({frozenset(c.one_points()) for c in concepts})
+    assert distinct_concept_count(concepts) == independent == expected
+
+
 def test_cert_class_vc_all_unsat_is_zero():
     unsat_zs = [ENC2.encode(f) for f in exhaustive_formulas(2, 3)
-                if CertConcept(V2, ENC2.encode(f), DEFAULT_CODE_PARAMS).enc is None]
+                if CertConcept(V2, ENC2.encode(f), DEFAULT_CODE_PARAMS).first_cert is None]
     concepts = [CertConcept(V2, z, DEFAULT_CODE_PARAMS) for z in unsat_zs]
     report = cert_class_vc(concepts)
     assert report.dimension == 0

@@ -90,7 +90,7 @@ CLI_GOLDEN = {
     "reduce-random-uniform": {
         "decider_report.txt": "dac62cee626a39e9ad3b2d4bf8f54109a6b07e33351b53e3c1bb5bd45a11e1a8"
     },
-    "vcdim": {"dimension_report.txt": "73ce32002ef8efbb8c21f93aabe6e1c627533dc59d064554b79c62a1857b17a0"},
+    "vcdim": {"dimension_report.txt": "6aba981bfde111e9e1ce3dc8563b30692eeb06b7fed5a6ce984538bd5ec6852a"},
 }
 
 

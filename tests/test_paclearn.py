@@ -361,7 +361,7 @@ def test_junta_learner_partial_coverage_error_bound():
     h = junta_learner(LabeledSample(pairs), lay)
     pts = [int_to_bits(v, lay.ell) + "0" * lay.n for v in range(1 << lay.ell)]
     err = error_of(Distribution.uniform(pts), c, h)
-    unseen_ones = sum(1 for v in range(8, 16) if (v in c.support))
+    unseen_ones = sum((c.word >> v) & 1 for v in range(8, 16))
     assert err == pytest.approx(unseen_ones / 16)
 
 
@@ -449,7 +449,7 @@ def test_erm_pins_down_target_with_distinguishing_sample():
     v, zs = small_class()
     params = DEFAULT_CODE_PARAMS
     target = CertConcept(v, zs[3], params)
-    if target.enc is None:
+    if target.first_cert is None:
         target = CertConcept(v, zs[1], params)
     # brute-force a distinguishing sample: label every useful point of the target
     pts = [target.z + int_to_bits(i, target.layout.ell) for i in range(16)]

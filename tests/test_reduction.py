@@ -412,19 +412,33 @@ def test_table_answers_match_the_per_index_loop(data):
         assert word == sum(1 << v for v, x in enumerate(queries) if x in table.ones)
 
 
+#: Certificate concepts of both layouts: on Z0 (the challenges' instance), on
+#: another satisfiable instance, and on an unsatisfiable one.
+CERT_CONCEPTS = [
+    CertConcept(V2, z, PARAMS, kind=kind)
+    for kind in LAYOUT_KINDS
+    for z in (Z0, ENC2.encode(ThreeSatInstance(2, [(1,)])), Z_UNSAT)
+]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_junta_answers_match_the_per_index_loop(data):
-    """A junta on the challenge's layout is answered by its word; one on
-    the other layout is queried, and reads the read-out point's bits."""
+    """A junta on the challenge's layout, a certificate concept included, is
+    answered by its word when read_at starts with its head and by 0
+    otherwise; one on the other layout is queried, and reads the read-out
+    point's bits."""
     variant = data.draw(st.sampled_from(LAYOUT_KINDS))
     challenge = _Challenge(Z0, V2, sparse_erm, PARAMS, variant)
     lay = challenge.layout
     _, read_at = lay.draw(random.Random(data.draw(st.integers(0, 2**32))), Z0, 0)
     queries = [lay.example(read_at, v) for v in range(1 << lay.ell)]
     drawn = data.draw(st.integers(0, (1 << (1 << lay.ell)) - 1))
-    for junta_kind in LAYOUT_KINDS:
-        junta = JuntaHypothesis(drawn, ExampleLayout.of(V2.n, PARAMS, V2.p, junta_kind))
+    juntas = [
+        JuntaHypothesis(drawn, ExampleLayout.of(V2.n, PARAMS, V2.p, junta_kind))
+        for junta_kind in LAYOUT_KINDS
+    ]
+    for junta in juntas + CERT_CONCEPTS:
         word = challenge.answers(junta, read_at)
         assert word == challenge.answers(OpaqueHypothesis(junta), read_at)
         assert word == sum(1 << v for v, x in enumerate(queries) if junta(x))
@@ -445,9 +459,9 @@ def test_table_answers_leave_the_decider_result_unchanged(variant):
 
 def test_decider_checks_the_points_once_per_repetition(monkeypatch):
     calls = []
-    real = paclearn.is_bits
-    monkeypatch.setattr(paclearn, "is_bits", lambda s: calls.append(s) or real(s))
+    real = paclearn.check_bits
+    monkeypatch.setattr(paclearn, "check_bits", lambda *a, **k: calls.append(a) or real(*a, **k))
     config = DeciderConfig(m=6, r=3, code_params=PARAMS)
     res = rtime_decide(Z_UNSAT, V2, config, sparse_erm, 0)
     assert len(res.repetitions) == 3 and res.proofs_run > 3
-    assert len(calls) == 3
+    assert len(calls) == 3 * 6
