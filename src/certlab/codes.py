@@ -126,7 +126,6 @@ class LinearCode:
                 f"message length {message_len} unsupported "
                 f"(supported: {MIN_MESSAGE_LEN}..{MAX_MESSAGE_LEN})"
             )
-        self.params = params
         self.message_len = message_len
         self.codeword_len = params.codeword_len(message_len)
         if self.codeword_len > MAX_CODEWORD_BITS:
@@ -152,14 +151,7 @@ class LinearCode:
                 f"search found distance {best_d} at length {message_len}, "
                 f"below the contract radius {self.contract_radius}"
             )
-        self._codewords: list[int] | None = None
         self._decoder: _LaneDecoder | None = None
-
-    def codewords(self) -> list[int]:
-        """All 2^m codewords, indexed by message value (built lazily)."""
-        if self._codewords is None:
-            self._codewords = _span(self.generator_rows)
-        return self._codewords
 
     def lane_decoder(self) -> _LaneDecoder:
         """The tables `decode_value` reads (built lazily)."""
@@ -172,6 +164,8 @@ class LinearCode:
         return format(cw, f"0{self.codeword_len}b")[::-1]
 
     def encode_value(self, value: int) -> int:
+        if value >> self.message_len:
+            raise ShapeError(f"message value must lie in [0, 2^{self.message_len}), got {value}")
         acc = 0
         for j in range(self.message_len):
             if (value >> (self.message_len - 1 - j)) & 1:
@@ -184,7 +178,8 @@ class LinearCode:
 
     def decode_value(self, y_int: int) -> int:
         """Nearest codeword by Hamming distance; ties broken toward the
-        lexicographically smallest message.  Exact within `radius`.
+        lexicographically smallest message.  Exact within `radius`.  y_int
+        must lie in [0, 2^codeword_len); bit i is codeword position i.
 
         For each high part hi in ascending order, y ^ cw(hi << h) selects one
         table entry per 4-bit chunk; their sum packs the distances to all
@@ -195,6 +190,8 @@ class LinearCode:
         would find it.  A codeword within `radius` is the unique nearest one,
         so the search returns 0 when y itself is that close and otherwise
         stops at the first high part that reaches it."""
+        if y_int >> self.codeword_len:
+            raise ShapeError(f"received word must lie in [0, 2^{self.codeword_len})")
         radius = self.radius
         best_v, best_d = 0, y_int.bit_count()
         if best_d <= radius:
@@ -311,7 +308,7 @@ def radius_recovery(
     code = get_code(params, message_len)
     n = code.codeword_len
     radius = code.contract_radius
-    codewords = code.codewords()
+    codewords = _span(code.generator_rows)
     n_msgs = 1 << message_len
     exhaustive = _pattern_count(n, radius) <= exhaustive_limit
     if exhaustive:

@@ -110,9 +110,7 @@ class CertConcept(JuntaHypothesis):
     ) -> None:
         check_bits(z, length=verifier.n, name="z")
         layout = ExampleLayout.of(verifier.n, params, verifier.p, kind)
-        self.verifier = verifier
         self.z = z
-        self.params = params
         self.first_cert = first_certificate(verifier, z, counter=counter)
         word = 0
         if self.first_cert is not None:

@@ -230,9 +230,6 @@ class OnlineToPacLearner:
         if not 0 < eps < 1 or not 0 < delta < 1:
             raise ConfigError("eps and delta must lie in (0, 1)")
         self.make_learner = make_learner
-        self.mistake_bound = mistake_bound
-        self.eps = eps
-        self.delta = delta
         self.sample_size = math.ceil(
             ONLINE_TO_PAC_KAPPA * (mistake_bound + math.log(1 / delta)) / eps
         )

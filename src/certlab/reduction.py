@@ -39,7 +39,6 @@ class AmTranscript:
     seed: str
     indices: tuple[str, ...]
     merlin_labels: str
-    hypothesis: object
     y: str
     w_tilde: str
     verdict: int
@@ -54,26 +53,25 @@ class AmTranscript:
 
 
 class _Proof(NamedTuple):
-    hypothesis: object
     answers: int  # bit v: the hypothesis's answer at index value v
     w_val: int
     verdict: int
 
 
 class _Challenge:
-    """One instance's challenge protocol: its example layout, code and verdict.
-    `prove` runs one proof; its verdict is a bit of the verifier's accept mask."""
+    """One instance's challenge protocol: its example layout, code and
+    accept mask, read once.  `prove` runs one proof; its verdict is a bit of
+    that mask."""
 
     def __init__(
         self, z: str, verifier: ThreeSatVerifier, learner, params: CodeParams, variant: str
     ):
         check_bits(z, length=verifier.n, name="z")
-        self.z = z
+        self.mask = verifier.accept_mask(z)
         self.verifier = verifier
         self.learner = learner
         self.layout = ExampleLayout.of(verifier.n, params, verifier.p, variant)
         self.code = get_code(params, verifier.p)
-        self.mask_fn = verifier.accept_mask
         self._read_at: str | None = None
         self._queries: dict[str, int] = {}
 
@@ -116,19 +114,16 @@ class _Challenge:
             return None
         answers = self.answers(hypothesis, read_at)
         w_val = self.code.decode_value(answers & ((1 << self.layout.cp) - 1))
-        verdict = (self.mask_fn(self.z) >> w_val) & 1
-        return _Proof(hypothesis, answers, w_val, verdict)
+        return _Proof(answers, w_val, (self.mask >> w_val) & 1)
 
     def transcript(self, seed_label: str, points, labels: str, proof) -> AmTranscript:
         lay = self.layout
         indices = tuple(int_to_bits(lay.index(x), lay.ell) for x in points)
         if proof is None:
-            return AmTranscript(seed_label, indices, labels, None, "", "", 0, failed=True)
+            return AmTranscript(seed_label, indices, labels, "", "", 0, failed=True)
         y = format(proof.answers, f"0{1 << lay.ell}b")[::-1]
         w_tilde = format(proof.w_val, f"0{self.verifier.p}b")
-        return AmTranscript(
-            seed_label, indices, labels, proof.hypothesis, y, w_tilde, proof.verdict
-        )
+        return AmTranscript(seed_label, indices, labels, y, w_tilde, proof.verdict)
 
 
 # -- the one-sided decider -------------------------------------------------------

@@ -135,39 +135,37 @@ class ThreeSatVerifier:
     assignment to max_vars variables; bits beyond an instance's declared
     num_vars are ignored.  Malformed instance strings reject everything.
 
-    Decoded instances and satisfying-assignment masks are memoized per z;
-    the memo is idempotent (same key always maps to the same value), so
-    concurrent readers stay consistent.
+    The verifier remembers only the instance it was last asked about: its
+    string, its decoded formula (None when malformed) and its accept mask.
+    Every caller asks about one instance many times in a row, and a reader
+    takes the whole memo at once, so it never mixes two instances.
     """
 
     def __init__(self, encoding: FormulaEncoding) -> None:
         self.encoding = encoding
         self.n = encoding.width
         self.p = encoding.max_vars
-        self._instances: dict[str, ThreeSatInstance | None] = {}
-        self._masks: dict[str, int] = {}
+        # "" encodes no instance (every width is at least 2) and rejects everything
+        self._memo: tuple[str, ThreeSatInstance | None, int] = ("", None, 0)
 
-    def instance_for(self, z: str) -> ThreeSatInstance | None:
-        if z not in self._instances:
+    def _read(self, z: str) -> tuple[str, ThreeSatInstance | None, int]:
+        """(z, decoded formula or None, accept mask), decoded and computed
+        together when z is not the remembered instance."""
+        memo = self._memo
+        if memo[0] != z:
             try:
-                self._instances[z] = self.encoding.decode(z)
+                inst = self.encoding.decode(z)
             except FormatError:
-                self._instances[z] = None
-        return self._instances[z]
+                inst = None
+            memo = self._memo = (z, inst, 0 if inst is None else satisfying_mask(inst, self.p))
+        return memo
 
     def check(self, z: str, w: str) -> bool:
-        inst = self.instance_for(z)
-        if inst is None:
-            return False
-        return eval_assignment(inst, w)
+        inst = self._read(z)[1]
+        return inst is not None and eval_assignment(inst, w)
 
     def accept_mask(self, z: str) -> int:
-        mask = self._masks.get(z)
-        if mask is None:
-            inst = self.instance_for(z)
-            mask = 0 if inst is None else satisfying_mask(inst, self.p)
-            self._masks[z] = mask
-        return mask
+        return self._read(z)[2]
 
 
 # -- the first certificate -----------------------------------------------------

@@ -11,6 +11,7 @@ from certlab.codes import (
     REDUCTION_CODE_PARAMS,
     CodeParams,
     LinearCode,
+    _span,
     decode,
     get_code,
     radius_recovery,
@@ -54,7 +55,7 @@ def test_encode_injective_on_all_length8_messages():
 def test_pairwise_distance_exceeds_twice_contract_radius_m8():
     code = get_code(DEFAULT_CODE_PARAMS, 8)
     bound = 2 * code.contract_radius
-    cws = code.codewords()
+    cws = _span(code.generator_rows)
     # linear code: pairwise distances are weights of the nonzero codewords
     assert min(w.bit_count() for w in cws[1:]) == code.distance
     assert code.distance > bound
@@ -121,7 +122,7 @@ def test_beyond_radius_decode_never_crashes():
 
 def full_scan(code, y_int: int) -> int:
     """Reference decoder: the smallest message at minimum Hamming distance."""
-    dists = [(y_int ^ cw).bit_count() for cw in code.codewords()]
+    dists = [(y_int ^ cw).bit_count() for cw in _span(code.generator_rows)]
     return dists.index(min(dists))
 
 
@@ -135,7 +136,7 @@ def test_decode_value_matches_full_scan(data):
         # a codeword with up to radius + 2 errors: within and just beyond
         v = data.draw(st.integers(0, (1 << code.message_len) - 1))
         errors = data.draw(st.sets(st.integers(0, n - 1), max_size=code.radius + 2))
-        y_int = code.codewords()[v] ^ sum(1 << i for i in errors)
+        y_int = code.encode_value(v) ^ sum(1 << i for i in errors)
         if len(errors) <= code.radius:
             assert code.decode_value(y_int) == v
     else:
@@ -148,12 +149,11 @@ def test_decode_value_matches_full_scan_sampled_m16():
     for params in (DEFAULT_CODE_PARAMS, REDUCTION_CODE_PARAMS):
         code = get_code(params, 16)
         n = code.codeword_len
-        cws = code.codewords()
         words = [rng.getrandbits(n) for _ in range(3)]
         for k in (0, code.radius, code.radius + 1, code.radius + 4):
             for _ in range(3):
                 errors = sum(1 << i for i in rng.sample(range(n), k))
-                words.append(cws[rng.getrandbits(16)] ^ errors)
+                words.append(code.encode_value(rng.getrandbits(16)) ^ errors)
         for y_int in words:
             assert code.decode_value(y_int) == full_scan(code, y_int)
 
@@ -162,12 +162,11 @@ def words_around_codewords(code, rng, count=4):
     """Random words, and codewords with errors within, just beyond and far
     beyond the radius."""
     n = code.codeword_len
-    cws = code.codewords()
     words = [rng.getrandbits(n) for _ in range(count)]
     for k in (0, 1, code.radius, code.radius + 1, code.radius + 2, 2 * code.radius + 3):
         for _ in range(count):
             errors = sum(1 << i for i in rng.sample(range(n), min(k, n)))
-            words.append(cws[rng.getrandbits(code.message_len)] ^ errors)
+            words.append(code.encode_value(rng.getrandbits(code.message_len)) ^ errors)
     return words
 
 
@@ -206,6 +205,14 @@ def test_decode_shape_errors():
     code = get_code(DEFAULT_CODE_PARAMS, 8)
     with pytest.raises(ShapeError):
         code.decode("0" * 63)
+    # the int API checks its range too: a stray bit above the codeword (or
+    # the message) and a negative value, which has every high bit set
+    for bad in (code.encode_value(5) | 1 << code.codeword_len, -1):
+        with pytest.raises(ShapeError):
+            code.decode_value(bad)
+    for bad in (1 << code.message_len, -1):
+        with pytest.raises(ShapeError):
+            code.encode_value(bad)
 
 
 def test_construction_is_deterministic():

@@ -49,6 +49,11 @@ CLI_CASES = {
     "enumerate": ("enumerate", "corpus.kind = exhaustive2var\n", 1),
     "vcdim": ("vcdim", "corpus.kind = exhaustive2var\n", 2),
     "codes-test": ("codes-test", "codes.lengths = 4,8\ncodes.samples = 300\n", 3),
+    "codes-test-exhaustive": (
+        "codes-test",
+        "codes.lengths = 4,6\ncodes.exhaustive_limit = 1000000\n",
+        10,
+    ),
     "learn": (
         "learn",
         "corpus.kind = single_clause\nlearn.m = 0,6,20\nlearn.trials = 12\n",
@@ -76,6 +81,9 @@ CLI_CASES = {
 
 CLI_GOLDEN = {
     "codes-test": {"radius_report.txt": "b426f088919b95f8f44cd340a075bc607ae46cdd6d791a61f0798a09125389d5"},
+    "codes-test-exhaustive": {
+        "radius_report.txt": "bf771237980de553ed8bbf63c917bb12723981284fb4401e65d1f3ea73a70adb"
+    },
     "enumerate": {"trees.txt": "94094336ce1d972d26fbcf21c49193bbe206c14c67be5220f3a8401ae84eccd4"},
     "learn": {"learn.csv": "9dcc578526a24af2f17e35981036ad57a51f54ce7772b865c4b994bc9dc379df"},
     "reduce-forcing-standard": {

@@ -294,19 +294,32 @@ class CountingLearner:
         return self.learner(sample, counter=counter)
 
 
+class CountingVerifier(ThreeSatVerifier):
+    mask_calls = 0
+
+    def accept_mask(self, z: str) -> int:
+        self.mask_calls += 1
+        return super().accept_mask(z)
+
+
 @pytest.mark.parametrize("variant", LAYOUT_KINDS)
 def test_the_decider_calls_the_learner_once_per_proof(variant):
+    # and reads the instance's accept mask once, not once per proof
     inner = JUNTA_V2 if variant == "uniform" else sparse_erm
     config = DeciderConfig(m=6, r=3, code_params=PARAMS, variant=variant)
+    verifier = CountingVerifier(ENC2)
     for z in (Z0, Z_UNSAT):
         for seed in range(3):
             learner = CountingLearner(inner)
-            result = rtime_decide(z, V2, config, learner, seed)
+            verifier.mask_calls = 0
+            result = rtime_decide(z, verifier, config, learner, seed)
             assert result.proofs_run > 0
             assert learner.calls == result.proofs_run
+            assert verifier.mask_calls == 1
             learner = CountingLearner(inner)
             am_round(
-                z, V2, learner, HonestMerlin(), PARAMS, random.Random(seed), 6, variant=variant
+                z, verifier, learner, HonestMerlin(), PARAMS, random.Random(seed), 6,
+                variant=variant,
             )
             assert learner.calls == 1
 

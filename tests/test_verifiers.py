@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -191,6 +192,26 @@ def test_first_certificate_matches_the_reference_solver_p17_to_p24(perfbench_mod
             assert c.oracle_calls == p
             outcomes.add(w is None)
     assert outcomes == {True, False}  # both satisfiable and unsatisfiable ones
+
+
+def test_first_certificate_memory_stays_bounded_over_many_instances(monkeypatch):
+    # a satisfiable p = 20 formula's accept mask is 128 KiB; a verifier that
+    # kept one per instance would hold megabytes after 50 of them
+    monkeypatch.setattr(sat, "_VAR_MASKS", {})
+    rng = random.Random("bounded:20")
+    enc = FormulaEncoding(max_vars=20, max_clauses=88)
+    v = ThreeSatVerifier(enc)
+    first_certificate(v, enc.encode(random_instance(rng, 20, 88)))  # builds the variable masks
+    zs = [enc.encode(random_instance(rng, 20, 88)) for _ in range(50)]
+    assert len(set(zs)) == 50
+    tracemalloc.start()
+    try:
+        found = [first_certificate(v, z) for z in zs]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert any(w is not None for w in found)
+    assert peak < 2 << 20, f"peak traced memory {peak >> 10} KiB"
 
 
 def test_mask_path_equals_generic_path():
