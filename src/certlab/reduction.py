@@ -67,11 +67,12 @@ class _Challenge:
         self, z: str, verifier: ThreeSatVerifier, learner, params: CodeParams, variant: str
     ):
         check_bits(z, length=verifier.n, name="z")
-        self.mask = verifier.accept_mask(z)
         self.verifier = verifier
         self.learner = learner
         self.layout = ExampleLayout.of(verifier.n, params, verifier.p, variant)
+        # get_code rejects a p outside the codes' range before the 2^p-bit mask is built
         self.code = get_code(params, verifier.p)
+        self.mask = verifier.accept_mask(z)
         self._read_at: str | None = None
         self._queries: dict[str, int] = {}
 

@@ -339,6 +339,16 @@ def test_cli_rejects_unusable_values_in_one_line(tmp_path, capsys, command, cfg_
     assert len(err.splitlines()) == 1 and err.startswith("configuration error: ")
 
 
+def test_cli_reduce_on_a_17_variable_file_is_exit_2(tmp_path, capsys):
+    # all-zeros satisfies it, so the brute-force truth returns at once and the
+    # decider is the first to meet the unsupported certificate length
+    (tmp_path / "v17.cnf").write_text("p cnf 17 1\n-17 0\n")
+    cfg = f"corpus.kind = dimacs\ncorpus.paths = {tmp_path}/v17.cnf\n"
+    assert run_cli(tmp_path, "reduce", cfg) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: message length 17 unsupported (supported: 2..16)\n"
+
+
 #: A small config per command, so that a fuzzed value that is accepted
 #: still runs in milliseconds.
 FUZZ_BASES = {

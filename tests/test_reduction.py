@@ -324,6 +324,17 @@ def test_the_decider_calls_the_learner_once_per_proof(variant):
             assert learner.calls == 1
 
 
+def test_the_decider_rejects_an_uncoded_p_before_reading_the_mask():
+    # the codes take p in 2..16; the 2^p-bit mask is built only after that check
+    enc = FormulaEncoding(max_vars=17, max_clauses=1)
+    verifier = CountingVerifier(enc)
+    z = enc.encode(ThreeSatInstance(17, [(-17,)]))
+    config = DeciderConfig(m=4, r=1, code_params=PARAMS)
+    with pytest.raises(ConfigError, match="message length 17 unsupported"):
+        rtime_decide(z, verifier, config, sparse_erm, 0)
+    assert verifier.mask_calls == 0
+
+
 # -- uniform variant -----------------------------------------------------------------
 
 
