@@ -13,7 +13,7 @@ from functools import partial
 
 import pytest
 
-from certlab.codes import REDUCTION_CODE_PARAMS
+from certlab.codes import DEFAULT_CODE_PARAMS, REDUCTION_CODE_PARAMS, get_code
 from certlab.concepts import ExampleLayout
 from certlab.harness.cli import main
 from certlab.harness.corpus import forcing_formula
@@ -178,3 +178,36 @@ def test_round_transcripts_are_identical(variant, merlin_kind):
         for t in transcripts:
             lines.append(f"{t.digest()} y={t.y} w_tilde={t.w_tilde} failed={t.failed}")
     assert sha("\n".join(lines).encode()) == ROUND_GOLDEN[(variant, merlin_kind)]
+
+
+# -- decoding ---------------------------------------------------------------
+
+
+def seeded_words(code, rng, count):
+    """Every fourth word uniform; the rest codewords of random messages with
+    0 to 2*radius + 2 errors, so within and beyond the radius."""
+    n = code.codeword_len
+    words = []
+    for i in range(count):
+        if i % 4 == 0:
+            words.append(rng.getrandbits(n))
+        else:
+            k = rng.randint(0, 2 * code.radius + 2)
+            errors = sum(1 << j for j in rng.sample(range(n), k))
+            words.append(code.encode_value(rng.getrandbits(code.message_len)) ^ errors)
+    return words
+
+
+DECODE_GOLDEN = {
+    (DEFAULT_CODE_PARAMS, 16): "c90f473c5448d3d3fddce6545e02b4d9c637195437370a69d0ce43db0a18c719",
+    # the decider's code for 8-variable formulas
+    (REDUCTION_CODE_PARAMS, 8): "1d3827ea44527e8a7806cb11232a9ccc0604f4cd15cdcbbaf3361a55e0f5fb77",
+}
+
+
+@pytest.mark.parametrize("params, m", sorted(DECODE_GOLDEN, key=lambda k: k[1]))
+def test_decode_value_outputs_are_identical(params, m):
+    code = get_code(params, m)
+    words = seeded_words(code, random.Random(f"decode:{params.c}:{m}"), 2000)
+    out = ",".join(str(code.decode_value(y)) for y in words)
+    assert sha(out.encode()) == DECODE_GOLDEN[(params, m)]
