@@ -18,6 +18,10 @@ next lane: the lanes are exact distances.  `LinearCode.decode_value` walks
 the high parts in ascending order, so with a strict-improvement rule and
 the smallest lane index at each minimum it returns what a scan of all 2^m
 codewords in message order returns, the smallest message at least distance.
+Before it reads the lanes of a sum, one guard-bit test on the packed int
+(`_LaneDecoder.some_lane_below`) tells whether any lane is below the best
+distance so far; a high part with none cannot win under the strict rule, so
+skipping it leaves the result unchanged.
 """
 
 from __future__ import annotations
@@ -187,9 +191,12 @@ class LinearCode:
         give the smallest lo at the least distance.  A high part is kept only
         when strictly better than the best so far, so the result is the
         smallest message at the global minimum, as a scan in message order
-        would find it.  A codeword within `radius` is the unique nearest one,
-        so the search returns 0 when y itself is that close and otherwise
-        stops at the first high part that reaches it."""
+        would find it.  The lanes are read only when `some_lane_below` finds
+        one below the best distance: it never misses such a lane, and a high
+        part without one would not be kept.  A codeword within `radius` is
+        the unique nearest one, so the search returns 0 when y itself is
+        that close and otherwise stops at the first high part that reaches
+        it."""
         if y_int >> self.codeword_len:
             raise ShapeError(f"received word must lie in [0, 2^{self.codeword_len})")
         radius = self.radius
@@ -200,8 +207,11 @@ class LinearCode:
         tables, spec, n_bytes, as_lanes, h = (
             dec.tables, dec.hex_spec, dec.n_bytes, dec.as_lanes, dec.low_bits
         )
+        some_lane_below = dec.some_lane_below
         for hi, cw in enumerate(dec.high):
             total = sum(map(dict.__getitem__, tables, format(y_int ^ cw, spec)))
+            if not some_lane_below(total, best_d):
+                continue
             lanes = as_lanes(total.to_bytes(n_bytes, sys.byteorder))
             d = min(lanes)
             if d < best_d:
@@ -245,6 +255,10 @@ class _LaneDecoder:
                 distances = array(lane_type, list(distances)).tobytes()
             return int.from_bytes(distances, sys.byteorder)
 
+        # a 1 in every lane; half is a lane's top bit, guard that bit in every lane
+        self.ones = packed(b"\1" * (1 << h))
+        self.half = 1 << (8 * array(lane_type).itemsize - 1)
+        self.guard = self.ones * self.half
         self.hex_spec = f"0{-(-codeword_len // CHUNK_BITS)}x"
         # one column per chunk, most significant first as `format(word,
         # hex_spec)` lists them: that chunk's hex digit of every low codeword
@@ -256,6 +270,16 @@ class _LaneDecoder:
             }
             for digits in ("".join(col).encode("ascii") for col in columns)
         ]
+
+    def some_lane_below(self, total: int, t: int) -> bool:
+        """False only if no lane of the packed sum `total` is below t.
+
+        With t <= half, setting every guard bit and subtracting t from each
+        lane borrows across no lane, and a lane below half keeps its guard
+        bit exactly when it is at least t; so a lane below t clears its
+        guard.  A lane of half or more may clear it too, which gives True
+        and only costs the caller its exact check."""
+        return t > self.half or ((total | self.guard) - t * self.ones) & self.guard != self.guard
 
 
 _CODE_CACHE: dict[tuple[int, Fraction, int], LinearCode] = {}

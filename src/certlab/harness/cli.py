@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 all assertions passed, 1 assertion failure, 2 configuration
-error (bad config file, unknown keys' values, missing inputs).
+error (bad config file, a bad value of a key the command reads, missing
+inputs).  A key the command does not read is ignored.
 """
 
 from __future__ import annotations

@@ -1,4 +1,6 @@
+import functools
 import random
+import sys
 from array import array
 from fractions import Fraction
 
@@ -120,9 +122,14 @@ def test_beyond_radius_decode_never_crashes():
         assert len(out) == 8  # may differ from x; contract boundary
 
 
+@functools.cache
+def codewords(code) -> list[int]:
+    return _span(code.generator_rows)
+
+
 def full_scan(code, y_int: int) -> int:
     """Reference decoder: the smallest message at minimum Hamming distance."""
-    dists = [(y_int ^ cw).bit_count() for cw in _span(code.generator_rows)]
+    dists = [(y_int ^ cw).bit_count() for cw in codewords(code)]
     return dists.index(min(dists))
 
 
@@ -170,14 +177,47 @@ def words_around_codewords(code, rng, count=4):
     return words
 
 
+def heavy_words(code, rng, count=4):
+    """Words far from every codeword: all-ones, complements of codewords
+    and complements of the AND of three random words."""
+    n = code.codeword_len
+    ones = (1 << n) - 1
+    words = [ones]
+    for _ in range(count):
+        words.append(ones ^ code.encode_value(rng.getrandbits(code.message_len)))
+        words.append(ones ^ (rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)))
+    return words
+
+
 def test_decode_value_matches_full_scan_with_two_byte_lanes():
     rng = random.Random(256)
     for c, m in ((130, 2), (130, 3), (70, 4)):
         code = get_code(CodeParams(c=c, eps_star=Fraction(1, 16)), m)
         assert code.codeword_len >= 256
         assert array(code.lane_decoder().lane_type).itemsize == 2
-        for y_int in words_around_codewords(code, rng, count=8):
+        for y_int in words_around_codewords(code, rng, count=8) + heavy_words(code, rng):
             assert code.decode_value(y_int) == full_scan(code, y_int)
+
+
+def test_decode_value_matches_full_scan_with_byte_lanes_past_half():
+    # one-byte lanes that can reach 128 or more, where the guard-bit test of
+    # `some_lane_below` may let a high part through that has no lane below t
+    rng = random.Random(144)
+    for c, m in ((16, 9), (12, 16)):
+        code = get_code(CodeParams(c=c, eps_star=Fraction(1, 16)), m)
+        dec = code.lane_decoder()
+        assert dec.lane_type == "B" and dec.half < code.codeword_len < 256
+        for y_int in words_around_codewords(code, rng) + heavy_words(code, rng):
+            assert code.decode_value(y_int) == full_scan(code, y_int)
+
+
+def test_decode_value_matches_full_scan_on_complements_at_length_128():
+    # a codeword's complement is at distance 128 from it: one lane of the
+    # sum is exactly half
+    code = get_code(DEFAULT_CODE_PARAMS, 16)
+    assert code.codeword_len == code.lane_decoder().half == 128
+    for y_int in heavy_words(code, random.Random(128), count=8):
+        assert code.decode_value(y_int) == full_scan(code, y_int)
 
 
 def test_decode_value_matches_full_scan_over_several_high_parts():
@@ -186,8 +226,38 @@ def test_decode_value_matches_full_scan_over_several_high_parts():
         for m in (9, 12):
             code = get_code(params, m)
             assert len(code.lane_decoder().high) == 1 << (m - 8)
-            for y_int in words_around_codewords(code, rng):
+            for y_int in words_around_codewords(code, rng) + heavy_words(code, rng):
                 assert code.decode_value(y_int) == full_scan(code, y_int)
+
+
+def pack(dec, values) -> int:
+    """Lane values packed as the decoder packs a table sum."""
+    return int.from_bytes(array(dec.lane_type, values).tobytes(), sys.byteorder)
+
+
+@pytest.mark.parametrize(
+    "lane_type, params, m",
+    [("B", DEFAULT_CODE_PARAMS, 16), ("H", CodeParams(c=70, eps_star=Fraction(1, 16)), 4)],
+)
+def test_some_lane_below_on_hand_packed_lanes(lane_type, params, m):
+    dec = get_code(params, m).lane_decoder()
+    assert dec.lane_type == lane_type
+    lanes, half = 1 << dec.low_bits, dec.half
+    assert half == 1 << (8 * array(lane_type).itemsize - 1)
+    rng = random.Random(lane_type)
+    for t in (1, 2, 40, half - 1):
+        values = [rng.randrange(t, half) for _ in range(lanes)]
+        assert not dec.some_lane_below(pack(dec, values), t)
+        for i in (0, lanes // 2, lanes - 1):
+            assert dec.some_lane_below(pack(dec, values[:i] + [t - 1] + values[i + 1 :]), t)
+    assert dec.some_lane_below(pack(dec, [half] * lanes), half)
+    for t in (half + 1, half + 12, 2 * half - 1):
+        for value in (0, 5, t, 2 * half - 1):
+            assert dec.some_lane_below(pack(dec, [value] * lanes), t)
+    # every lane below t - half: each lane goes below 0 and borrows from the
+    # lane above, which leaves it just under 2*half with its guard bit set,
+    # so only the `t > half` clause gives True (256 byte lanes of 5 at t=140)
+    assert dec.some_lane_below(pack(dec, [5] * lanes), half + 12)
 
 
 def test_decoder_tables_stay_small_at_m16():

@@ -205,7 +205,7 @@ DECODE_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("params, m", sorted(DECODE_GOLDEN, key=lambda k: k[1]))
+@pytest.mark.parametrize("params, m", list(DECODE_GOLDEN))
 def test_decode_value_outputs_are_identical(params, m):
     code = get_code(params, m)
     words = seeded_words(code, random.Random(f"decode:{params.c}:{m}"), 2000)
