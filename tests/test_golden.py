@@ -128,6 +128,22 @@ def test_tradeoff_outputs_are_byte_identical(tmp_path):
     )
 
 
+#: The CSVs at each command's default config, seed 0: the config the
+#: benchmark's tradeoff workload runs, which the pins above do not use.
+DEFAULT_GOLDEN = {
+    "tradeoff": ("tradeoff.csv", "c00dcadca61cbba90c20a0c3754eef9121df8fde00f81e9c55ee2d05fdf86bcf"),
+    "learn": ("learn.csv", "8053c61d7f75d5f647d7aec0ac794ed8ab87f798e5444f436b4694d7d291e81c"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_GOLDEN))
+def test_default_config_csvs_are_byte_identical(tmp_path, command):
+    name, digest = DEFAULT_GOLDEN[command]
+    code, files = run(tmp_path, command, "", 0)
+    assert code == 0
+    assert sha(files[name]) == digest
+
+
 # -- challenge rounds -------------------------------------------------------------
 
 FORCING = forcing_formula(6, 3, 2)
