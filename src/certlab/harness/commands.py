@@ -212,7 +212,7 @@ def cmd_codes_test(cfg: dict[str, str], out_dir: Path, seed) -> int:
         )
         # beyond-radius inputs must not crash
         x = int_to_bits(rng.getrandbits(m), m)
-        y = flip_positions(code.encode(x), range(code.contract_radius + 1))
+        y = flip_positions(code.encode(x), range(code.radius + 1))
         code.decode(y)
         ok = ok and clean and res.recovered == res.tested
         lines.append(

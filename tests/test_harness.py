@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from certlab.codes import DEFAULT_CODE_PARAMS
+from certlab.codes import DEFAULT_CODE_PARAMS, LinearCode
 from certlab.concepts import CertConcept, ExampleLayout
 from certlab.errors import ConfigError, FormatError
 from certlab.harness import commands
@@ -107,7 +107,7 @@ def test_write_csv_six_significant_digits(tmp_path):
 
 
 def test_distribution_suite_shapes():
-    from certlab.codes import DEFAULT_CODE_PARAMS
+    from certlab.codes import DEFAULT_CODE_PARAMS, LinearCode
     from certlab.concepts import CertConcept
 
     corpus = exhaustive_two_var_corpus()
@@ -235,7 +235,7 @@ def test_tradeoff_labels_its_support_once_per_sweep(tmp_path, monkeypatch):
 
 
 def test_uniform_concepts_have_no_useless_example():
-    from certlab.codes import DEFAULT_CODE_PARAMS
+    from certlab.codes import DEFAULT_CODE_PARAMS, LinearCode
     from certlab.concepts import CertConcept
     from certlab.errors import ConfigError
     from certlab.harness.commands import probe_domain
@@ -429,6 +429,30 @@ def test_cli_codes_test(tmp_path):
     assert "m=8" in report and "recovered" in report
 
 
+def test_codes_test_decodes_a_word_beyond_the_certified_radius(tmp_path, monkeypatch):
+    sent = {}  # each corrupted word -> the codeword it was made from
+    decoded = []  # (code, received word) per decode
+    real_flip, real_decode = commands.flip_positions, LinearCode.decode
+
+    def flip(s, positions):
+        y = real_flip(s, positions)
+        sent[y] = s
+        return y
+
+    def decode(code, y):
+        decoded.append((code, y))
+        return real_decode(code, y)
+
+    monkeypatch.setattr(commands, "flip_positions", flip)
+    monkeypatch.setattr(LinearCode, "decode", decode)
+    cfg = {"codes.lengths": "8,12,16", "codes.samples": "20"}
+    assert commands.cmd_codes_test(cfg, tmp_path, 0) == 0
+    beyond = [(code, y) for code, y in decoded if y in sent]
+    assert [code.message_len for code, _ in beyond] == [8, 12, 16]
+    for code, y in beyond:
+        assert sum(a != b for a, b in zip(y, sent[y])) > code.radius
+
+
 def test_cli_learn_small(tmp_path):
     cfg = (
         "corpus.kind = single_clause\n"
@@ -444,7 +468,7 @@ def test_cli_learn_small(tmp_path):
     assert len(body) == 1 + 16
 
     # m = 0 rows: success is exactly whether constant-0 is eps-close
-    from certlab.codes import DEFAULT_CODE_PARAMS
+    from certlab.codes import DEFAULT_CODE_PARAMS, LinearCode
     from certlab.harness.commands import _target_concept
     from certlab.paclearn import TableHypothesis, error_of
 
