@@ -2,7 +2,11 @@
 
 Bitstrings are plain Python strings over {'0','1'}, most significant bit
 first.  All comparisons in this package are between equal-length strings,
-where ordinary string order coincides with lexicographic order.
+where ordinary string order coincides with lexicographic order.  A string
+is scanned for 0/1 once, by the entry that first receives it: `Distribution`,
+`LabeledSample`, `FormulaEncoding.decode`, the decider's challenge,
+`first_certificate` and `LinearCode.encode`/`decode`.  `ExampleLayout` builds
+valid points, and code that reads a point later tests only its length.
 """
 
 from __future__ import annotations
@@ -47,8 +51,7 @@ def random_bits(rng: random.Random, length: int) -> str:
 
 
 def flip_positions(s: str, positions) -> str:
-    """Return s with exactly the given bit positions flipped."""
-    check_bits(s, name="s")
+    """Return s, a bitstring, with exactly the given bit positions flipped."""
     out = list(s)
     for p in positions:
         if not 0 <= p < len(s):

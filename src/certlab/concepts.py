@@ -15,7 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .bits import check_bits, int_to_bits, random_bits
+from .bits import int_to_bits, random_bits
 from .codes import CodeParams, get_code
 from .errors import ConfigError, FormatError, ShapeError
 from .verifiers import StepCounter, ThreeSatVerifier, first_certificate
@@ -56,8 +56,9 @@ class ExampleLayout:
         return part[: self.matched] + int_to_bits(value, self.ell) + part[self.matched :]
 
     def index(self, x: str) -> int:
-        """The example's index value."""
-        check_bits(x, length=self.example_len, name="example")
+        """The example's index value; x's bits were checked where it entered."""
+        if len(x) != self.example_len:
+            raise ShapeError(f"example must have length {self.example_len}, got {len(x)}")
         return int(x[self.matched : self.matched + self.ell], 2)
 
     def draw(self, rng: random.Random, z: str, m: int) -> tuple[list[str], str]:
@@ -108,7 +109,6 @@ class CertConcept(JuntaHypothesis):
         kind: str = "standard",
         counter: StepCounter | None = None,
     ) -> None:
-        check_bits(z, length=verifier.n, name="z")
         layout = ExampleLayout.of(verifier.n, params, verifier.p, kind)
         self.z = z
         self.first_cert = first_certificate(verifier, z, counter=counter)

@@ -81,18 +81,20 @@ class LabeledSample:
             if y not in (0, 1):
                 raise ShapeError(f"label must be 0/1, got {y!r}")
 
-    def with_labels(self, labels) -> "LabeledSample":
-        """These points, checked already, with new labels, checked as the
-        constructor checks them."""
-        if len(labels) != len(self.pairs):
-            raise ShapeError(f"need {len(self.pairs)} labels, got {len(labels)}")
+    @classmethod
+    def from_checked(cls, points, labels) -> "LabeledSample":
+        """Points checked where they entered, with labels checked as the constructor does."""
+        if len(labels) != len(points):
+            raise ShapeError(f"need {len(points)} labels, got {len(labels)}")
         for y in labels:
             if y not in (0, 1):
                 raise ShapeError(f"label must be 0/1, got {y!r}")
-        sample = object.__new__(LabeledSample)
-        pairs = tuple([(x, y) for (x, _), y in zip(self.pairs, labels)])
-        object.__setattr__(sample, "pairs", pairs)
+        sample = object.__new__(cls)
+        object.__setattr__(sample, "pairs", tuple(zip(points, labels)))
         return sample
+
+    def with_labels(self, labels) -> "LabeledSample":
+        return self.from_checked([x for x, _ in self.pairs], labels)
 
     @property
     def m(self) -> int:
@@ -101,7 +103,8 @@ class LabeledSample:
 
 def draw_sample(dist: Distribution, concept, m: int, rng: random.Random) -> LabeledSample:
     """m i.i.d. draws from the distribution, labeled by the concept."""
-    return LabeledSample(tuple((x, int(concept(x))) for x in dist.draw(rng, m)))
+    points = dist.draw(rng, m)
+    return LabeledSample.from_checked(points, [int(concept(x)) for x in points])
 
 
 def support_labels(dist: Distribution, concept):

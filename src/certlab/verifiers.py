@@ -171,13 +171,6 @@ class ThreeSatVerifier:
 # -- the first certificate -----------------------------------------------------
 
 
-def verify(v: ThreeSatVerifier, z: str, w: str) -> bool:
-    """Run the verifier's deterministic check; shape errors on bad lengths."""
-    check_bits(z, length=v.n, name="instance")
-    check_bits(w, length=v.p, name="certificate")
-    return bool(v.check(z, w))
-
-
 def _check_budget(v: ThreeSatVerifier) -> None:
     if v.p > DEFAULT_BUDGET_BITS:
         raise BudgetError(
@@ -204,7 +197,7 @@ def first_certificate(
     charged for the binary search that finds the minimal k with an accepted
     certificate among the first k: p lex-oracle calls, each a rank-order
     scan charged as the lex oracle in tests/oracles.py counts it.  One
-    direct verify then asserts consistency.
+    direct `check` then asserts consistency.
     """
     check_bits(z, length=v.n, name="instance")
     _check_budget(v)
@@ -219,4 +212,4 @@ def first_certificate(
         else:
             lo = mid + 1
     w = bits_of_rank(lo, v.p)
-    return w if verify(v, z, w) else None
+    return w if v.check(z, w) else None

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from certlab import bits
 from certlab.bits import (
     bits_of_rank,
     check_bits,
@@ -10,6 +11,9 @@ from certlab.bits import (
     random_bits,
 )
 from certlab.errors import ShapeError
+from certlab.harness import commands
+from certlab.sat import ThreeSatInstance
+from certlab.verifiers import FormulaEncoding, ThreeSatVerifier, first_certificate
 from oracles import bits_to_int, lex_rank
 
 
@@ -127,3 +131,50 @@ def test_random_bits_deterministic():
     import random
 
     assert random_bits(random.Random(7), 12) == random_bits(random.Random(7), 12)
+
+
+# -- one scan per string, where it enters -------------------------------------
+
+
+def counted_scans(monkeypatch) -> list[str]:
+    """Every string `check_bits` scans from now on, in order."""
+    scanned: list[str] = []
+    real = bits.is_bits
+    monkeypatch.setattr(bits, "is_bits", lambda s: scanned.append(s) or real(s))
+    return scanned
+
+
+def test_a_tradeoff_sweep_scans_no_point_inside_its_trials(tmp_path, monkeypatch):
+    # Distribution scans each support point as the sweep builds it; drawing,
+    # labelling, learning and scoring inside the trials read them unscanned
+    scanned = counted_scans(monkeypatch)
+    rescanned, inside = [], []
+    real_suite = commands.pac_trial_suite
+
+    def suite(learner, concept, dist, *args):
+        before = len(scanned)
+        result = real_suite(learner, concept, dist, *args)
+        inside.extend(scanned[before:])
+        rescanned.extend(s for s in scanned[before:] if s in dist.points)
+        return result
+
+    monkeypatch.setattr(commands, "pac_trial_suite", suite)
+    assert commands.cmd_tradeoff({}, tmp_path, 0) == 0
+    assert len(rescanned) == 0
+    # what is left is few_sample_learner's certificate search on each of its
+    # 24 samples with a 1-labelled point: first_certificate scans the
+    # instance it is handed as it enters, and eval_assignment the
+    # certificate that v.check confirms
+    assert len(inside) == 2 * 24
+
+
+def test_first_certificate_scans_its_strings_three_times_on_a_mask_miss(monkeypatch):
+    enc = FormulaEncoding(max_vars=2, max_clauses=3)
+    z = enc.encode(ThreeSatInstance(2, [(1, 2), (-1, 2)]))
+    v = ThreeSatVerifier(enc)  # fresh: the mask of z is a miss
+    scanned = counted_scans(monkeypatch)
+    w = first_certificate(v, z)
+    # first_certificate scans z as it enters; FormulaEncoding.decode scans it
+    # as the verifier reads the mask; eval_assignment, which v.check runs to
+    # confirm the result, scans w
+    assert (w, scanned) == ("01", [z, z, w])

@@ -19,8 +19,8 @@ from certlab.paclearn import (
 )
 from certlab.reduction import DeciderConfig, _Challenge, rtime_decide, sat_decider
 from certlab.sat import ThreeSatInstance, brute_force_sat, exhaustive_formulas
-from certlab.verifiers import FormulaEncoding, ThreeSatVerifier, verify
-from oracles import FixedProofMerlin, FnVerifier, HonestMerlin, am_round
+from certlab.verifiers import FormulaEncoding, ThreeSatVerifier
+from oracles import FixedProofMerlin, FnVerifier, HonestMerlin, am_round, verify
 
 PARAMS = REDUCTION_CODE_PARAMS
 ENC2 = FormulaEncoding(max_vars=2, max_clauses=3)

@@ -14,7 +14,6 @@ from certlab.verifiers import (
     StepCounter,
     ThreeSatVerifier,
     first_certificate,
-    verify,
 )
 from oracles import (
     FnVerifier,
@@ -25,6 +24,7 @@ from oracles import (
     nondet_oracle,
     reference_decode,
     reference_encode,
+    verify,
 )
 
 ENC2 = FormulaEncoding(max_vars=2, max_clauses=3)
