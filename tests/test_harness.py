@@ -107,7 +107,7 @@ def test_write_csv_six_significant_digits(tmp_path):
 
 
 def test_distribution_suite_shapes():
-    from certlab.codes import DEFAULT_CODE_PARAMS, LinearCode
+    from certlab.codes import DEFAULT_CODE_PARAMS
     from certlab.concepts import CertConcept
 
     corpus = exhaustive_two_var_corpus()
@@ -235,7 +235,7 @@ def test_tradeoff_labels_its_support_once_per_sweep(tmp_path, monkeypatch):
 
 
 def test_uniform_concepts_have_no_useless_example():
-    from certlab.codes import DEFAULT_CODE_PARAMS, LinearCode
+    from certlab.codes import DEFAULT_CODE_PARAMS
     from certlab.concepts import CertConcept
     from certlab.errors import ConfigError
     from certlab.harness.commands import probe_domain
@@ -468,7 +468,7 @@ def test_cli_learn_small(tmp_path):
     assert len(body) == 1 + 16
 
     # m = 0 rows: success is exactly whether constant-0 is eps-close
-    from certlab.codes import DEFAULT_CODE_PARAMS, LinearCode
+    from certlab.codes import DEFAULT_CODE_PARAMS
     from certlab.harness.commands import _target_concept
     from certlab.paclearn import TableHypothesis, error_of
 
