@@ -5,8 +5,9 @@ first.  All comparisons in this package are between equal-length strings,
 where ordinary string order coincides with lexicographic order.  A string
 is scanned for 0/1 once, by the entry that first receives it: `Distribution`,
 `LabeledSample`, `FormulaEncoding.decode`, the decider's challenge,
-`first_certificate` and `LinearCode.encode`/`decode`.  `ExampleLayout` builds
-valid points, and code that reads a point later tests only its length.
+`first_certificate`, `LinearCode.encode`/`decode` and `codes.decode`.
+`ExampleLayout` builds valid points, and code that reads a point later tests
+only its length.
 """
 
 from __future__ import annotations

@@ -22,6 +22,17 @@ Before it reads the lanes of a sum, one guard-bit test on the packed int
 (`_LaneDecoder.some_lane_below`) tells whether any lane is below the best
 distance so far; a high part with none cannot win under the strict rule, so
 skipping it leaves the result unchanged.
+
+A word within the certified radius rarely needs that walk.  Once per code,
+greedy GF(2) elimination over the positions in order picks disjoint
+information sets: m positions each, whose bits fix the message.  A set is
+kept as m parity masks, one per message bit.  When the walk has more than
+one high part, `decode_value` first reads each set's candidate message off
+the received word and returns it if its codeword lies within the certified
+radius (d-1)//2 (Prange's information-set decoding).  A set that carries no
+error reads the sent message.  The step is exact: a codeword within that
+radius is the unique nearest one, which is what the walk returns.  When
+every set carries an error, the walk runs as before.
 """
 
 from __future__ import annotations
@@ -196,7 +207,14 @@ class LinearCode:
         part without one would not be kept.  A codeword within `radius` is
         the unique nearest one, so the search returns 0 when y itself is
         that close and otherwise stops at the first high part that reaches
-        it."""
+        it.
+
+        Before the walk, when there is more than one high part, each
+        information set reads a candidate message v off y, one parity per
+        message bit, and v is returned when y is within `radius` of cw(v).
+        By the same uniqueness that is the message the walk would return; a
+        set with no error among its positions reads the sent message, so
+        the walk runs only when every set carries one."""
         if y_int >> self.codeword_len:
             raise ShapeError(f"received word must lie in [0, 2^{self.codeword_len})")
         radius = self.radius
@@ -204,11 +222,16 @@ class LinearCode:
         if best_d <= radius:
             return 0
         dec = self.lane_decoder()
-        tables, spec, n_bytes, as_lanes, h = (
-            dec.tables, dec.hex_spec, dec.n_bytes, dec.as_lanes, dec.low_bits
-        )
+        high, low, h = dec.high, dec.low, dec.low_bits
+        for masks in dec.info_sets:
+            v = 0
+            for mask in masks:
+                v = v << 1 | (y_int & mask).bit_count() & 1
+            if (y_int ^ high[v >> h] ^ low[v & dec.low_mask]).bit_count() <= radius:
+                return v
+        tables, spec, n_bytes, as_lanes = dec.tables, dec.hex_spec, dec.n_bytes, dec.as_lanes
         some_lane_below = dec.some_lane_below
-        for hi, cw in enumerate(dec.high):
+        for hi, cw in enumerate(high):
             total = sum(map(dict.__getitem__, tables, format(y_int ^ cw, spec)))
             if not some_lane_below(total, best_d):
                 continue
@@ -222,8 +245,11 @@ class LinearCode:
 
     def decode(self, y: str) -> str:
         check_bits(y, length=self.codeword_len, name="received word")
-        v = self.decode_value(int(y[::-1], 2) if y else 0)
-        return format(v, f"0{self.message_len}b")
+        return self._decode_checked(y)
+
+    def _decode_checked(self, y: str) -> str:
+        """`decode` of a y already checked to be codeword_len bits."""
+        return format(self.decode_value(int(y[::-1], 2)), f"0{self.message_len}b")
 
 
 #: _HEX_DISTANCE[nib] translates a hex digit's ASCII code to the Hamming
@@ -234,14 +260,52 @@ _HEX_DISTANCE = [
 ]
 
 
+def _information_sets(rows: list[int], codeword_len: int) -> list[list[int]]:
+    """Disjoint information sets of the code generated by rows, found by
+    greedy GF(2) elimination over the positions in order.  Each is given as
+    m parity masks: for a codeword y of message v, message bit j (MSB
+    first) of v is `(y & masks[j]).bit_count() & 1`."""
+    m = len(rows)
+    sets = []
+    # pivot -> (a column with that top bit, the positions whose columns XOR to it)
+    basis: dict[int, tuple[int, int]] = {}
+    for i in range(codeword_len):
+        # position i's column: bit m-1-j is row j's bit i, so that
+        # codeword bit i is (v & column).bit_count() & 1
+        col, positions = 0, 1 << i
+        for row in rows:
+            col = col << 1 | (row >> i) & 1
+        while col and col.bit_length() - 1 in basis:
+            b_col, b_positions = basis[col.bit_length() - 1]
+            col, positions = col ^ b_col, positions ^ b_positions
+        if col:
+            basis[col.bit_length() - 1] = (col, positions)
+        if len(basis) < m:
+            continue
+        masks = []
+        for j in range(m):
+            # message bit j's unit column as an XOR of the set's columns
+            col, positions = 1 << (m - 1 - j), 0
+            while col:
+                b_col, b_positions = basis[col.bit_length() - 1]
+                col, positions = col ^ b_col, positions ^ b_positions
+            masks.append(positions)
+        sets.append(masks)
+        basis = {}
+    return sets
+
+
 class _LaneDecoder:
     """The decoding tables of one code (see the module docstring)."""
 
     def __init__(self, rows: list[int], codeword_len: int) -> None:
         h = min(len(rows), LOW_BITS)
-        low = _span(rows[len(rows) - h :])
+        self.low = low = _span(rows[len(rows) - h :])
         self.low_bits = h
+        self.low_mask = (1 << h) - 1
         self.high = _span(rows[: len(rows) - h])
+        # with one high part the walk is one table sum: no candidate step
+        self.info_sets = _information_sets(rows, codeword_len) if len(self.high) > 1 else []
         # the narrowest lane that holds every distance 0..codeword_len
         lane_type = next(t for t in "BHIQ" if codeword_len < 1 << (8 * array(t).itemsize))
         wide = lane_type != "B"
@@ -298,7 +362,7 @@ def decode(params: CodeParams, y: str) -> str:
     check_bits(y, name="received word")
     if len(y) % params.c != 0:
         raise ShapeError(f"received word length {len(y)} not divisible by c={params.c}")
-    return get_code(params, len(y) // params.c).decode(y)
+    return get_code(params, len(y) // params.c)._decode_checked(y)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from certlab.bits import (
     is_bits,
     random_bits,
 )
+from certlab.codes import DEFAULT_CODE_PARAMS, decode, get_code
 from certlab.errors import ShapeError
 from certlab.harness import commands
 from certlab.sat import ThreeSatInstance
@@ -178,3 +179,11 @@ def test_first_certificate_scans_its_strings_three_times_on_a_mask_miss(monkeypa
     # as the verifier reads the mask; eval_assignment, which v.check runs to
     # confirm the result, scans w
     assert (w, scanned) == ("01", [z, z, w])
+
+
+def test_codes_decode_scans_the_received_word_once(monkeypatch):
+    y = get_code(DEFAULT_CODE_PARAMS, 8).encode("10110010")
+    scanned = counted_scans(monkeypatch)
+    # the module function scans y as it enters; the code's decode does not again
+    assert decode(DEFAULT_CODE_PARAMS, y) == "10110010"
+    assert scanned == [y]

@@ -230,6 +230,104 @@ def test_decode_value_matches_full_scan_over_several_high_parts():
                 assert code.decode_value(y_int) == full_scan(code, y_int)
 
 
+# -- the information-set candidate step ------------------------------------------------
+
+
+def read_message(masks, y_int: int) -> int:
+    """The message one information set reads off y_int."""
+    v = 0
+    for mask in masks:
+        v = v << 1 | (y_int & mask).bit_count() & 1
+    return v
+
+
+@pytest.mark.parametrize("params", [DEFAULT_CODE_PARAMS, REDUCTION_CODE_PARAMS])
+@pytest.mark.parametrize("m", range(9, 17))
+def test_information_sets_read_back_every_message(params, m):
+    code = get_code(params, m)
+    sets = code.lane_decoder().info_sets
+    assert sets
+    positions = [functools.reduce(int.__or__, masks) for masks in sets]
+    assert all(len(masks) == m and s.bit_count() == m for masks, s in zip(sets, positions))
+    for i, a in enumerate(positions):
+        assert all(a & b == 0 for b in positions[i + 1 :])
+    rng = random.Random(f"info-sets:{params.c}:{m}")
+    for _ in range(200):
+        v = rng.getrandbits(m)
+        assert all(read_message(masks, code.encode_value(v)) == v for masks in sets)
+
+
+class Unreadable:
+    """Stands in for the lane tables: any read of it raises."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the lane tables were read ({name})")
+
+    def __iter__(self):
+        raise AssertionError("the lane tables were read")
+
+    def __getitem__(self, key):
+        raise AssertionError("the lane tables were read")
+
+
+@pytest.mark.parametrize("params", [DEFAULT_CODE_PARAMS, REDUCTION_CODE_PARAMS])
+def test_a_word_whose_errors_miss_an_information_set_skips_the_walk(params, monkeypatch):
+    code = get_code(params, 16)
+    dec = code.lane_decoder()
+    first = functools.reduce(int.__or__, dec.info_sets[0])
+    clean = [p for p in range(code.codeword_len) if not first >> p & 1]
+    rng = random.Random(f"miss-first-set:{params.c}")
+    words = []
+    for _ in range(20):
+        v = rng.getrandbits(16)
+        errors = sum(1 << p for p in rng.sample(clean, code.contract_radius))
+        words.append((v, code.encode_value(v) ^ errors))
+    # one error in each set leaves the walk, which reads the tables
+    hit_all = sum(masks[0] & -masks[0] for masks in dec.info_sets)
+    assert hit_all.bit_count() == len(dec.info_sets) <= code.radius
+    walked = code.encode_value(rng.getrandbits(16)) ^ hit_all
+    monkeypatch.setattr(dec, "tables", Unreadable())
+    for v, y_int in words:
+        assert code.decode_value(y_int) == v
+    with pytest.raises(AssertionError, match="lane tables were read"):
+        code.decode_value(walked)
+
+
+def test_a_candidate_one_error_past_the_radius_is_not_kept():
+    # y is radius + 1 errors from the codeword of v, none of them in the
+    # first information set, and no farther from another codeword (half of a
+    # minimum-weight codeword's support is flipped); the first set reads v,
+    # which is not the nearest message, so the step must pass it over
+    for params in (DEFAULT_CODE_PARAMS, REDUCTION_CODE_PARAMS):
+        for m in (9, 12, 16):
+            code = get_code(params, m)
+            first = functools.reduce(int.__or__, code.lane_decoder().info_sets[0])
+            dists = [cw.bit_count() for cw in codewords(code)]
+            u = dists.index(code.distance, 1)
+            support = [p for p in range(code.codeword_len) if (codewords(code)[u] & ~first) >> p & 1]
+            assert len(support) > code.radius
+            v = random.Random(f"past-radius:{params.c}:{m}").getrandbits(m)
+            v = min(v, v ^ u) ^ u  # the larger of the pair, so a tie goes to v ^ u
+            y_int = code.encode_value(v) ^ sum(1 << p for p in support[: code.radius + 1])
+            assert read_message(code.lane_decoder().info_sets[0], y_int) == v
+            assert full_scan(code, y_int) != v
+            assert code.decode_value(y_int) == full_scan(code, y_int)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_decode_value_matches_full_scan_at_lengths_9_to_16(data):
+    params = data.draw(st.sampled_from((DEFAULT_CODE_PARAMS, REDUCTION_CODE_PARAMS)))
+    code = get_code(params, data.draw(st.integers(9, 16)))
+    n = code.codeword_len
+    v = data.draw(st.integers(0, (1 << code.message_len) - 1))
+    errors = data.draw(st.sets(st.integers(0, n - 1), max_size=code.radius + 2))
+    y_int = code.encode_value(v) ^ sum(1 << i for i in errors)
+    if len(errors) <= code.radius:
+        assert code.decode_value(y_int) == v
+    assert code.decode_value(y_int) == full_scan(code, y_int)
+
+
 def pack(dec, values) -> int:
     """Lane values packed as the decoder packs a table sum."""
     return int.from_bytes(array(dec.lane_type, values).tobytes(), sys.byteorder)
@@ -272,6 +370,13 @@ def test_decoder_tables_stay_small_at_m16():
 def test_decode_shape_errors():
     with pytest.raises(ShapeError):
         decode(DEFAULT_CODE_PARAMS, "010")  # not divisible by c
+    # the module function scans the word once; the 0/1 test still comes first
+    for bad in (5, None, ["0"] * 64, b"0" * 64, "0" * 63 + "2", "01x", " " + "0" * 63):
+        with pytest.raises(ShapeError, match="^received word must be a string over 0/1, got "):
+            decode(DEFAULT_CODE_PARAMS, bad)
+    for bad in ("0" * 63, "1" * 65, "0" * 7):
+        with pytest.raises(ShapeError, match=f"^received word length {len(bad)} not divisible by c=8$"):
+            decode(DEFAULT_CODE_PARAMS, bad)
     code = get_code(DEFAULT_CODE_PARAMS, 8)
     with pytest.raises(ShapeError):
         code.decode("0" * 63)
