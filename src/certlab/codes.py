@@ -396,7 +396,6 @@ def radius_recovery(
     code = get_code(params, message_len)
     n = code.codeword_len
     radius = code.contract_radius
-    codewords = _span(code.generator_rows)
     n_msgs = 1 << message_len
     exhaustive = _pattern_count(n, radius) <= exhaustive_limit
     if exhaustive:
@@ -413,6 +412,6 @@ def radius_recovery(
     for val, positions in cases:
         pattern = sum(1 << p for p in positions)
         tested += 1
-        if code.decode_value(codewords[val] ^ pattern) == val:
+        if code.decode_value(code.encode_value(val) ^ pattern) == val:
             recovered += 1
     return RadiusResult(tested=tested, recovered=recovered, exhaustive=exhaustive)

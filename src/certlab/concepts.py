@@ -1,4 +1,5 @@
-"""Certificate-indexed concept classes, decision trees, and dimension oracles.
+"""Certificate-indexed concept classes, decision trees, and the VC- and
+Littlestone-dimension oracles `vcdim` reports.
 
 An example is the first `matched` bits of an instance, an ell-bit index,
 then the instance's other bits.  The standard layout matches all n bits of
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from .bits import int_to_bits, random_bits
 from .codes import CodeParams, get_code
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import BudgetError, ConfigError, FormatError, ShapeError
 from .verifiers import StepCounter, ThreeSatVerifier, first_certificate
 
 
@@ -300,6 +301,49 @@ def cert_class_vc(concepts: list[CertConcept]) -> CertVcReport:
         candidate_points=len(point_mask),
         pairs_checked=pairs_checked,
     )
+
+
+#: Largest domain ldim_oracle accepts, and the depth it searches to.
+LDIM_MAX_DOMAIN = 16
+LDIM_DEPTH = 3
+
+
+def ldim_oracle(concepts, domain) -> int:
+    """Optimal mistake bound via minimax game-tree search.
+
+    Returns min(Ldim, LDIM_DEPTH): the adversary presents a point on which the
+    surviving version space splits, the learner predicts optimally, and a
+    mistake is forced on the branch the adversary keeps.  Exact whenever the
+    result is below LDIM_DEPTH.
+    """
+    domain = list(domain)
+    concepts = list(concepts)
+    if len(domain) > LDIM_MAX_DOMAIN:
+        raise BudgetError(
+            f"ldim search over {len(domain)} points at depth {LDIM_DEPTH} exceeds budget"
+        )
+    labels = [tuple(int(c(x)) for x in domain) for c in concepts]
+    memo: dict[tuple, int] = {}
+
+    def value(vs: frozenset[int], depth: int) -> int:
+        if depth == 0 or len(vs) <= 1:
+            return 0
+        key = (vs, depth)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        out = 0
+        for xi in range(len(domain)):
+            v0 = frozenset(ci for ci in vs if labels[ci][xi] == 0)
+            v1 = vs - v0
+            if v0 and v1:
+                got = 1 + min(value(v0, depth - 1), value(v1, depth - 1))
+                if got > out:
+                    out = got
+        memo[key] = out
+        return out
+
+    return value(frozenset(range(len(concepts))), LDIM_DEPTH)
 
 
 def distinct_concept_count(concepts: list[CertConcept]) -> int:

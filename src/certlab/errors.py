@@ -23,7 +23,3 @@ class FormatError(CertlabError):
 
 class DataInconsistencyError(CertlabError):
     """A labeled sample contradicts itself (impossible under a true concept)."""
-
-
-class AdversaryInconsistencyError(CertlabError):
-    """An online adversary's labels are consistent with no concept in the class."""

@@ -21,16 +21,17 @@ from ..codes import (
     radius_recovery,
 )
 from ..concepts import (
+    LDIM_DEPTH,
     CertConcept,
     ExampleLayout,
     cert_class_vc,
     distinct_concept_count,
     enumerate_class,
+    ldim_oracle,
     parse_tree,
     serialize_tree,
 )
 from ..errors import ConfigError
-from ..online import LDIM_DEPTH, ldim_oracle
 from ..paclearn import (
     Distribution,
     few_sample_learner,
@@ -52,10 +53,18 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def write_lines(path: Path, lines: list[str]) -> None:
+    """Write the lines, each ending in a newline, or raise a one-line ConfigError."""
+    try:
+        path.write_text("\n".join(lines) + "\n", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"output file cannot be written: {path} ({exc.strerror})") from None
+
+
 def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    write_lines(path, lines)
 
 
 def code_params_from(cfg: dict[str, str], default: CodeParams) -> CodeParams:
@@ -133,7 +142,7 @@ def cmd_enumerate(cfg: dict[str, str], out_dir: Path, seed) -> int:
         if serialize_tree(reparsed) != text:
             return 1
         lines.append(f"{z} {text}")
-    (out_dir / "trees.txt").write_text("\n".join(lines) + "\n")
+    write_lines(out_dir / "trees.txt", lines)
     return 0 if len(lines) == len(corpus.instances) else 1
 
 
@@ -186,7 +195,7 @@ def cmd_vcdim(cfg: dict[str, str], out_dir: Path, seed) -> int:
         f"ldim = {ldim} (probe of {len(probe)} points, depth {LDIM_DEPTH})",
         f"vc_le_log2_class_size = {report.dimension} <= {_fmt(log_bound)}: {'ok' if ok else 'VIOLATED'}",
     ]
-    (out_dir / "dimension_report.txt").write_text("\n".join(lines) + "\n")
+    write_lines(out_dir / "dimension_report.txt", lines)
     return 0 if ok else 1
 
 
@@ -221,7 +230,7 @@ def cmd_codes_test(cfg: dict[str, str], out_dir: Path, seed) -> int:
             f"patterns={res.tested} recovered={res.recovered} "
             f"mode={'exhaustive' if res.exhaustive else 'sampled'} clean_roundtrip={clean}"
         )
-    (out_dir / "radius_report.txt").write_text("\n".join(lines) + "\n")
+    write_lines(out_dir / "radius_report.txt", lines)
     return 0 if ok else 1
 
 
@@ -300,8 +309,9 @@ def cmd_reduce(cfg: dict[str, str], out_dir: Path, seed) -> int:
     sat_total = 0
     sat_accepted = 0
     for i, inst in enumerate(corpus.instances):
-        truth = brute_force_sat(inst)
+        # the decider first: it rejects p > 16 before brute force walks 2^p assignments
         report = sat_decider(inst, v, config, learner, f"{seed}:{i}")
+        truth = brute_force_sat(inst)
         if report.accept and not truth:
             false_accepts += 1
         if truth:
@@ -315,7 +325,7 @@ def cmd_reduce(cfg: dict[str, str], out_dir: Path, seed) -> int:
         f"summary: instances={len(corpus.instances)} satisfiable={sat_total} "
         f"accept_rate_on_sat={_fmt(rate)} false_accepts={false_accepts}"
     )
-    (out_dir / "decider_report.txt").write_text("\n".join(lines) + "\n")
+    write_lines(out_dir / "decider_report.txt", lines)
     return 0 if false_accepts == 0 else 1
 
 
@@ -367,5 +377,5 @@ def cmd_tradeoff(cfg: dict[str, str], out_dir: Path, seed) -> int:
         "wall clock (informational, excluded from CSV):",
     ]
     lines.extend(f"  {name} m={m}: {wall:.4f}s" for name, m, wall in walls)
-    (out_dir / "tradeoff_summary.txt").write_text("\n".join(lines) + "\n")
+    write_lines(out_dir / "tradeoff_summary.txt", lines)
     return 0 if ok else 1

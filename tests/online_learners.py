@@ -1,7 +1,10 @@
-"""Online (mistake-bound) learning: the single-mistake learner for the
-certificate class, the sorted-list learner for sparse classes, a random
-consistent adversary, the Littlestone-dimension oracle, and the
-online-to-PAC conversion.
+"""Online (mistake-bound) learners the tests play against the certificate
+class: the single-mistake learner, the sorted-list learner for sparse
+classes, a random consistent adversary, and the online-to-PAC conversion.
+
+No command runs them; tests/test_online.py and acceptance criterion 08
+check their mistake bounds.  The Littlestone-dimension oracle `vcdim`
+reports is `certlab.concepts.ldim_oracle`.
 """
 
 from __future__ import annotations
@@ -10,16 +13,16 @@ import math
 import random
 from dataclasses import dataclass
 
-from .codes import CodeParams
-from .concepts import CertConcept
-from .errors import (
-    AdversaryInconsistencyError,
-    BudgetError,
-    ConfigError,
-    DataInconsistencyError,
-)
-from .paclearn import LabeledSample, TableHypothesis, few_sample_learner
-from .verifiers import ThreeSatVerifier
+from certlab.codes import CodeParams
+from certlab.concepts import CertConcept
+from certlab.errors import CertlabError, ConfigError, DataInconsistencyError
+from certlab.paclearn import LabeledSample, TableHypothesis, few_sample_learner
+from certlab.verifiers import ThreeSatVerifier
+
+
+class AdversaryInconsistencyError(CertlabError):
+    """An online adversary's labels are consistent with no concept in the class."""
+
 
 #: Sample-count constant for the online-to-PAC conversion; artifact constant,
 #: validated empirically by the property suite.
@@ -169,52 +172,6 @@ def random_consistent_adversary(
             yield x, label
 
     return run_online(learner, moves())
-
-
-# -- Littlestone dimension ----------------------------------------------------------
-
-
-#: Largest domain ldim_oracle accepts, and the depth it searches to.
-LDIM_MAX_DOMAIN = 16
-LDIM_DEPTH = 3
-
-
-def ldim_oracle(concepts, domain) -> int:
-    """Optimal mistake bound via minimax game-tree search.
-
-    Returns min(Ldim, LDIM_DEPTH): the adversary presents a point on which the
-    surviving version space splits, the learner predicts optimally, and a
-    mistake is forced on the branch the adversary keeps.  Exact whenever the
-    result is below LDIM_DEPTH.
-    """
-    domain = list(domain)
-    concepts = list(concepts)
-    if len(domain) > LDIM_MAX_DOMAIN:
-        raise BudgetError(
-            f"ldim search over {len(domain)} points at depth {LDIM_DEPTH} exceeds budget"
-        )
-    labels = [tuple(int(c(x)) for x in domain) for c in concepts]
-    memo: dict[tuple, int] = {}
-
-    def value(vs: frozenset[int], depth: int) -> int:
-        if depth == 0 or len(vs) <= 1:
-            return 0
-        key = (vs, depth)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        out = 0
-        for xi in range(len(domain)):
-            v0 = frozenset(ci for ci in vs if labels[ci][xi] == 0)
-            v1 = vs - v0
-            if v0 and v1:
-                got = 1 + min(value(v0, depth - 1), value(v1, depth - 1))
-                if got > out:
-                    out = got
-        memo[key] = out
-        return out
-
-    return value(frozenset(range(len(concepts))), LDIM_DEPTH)
 
 
 # -- online-to-PAC conversion ---------------------------------------------------------

@@ -13,6 +13,7 @@ from certlab.concepts import (
     build_decision_tree,
     cert_class_vc,
     dt_eval,
+    ldim_oracle,
 )
 from certlab.harness.commands import (
     probe_domain,
@@ -25,17 +26,12 @@ from certlab.harness.corpus import (
     single_clause_corpus,
 )
 from certlab.harness.cli import main as cli_main
-from certlab.online import (
-    OnlineToPacLearner,
-    SingleMistakeLearner,
-    SortedListLearner,
-    ldim_oracle,
-)
 from certlab.paclearn import few_sample_learner, junta_learner, pac_trial_suite, sparse_erm
 from certlab.reduction import DeciderConfig, sat_decider
 from certlab.concepts import ExampleLayout
 from certlab.sat import brute_force_sat
 from certlab.verifiers import FormulaEncoding, StepCounter, ThreeSatVerifier, first_certificate
+from online_learners import OnlineToPacLearner, SingleMistakeLearner, SortedListLearner
 from oracles import exhaustive_adversary_max_mistakes
 
 

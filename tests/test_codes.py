@@ -1,6 +1,7 @@
 import functools
 import random
 import sys
+import tracemalloc
 from array import array
 from fractions import Fraction
 
@@ -110,6 +111,20 @@ def test_radius_recovery_sampled_m12():
     assert not res.exhaustive
     assert res.tested == 10_000
     assert res.recovered == res.tested
+
+
+def test_radius_recovery_memory_does_not_grow_with_the_message_space():
+    # a table of all 65,536 codewords at m=16 is over 2 MiB; one codeword per
+    # pattern is a few bytes.  The decode tables are built once per code, first.
+    get_code(DEFAULT_CODE_PARAMS, 16).lane_decoder()
+    tracemalloc.start()
+    try:
+        res = radius_recovery(DEFAULT_CODE_PARAMS, 16, exhaustive_limit=0, samples=200, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.recovered == res.tested == 200
+    assert peak < 256 << 10, f"peak traced memory {peak >> 10} KiB"
 
 
 def test_beyond_radius_decode_never_crashes():

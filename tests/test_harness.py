@@ -1,14 +1,18 @@
 import contextlib
 import io
+import os
 import random
 import re
 import signal
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+import certlab
 from certlab.codes import DEFAULT_CODE_PARAMS, LinearCode
 from certlab.concepts import CertConcept, ExampleLayout
 from certlab.errors import ConfigError, FormatError
@@ -349,6 +353,24 @@ def test_cli_reduce_on_a_17_variable_file_is_exit_2(tmp_path, capsys):
     assert err == "configuration error: message length 17 unsupported (supported: 2..16)\n"
 
 
+def test_cli_reduce_on_a_40_variable_file_is_exit_2_at_once(tmp_path):
+    # brute force would walk 2^40 assignments, so the decider's length check
+    # must come first; a subprocess, so a hang fails the test
+    (tmp_path / "v40.cnf").write_text("p cnf 40 1\n1 0\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"corpus.kind = dimacs\ncorpus.paths = {tmp_path}/v40.cnf\n")
+    src = str(Path(certlab.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "certlab.harness.cli", "reduce", "--config", str(cfg), "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 2
+    assert done.stderr == "configuration error: message length 40 unsupported (supported: 2..16)\n"
+
+
 #: A small config per command, so that a fuzzed value that is accepted
 #: still runs in milliseconds.
 FUZZ_BASES = {
@@ -402,6 +424,26 @@ def test_cli_out_that_cannot_be_a_directory_is_one_line_exit_2(tmp_path, capsys,
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith(f"configuration error: output directory cannot be made: {tmp_path / out} (")
+
+
+@pytest.mark.parametrize(
+    "command,name",
+    [
+        ("enumerate", "trees.txt"),
+        ("vcdim", "dimension_report.txt"),
+        ("codes-test", "radius_report.txt"),
+        ("learn", "learn.csv"),
+        ("reduce", "decider_report.txt"),
+        ("tradeoff", "tradeoff.csv"),
+        ("tradeoff", "tradeoff_summary.txt"),
+    ],
+)
+def test_cli_output_file_that_cannot_be_written_is_one_line_exit_2(tmp_path, capsys, command, name):
+    (tmp_path / name).mkdir()
+    assert run_cli(tmp_path, command, serialize_config(FUZZ_BASES[command])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: output file cannot be written: {tmp_path / name} (")
+    assert len(err.splitlines()) == 1
 
 
 def test_cli_enumerate(tmp_path):

@@ -6,17 +6,8 @@ import pytest
 
 from certlab.bits import int_to_bits
 from certlab.codes import DEFAULT_CODE_PARAMS
-from certlab.concepts import CertConcept, cert_class_vc
-from certlab.errors import AdversaryInconsistencyError, BudgetError, DataInconsistencyError
-from certlab.online import (
-    ONLINE_TO_PAC_KAPPA,
-    OnlineToPacLearner,
-    SingleMistakeLearner,
-    SortedListLearner,
-    ldim_oracle,
-    random_consistent_adversary,
-    run_online,
-)
+from certlab.concepts import CertConcept, cert_class_vc, ldim_oracle
+from certlab.errors import BudgetError, DataInconsistencyError
 from certlab.paclearn import (
     Distribution,
     LabeledSample,
@@ -26,6 +17,15 @@ from certlab.paclearn import (
 )
 from certlab.sat import ThreeSatInstance, exhaustive_formulas
 from certlab.verifiers import FormulaEncoding, ThreeSatVerifier
+from online_learners import (
+    ONLINE_TO_PAC_KAPPA,
+    AdversaryInconsistencyError,
+    OnlineToPacLearner,
+    SingleMistakeLearner,
+    SortedListLearner,
+    random_consistent_adversary,
+    run_online,
+)
 from oracles import exhaustive_adversary_max_mistakes
 
 ENC2 = FormulaEncoding(max_vars=2, max_clauses=3)

@@ -1,7 +1,8 @@
 """src/ holds only what a command runs: every function defined there is
 reached by one of the six commands, is a name the benchmark calls, or is on
 the allowlist below with its reason.  Code only tests need lives under
-tests/ (oracles.py holds the brute-force and reference views)."""
+tests/ (oracles.py holds the brute-force and reference views,
+online_learners.py the online learners)."""
 
 import ast
 import importlib
@@ -20,15 +21,9 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC_LINE_LIMIT = 2990
 
 #: Functions no command runs that stay in src/, by qualified name (a class
-#: name covers its methods), each with its reason.
-ALLOWLIST = {
-    "certlab.online.SingleMistakeLearner": "criterion 08: the class's mistake bound of 1",
-    "certlab.online.SortedListLearner": "criterion 08: the mistake bound of sparse classes",
-    "certlab.online.run_online": "criterion 08: plays an online learner's rounds",
-    "certlab.online.OnlineRunLog.mistakes": "criterion 08: the mistakes of a run",
-    "certlab.online.random_consistent_adversary": "criterion 08: a consistent adversary",
-    "certlab.online.OnlineToPacLearner": "criterion 08: the online-to-PAC conversion at p = 16",
-}
+#: name covers its methods), each with its reason.  Empty: a function only
+#: tests run goes beside them.
+ALLOWLIST: dict[str, str] = {}
 #: Methods Python calls on a class's behalf, whatever the commands do.
 EXEMPT = {"__repr__", "__eq__", "__hash__"}
 
