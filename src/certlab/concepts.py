@@ -88,8 +88,19 @@ class JuntaHypothesis:
         self.head = head
 
     def __call__(self, x: str) -> int:
-        i = self.layout.index(x)
-        return 1 if (self.word >> i) & 1 and x.startswith(self.head) else 0
+        return self.labels((x,))[0]
+
+    def labels(self, points) -> list[int]:
+        """The 0/1 label of each point in the sequence, in order; a point of
+        the wrong length raises `ExampleLayout.index`'s ShapeError."""
+        lay = self.layout
+        n = lay.example_len
+        for x in points:
+            if len(x) != n:
+                lay.index(x)  # raises its ShapeError
+        lo, hi = lay.matched, lay.matched + lay.ell
+        word, head = self.word, self.head
+        return [(word >> int(x[lo:hi], 2)) & 1 if x.startswith(head) else 0 for x in points]
 
 
 class CertConcept(JuntaHypothesis):

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 all assertions passed, 1 assertion failure, 2 configuration
-error (bad config file, a bad value of a key the command reads, missing
-inputs).  A key the command does not read is ignored.
+error (bad arguments, bad config file, a bad value of a key the command
+reads, missing inputs).  A key the command does not read is ignored.
+Every error ends in one line on stderr.
 """
 
 from __future__ import annotations
@@ -33,19 +34,35 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="certlab")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # usage errors raise ArgumentError instead of printing usage and exiting;
+    # parse_args turns them into one-line ConfigErrors
+    parser = argparse.ArgumentParser(prog="certlab", exit_on_error=False)
+    sub = parser.add_subparsers(dest="command")
     for name in COMMANDS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, exit_on_error=False)
         p.add_argument("--config", type=str, default=None, help="path to a key = value config file")
         p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
         p.add_argument("--out", type=str, default=".", help="output directory")
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def parse_args(argv) -> argparse.Namespace:
+    """The parsed command line, or a one-line ConfigError; --help still
+    prints and exits 0."""
     try:
+        args, extra = build_parser().parse_known_args(argv)
+    except argparse.ArgumentError as exc:
+        raise ConfigError(str(exc)) from None
+    if extra:
+        raise ConfigError(f"unrecognized arguments: {' '.join(extra)}")
+    if args.command is None:
+        raise ConfigError(f"missing command (choose from {', '.join(COMMANDS)})")
+    return args
+
+
+def main(argv=None) -> int:
+    try:
+        args = parse_args(argv)
         cfg: dict[str, str] = {}
         if args.config is not None:
             cfg = parse_config(read_text_file(args.config, "config file"))

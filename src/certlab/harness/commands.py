@@ -109,15 +109,21 @@ def useless_point(concept: CertConcept) -> str:
     return lay.example(flipped, 0)
 
 
+def uniform_useful(concept: CertConcept) -> Distribution:
+    """Uniform on the concept's useful examples, one per index value."""
+    lay = concept.layout
+    return Distribution.uniform([lay.example(concept.z, v) for v in range(1 << lay.ell)])
+
+
 def distribution_suite(concept: CertConcept) -> list[tuple[str, Distribution]]:
     """The adversarial distributions every batch-learner criterion runs against:
     uniform on useful points, 90% mass on one useless point, and point masses."""
-    lay = concept.layout
     far = useless_point(concept)
-    useful = [lay.example(concept.z, v) for v in range(1 << lay.ell)]
+    uniform = uniform_useful(concept)
+    useful = list(uniform.points)
     ones = concept.one_points()
     suite = [
-        ("uniform_useful", Distribution.uniform(useful)),
+        ("uniform_useful", uniform),
         (
             "useless_mass",
             Distribution([far] + useful, [0.9] + [0.1 / len(useful)] * len(useful)),
@@ -349,7 +355,7 @@ def cmd_tradeoff(cfg: dict[str, str], out_dir: Path, seed) -> int:
     factor = get_float(cfg, "tradeoff.factor", 100.0)
     if factor <= 0:
         raise ConfigError(f"tradeoff.factor must be > 0, got {factor}")
-    dist = distribution_suite(concept)[0][1]  # uniform on useful points
+    dist = uniform_useful(concept)
     labels = support_labels(dist, concept)
     rows = []
     walls = []

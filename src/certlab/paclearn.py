@@ -12,6 +12,8 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 
 from .bits import check_bits
 from .codes import CodeParams
@@ -115,8 +117,12 @@ def support_labels(dist: Distribution, concept):
 
 
 def error_of(dist: Distribution, f, h) -> float:
-    """Exact weighted disagreement Pr_{x~D}[f(x) != h(x)] over the support."""
-    return sum(w for x, w in zip(dist.points, dist.weights) if int(f(x)) != int(h(x)))
+    """Exact weighted disagreement Pr_{x~D}[f(x) != h(x)] over the support:
+    the weights of the points where the labels differ, summed in support
+    order.  A junta labels the whole support in one call."""
+    points = dist.points
+    labels = h.labels(points) if isinstance(h, JuntaHypothesis) else map(h, points)
+    return sum(compress(dist.weights, map(ne, map(f, points), labels)))
 
 
 # -- hypotheses -----------------------------------------------------------------
@@ -158,9 +164,8 @@ def few_sample_learner(
         raise DataInconsistencyError("1-labeled examples carry conflicting instance prefixes")
     z = next(iter(prefixes))
     concept = CertConcept(verifier, z, params, counter=counter)
-    for x, y in sample.pairs:
-        if concept(x) != y:
-            raise DataInconsistencyError("sample is not labeled by any certificate concept")
+    if concept.labels([x for x, _ in sample.pairs]) != [y for _, y in sample.pairs]:
+        raise DataInconsistencyError("sample is not labeled by any certificate concept")
     return concept
 
 

@@ -122,6 +122,20 @@ def reference_junta_table(sample: LabeledSample, layout: ExampleLayout) -> tuple
     return tuple(int(table.get(i, 0)) for i in range(1 << layout.ell))
 
 
+def reference_junta_label(h, x: str) -> int:
+    """A junta's label of one example, read per point: the word's bit at the
+    example's index value when the example starts with the head, else 0."""
+    i = h.layout.index(x)
+    return 1 if (h.word >> i) & 1 and x.startswith(h.head) else 0
+
+
+def reference_error(dist, f, h) -> float:
+    """The weighted disagreement of f and h, one call of each per support
+    point: the weights where int(f(x)) != int(h(x)), summed in support order
+    by the builtin sum."""
+    return sum(w for x, w in zip(dist.points, dist.weights) if int(f(x)) != int(h(x)))
+
+
 # -- writers whose output the parsers read back ---------------------------------
 
 

@@ -122,6 +122,21 @@ def test_distribution_suite_shapes():
     assert names == ["uniform_useful", "useless_mass", "pm_useful", "pm_useless"]
     heavy = dict(suite)["useless_mass"]
     assert max(heavy.weights) == pytest.approx(0.9)
+    uniform, alone = dict(suite)["uniform_useful"], commands.uniform_useful(concept)
+    assert (uniform.points, uniform.weights) == (alone.points, alone.weights)
+
+
+def test_tradeoff_builds_only_the_distribution_it_sweeps(tmp_path, monkeypatch):
+    built = []
+    real_init = Distribution.__init__
+
+    def counting_init(self, points, weights):
+        built.append(len(points))
+        real_init(self, points, weights)
+
+    monkeypatch.setattr(Distribution, "__init__", counting_init)
+    assert commands.cmd_tradeoff({}, tmp_path, 0) == 0
+    assert built == [128]  # uniform on the 2^7 useful points
 
 
 TWO_VAR = exhaustive_two_var_corpus()
@@ -341,6 +356,37 @@ def test_cli_rejects_unusable_values_in_one_line(tmp_path, capsys, command, cfg_
     assert code == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["tradeoff", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["tradeoff", "--seed"], "argument --seed: expected one argument"),
+        (["tradeoff", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["tradeoff", "extra"], "unrecognized arguments: extra"),
+        ([], "missing command (choose from enumerate, learn, reduce, tradeoff, vcdim, codes-test)"),
+        (["frob"], "argument command: invalid choice: 'frob'"),
+    ],
+)
+def test_cli_argument_errors_are_one_line_exit_2(tmp_path, capsys, args, message):
+    assert main([*args, "--out", str(tmp_path / "out")] if args else args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"configuration error: {message}")
+    assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "args,usage", [(["--help"], "usage: certlab [-h]"), (["tradeoff", "--help"], "usage: certlab tradeoff")]
+)
+def test_cli_help_prints_usage_and_exits_0(capsys, args, usage):
+    with pytest.raises(SystemExit) as exit_info:
+        main(args)
+    assert exit_info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(usage) and captured.err == ""
 
 
 def test_cli_reduce_on_a_17_variable_file_is_exit_2(tmp_path, capsys):

@@ -27,7 +27,7 @@ from certlab.harness.commands import _target_concept, distribution_suite
 from certlab.harness.corpus import build_corpus
 from certlab.sat import ThreeSatInstance, exhaustive_formulas
 from certlab.verifiers import FormulaEncoding, StepCounter, ThreeSatVerifier
-from oracles import erm_learner, reference_junta_table
+from oracles import erm_learner, reference_error, reference_junta_label, reference_junta_table
 
 ENC2 = FormulaEncoding(max_vars=2, max_clauses=3)
 V2 = ThreeSatVerifier(ENC2)
@@ -245,6 +245,69 @@ def test_error_of_examples():
     assert error_of(dist, c, TableHypothesis(())) == pytest.approx(expected)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_error_of_equals_the_per_point_sum_exactly(data):
+    """error_of sums the same weights in the same order as one call of f and h
+    per support point, so the floats are equal whatever the hypotheses; a
+    junta labels a point list as it labels each point."""
+    kind = data.draw(st.sampled_from(["standard", "uniform"]))
+    lay = ExampleLayout.of(V2.n, DEFAULT_CODE_PARAMS, V2.p, kind)
+    other = ExampleLayout.of(
+        V2.n, DEFAULT_CODE_PARAMS, V2.p, "uniform" if kind == "standard" else "standard"
+    )
+    assert other.example_len == lay.example_len
+    size = 1 << lay.ell
+    parts = [Z0] + data.draw(st.lists(st.text("01", min_size=lay.n, max_size=lay.n), max_size=2))
+    k = data.draw(st.integers(1, 40))
+    points = [
+        lay.example(data.draw(st.sampled_from(parts)), data.draw(st.integers(0, size - 1)))
+        for _ in range(k)
+    ]
+    raw = data.draw(st.lists(st.integers(0, 1000), min_size=k, max_size=k).filter(any))
+    dist = Distribution(points, [a / sum(raw) for a in raw])
+    words = st.integers(0, (1 << size) - 1)
+    heads = st.sampled_from([x[: lay.matched] for x in parts]) | st.text("01", max_size=lay.matched)
+    concept = CertConcept(V2, Z0, DEFAULT_CODE_PARAMS, kind=kind)
+    juntas = [
+        JuntaHypothesis(data.draw(words), lay),
+        JuntaHypothesis(data.draw(words), lay, data.draw(heads)),
+        JuntaHypothesis(data.draw(words), other, data.draw(st.text("01", max_size=other.matched))),
+        concept,
+    ]
+    others = [
+        TableHypothesis(data.draw(st.lists(st.sampled_from(points)))),
+        support_labels(dist, concept),
+        lambda x: x.count("1") % 2,
+        lambda x: x.endswith("1"),  # answers with a bool
+    ]
+    f = data.draw(st.sampled_from(juntas + others))
+    h = data.draw(st.sampled_from(juntas + others))
+    assert error_of(dist, f, h) == reference_error(dist, f, h)
+    for j in juntas:
+        assert j.labels(dist.points) == [j(x) for x in dist.points]
+        assert j.labels(points) == [reference_junta_label(j, x) for x in points]
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_error_of_on_a_support_of_the_wrong_length_raises_the_index_error(delta):
+    c = concept0()
+    want = c.layout.example_len
+    n = want + delta
+    dist = Distribution.uniform(["0" * n, "1" * n])
+    table, other = TableHypothesis(()), CertConcept(V2, Z0, DEFAULT_CODE_PARAMS, kind="uniform")
+    for f, h in ((table, c), (c, table), (table, other), (c, lambda x: 0)):
+        with pytest.raises(ShapeError) as expected:
+            reference_error(dist, f, h)
+        with pytest.raises(ShapeError) as err:
+            error_of(dist, f, h)
+        assert str(err.value) == str(expected.value) == f"example must have length {want}, got {n}"
+    # a point list of mixed lengths raises at its first wrong one
+    with pytest.raises(ShapeError) as err:
+        c.labels(["0" * want, "0" * (want + 2), "0" * n])
+    assert str(err.value) == f"example must have length {want}, got {want + 2}"
+
+
 # -- few-sample learner -----------------------------------------------------------
 
 
@@ -287,6 +350,18 @@ def test_few_sample_unsat_concept_sample():
         LabeledSample(tuple((x, 0) for x in pts)), V2, DEFAULT_CODE_PARAMS
     )
     assert all(h(x) == 0 for x in pts)
+
+
+def test_few_sample_rejects_a_sample_the_pinned_concept_mislabels():
+    c = concept0()
+    zero_pt = next(x for x in useful_points(c) if c(x) == 0)
+    one = c.one_points()[0]
+    with pytest.raises(DataInconsistencyError) as err:
+        few_sample_learner(LabeledSample(((one, 1), (zero_pt, 1))), V2, DEFAULT_CODE_PARAMS)
+    assert str(err.value) == "sample is not labeled by any certificate concept"
+    # bool and float labels pass the check as 0/1 do
+    h = few_sample_learner(LabeledSample(((one, True), (zero_pt, 0.0))), V2, DEFAULT_CODE_PARAMS)
+    assert isinstance(h, CertConcept) and h.z == Z0
 
 
 def test_few_sample_conflicting_prefixes_raise():
