@@ -7,7 +7,9 @@ is scanned for 0/1 once, by the entry that first receives it: `Distribution`,
 `LabeledSample`, `FormulaEncoding.decode`, the decider's challenge,
 `first_certificate`, `LinearCode.encode`/`decode` and `codes.decode`.
 `ExampleLayout` builds valid points, and code that reads a point later tests
-only its length.
+only its length.  The decider checks a repetition's drawn points once; each
+proof's labels are chosen from pre-built (point, 0) and (point, 1) pairs and
+are not checked again.
 """
 
 from __future__ import annotations

@@ -49,6 +49,11 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_args(argv) -> argparse.Namespace:
     """The parsed command line, or a one-line ConfigError; --help still
     prints and exits 0."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # before the command, argparse would take the option's value for the command
+    option = argv[0].partition("=")[0] if argv else ""
+    if option in ("--seed", "--config", "--out"):
+        raise ConfigError(f"option {option} must follow the command (certlab COMMAND {option} VALUE)")
     try:
         args, extra = build_parser().parse_known_args(argv)
     except argparse.ArgumentError as exc:

@@ -91,12 +91,14 @@ class LabeledSample:
         for y in labels:
             if y not in (0, 1):
                 raise ShapeError(f"label must be 0/1, got {y!r}")
-        sample = object.__new__(cls)
-        object.__setattr__(sample, "pairs", tuple(zip(points, labels)))
-        return sample
+        return cls._of_pairs(tuple(zip(points, labels)))
 
-    def with_labels(self, labels) -> "LabeledSample":
-        return self.from_checked([x for x, _ in self.pairs], labels)
+    @classmethod
+    def _of_pairs(cls, pairs: tuple) -> "LabeledSample":
+        """The sample of already checked pairs, not checked again."""
+        sample = object.__new__(cls)
+        object.__setattr__(sample, "pairs", pairs)
+        return sample
 
     @property
     def m(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from typing import NamedTuple
 
 from .bits import check_bits, int_to_bits
@@ -60,8 +60,8 @@ class _Proof(NamedTuple):
 
 class _Challenge:
     """One instance's challenge protocol: its example layout, code and
-    accept mask, read once.  `prove` runs one proof; its verdict is a bit of
-    that mask."""
+    accept mask, read once.  `prove` runs one proof; its verdict is one bit
+    of that mask, read from the mask's bytes."""
 
     def __init__(
         self, z: str, verifier: ThreeSatVerifier, learner, params: CodeParams, variant: str
@@ -72,37 +72,36 @@ class _Challenge:
         self.layout = ExampleLayout.of(verifier.n, params, verifier.p, variant)
         # get_code rejects a p outside the codes' range before the 2^p-bit mask is built
         self.code = get_code(params, verifier.p)
-        self.mask = verifier.accept_mask(z)
+        # bit w of the mask is bit w & 7 of byte w >> 3: a read costs the same at every p
+        mask = verifier.accept_mask(z)
+        self.accept_bytes = mask.to_bytes(((1 << verifier.p) + 7) >> 3, "little")
+        self._cp_mask = (1 << self.layout.cp) - 1
         self._read_at: str | None = None
-        self._queries: dict[str, int] = {}
+        self._bits: dict[str, int] = {}
 
-    def _queries_at(self, read_at: str) -> dict[str, int]:
-        """`layout.example(read_at, v)` mapped to v for each index value v, in
-        value order; built once per read_at."""
+    def _bits_at(self, read_at: str) -> dict[str, int]:
+        """`layout.example(read_at, v)` mapped to 1 << v for each index value
+        v, in value order; built once per read_at."""
         if read_at != self._read_at:
             lay = self.layout
-            self._queries = {lay.example(read_at, v): v for v in range(1 << lay.ell)}
+            self._bits = {lay.example(read_at, v): 1 << v for v in range(1 << lay.ell)}
             self._read_at = read_at
-        return self._queries
+        return self._bits
 
     def answers(self, hypothesis, read_at: str) -> int:
         """Bit v: the hypothesis's answer at `layout.example(read_at, v)`.  A
         table hypothesis is answered from its ones that are queries, and a
         junta on this layout (a certificate concept too) by its word, or 0
         when read_at does not start with its head."""
+        if type(hypothesis) is TableHypothesis:
+            # the ones are distinct, so summing their bits ORs them
+            return sum(map(self._bits_at(read_at).get, hypothesis.ones, repeat(0)))
         if isinstance(hypothesis, JuntaHypothesis) and hypothesis.layout == self.layout:
             return hypothesis.word if read_at.startswith(hypothesis.head) else 0
-        queries = self._queries_at(read_at)
         word = 0
-        if type(hypothesis) is TableHypothesis:
-            for x in hypothesis.ones:
-                val = queries.get(x)
-                if val is not None:
-                    word |= 1 << val
-        else:
-            for x, val in queries.items():
-                if hypothesis(x):
-                    word |= 1 << val
+        for x, bit in self._bits_at(read_at).items():
+            if hypothesis(x):
+                word |= bit
         return word
 
     def prove(self, sample: LabeledSample, read_at: str) -> _Proof | None:
@@ -114,8 +113,8 @@ class _Challenge:
         except CertlabError:
             return None
         answers = self.answers(hypothesis, read_at)
-        w_val = self.code.decode_value(answers & ((1 << self.layout.cp) - 1))
-        return _Proof(answers, w_val, (self.mask >> w_val) & 1)
+        w_val = self.code.decode_value(answers & self._cp_mask)
+        return _Proof(answers, w_val, self.accept_bytes[w_val >> 3] >> (w_val & 7) & 1)
 
     def transcript(self, seed_label: str, points, labels: str, proof) -> AmTranscript:
         lay = self.layout
@@ -174,8 +173,11 @@ def rtime_decide(
     are then tried as fixed proofs.  Label strings are enumerated up to
     consistency: strings assigning different labels to the same drawn example
     point make every learner here fail (reject), so enumerating one label per
-    distinct point covers the whole proof space.  One-sided by construction:
-    the verifier check at the end rejects every proof for a false instance.
+    distinct point covers the whole proof space.  The drawn points are
+    checked once per repetition; each proof's sample is then chosen from
+    pre-built (point, 0) and (point, 1) pairs and not checked again.
+    One-sided by construction: the verifier check at the end rejects every
+    proof for a false instance.
     """
     challenge = _Challenge(z, verifier, learner, config.code_params, config.variant)
     reps: list[RepetitionRecord] = []
@@ -186,18 +188,18 @@ def rtime_decide(
         points, read_at = challenge.layout.draw(rng, z, config.m)
         distinct = sorted(set(points))
         slot = {pt: j for j, pt in enumerate(distinct)}
-        point_slots = [slot[pt] for pt in points]
-        base = LabeledSample(tuple((pt, 0) for pt in points))
+        LabeledSample(tuple((pt, 0) for pt in points))  # checks the points
+        choices = [(((pt, 0), (pt, 1)), slot[pt]) for pt in points]
 
         rep_accept = False
         rep_digest = ""
         proofs_run = 0
         for assignment in product((0, 1), repeat=len(distinct)):
             proofs_run += 1
-            labels = tuple([assignment[j] for j in point_slots])
-            proof = challenge.prove(base.with_labels(labels), read_at)
+            pairs = tuple([pair[assignment[j]] for pair, j in choices])
+            proof = challenge.prove(LabeledSample._of_pairs(pairs), read_at)
             if proof is not None and proof.verdict:
-                label_str = "".join(str(b) for b in labels)
+                label_str = "".join(str(y) for _, y in pairs)
                 rep_digest = challenge.transcript(seed_label, points, label_str, proof).digest()
                 rep_accept = True
                 break

@@ -379,6 +379,29 @@ def test_cli_argument_errors_are_one_line_exit_2(tmp_path, capsys, args, message
 
 
 @pytest.mark.parametrize(
+    "args,option",
+    [
+        (["--seed", "1", "tradeoff"], "--seed"),
+        (["--seed=1", "tradeoff"], "--seed"),
+        (["--config", "lab.cfg", "learn"], "--config"),
+        (["--config=lab.cfg", "learn"], "--config"),
+        (["--out", "{out}", "vcdim"], "--out"),
+        (["--out={out}", "vcdim"], "--out"),
+    ],
+)
+def test_cli_option_before_the_command_is_named_in_one_line(tmp_path, capsys, args, option):
+    out = tmp_path / "out"
+    assert main([a.format(out=out) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"configuration error: option {option} must follow the command "
+        f"(certlab COMMAND {option} VALUE)\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "args,usage", [(["--help"], "usage: certlab [-h]"), (["tradeoff", "--help"], "usage: certlab tradeoff")]
 )
 def test_cli_help_prints_usage_and_exits_0(capsys, args, usage):

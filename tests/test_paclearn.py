@@ -155,27 +155,24 @@ def test_labeled_sample_accepts_exactly_what_a_per_pair_check_accepts(data):
 
 @settings(max_examples=400, deadline=None)
 @given(st.data())
-def test_with_labels_checks_labels_as_the_constructor_does(data):
+def test_from_checked_checks_labels_as_the_constructor_does(data):
     length = data.draw(st.integers(0, 12))
     points = data.draw(st.lists(st.text("01", min_size=length, max_size=length), max_size=6))
     labels = tuple(data.draw(SAMPLE_LABELS) for _ in points)
-    base = LabeledSample(tuple((x, 0) for x in points))
     pairs = tuple(zip(points, labels))
     expected = outcome(LabeledSample, pairs)
-    assert outcome(base.with_labels, labels) == expected
+    assert outcome(partial(LabeledSample.from_checked, points), labels) == expected
     if expected is None:
-        relabelled = base.with_labels(labels).pairs
-        assert relabelled == pairs
+        checked = LabeledSample.from_checked(points, labels).pairs
+        assert checked == pairs
         # True and 1.0 are kept as given, as the constructor keeps them
-        assert [type(y) for _, y in relabelled] == [type(y) for y in labels]
-    assert base.pairs == tuple((x, 0) for x in points)
+        assert [type(y) for _, y in checked] == [type(y) for y in labels]
 
 
-def test_with_labels_needs_one_label_per_point():
-    base = LabeledSample((("01", 0), ("10", 1)))
+def test_from_checked_needs_one_label_per_point():
     for labels in ((1,), (1, 0, 1)):
         with pytest.raises(ShapeError, match=f"need 2 labels, got {len(labels)}"):
-            base.with_labels(labels)
+            LabeledSample.from_checked(["01", "10"], labels)
 
 
 def test_labeled_sample_messages():

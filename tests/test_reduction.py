@@ -1,6 +1,6 @@
 import random
 from functools import partial
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,13 +12,14 @@ from certlab.concepts import LAYOUT_KINDS, CertConcept, ExampleLayout
 from certlab.errors import BudgetError, ConfigError, ShapeError
 from certlab.paclearn import (
     JuntaHypothesis,
+    LabeledSample,
     TableHypothesis,
     error_of,
     junta_learner,
     sparse_erm,
 )
 from certlab.reduction import DeciderConfig, _Challenge, rtime_decide, sat_decider
-from certlab.sat import ThreeSatInstance, brute_force_sat, exhaustive_formulas
+from certlab.sat import ThreeSatInstance, brute_force_sat, exhaustive_formulas, random_instance
 from certlab.verifiers import FormulaEncoding, ThreeSatVerifier
 from oracles import FixedProofMerlin, FnVerifier, HonestMerlin, am_round, verify
 
@@ -368,8 +369,6 @@ def test_uniform_zero_error_hypothesis_recovers_first_certificate():
     for v in range(1 << lay.ell):
         x = int_to_bits(v, lay.ell) + "0" * lay.n
         pairs.append((x, concept(x)))
-    from certlab.paclearn import LabeledSample
-
     h = junta_learner(LabeledSample(tuple(pairs)), lay)
     code = get_code(PARAMS, V2.p)
     y_int = 0
@@ -489,3 +488,74 @@ def test_decider_checks_the_points_once_per_repetition(monkeypatch):
     res = rtime_decide(Z_UNSAT, V2, config, sparse_erm, 0)
     assert len(res.repetitions) == 3 and res.proofs_run > 3
     assert len(calls) == 3 * 6
+
+
+class RecordingLearner:
+    def __init__(self, learner) -> None:
+        self.learner = learner
+        self.samples = []
+
+    def __call__(self, sample, counter=None):
+        self.samples.append(sample)
+        return self.learner(sample, counter=counter)
+
+
+def reference_samples(z, layout, seed, rep, m):
+    """Every proof's sample for one repetition, in the decider's order: the
+    label strings run in product order over the sorted distinct points, and
+    each draw takes its point's label."""
+    points, _ = layout.draw(random.Random(f"{seed}:rep{rep}"), z, m)
+    distinct = sorted(set(points))
+    for assignment in product((0, 1), repeat=len(distinct)):
+        label_of = dict(zip(distinct, assignment))
+        labels = [label_of[pt] for pt in points]
+        yield LabeledSample(tuple(zip(points, labels)))
+
+
+@pytest.mark.parametrize("variant", LAYOUT_KINDS)
+def test_the_decider_hands_the_learner_every_label_string_in_product_order(variant):
+    inner = JUNTA_V2 if variant == "uniform" else sparse_erm
+    config = DeciderConfig(m=6, r=3, code_params=PARAMS, variant=variant)
+    layout = ExampleLayout.of(V2.n, PARAMS, V2.p, variant)
+    for z in (Z0, Z_UNSAT):
+        for seed in range(3):
+            learner = RecordingLearner(inner)
+            result = rtime_decide(z, V2, config, learner, seed)
+            expected = []
+            for rec in result.repetitions:
+                samples = reference_samples(z, layout, seed, rec.rep, config.m)
+                # an accepting repetition stops at its accepting proof
+                expected += islice(samples, rec.proofs_run) if rec.accept else samples
+            assert learner.samples == expected
+            for sample in learner.samples:
+                assert all(type(y) is int and y in (0, 1) for _, y in sample.pairs)
+
+
+class FixedDecode:
+    """A code whose decoder returns one set value whatever word it gets."""
+
+    def __init__(self, w_val: int) -> None:
+        self.w_val = w_val
+
+    def decode_value(self, word: int) -> int:
+        return self.w_val
+
+
+ENC8 = FormulaEncoding(max_vars=8, max_clauses=6)
+
+
+@pytest.mark.parametrize(
+    "enc,inst", [(ENC2, PHI0), (ENC8, random_instance(random.Random(5), 8, 6))]
+)
+def test_the_verdict_is_the_mask_bit_at_the_decoded_value(enc, inst):
+    verifier = ThreeSatVerifier(enc)
+    z = enc.encode(inst)
+    mask = verifier.accept_mask(z)
+    assert 0 < mask < (1 << (1 << verifier.p)) - 1  # both verdicts occur
+    challenge = _Challenge(z, verifier, constant_zero_learner, PARAMS, "standard")
+    _, read_at = challenge.layout.draw(random.Random(0), z, 0)
+    for w_val in range(1 << verifier.p):
+        challenge.code = FixedDecode(w_val)
+        proof = challenge.prove(LabeledSample(()), read_at)
+        assert proof.w_val == w_val
+        assert proof.verdict == (mask >> w_val) & 1
