@@ -5,11 +5,11 @@ first.  All comparisons in this package are between equal-length strings,
 where ordinary string order coincides with lexicographic order.  A string
 is scanned for 0/1 once, by the entry that first receives it: `Distribution`,
 `LabeledSample`, `FormulaEncoding.decode`, the decider's challenge,
-`first_certificate`, `LinearCode.encode`/`decode` and `codes.decode`.
-`ExampleLayout` builds valid points, and code that reads a point later tests
-only its length.  The decider checks a repetition's drawn points once; each
-proof's labels are chosen from pre-built (point, 0) and (point, 1) pairs and
-are not checked again.
+`first_certificate` and `codes.decode`.  `ExampleLayout` builds valid
+points, and code that reads a point later tests only its length.  The
+decider checks a repetition's drawn points once; each proof's labels are
+chosen from pre-built (point, 0) and (point, 1) pairs and are not checked
+again.
 """
 
 from __future__ import annotations
@@ -51,13 +51,3 @@ def bits_of_rank(rank: int, length: int) -> str:
 
 def random_bits(rng: random.Random, length: int) -> str:
     return int_to_bits(rng.getrandbits(length), length) if length else ""
-
-
-def flip_positions(s: str, positions) -> str:
-    """Return s, a bitstring, with exactly the given bit positions flipped."""
-    out = list(s)
-    for p in positions:
-        if not 0 <= p < len(s):
-            raise ShapeError(f"flip position {p} out of range for length {len(s)}")
-        out[p] = "1" if out[p] == "0" else "0"
-    return "".join(out)

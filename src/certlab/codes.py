@@ -5,6 +5,9 @@ generator found by seeded random search, minimum distance certified by a
 Gray-code scan over all nonzero codewords, decoding by nearest codeword.
 The contract radius floor(eps_star*c*m) is what callers may rely on; the
 certified radius (d-1)//2 is usually larger and is exported alongside.
+Messages and codewords are ints throughout (`encode_value`, `decode_value`);
+the module function `decode`, the benchmark's entry, is the one place a
+received word is a string.
 
 Nearest-codeword decoding is exact and table-driven.  A message splits into
 its low h = min(m, 8) bits and its high part, and by linearity
@@ -174,10 +177,6 @@ class LinearCode:
             self._decoder = _LaneDecoder(self.generator_rows, self.codeword_len)
         return self._decoder
 
-    # codeword int bit i <-> codeword string position i
-    def _to_str(self, cw: int) -> str:
-        return format(cw, f"0{self.codeword_len}b")[::-1]
-
     def encode_value(self, value: int) -> int:
         if value >> self.message_len:
             raise ShapeError(f"message value must lie in [0, 2^{self.message_len}), got {value}")
@@ -186,10 +185,6 @@ class LinearCode:
             if (value >> (self.message_len - 1 - j)) & 1:
                 acc ^= self.generator_rows[j]
         return acc
-
-    def encode(self, x: str) -> str:
-        check_bits(x, length=self.message_len, name="message")
-        return self._to_str(self.encode_value(int(x, 2)))
 
     def decode_value(self, y_int: int) -> int:
         """Nearest codeword by Hamming distance; ties broken toward the
@@ -242,14 +237,6 @@ class LinearCode:
                 if d <= radius:
                     break
         return best_v
-
-    def decode(self, y: str) -> str:
-        check_bits(y, length=self.codeword_len, name="received word")
-        return self._decode_checked(y)
-
-    def _decode_checked(self, y: str) -> str:
-        """`decode` of a y already checked to be codeword_len bits."""
-        return format(self.decode_value(int(y[::-1], 2)), f"0{self.message_len}b")
 
 
 #: _HEX_DISTANCE[nib] translates a hex digit's ASCII code to the Hamming
@@ -359,10 +346,13 @@ def get_code(params: CodeParams, message_len: int) -> LinearCode:
 
 
 def decode(params: CodeParams, y: str) -> str:
+    """The message, MSB first, of the codeword nearest the received word y,
+    whose string position i is bit i of the codeword int."""
     check_bits(y, name="received word")
     if len(y) % params.c != 0:
         raise ShapeError(f"received word length {len(y)} not divisible by c={params.c}")
-    return get_code(params, len(y) // params.c)._decode_checked(y)
+    m = len(y) // params.c
+    return format(get_code(params, m).decode_value(int(y[::-1], 2)), f"0{m}b")
 
 
 @dataclass(frozen=True)

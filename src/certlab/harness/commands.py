@@ -12,7 +12,6 @@ import random
 from functools import partial
 from pathlib import Path
 
-from ..bits import flip_positions, int_to_bits
 from ..codes import (
     DEFAULT_CODE_PARAMS,
     REDUCTION_CODE_PARAMS,
@@ -220,15 +219,13 @@ def cmd_codes_test(cfg: dict[str, str], out_dir: Path, seed) -> int:
         # zero-corruption round trips
         clean = True
         for _ in range(100):
-            x = int_to_bits(rng.getrandbits(m), m)
-            clean = clean and code.decode(code.encode(x)) == x
+            v = rng.getrandbits(m)
+            clean = clean and code.decode_value(code.encode_value(v)) == v
         res = radius_recovery(
             params, m, exhaustive_limit=exhaustive_limit, samples=samples, seed=seed
         )
-        # beyond-radius inputs must not crash
-        x = int_to_bits(rng.getrandbits(m), m)
-        y = flip_positions(code.encode(x), range(code.radius + 1))
-        code.decode(y)
+        # beyond-radius inputs must not crash: flip bits 0..radius
+        code.decode_value(code.encode_value(rng.getrandbits(m)) ^ ((1 << (code.radius + 1)) - 1))
         ok = ok and clean and res.recovered == res.tested
         lines.append(
             f"m={m} len={code.codeword_len} distance={code.distance} "

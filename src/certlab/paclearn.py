@@ -59,12 +59,9 @@ class Distribution:
         return cls([point], [1.0])
 
     def draw(self, rng: random.Random, m: int) -> list[str]:
+        # `choices` returns [] for any m <= 0, drawing nothing from rng
         if m < 0:
             raise ConfigError("sample size must be nonnegative")
-        if m == 0:
-            return []
-        if not self.points:
-            raise ConfigError("cannot sample from an empty support")
         return rng.choices(self.points, weights=self.weights, k=m)
 
 

@@ -5,7 +5,8 @@ what the package computes, the field-by-field formula encoding, the
 NP-oracle view of its verifiers, the single challenge round, and the
 writers its parsers' round trips read back.  They are kept apart from the
 code they check the way perfbench/reference.py keeps the benchmark's
-checks.
+checks.  The two-variable formulas many test modules share are defined
+here once.
 """
 
 from __future__ import annotations
@@ -35,9 +36,30 @@ from certlab.verifiers import (
 )
 
 
+#: Two-variable formulas over a 3-clause encoding: PHI0 is satisfiable,
+#: PHI_UNSAT is not.  V2 remembers only its last instance, keyed by the
+#: instance string, so sharing it changes no result.
+ENC2 = FormulaEncoding(max_vars=2, max_clauses=3)
+V2 = ThreeSatVerifier(ENC2)
+PHI0 = ThreeSatInstance(2, [(1, 2), (-1, 2)])
+PHI_UNSAT = ThreeSatInstance(2, [(1,), (-1,)])
+Z0 = ENC2.encode(PHI0)
+Z_UNSAT = ENC2.encode(PHI_UNSAT)
+
+
 def bits_to_int(s: str) -> int:
     """The integer value of a bitstring; the empty string is 0."""
     return int(s, 2) if s else 0
+
+
+def flip_positions(s: str, positions) -> str:
+    """Return s, a bitstring, with exactly the given bit positions flipped."""
+    out = list(s)
+    for p in positions:
+        if not 0 <= p < len(s):
+            raise ShapeError(f"flip position {p} out of range for length {len(s)}")
+        out[p] = "1" if out[p] == "0" else "0"
+    return "".join(out)
 
 
 def clausewise_mask(inst: ThreeSatInstance, p: int) -> int:

@@ -5,7 +5,6 @@ from certlab import bits
 from certlab.bits import (
     bits_of_rank,
     check_bits,
-    flip_positions,
     int_to_bits,
     is_bits,
     random_bits,
@@ -15,7 +14,7 @@ from certlab.errors import ShapeError
 from certlab.harness import commands
 from certlab.sat import ThreeSatInstance
 from certlab.verifiers import FormulaEncoding, ThreeSatVerifier, first_certificate
-from oracles import bits_to_int, lex_rank
+from oracles import bits_to_int, flip_positions, lex_rank
 
 
 def test_lex_rank_examples():
@@ -100,34 +99,6 @@ def test_int_round_trip():
         int_to_bits(4, 2)
 
 
-@given(st.integers(0, 2**16 - 1), st.sets(st.integers(0, 15)))
-def test_flip_positions_is_an_involution(value, positions):
-    s = int_to_bits(value, 16)
-    assert flip_positions(flip_positions(s, positions), positions) == s
-
-
-def test_flip_positions_out_of_range():
-    with pytest.raises(ShapeError):
-        flip_positions("0101", [4])
-
-
-def test_flip_positions_examples():
-    y = "0110100"
-    assert flip_positions(y, set()) == y
-    assert flip_positions(flip_positions(y, {0, 3}), {0, 3}) == y
-    with pytest.raises(ShapeError):
-        flip_positions(y, {7})
-
-
-@settings(max_examples=60)
-@given(st.integers(0, 2**24 - 1), st.sets(st.integers(0, 23)))
-def test_flip_positions_flips_exactly_the_positions(value, positions):
-    y = int_to_bits(value, 24)
-    out = flip_positions(y, positions)
-    diff = {i for i, (a, b) in enumerate(zip(y, out)) if a != b}
-    assert diff == set(positions)
-
-
 def test_random_bits_deterministic():
     import random
 
@@ -182,8 +153,41 @@ def test_first_certificate_scans_its_strings_three_times_on_a_mask_miss(monkeypa
 
 
 def test_codes_decode_scans_the_received_word_once(monkeypatch):
-    y = get_code(DEFAULT_CODE_PARAMS, 8).encode("10110010")
+    code = get_code(DEFAULT_CODE_PARAMS, 8)
+    cw = code.encode_value(0b10110010)
+    y = "".join(str((cw >> i) & 1) for i in range(code.codeword_len))
     scanned = counted_scans(monkeypatch)
-    # the module function scans y as it enters; the code's decode does not again
+    # the module function scans y as it enters and decodes its int
     assert decode(DEFAULT_CODE_PARAMS, y) == "10110010"
     assert scanned == [y]
+
+
+# -- flip_positions, the tests' bit-flip helper in oracles.py ------------------
+
+
+@given(st.integers(0, 2**16 - 1), st.sets(st.integers(0, 15)))
+def test_flip_positions_is_an_involution(value, positions):
+    s = int_to_bits(value, 16)
+    assert flip_positions(flip_positions(s, positions), positions) == s
+
+
+def test_flip_positions_out_of_range():
+    with pytest.raises(ShapeError):
+        flip_positions("0101", [4])
+
+
+def test_flip_positions_examples():
+    y = "0110100"
+    assert flip_positions(y, set()) == y
+    assert flip_positions(flip_positions(y, {0, 3}), {0, 3}) == y
+    with pytest.raises(ShapeError):
+        flip_positions(y, {7})
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**24 - 1), st.sets(st.integers(0, 23)))
+def test_flip_positions_flips_exactly_the_positions(value, positions):
+    y = int_to_bits(value, 24)
+    out = flip_positions(y, positions)
+    diff = {i for i, (a, b) in enumerate(zip(y, out)) if a != b}
+    assert diff == set(positions)

@@ -24,14 +24,7 @@ from certlab.errors import BudgetError, FormatError, ShapeError
 from certlab.harness.corpus import exhaustive_two_var_corpus, random_corpus
 from certlab.sat import ThreeSatInstance, exhaustive_formulas
 from certlab.verifiers import FormulaEncoding, ThreeSatVerifier
-from oracles import is_shattered, vc_dimension
-
-ENC2 = FormulaEncoding(max_vars=2, max_clauses=3)
-V2 = ThreeSatVerifier(ENC2)
-PHI0 = ThreeSatInstance(2, [(1, 2), (-1, 2)])
-PHI_UNSAT = ThreeSatInstance(2, [(1,), (-1,)])
-Z0 = ENC2.encode(PHI0)
-Z_UNSAT = ENC2.encode(PHI_UNSAT)
+from oracles import ENC2, PHI0, PHI_UNSAT, V2, Z0, Z_UNSAT, is_shattered, vc_dimension
 
 # small corpus: 2 vars, at most one clause, so n + ell = 16 bits total
 ENC_SMALL = FormulaEncoding(max_vars=2, max_clauses=1)
@@ -76,9 +69,9 @@ def test_eval_cert_prefix_mismatch_is_zero():
 def test_eval_cert_useful_examples_reveal_codeword_bits():
     c = concept0()
     assert c.first_cert == "01"
-    enc = get_code(DEFAULT_CODE_PARAMS, 2).encode("01")
+    cw = get_code(DEFAULT_CODE_PARAMS, 2).encode_value(0b01)
     for v in range(16):
-        assert c(Z0 + int_to_bits(v, 4)) == int(enc[v])
+        assert c(Z0 + int_to_bits(v, 4)) == (cw >> v) & 1
 
 
 def test_eval_cert_shape_error():
@@ -101,9 +94,7 @@ def test_concept_word_is_the_encoded_first_certificate(params):
         if c.first_cert is None:
             assert c.word == 0
             continue
-        enc = get_code(params, corpus.verifier.p).encode(c.first_cert)
-        assert [str((c.word >> i) & 1) for i in range(len(enc))] == list(enc)
-        assert c.word >> len(enc) == 0
+        assert c.word == get_code(params, corpus.verifier.p).encode_value(int(c.first_cert, 2))
 
 
 def test_build_tree_unsat_single_leaf():
@@ -336,15 +327,15 @@ def test_enumerate_class_unsat_seed_list_all_constant():
 def test_unifcert_is_a_junta():
     # 10^3 randomized trailing-bit trials per concept
     rng = random.Random(8)
-    enc = get_code(DEFAULT_CODE_PARAMS, 2).encode("01")
-    for z, expected in ((Z0, enc), (Z_UNSAT, None)):
+    cw = get_code(DEFAULT_CODE_PARAMS, 2).encode_value(0b01)
+    for z, expected in ((Z0, cw), (Z_UNSAT, 0)):
         c = CertConcept(V2, z, DEFAULT_CODE_PARAMS, kind="uniform")
         lay = c.layout
         for _ in range(1000):
             v = rng.randrange(1 << lay.ell)
             i = int_to_bits(v, lay.ell)
             tail = int_to_bits(rng.getrandbits(lay.n), lay.n)
-            want = 0 if expected is None else int(expected[v])
+            want = (expected >> v) & 1
             assert c(i + tail) == want
 
 

@@ -541,27 +541,26 @@ def test_cli_codes_test(tmp_path):
 
 
 def test_codes_test_decodes_a_word_beyond_the_certified_radius(tmp_path, monkeypatch):
-    sent = {}  # each corrupted word -> the codeword it was made from
-    decoded = []  # (code, received word) per decode
-    real_flip, real_decode = commands.flip_positions, LinearCode.decode
+    # every decode reads a word made from the codeword encoded just before it
+    last = None
+    decoded = []  # (code, that codeword, received word) per decode
+    real_encode, real_decode = LinearCode.encode_value, LinearCode.decode_value
 
-    def flip(s, positions):
-        y = real_flip(s, positions)
-        sent[y] = s
-        return y
+    def encode_value(code, value):
+        nonlocal last
+        last = real_encode(code, value)
+        return last
 
-    def decode(code, y):
-        decoded.append((code, y))
+    def decode_value(code, y):
+        decoded.append((code, last, y))
         return real_decode(code, y)
 
-    monkeypatch.setattr(commands, "flip_positions", flip)
-    monkeypatch.setattr(LinearCode, "decode", decode)
+    monkeypatch.setattr(LinearCode, "encode_value", encode_value)
+    monkeypatch.setattr(LinearCode, "decode_value", decode_value)
     cfg = {"codes.lengths": "8,12,16", "codes.samples": "20"}
     assert commands.cmd_codes_test(cfg, tmp_path, 0) == 0
-    beyond = [(code, y) for code, y in decoded if y in sent]
-    assert [code.message_len for code, _ in beyond] == [8, 12, 16]
-    for code, y in beyond:
-        assert sum(a != b for a, b in zip(y, sent[y])) > code.radius
+    beyond = [code.message_len for code, cw, y in decoded if (y ^ cw).bit_count() > code.radius]
+    assert beyond == [8, 12, 16]
 
 
 def test_cli_learn_small(tmp_path):

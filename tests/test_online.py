@@ -16,7 +16,6 @@ from certlab.paclearn import (
     few_sample_learner,
 )
 from certlab.sat import ThreeSatInstance, exhaustive_formulas
-from certlab.verifiers import FormulaEncoding, ThreeSatVerifier
 from online_learners import (
     ONLINE_TO_PAC_KAPPA,
     AdversaryInconsistencyError,
@@ -26,14 +25,15 @@ from online_learners import (
     random_consistent_adversary,
     run_online,
 )
-from oracles import exhaustive_adversary_max_mistakes
-
-ENC2 = FormulaEncoding(max_vars=2, max_clauses=3)
-V2 = ThreeSatVerifier(ENC2)
-PHI0 = ThreeSatInstance(2, [(1, 2), (-1, 2)])
-PHI_UNSAT = ThreeSatInstance(2, [(1,), (-1,)])
-Z0 = ENC2.encode(PHI0)
-Z_UNSAT = ENC2.encode(PHI_UNSAT)
+from oracles import (
+    ENC2,
+    PHI0,
+    PHI_UNSAT,
+    V2,
+    Z0,
+    Z_UNSAT,
+    exhaustive_adversary_max_mistakes,
+)
 
 
 def concepts_for(instances):

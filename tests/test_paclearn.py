@@ -27,14 +27,16 @@ from certlab.harness.commands import _target_concept, distribution_suite
 from certlab.harness.corpus import build_corpus
 from certlab.sat import ThreeSatInstance, exhaustive_formulas
 from certlab.verifiers import FormulaEncoding, StepCounter, ThreeSatVerifier
-from oracles import erm_learner, reference_error, reference_junta_label, reference_junta_table
-
-ENC2 = FormulaEncoding(max_vars=2, max_clauses=3)
-V2 = ThreeSatVerifier(ENC2)
-PHI0 = ThreeSatInstance(2, [(1, 2), (-1, 2)])
-PHI_UNSAT = ThreeSatInstance(2, [(1,), (-1,)])
-Z0 = ENC2.encode(PHI0)
-Z_UNSAT = ENC2.encode(PHI_UNSAT)
+from oracles import (
+    ENC2,
+    V2,
+    Z0,
+    Z_UNSAT,
+    erm_learner,
+    reference_error,
+    reference_junta_label,
+    reference_junta_table,
+)
 
 
 def concept0() -> CertConcept:
@@ -237,8 +239,8 @@ def test_error_of_examples():
     flip = lambda x: 1 - c(x)
     assert error_of(dist, c, flip) == pytest.approx(1.0)
     # constant-0 error under uniform-on-useful = codeword weight / 2^ell
-    enc = get_code(DEFAULT_CODE_PARAMS, 2).encode("01")
-    expected = enc.count("1") / (1 << c.layout.ell)
+    cw = get_code(DEFAULT_CODE_PARAMS, 2).encode_value(0b01)
+    expected = cw.bit_count() / (1 << c.layout.ell)
     assert error_of(dist, c, TableHypothesis(())) == pytest.approx(expected)
 
 

@@ -5,7 +5,7 @@ from itertools import islice, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from certlab.bits import flip_positions, int_to_bits
+from certlab.bits import int_to_bits
 from certlab.codes import REDUCTION_CODE_PARAMS, get_code
 from certlab import paclearn
 from certlab.concepts import LAYOUT_KINDS, CertConcept, ExampleLayout
@@ -21,17 +21,22 @@ from certlab.paclearn import (
 from certlab.reduction import DeciderConfig, _Challenge, rtime_decide, sat_decider
 from certlab.sat import ThreeSatInstance, brute_force_sat, exhaustive_formulas, random_instance
 from certlab.verifiers import FormulaEncoding, ThreeSatVerifier
-from oracles import FixedProofMerlin, FnVerifier, HonestMerlin, am_round, verify
+from oracles import (
+    ENC2,
+    PHI0,
+    PHI_UNSAT,
+    V2,
+    Z0,
+    Z_UNSAT,
+    FixedProofMerlin,
+    FnVerifier,
+    HonestMerlin,
+    am_round,
+    flip_positions,
+    verify,
+)
 
 PARAMS = REDUCTION_CODE_PARAMS
-ENC2 = FormulaEncoding(max_vars=2, max_clauses=3)
-V2 = ThreeSatVerifier(ENC2)
-PHI0 = ThreeSatInstance(2, [(1, 2), (-1, 2)])
-PHI_UNSAT = ThreeSatInstance(2, [(1,), (-1,)])
-Z0 = ENC2.encode(PHI0)
-Z_UNSAT = ENC2.encode(PHI_UNSAT)
-
-
 JUNTA_V2 = partial(junta_learner, layout=ExampleLayout.of(V2.n, PARAMS, V2.p, "uniform"))
 
 
@@ -57,7 +62,7 @@ def test_am_round_honest_completeness_with_coupon_coverage():
 
 def test_am_round_fixed_all_zero_proof_replays_deterministically():
     code = get_code(PARAMS, V2.p)
-    direct = code.decode("0" * code.codeword_len)
+    direct = int_to_bits(code.decode_value(0), V2.p)
     expected = 1 if verify(V2, Z0, direct) else 0
     t = am_round(
         Z0, V2, constant_zero_learner, FixedProofMerlin("0" * 5), PARAMS, random.Random(9), 5
@@ -217,7 +222,7 @@ def test_rtime_decide_deterministic():
 def test_rtime_decide_m_zero_degenerate():
     config = DeciderConfig(m=0, r=2, code_params=PARAMS)
     code = get_code(PARAMS, V2.p)
-    w = code.decode("0" * code.codeword_len)
+    w = int_to_bits(code.decode_value(0), V2.p)
     expected = verify(V2, Z0, w)
     res = rtime_decide(Z0, V2, config, constant_zero_learner, 5)
     assert res.accept == expected

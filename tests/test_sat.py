@@ -15,10 +15,7 @@ from certlab.sat import (
     random_instance,
     satisfying_mask,
 )
-from oracles import clausewise_mask, solutions, to_dimacs
-
-PHI0 = ThreeSatInstance(2, [(1, 2), (-1, 2)])
-PHI_UNSAT = ThreeSatInstance(2, [(1,), (-1,)])
+from oracles import PHI0, PHI_UNSAT, clausewise_mask, solutions, to_dimacs
 
 
 def test_eval_assignment_examples():

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from certlab.bits import flip_positions, int_to_bits
+from certlab.bits import int_to_bits
 from certlab.errors import BudgetError, ConfigError, FormatError, ShapeError
 from certlab import sat
 from certlab.sat import ThreeSatInstance, exhaustive_formulas, random_instance
@@ -16,8 +16,14 @@ from certlab.verifiers import (
     first_certificate,
 )
 from oracles import (
+    ENC2,
+    PHI0,
+    V2,
+    Z0,
+    Z_UNSAT,
     FnVerifier,
     LexQuery,
+    flip_positions,
     lex_oracle,
     lex_verify,
     naive_first_certificate,
@@ -26,13 +32,6 @@ from oracles import (
     reference_encode,
     verify,
 )
-
-ENC2 = FormulaEncoding(max_vars=2, max_clauses=3)
-V2 = ThreeSatVerifier(ENC2)
-PHI0 = ThreeSatInstance(2, [(1, 2), (-1, 2)])
-PHI_UNSAT = ThreeSatInstance(2, [(1,), (-1,)])
-Z0 = ENC2.encode(PHI0)
-Z_UNSAT = ENC2.encode(PHI_UNSAT)
 
 
 def test_verify_examples():
