@@ -26,6 +26,8 @@ from .verifiers import StepCounter, ThreeSatVerifier, first_certificate
 #: then x, where x is ignored.
 LAYOUT_KINDS = ("standard", "uniform")
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
 
 def check_layout_kind(kind: str) -> str:
     if kind not in LAYOUT_KINDS:
@@ -101,6 +103,14 @@ class JuntaHypothesis:
         lo, hi = lay.matched, lay.matched + lay.ell
         word, head = self.word, self.head
         return [(word >> int(x[lo:hi], 2)) & 1 if x.startswith(head) else 0 for x in points]
+
+    def labels_on(self, dist) -> bytes:
+        """The 0/1 label of each support point of the distribution, in
+        support order: the word's bit at the point's index value.  A point
+        that does not start with the head reads bit 2^ell, which is 0."""
+        width = (1 << self.layout.ell) + 1
+        bits = f"{self.word:0{width}b}"[::-1].encode().translate(_BIT_BYTES)  # byte v: bit v
+        return bytes(map(bits.__getitem__, dist.index_values(self.layout, self.head)))
 
 
 class CertConcept(JuntaHypothesis):

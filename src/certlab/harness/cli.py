@@ -9,6 +9,7 @@ Every error ends in one line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -33,7 +34,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on first use and shared by later calls; parsing leaves no state in it."""
     # usage errors raise ArgumentError instead of printing usage and exiting;
     # parse_args turns them into one-line ConfigErrors
     parser = argparse.ArgumentParser(prog="certlab", exit_on_error=False)

@@ -12,7 +12,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
 from operator import ne
 
 from .bits import check_bits
@@ -27,7 +27,7 @@ WEIGHT_TOLERANCE = 1e-9
 class Distribution:
     """Finite-support distribution over equal-length example points."""
 
-    __slots__ = ("points", "weights")
+    __slots__ = ("points", "weights", "cum_weights", "_index_values")
 
     def __init__(self, points, weights) -> None:
         self.points = tuple(points)
@@ -46,6 +46,9 @@ class Distribution:
                 check_bits(pt, length=length, name="support point")
         if abs(sum(self.weights) - 1.0) > WEIGHT_TOLERANCE:
             raise ConfigError(f"weights sum to {sum(self.weights)}, expected 1")
+        # the sums `choices` makes of weights=, so draws and rng state match
+        self.cum_weights = tuple(accumulate(self.weights))
+        self._index_values: dict[tuple[ExampleLayout, str], tuple[int, ...]] = {}
 
     @classmethod
     def uniform(cls, points) -> "Distribution":
@@ -62,7 +65,18 @@ class Distribution:
         # `choices` returns [] for any m <= 0, drawing nothing from rng
         if m < 0:
             raise ConfigError("sample size must be nonnegative")
-        return rng.choices(self.points, weights=self.weights, k=m)
+        return rng.choices(self.points, cum_weights=self.cum_weights, k=m)
+
+    def index_values(self, layout: ExampleLayout, head: str = "") -> tuple[int, ...]:
+        """Each support point's index value under the layout, in support order,
+        or 2^ell where the point does not start with head; made once per (layout,
+        head) by `ExampleLayout.index`, which raises its ShapeError."""
+        key = (layout, head)
+        if key not in self._index_values:
+            values = self.index_values(layout) if head else tuple(map(layout.index, self.points))
+            outside = 1 << layout.ell
+            self._index_values[key] = tuple(v if x.startswith(head) else outside for v, x in zip(values, self.points))
+        return self._index_values[key]
 
 
 @dataclass(frozen=True)
@@ -108,20 +122,37 @@ def draw_sample(dist: Distribution, concept, m: int, rng: random.Random) -> Labe
     return LabeledSample.from_checked(points, [int(concept(x)) for x in points])
 
 
-def support_labels(dist: Distribution, concept):
-    """The concept's 0/1 labels on the support, as a lookup that stands in for
-    the concept in `draw_sample` and `error_of` on this distribution.  The
-    concept is called once per support point, in support order."""
-    return {x: int(concept(x)) for x in dist.points}.__getitem__
+class SupportLabels:
+    """A concept's 0/1 labels on one distribution's support: a lookup standing
+    in for the concept, and the labels in support order as bytes."""
+
+    __slots__ = ("dist", "labels", "_lookup")
+
+    def __init__(self, dist: Distribution, labels: bytes) -> None:
+        self.dist, self.labels = dist, labels
+        self._lookup = dict(zip(dist.points, labels)).__getitem__
+
+    def __call__(self, x: str) -> int:
+        return self._lookup(x)
+
+
+def support_labels(dist: Distribution, concept) -> SupportLabels:
+    """The concept's labels, calling it once per support point in support order."""
+    return SupportLabels(dist, bytes([int(concept(x)) for x in dist.points]))
 
 
 def error_of(dist: Distribution, f, h) -> float:
-    """Exact weighted disagreement Pr_{x~D}[f(x) != h(x)] over the support:
-    the weights of the points where the labels differ, summed in support
-    order.  A junta labels the whole support in one call."""
-    points = dist.points
-    labels = h.labels(points) if isinstance(h, JuntaHypothesis) else map(h, points)
-    return sum(compress(dist.weights, map(ne, map(f, points), labels)))
+    """Exact weighted disagreement Pr_{x~D}[f(x) != h(x)]: the weights of the
+    support points where the labels differ, summed in support order.  This
+    distribution's support labels are read as bytes, a junta labels the
+    support in one call, and any other callable is called once per point."""
+    f_labels, h_labels = (
+        g.labels if isinstance(g, SupportLabels) and g.dist is dist
+        else g.labels_on(dist) if isinstance(g, JuntaHypothesis)
+        else map(g, dist.points)
+        for g in (f, h)
+    )
+    return sum(compress(dist.weights, map(ne, f_labels, h_labels)))
 
 
 # -- hypotheses -----------------------------------------------------------------

@@ -17,7 +17,7 @@ from certlab.codes import DEFAULT_CODE_PARAMS, LinearCode
 from certlab.concepts import CertConcept, ExampleLayout
 from certlab.errors import ConfigError, FormatError
 from certlab.harness import commands
-from certlab.harness.cli import main
+from certlab.harness.cli import build_parser, main
 from certlab.harness.commands import distribution_suite, resolve_learner, write_csv
 from certlab.harness.config import get_fraction, get_int, get_int_list, get_str, parse_config
 from certlab.harness.corpus import (
@@ -410,6 +410,34 @@ def test_cli_help_prints_usage_and_exits_0(capsys, args, usage):
     assert exit_info.value.code == 0
     captured = capsys.readouterr()
     assert captured.out.startswith(usage) and captured.err == ""
+
+
+def test_one_parser_serves_calls_in_a_row_without_leaking_state(tmp_path, capsys):
+    cfg = "corpus.kind = random\ncorpus.count = 4\ndecider.m = 6\ndecider.r = 1\n"
+    (tmp_path / "flag.cfg").write_text(cfg)
+    (tmp_path / "seeded.cfg").write_text(cfg + "seed = 2\n")
+    calls = [
+        ["reduce", "--config", str(tmp_path / "flag.cfg"), "--seed", "3"],
+        ["reduce", "--config", str(tmp_path / "seeded.cfg")],
+    ]
+
+    def report(argv, out):
+        assert main([*argv, "--out", str(tmp_path / out)]) == 0
+        return (tmp_path / out / "decider_report.txt").read_text()
+
+    fresh = []
+    for i, argv in enumerate(calls):
+        build_parser.cache_clear()
+        fresh.append(report(argv, f"fresh{i}"))
+    assert fresh[0] != fresh[1]  # a seed left over from the first call would show
+    build_parser.cache_clear()
+    assert [report(argv, f"row{i}") for i, argv in enumerate(calls)] == fresh
+    assert build_parser.cache_info().misses == 1
+    # a call that fails to parse leaves the parser as it found it
+    assert main(["tradeoff", "--seed", "x", "--out", str(tmp_path / "bad")]) == 2
+    assert report(calls[1], "after") == fresh[1]
+    assert build_parser.cache_info().misses == 1
+    assert capsys.readouterr().err == "configuration error: argument --seed: invalid int value: 'x'\n"
 
 
 def test_cli_reduce_on_a_17_variable_file_is_exit_2(tmp_path, capsys):

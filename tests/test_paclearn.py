@@ -90,6 +90,25 @@ def test_draw_sample_uniform_frequencies_within_3_sigma():
         assert abs(draws.count(p) / m - 0.25) <= 3 * sigma
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, "draw"])
+@pytest.mark.parametrize(
+    "points,weights",
+    [
+        (["00", "01", "10", "11"], [0.1, 0.2, 0.3, 0.4]),
+        (["00", "01", "10", "11"], [0.0, 0.5, 0.5, 0.0]),  # zero-weight points at both ends
+        (["00", "01", "10"], [1 / 3, 0.0, 2 / 3]),
+        (["01", "10", "01", "01"], [0.25, 0.25, 0.25, 0.25]),  # duplicate points
+        (["11"], [1.0]),
+    ],
+)
+def test_draw_is_choices_over_the_weights_and_leaves_the_rng_alike(seed, points, weights):
+    dist = Distribution(points, weights)
+    for m in (0, 1, 47):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert dist.draw(ours, m) == theirs.choices(points, weights=weights, k=m)
+        assert ours.random() == theirs.random()
+
+
 def test_draw_sample_deterministic_given_seed():
     c = concept0()
     dist = Distribution.uniform(useful_points(c))
@@ -249,7 +268,7 @@ def test_error_of_examples():
 def test_error_of_equals_the_per_point_sum_exactly(data):
     """error_of sums the same weights in the same order as one call of f and h
     per support point, so the floats are equal whatever the hypotheses; a
-    junta labels a point list as it labels each point."""
+    junta labels a point list, and a whole support, as it labels each point."""
     kind = data.draw(st.sampled_from(["standard", "uniform"]))
     lay = ExampleLayout.of(V2.n, DEFAULT_CODE_PARAMS, V2.p, kind)
     other = ExampleLayout.of(
@@ -263,20 +282,33 @@ def test_error_of_equals_the_per_point_sum_exactly(data):
         lay.example(data.draw(st.sampled_from(parts)), data.draw(st.integers(0, size - 1)))
         for _ in range(k)
     ]
+    points += data.draw(st.lists(st.sampled_from(points), max_size=k))  # duplicate points
+    k = len(points)
     raw = data.draw(st.lists(st.integers(0, 1000), min_size=k, max_size=k).filter(any))
     dist = Distribution(points, [a / sum(raw) for a in raw])
     words = st.integers(0, (1 << size) - 1)
     heads = st.sampled_from([x[: lay.matched] for x in parts]) | st.text("01", max_size=lay.matched)
+    standard = lay if kind == "standard" else other
+    # a head no support point starts with: every label is 0
+    unmatched = next(
+        h for h in map(partial(int_to_bits, length=standard.matched), range(1 << standard.matched))
+        if not any(x.startswith(h) for x in points)
+    )
     concept = CertConcept(V2, Z0, DEFAULT_CODE_PARAMS, kind=kind)
     juntas = [
         JuntaHypothesis(data.draw(words), lay),
         JuntaHypothesis(data.draw(words), lay, data.draw(heads)),
         JuntaHypothesis(data.draw(words), other, data.draw(st.text("01", max_size=other.matched))),
+        JuntaHypothesis(data.draw(words), standard, unmatched),
         concept,
     ]
     others = [
         TableHypothesis(data.draw(st.lists(st.sampled_from(points)))),
         support_labels(dist, concept),
+        # labels of the same points, in another order, on another distribution
+        support_labels(
+            Distribution.uniform(data.draw(st.permutations(points))), data.draw(st.sampled_from(juntas))
+        ),
         lambda x: x.count("1") % 2,
         lambda x: x.endswith("1"),  # answers with a bool
     ]
@@ -286,6 +318,8 @@ def test_error_of_equals_the_per_point_sum_exactly(data):
     for j in juntas:
         assert j.labels(dist.points) == [j(x) for x in dist.points]
         assert j.labels(points) == [reference_junta_label(j, x) for x in points]
+        assert list(j.labels_on(dist)) == j.labels(points)
+    assert not any(juntas[3].labels_on(dist))
 
 
 @pytest.mark.parametrize("delta", [-1, 1])
@@ -305,6 +339,29 @@ def test_error_of_on_a_support_of_the_wrong_length_raises_the_index_error(delta)
     with pytest.raises(ShapeError) as err:
         c.labels(["0" * want, "0" * (want + 2), "0" * n])
     assert str(err.value) == f"example must have length {want}, got {want + 2}"
+
+
+def test_a_trial_suite_of_juntas_reads_each_index_value_once(monkeypatch):
+    """Labelling, learning and scoring every trial of two suites on one
+    support reads each support point's index value once: the concepts the
+    learner returns are scored from the distribution's cached values."""
+    c = concept0()
+    useless = c.layout.example("1" * V2.n, 3)
+    assert not useless.startswith(c.head)
+    dist = Distribution.uniform(useful_points(c) + [useless])
+    read = []
+    real_index = ExampleLayout.index
+
+    def counting_index(self, x):
+        read.append(x)
+        return real_index(self, x)
+
+    monkeypatch.setattr(ExampleLayout, "index", counting_index)
+    learner = partial(few_sample_learner, verifier=V2, params=DEFAULT_CODE_PARAMS)
+    for f in (support_labels(dist, c), c):
+        res = pac_trial_suite(learner, f, dist, 0.1, 47, 20, "index-once")
+        assert res.success_rate == 1.0
+    assert read == list(dist.points)
 
 
 # -- few-sample learner -----------------------------------------------------------

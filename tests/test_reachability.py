@@ -11,7 +11,7 @@ from pathlib import Path
 
 import certlab
 from certlab import codes, sat
-from certlab.harness.cli import main
+from certlab.harness.cli import build_parser, main
 from certlab.harness.corpus import forcing_formula
 from oracles import to_dimacs
 
@@ -125,6 +125,7 @@ def test_every_function_in_src_is_run_by_a_command_or_allowed(
     # start from empty module caches, so the commands build what they use
     monkeypatch.setattr(codes, "_CODE_CACHE", {})
     monkeypatch.setattr(sat, "_VAR_MASKS", {})
+    build_parser.cache_clear()
     defined = defined_functions()
     covered = reached_by_commands(tmp_path) | perfbench_functions(perfbench_modules)
     unrun = [name for key, name in defined.items() if key not in covered]
