@@ -42,7 +42,7 @@ from ..paclearn import (
 from ..reduction import DeciderConfig, learner_error_target, sat_decider
 from ..sat import brute_force_sat
 from ..verifiers import FormulaEncoding, ThreeSatVerifier
-from .config import get_float, get_fraction, get_int, get_int_list, get_str
+from .config import get_float, get_fraction, get_int, get_int_list, get_str, get_str_list
 from .corpus import Corpus, build_corpus, forcing_formula
 
 
@@ -81,7 +81,7 @@ def make_sparse_erm():
     return sparse_erm
 
 
-#: The learners `learn` and `tradeoff` accept: name -> factory of (verifier, params).
+#: name -> factory of (verifier, params); `learn.learners` names some, `tradeoff` runs all.
 #: Each factory looks its learner up when called, so traced runs see the wrapped one.
 LEARNERS = {
     "few_sample": lambda v, params: partial(few_sample_learner, verifier=v, params=params),
@@ -237,6 +237,19 @@ def cmd_codes_test(cfg: dict[str, str], out_dir: Path, seed) -> int:
     return 0 if ok else 1
 
 
+def pac_trial_grid(concept, verifier, params, names, budgets, suite, eps, trials, seed, seed_label):
+    """Yield (learner name, m, distribution name, SuiteResult) by learner, then budget, then
+    (name, Distribution) of suite.  Each learner is resolved and each support labelled once;
+    trials are seeded by seed_label formatted with seed, name, m and dist."""
+    learners = [(name, resolve_learner(name, verifier, params)) for name in names]
+    labelled = [(dist_name, dist, support_labels(dist, concept)) for dist_name, dist in suite]
+    for name, learner in learners:
+        for m in budgets:
+            for dist_name, dist, labels in labelled:
+                label = seed_label.format(seed=seed, name=name, m=m, dist=dist_name)
+                yield name, m, dist_name, pac_trial_suite(learner, labels, dist, eps, m, trials, label)
+
+
 def _target_concept(corpus: Corpus, params: CodeParams) -> CertConcept:
     fallback = None
     for inst in corpus.instances:
@@ -260,32 +273,21 @@ def cmd_learn(cfg: dict[str, str], out_dir: Path, seed) -> int:
     eps = get_float(cfg, "learn.eps", 0.1)
     trials = get_int(cfg, "learn.trials", 200)
     budgets = get_int_list(cfg, "learn.m", [47])
-    names = [s.strip() for s in get_str(cfg, "learn.learners", "few_sample,sparse_erm").split(",")]
+    names = get_str_list(cfg, "learn.learners", list(LEARNERS))
     min_success = get_float(cfg, "learn.min_success", 0.0)
     if not 0 <= min_success <= 1:
         raise ConfigError(f"learn.min_success must lie in [0, 1], got {min_success}")
     concept = _target_concept(corpus, params)
     v = corpus.verifier
-    suite = [
-        (dist_name, dist, support_labels(dist, concept))
-        for dist_name, dist in distribution_suite(concept)
+    suite = distribution_suite(concept)
+    seed_label = "{seed}:{name}:{m}:{dist}"
+    grid = list(pac_trial_grid(concept, v, params, names, budgets, suite, eps, trials, seed, seed_label))
+    rows = [
+        (v.n, v.p, name, dist_name, m, trials, res.success_rate, res.mean_error, res.mean_steps)
+        for name, m, dist_name, res in grid
     ]
-    rows = []
-    ok = True
-    for name in names:
-        learner = resolve_learner(name, v, params)
-        for m in budgets:
-            for dist_name, dist, labels in suite:
-                res = pac_trial_suite(
-                    learner, labels, dist, eps, m, trials, f"{seed}:{name}:{m}:{dist_name}"
-                )
-                rows.append(
-                    (v.n, v.p, name, dist_name, m, trials, res.success_rate, res.mean_error, res.mean_steps)
-                )
-                if res.success_rate < min_success:
-                    ok = False
     write_csv(out_dir / "learn.csv", LEARN_CSV_HEADER, rows)
-    return 0 if ok else 1
+    return 0 if all(res.success_rate >= min_success for *_, res in grid) else 1
 
 
 def cmd_reduce(cfg: dict[str, str], out_dir: Path, seed) -> int:
@@ -342,8 +344,8 @@ def cmd_tradeoff(cfg: dict[str, str], out_dir: Path, seed) -> int:
         raise ConfigError(f"tradeoff.vars must be >= 1, got {num_vars}")
     formula = forcing_formula(num_vars=num_vars, forced=max(1, num_vars // 2), extra=4)
     encoding = FormulaEncoding(max_vars=num_vars, max_clauses=len(formula.clauses))
-    verifier = ThreeSatVerifier(encoding)
-    concept = CertConcept(verifier, encoding.encode(formula), params)
+    v = ThreeSatVerifier(encoding)
+    concept = CertConcept(v, encoding.encode(formula), params)
     if concept.first_cert is None:
         raise ConfigError("tradeoff formula must be satisfiable")
     eps = get_float(cfg, "tradeoff.eps", 0.1)
@@ -352,33 +354,26 @@ def cmd_tradeoff(cfg: dict[str, str], out_dir: Path, seed) -> int:
     factor = get_float(cfg, "tradeoff.factor", 100.0)
     if factor <= 0:
         raise ConfigError(f"tradeoff.factor must be > 0, got {factor}")
-    dist = uniform_useful(concept)
-    labels = support_labels(dist, concept)
-    rows = []
-    walls = []
-    stats: dict[tuple[str, int], float] = {}
-    for name in ("few_sample", "sparse_erm"):
-        learner = resolve_learner(name, verifier, params)
-        for m in budgets:
-            res = pac_trial_suite(learner, labels, dist, eps, m, trials, f"{seed}:{name}:{m}")
-            rows.append(
-                (verifier.n, verifier.p, name, m, trials, res.success_rate, res.mean_error, res.mean_steps)
-            )
-            walls.append((name, m, res.wall_s))
-            stats[(name, m)] = res.mean_steps
+    suite = [("uniform_useful", uniform_useful(concept))]
+    grid = list(pac_trial_grid(concept, v, params, LEARNERS, budgets, suite, eps, trials, seed, "{seed}:{name}:{m}"))
+    rows = [
+        (v.n, v.p, name, m, trials, res.success_rate, res.mean_error, res.mean_steps)
+        for name, m, _, res in grid
+    ]
     write_csv(out_dir / "tradeoff.csv", TRADEOFF_CSV_HEADER, rows)
     largest = max(budgets)
-    slow = stats[("few_sample", largest)]
-    fast = max(stats[("sparse_erm", largest)], 1e-12)
+    steps = {(name, m): res.mean_steps for name, m, _, res in grid}
+    slow = steps[("few_sample", largest)]
+    fast = max(steps[("sparse_erm", largest)], 1e-12)
     ratio = slow / fast
     ok = ratio >= factor
     lines = [
-        f"p = {verifier.p}, largest budget m = {largest}",
+        f"p = {v.p}, largest budget m = {largest}",
         f"few_sample mean steps = {_fmt(slow)}",
         f"sparse_erm mean steps = {_fmt(fast)}",
         f"step ratio = {_fmt(ratio)} (required >= {_fmt(factor)}): {'ok' if ok else 'BELOW THRESHOLD'}",
         "wall clock (informational, excluded from CSV):",
     ]
-    lines.extend(f"  {name} m={m}: {wall:.4f}s" for name, m, wall in walls)
+    lines.extend(f"  {name} m={m}: {res.wall_s:.4f}s" for name, m, _, res in grid)
     write_lines(out_dir / "tradeoff_summary.txt", lines)
     return 0 if ok else 1

@@ -72,12 +72,18 @@ def get_fraction(cfg: dict[str, str], key: str, default: Fraction | None = None)
     return _get(cfg, key, default, Fraction, (ValueError, ZeroDivisionError), "a fraction")
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+def _get_list(cfg: dict[str, str], key: str, default: list | None, convert, kind: str) -> list:
+    """cfg[key]'s comma-separated tokens, blank ones skipped, each converted."""
+    expected = f"comma-separated {kind}s"
+    values = _get(cfg, key, default, lambda s: [convert(t) for t in s.split(",") if t.strip()], ValueError, expected)
+    if not values:
+        raise ConfigError(f"config key {key!r} must list at least one {kind}")
+    return values
 
 
 def get_int_list(cfg: dict[str, str], key: str, default: list[int] | None = None) -> list[int]:
-    values = _get(cfg, key, default, _int_list, ValueError, "comma-separated integers")
-    if not values:
-        raise ConfigError(f"config key {key!r} must list at least one integer")
-    return values
+    return _get_list(cfg, key, default, int, "integer")
+
+
+def get_str_list(cfg: dict[str, str], key: str, default: list[str] | None = None) -> list[str]:
+    return _get_list(cfg, key, default, str.strip, "name")

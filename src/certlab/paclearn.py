@@ -122,18 +122,16 @@ def draw_sample(dist: Distribution, concept, m: int, rng: random.Random) -> Labe
     return LabeledSample.from_checked(points, [int(concept(x)) for x in points])
 
 
-class SupportLabels:
-    """A concept's 0/1 labels on one distribution's support: a lookup standing
-    in for the concept, and the labels in support order as bytes."""
+class SupportLabels(dict):
+    """A concept's 0/1 labels on one distribution's support: a point -> label dict,
+    called in place of the concept, and the labels in support order as bytes."""
 
-    __slots__ = ("dist", "labels", "_lookup")
+    __slots__ = ("dist", "labels")
+    __call__ = dict.__getitem__  # no Python frame per drawn point
 
     def __init__(self, dist: Distribution, labels: bytes) -> None:
+        super().__init__(zip(dist.points, labels))
         self.dist, self.labels = dist, labels
-        self._lookup = dict(zip(dist.points, labels)).__getitem__
-
-    def __call__(self, x: str) -> int:
-        return self._lookup(x)
 
 
 def support_labels(dist: Distribution, concept) -> SupportLabels:

@@ -19,7 +19,7 @@ from certlab.errors import ConfigError, FormatError
 from certlab.harness import commands
 from certlab.harness.cli import build_parser, main
 from certlab.harness.commands import distribution_suite, resolve_learner, write_csv
-from certlab.harness.config import get_fraction, get_int, get_int_list, get_str, parse_config
+from certlab.harness.config import get_fraction, get_int, get_int_list, get_str, get_str_list, parse_config
 from certlab.harness.corpus import (
     build_corpus,
     dimacs_corpus,
@@ -30,6 +30,7 @@ from certlab.harness.corpus import (
 )
 from certlab.paclearn import (
     Distribution,
+    SuiteResult,
     draw_sample,
     few_sample_learner,
     junta_learner,
@@ -56,11 +57,12 @@ def test_config_errors():
         parse_config("novalue\n")
     with pytest.raises(FormatError):
         parse_config("a = 1\na = 2\n")
-    cfg = parse_config("x = 3\nf = 1/8\nlist = 1,2\n")
+    cfg = parse_config("x = 3\nf = 1/8\nlist = 1,2\nnames = a , b,\n")
     assert get_int(cfg, "x") == 3
     assert get_int(cfg, "missing", 9) == 9
     assert str(get_fraction(cfg, "f")) == "1/8"
     assert get_int_list(cfg, "list") == [1, 2]
+    assert get_str_list(cfg, "names") == ["a", "b"]
     with pytest.raises(ConfigError):
         get_int(cfg, "f")
     with pytest.raises(ConfigError):
@@ -253,6 +255,68 @@ def test_tradeoff_labels_its_support_once_per_sweep(tmp_path, monkeypatch):
     assert 0 < len(outside) <= 128
 
 
+def test_learn_and_tradeoff_run_their_grids_in_order_with_their_seed_labels(tmp_path, monkeypatch):
+    """learner, then budget, then distribution; each support labelled once;
+    the rows, the step ratio and the wall-clock lines in the order run."""
+    calls, labelled = [], []
+    real_labels = commands.support_labels
+
+    def labels(dist, concept):
+        labelled.append(dist)
+        return real_labels(dist, concept)
+
+    def suite(learner, f, dist, eps, m, trials, master_seed):
+        calls.append((learner, f, dist, m, master_seed))
+        n = float(len(calls))
+        return SuiteResult(success_rate=1.0, mean_error=0.0, errors=(0.0,) * trials, mean_steps=n, wall_s=n)
+
+    def ran(learner, name):
+        return learner is sparse_erm if name == "sparse_erm" else learner.func is few_sample_learner
+
+    monkeypatch.setattr(commands, "support_labels", labels)
+    monkeypatch.setattr(commands, "pac_trial_suite", suite)
+    cfg = "corpus.kind = single_clause\nlearn.learners = sparse_erm,few_sample\nlearn.m = 5,0\n"
+    assert run_cli(tmp_path, "learn", cfg, seed=77) == 0
+    concept = commands._target_concept(single_clause_corpus(), DEFAULT_CODE_PARAMS)
+    dists = distribution_suite(concept)
+    grid = [(name, m, d) for name in ("sparse_erm", "few_sample") for m in (5, 0) for d in range(4)]
+    want = [(m, f"77:{name}:{m}:{dists[d][0]}") for name, m, d in grid]
+    assert [(m, label) for *_, m, label in calls] == want
+    assert [(dist.points, dist.weights) for dist in labelled] == [(d.points, d.weights) for _, d in dists]
+    for (name, _, d), (learner, f, dist, _, _) in zip(grid, calls):
+        assert ran(learner, name) and dist is labelled[d] and f.dist is dist
+    rows = (tmp_path / "learn.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == [str(i) for i in range(1, 17)]
+
+    calls.clear()
+    labelled.clear()
+    cfg = "tradeoff.vars = 4\ntradeoff.m = 3,1\ntradeoff.factor = 0.1\n"
+    assert run_cli(tmp_path, "tradeoff", cfg, seed=77) == 0
+    grid = [(name, m) for name in ("few_sample", "sparse_erm") for m in (3, 1)]
+    assert [(m, label) for *_, m, label in calls] == [(m, f"77:{name}:{m}") for name, m in grid]
+    assert len(labelled) == 1
+    for (name, _), (learner, f, dist, _, _) in zip(grid, calls):
+        assert ran(learner, name) and dist is labelled[0] and f.dist is dist
+    rows = (tmp_path / "tradeoff.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["1", "2", "3", "4"]
+    summary = (tmp_path / "tradeoff_summary.txt").read_text().splitlines()
+    assert summary[1:4] == [
+        "few_sample mean steps = 1",
+        "sparse_erm mean steps = 3",
+        "step ratio = 0.333333 (required >= 0.1): ok",
+    ]
+    assert summary[5:] == [f"  {name} m={m}: {i}.0000s" for i, (name, m) in enumerate(grid, 1)]
+
+
+def test_learn_skips_blank_learner_names_and_needs_one(tmp_path, capsys):
+    cfg = "corpus.kind = single_clause\nlearn.m = 0\nlearn.trials = 1\nlearn.learners = sparse_erm,\n"
+    assert run_cli(tmp_path, "learn", cfg) == 0
+    rows = (tmp_path / "learn.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["sparse_erm"] * 4
+    assert run_cli(tmp_path, "learn", "learn.learners =\n") == 2
+    assert capsys.readouterr().err == "configuration error: config key 'learn.learners' must list at least one name\n"
+
+
 def test_uniform_concepts_have_no_useless_example():
     from certlab.codes import DEFAULT_CODE_PARAMS
     from certlab.concepts import CertConcept
@@ -332,6 +396,8 @@ def test_cli_bad_config_is_exit_2(tmp_path):
         ("tradeoff", "tradeoff.factor = -5\n"),
         ("learn", "learn.min_success = 1.5\n"),
         ("learn", "learn.min_success = -0.1\n"),
+        ("learn", "learn.learners =\n"),
+        ("learn", "learn.learners = ,\n"),
         ("enumerate", "corpus.kind = random\ncorpus.count = 0\n"),
         ("vcdim", "corpus.kind = random\ncorpus.count = -1\n"),
         ("codes-test", "codes.lengths = 4\ncodes.samples = -1\n"),
