@@ -31,9 +31,10 @@ def parse_config(text: str) -> dict[str, str]:
 
 
 def read_text_file(path: str, what: str) -> str:
-    """The UTF-8 text of the file at path, or a one-line ConfigError."""
+    """The UTF-8 text of the file at path, a leading byte order mark
+    skipped, or a one-line ConfigError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except FileNotFoundError:
         raise ConfigError(f"{what} not found: {path}") from None
     except UnicodeDecodeError:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from ..errors import ConfigError
 from ..sat import ThreeSatInstance, exhaustive_formulas, parse_dimacs, random_instance
 from ..verifiers import FormulaEncoding, ThreeSatVerifier
-from .config import get_int, get_str, read_text_file
+from .config import get_int, get_str, get_str_list, read_text_file
 
 
 @dataclass
@@ -72,8 +72,7 @@ def build_corpus(cfg: dict[str, str], seed: int | str) -> Corpus:
             vars_max=get_int(cfg, "corpus.vars_max", 4),
         )
     if kind == "dimacs":
-        paths = [tok.strip() for tok in get_str(cfg, "corpus.paths").split(",") if tok.strip()]
-        return dimacs_corpus(paths)
+        return dimacs_corpus(get_str_list(cfg, "corpus.paths"))
     raise ConfigError(f"unknown corpus.kind {kind!r}")
 
 

@@ -1,9 +1,11 @@
 """PAC framework: finite-support distributions, samples, hypotheses, and the
 batch learners (few-sample/slow, sparse ERM/fast, junta).
 
-A learner is any callable learner(sample, counter=None) -> hypothesis, and a
-hypothesis is any callable h(x) -> 0/1; learners that need more (a verifier,
-a layout) have it bound first, e.g. with functools.partial.
+A learner is any callable learner(sample, counter=None) -> hypothesis, where
+the sample is a tuple of (point, label) pairs, and a hypothesis is any
+callable h(x) -> 0/1 (a table, a frozenset of its 1-points, answers with a
+bool); learners that need more (a verifier, a layout) have it bound first,
+e.g. with functools.partial.
 """
 
 from __future__ import annotations
@@ -79,20 +81,21 @@ class Distribution:
         return self._index_values[key]
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    pairs: tuple[tuple[str, int], ...]
+class LabeledSample(tuple):
+    """A labelled sample: the tuple of its (point, 0/1 label) pairs."""
 
-    def __post_init__(self) -> None:
-        pairs = self.pairs
-        if not pairs:
-            return
-        first = pairs[0][0]
-        length = len(first) if isinstance(first, str) else None
-        for x, y in pairs:
-            check_bits(x, length=length, name="sample point")
-            if y not in (0, 1):
-                raise ShapeError(f"label must be 0/1, got {y!r}")
+    __slots__ = ()
+
+    def __new__(cls, pairs) -> "LabeledSample":
+        pairs = tuple(pairs)
+        if pairs:
+            first = pairs[0][0]
+            length = len(first) if isinstance(first, str) else None
+            for x, y in pairs:
+                check_bits(x, length=length, name="sample point")
+                if y not in (0, 1):
+                    raise ShapeError(f"label must be 0/1, got {y!r}")
+        return tuple.__new__(cls, pairs)
 
     @classmethod
     def from_checked(cls, points, labels) -> "LabeledSample":
@@ -102,18 +105,10 @@ class LabeledSample:
         for y in labels:
             if y not in (0, 1):
                 raise ShapeError(f"label must be 0/1, got {y!r}")
-        return cls._of_pairs(tuple(zip(points, labels)))
+        return cls._of_pairs(zip(points, labels))
 
-    @classmethod
-    def _of_pairs(cls, pairs: tuple) -> "LabeledSample":
-        """The sample of already checked pairs, not checked again."""
-        sample = object.__new__(cls)
-        object.__setattr__(sample, "pairs", pairs)
-        return sample
-
-    @property
-    def m(self) -> int:
-        return len(self.pairs)
+    # the sample of already checked pairs, not checked again: no Python frame
+    _of_pairs = classmethod(tuple.__new__)
 
 
 def draw_sample(dist: Distribution, concept, m: int, rng: random.Random) -> LabeledSample:
@@ -143,7 +138,8 @@ def error_of(dist: Distribution, f, h) -> float:
     """Exact weighted disagreement Pr_{x~D}[f(x) != h(x)]: the weights of the
     support points where the labels differ, summed in support order.  This
     distribution's support labels are read as bytes, a junta labels the
-    support in one call, and any other callable is called once per point."""
+    support in one call, and any other callable is called once per point;
+    a table or other support labels answer from C, with no Python frame."""
     f_labels, h_labels = (
         g.labels if isinstance(g, SupportLabels) and g.dist is dist
         else g.labels_on(dist) if isinstance(g, JuntaHypothesis)
@@ -156,19 +152,15 @@ def error_of(dist: Distribution, f, h) -> float:
 # -- hypotheses -----------------------------------------------------------------
 
 
-class TableHypothesis:
-    """1 exactly on an explicit finite set of points; 0 elsewhere."""
+class TableHypothesis(frozenset):
+    """1 exactly on an explicit finite set of points; 0 elsewhere: the set of
+    those points, called as its membership test (a bool)."""
 
-    __slots__ = ("ones",)
-
-    def __init__(self, ones) -> None:
-        self.ones = frozenset(ones)
-
-    def __call__(self, x: str) -> int:
-        return 1 if x in self.ones else 0
+    __slots__ = ()
+    __call__ = frozenset.__contains__  # no Python frame per point
 
     def __repr__(self) -> str:
-        return f"TableHypothesis(<{len(self.ones)} ones>)"
+        return f"TableHypothesis(<{len(self)} ones>)"
 
 
 # -- learners -------------------------------------------------------------------
@@ -184,7 +176,7 @@ def few_sample_learner(
     """Claim-style slow learner: a single 1-labeled example pins the instance,
     an exponential-time certificate search pins the concept exactly, and the
     concept, checked against the sample, is the hypothesis."""
-    ones = [x for x, y in sample.pairs if y == 1]
+    ones = [x for x, y in sample if y == 1]
     if not ones:
         return TableHypothesis(())
     prefixes = {x[: verifier.n] for x in ones}  # the standard layout's instance bits
@@ -192,7 +184,7 @@ def few_sample_learner(
         raise DataInconsistencyError("1-labeled examples carry conflicting instance prefixes")
     z = next(iter(prefixes))
     concept = CertConcept(verifier, z, params, counter=counter)
-    if concept.labels([x for x, _ in sample.pairs]) != [y for _, y in sample.pairs]:
+    if concept.labels([x for x, _ in sample]) != [y for _, y in sample]:
         raise DataInconsistencyError("sample is not labeled by any certificate concept")
     return concept
 
@@ -201,13 +193,13 @@ def sparse_erm(sample: LabeledSample, *, counter: StepCounter | None = None):
     """One-pass table ERM: predict 1 exactly on the sample's 1-points."""
     ones: set[str] = set()
     zeros: set[str] = set()
-    for x, y in sample.pairs:
+    for x, y in sample:
         (ones if y == 1 else zeros).add(x)
     conflict = ones & zeros
     if conflict:
         raise DataInconsistencyError(f"contradictory labels for {sorted(conflict)[:3]}")
     if counter is not None:
-        counter.steps += sample.m
+        counter.steps += len(sample)
     return TableHypothesis(ones)
 
 
@@ -216,7 +208,7 @@ def junta_learner(
 ):
     """Learn a table over the 2^ell index values; unobserved indices map to 0."""
     zeros = ones = 0  # bit v: index value v seen with label 0, with label 1
-    for x, y in sample.pairs:
+    for x, y in sample:
         idx = layout.index(x)
         if y == 1:
             ones |= 1 << idx
@@ -225,7 +217,7 @@ def junta_learner(
         if zeros & ones:
             raise DataInconsistencyError(f"index {idx} observed with both labels")
     if counter is not None:
-        counter.steps += sample.m
+        counter.steps += len(sample)
     return JuntaHypothesis(ones, layout)
 
 

@@ -95,7 +95,7 @@ class _Challenge:
         when read_at does not start with its head."""
         if type(hypothesis) is TableHypothesis:
             # the ones are distinct, so summing their bits ORs them
-            return sum(map(self._bits_at(read_at).get, hypothesis.ones, repeat(0)))
+            return sum(map(self._bits_at(read_at).get, hypothesis, repeat(0)))
         if isinstance(hypothesis, JuntaHypothesis) and hypothesis.layout == self.layout:
             return hypothesis.word if read_at.startswith(hypothesis.head) else 0
         word = 0
@@ -188,7 +188,7 @@ def rtime_decide(
         points, read_at = challenge.layout.draw(rng, z, config.m)
         distinct = sorted(set(points))
         slot = {pt: j for j, pt in enumerate(distinct)}
-        LabeledSample(tuple((pt, 0) for pt in points))  # checks the points
+        LabeledSample((pt, 0) for pt in points)  # checks the points
         choices = [(((pt, 0), (pt, 1)), slot[pt]) for pt in points]
 
         rep_accept = False
@@ -196,10 +196,10 @@ def rtime_decide(
         proofs_run = 0
         for assignment in product((0, 1), repeat=len(distinct)):
             proofs_run += 1
-            pairs = tuple([pair[assignment[j]] for pair, j in choices])
-            proof = challenge.prove(LabeledSample._of_pairs(pairs), read_at)
+            sample = LabeledSample._of_pairs([pair[assignment[j]] for pair, j in choices])
+            proof = challenge.prove(sample, read_at)
             if proof is not None and proof.verdict:
-                label_str = "".join(str(y) for _, y in pairs)
+                label_str = "".join(str(y) for _, y in sample)
                 rep_digest = challenge.transcript(seed_label, points, label_str, proof).digest()
                 rep_accept = True
                 break

@@ -196,7 +196,7 @@ class OnlineToPacLearner:
         current = learner.current_hypothesis()
         best_hyp, best_streak = current, -1
         streak = 0
-        for x, y in sample.pairs:
+        for x, y in sample:
             if current(x) == y:
                 streak += 1
                 continue

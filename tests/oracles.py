@@ -123,7 +123,7 @@ def erm_learner(stream, sample: LabeledSample):
     """First enumerated tree with zero empirical error (enumeration order
     breaks ties); the realizable setting guarantees one exists."""
     for _z, tree in stream:
-        if all(dt_eval(tree, x) == y for x, y in sample.pairs):
+        if all(dt_eval(tree, x) == y for x, y in sample):
             return TreeHypothesis(tree)
     raise DataInconsistencyError("no enumerated concept is consistent with the sample")
 
@@ -131,11 +131,11 @@ def erm_learner(stream, sample: LabeledSample):
 def reference_junta_table(sample: LabeledSample, layout: ExampleLayout) -> tuple[int, ...]:
     """The junta learner's answers as a tuple over the 2^ell index values,
     read with a dict of the labels seen per index slice."""
-    if sample.pairs:
-        check_bits(sample.pairs[0][0], length=layout.example_len, name="example")
+    if sample:
+        check_bits(sample[0][0], length=layout.example_len, name="example")
     lo, hi = layout.matched, layout.matched + layout.ell
     table: dict[int, int] = {}
-    for x, y in sample.pairs:
+    for x, y in sample:
         idx = int(x[lo:hi], 2)
         prev = table.get(idx)
         if prev is not None and prev != y:

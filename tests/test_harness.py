@@ -86,6 +86,10 @@ def test_dimacs_corpus(tmp_path):
     p.write_text(to_dimacs(f))
     corpus = dimacs_corpus([str(p)])
     assert corpus.instances == [f]
+    # a leading UTF-8 byte order mark is skipped, not read as a clause
+    bom = tmp_path / "bom.cnf"
+    bom.write_bytes(b"\xef\xbb\xbf" + to_dimacs(f).encode())
+    assert dimacs_corpus([str(bom)]).instances == [f]
     with pytest.raises(ConfigError):
         dimacs_corpus([str(tmp_path / "missing.cnf")])
 
@@ -404,6 +408,7 @@ def test_cli_bad_config_is_exit_2(tmp_path):
         ("codes-test", "codes.lengths = 4\ncodes.samples = 0\n"),
         ("enumerate", "corpus.kind = dimacs\ncorpus.paths = {tmp}/empty_dir\n"),
         ("enumerate", "corpus.kind = dimacs\ncorpus.paths = {tmp}/not_utf8.cnf\n"),
+        ("enumerate", "corpus.kind = dimacs\ncorpus.paths = ,\n"),
         ("vcdim", b"seed = 1 # \xff\n"),
         ("vcdim", "seed = abc\n"),
         ("vcdim", "seed = 1.5\n"),
@@ -422,6 +427,19 @@ def test_cli_rejects_unusable_values_in_one_line(tmp_path, capsys, command, cfg_
     assert code == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize(
+    "command,cfg_text,message",
+    [
+        # a byte order mark before the first key does not hide that key
+        ("vcdim", b"\xef\xbb\xbfcorpus.kind = bogus\n", "unknown corpus.kind 'bogus'"),
+        ("enumerate", "corpus.kind = dimacs\ncorpus.paths = ,\n", "config key 'corpus.paths' must list at least one name"),
+    ],
+)
+def test_cli_error_names_the_key_or_value_at_fault(tmp_path, capsys, command, cfg_text, message):
+    assert run_cli(tmp_path, command, cfg_text) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -437,7 +437,7 @@ def test_table_answers_match_the_per_index_loop(data):
         table = TableHypothesis(ones)
         word = challenge.answers(table, read_at)
         assert word == challenge.answers(OpaqueHypothesis(table), read_at)
-        assert word == sum(1 << v for v, x in enumerate(queries) if x in table.ones)
+        assert word == sum(1 << v for v, x in enumerate(queries) if x in table)
 
 
 #: Certificate concepts of both layouts: on Z0 (the challenges' instance), on
@@ -533,7 +533,7 @@ def test_the_decider_hands_the_learner_every_label_string_in_product_order(varia
                 expected += islice(samples, rec.proofs_run) if rec.accept else samples
             assert learner.samples == expected
             for sample in learner.samples:
-                assert all(type(y) is int and y in (0, 1) for _, y in sample.pairs)
+                assert all(type(y) is int and y in (0, 1) for _, y in sample)
 
 
 class FixedDecode:
