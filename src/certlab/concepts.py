@@ -270,57 +270,40 @@ class CertVcReport:
 
 
 def cert_class_vc(concepts: list[CertConcept]) -> CertVcReport:
-    """Exact VC dimension of a CertConcept class over its full example domain.
+    """Exact VC dimension of a CertConcept class over its full example
+    domain, in either layout; 2 means "at least 2" (larger sets are not
+    searched).
 
-    Sparsity makes this tractable: a point labeled 1 by no concept can only
-    receive label 0, so it cannot sit in any shattered set (the all-ones
-    labeling would be unrealizable).  Candidates are therefore the union of
-    the concepts' 1-sets; all singletons and all candidate pairs are checked
-    literally.  A report of dimension 2 means "at least 2" (a shattered pair
-    was found and the search stopped).
+    A concept labels an example 1 exactly when the example starts with the
+    concept's head and the word's bit at its index value is set.  So every
+    concept labels alike all examples with the same head and index value: in
+    the standard layout that is the one example (z, i), in the uniform layout
+    every trailing part.  A candidate point is one such (head, i) that some
+    concept labels 1, kept with the mask of concepts that do; a point no
+    concept labels 1 sits in no shattered set.  Two points with the same mask
+    cannot take the labels (1, 0), so testing each pair of distinct masks
+    decides all `pairs_checked` pairs of candidate points.  The singleton
+    reported is the first candidate, in concept then index order, whose mask
+    is not full, as one of its examples.
     """
-    n_concepts = len(concepts)
-    full = (1 << n_concepts) - 1
-    point_mask: dict[str, int] = {}
+    full = (1 << len(concepts)) - 1
+    points: dict[str, list] = {}  # head + index bits -> [mask, first example]
     for ci, concept in enumerate(concepts):
+        cut = concept.layout.matched + concept.layout.ell
         for x in concept.one_points():
-            point_mask[x] = point_mask.get(x, 0) | (1 << ci)
-
-    singleton = None
-    for x, mask in point_mask.items():
-        # needs some concept labeling 1 and some labeling 0
-        if mask != 0 and mask != full:
-            singleton = x
-            break
-
-    pairs_checked = 0
-    shattered_pair = None
-    pts = list(point_mask)
-    for a, b in itertools.combinations(pts, 2):
-        pairs_checked += 1
-        ma, mb = point_mask[a], point_mask[b]
-        if not ma & mb:
-            continue  # labeling (1,1) unrealizable
-        if not ma & ~mb & full:
-            continue  # labeling (1,0) unrealizable
-        if not mb & ~ma & full:
-            continue  # labeling (0,1) unrealizable
-        if (ma | mb) == full:
-            continue  # labeling (0,0) unrealizable
-        shattered_pair = (a, b)
-        break
-
-    if shattered_pair is not None:
-        dim = 2
-    elif singleton is not None:
-        dim = 1
-    else:
-        dim = 0
+            points.setdefault(x[:cut], [0, x])[0] |= 1 << ci
+    singleton = next((x for mask, x in points.values() if mask != full), None)
+    shattered = any(
+        # the labelings (1,1), (1,0), (0,1) and (0,0) are each realized
+        ma & mb and ma & ~mb and mb & ~ma and ma | mb != full
+        for ma, mb in itertools.combinations({mask for mask, _ in points.values()}, 2)
+    )
+    k = len(points)
     return CertVcReport(
-        dimension=dim,
+        dimension=2 if shattered else 1 if singleton is not None else 0,
         shattered_singleton=singleton,
-        candidate_points=len(point_mask),
-        pairs_checked=pairs_checked,
+        candidate_points=k,
+        pairs_checked=k * (k - 1) // 2,
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from certlab.bits import bits_of_rank, check_bits, int_to_bits
 from certlab.codes import CodeParams
-from certlab.concepts import CertConcept, DecisionTree, ExampleLayout, dt_eval
+from certlab.concepts import CertConcept, CertVcReport, DecisionTree, ExampleLayout, dt_eval
 from certlab.errors import (
     BudgetError,
     ConfigError,
@@ -358,6 +358,41 @@ def vc_dimension(concepts, domain, *, max_dim: int = 4, budget: int = 10_000_000
         if d == max_dim + 1:
             raise BudgetError(f"VC dimension exceeds max_dim={max_dim}")
     return dim
+
+
+def reference_cert_class_vc(concepts: list[CertConcept]) -> CertVcReport:
+    """cert_class_vc by the literal pair walk: candidates are the concepts'
+    own one_points(), and every pair of them is tested until one is
+    shattered.  Exact in the standard layout; in the uniform layout a
+    point's mask lists only the concepts whose z is its trailing part, so it
+    can undercount there."""
+    full = (1 << len(concepts)) - 1
+    point_mask: dict[str, int] = {}
+    for ci, concept in enumerate(concepts):
+        for x in concept.one_points():
+            point_mask[x] = point_mask.get(x, 0) | (1 << ci)
+    singleton = next((x for x, mask in point_mask.items() if mask != full), None)
+    pairs_checked = 0
+    shattered = False
+    for a, b in itertools.combinations(point_mask, 2):
+        pairs_checked += 1
+        ma, mb = point_mask[a], point_mask[b]
+        if not ma & mb:
+            continue  # labeling (1,1) unrealizable
+        if not ma & ~mb & full:
+            continue  # labeling (1,0) unrealizable
+        if not mb & ~ma & full:
+            continue  # labeling (0,1) unrealizable
+        if (ma | mb) == full:
+            continue  # labeling (0,0) unrealizable
+        shattered = True
+        break
+    return CertVcReport(
+        dimension=2 if shattered else 1 if singleton is not None else 0,
+        shattered_singleton=singleton,
+        candidate_points=len(point_mask),
+        pairs_checked=pairs_checked,
+    )
 
 
 def exhaustive_adversary_max_mistakes(

@@ -21,10 +21,20 @@ from certlab.concepts import (
     serialize_tree,
 )
 from certlab.errors import BudgetError, FormatError, ShapeError
-from certlab.harness.corpus import exhaustive_two_var_corpus, random_corpus
+from certlab.harness.corpus import exhaustive_two_var_corpus, random_corpus, single_clause_corpus
 from certlab.sat import ThreeSatInstance, exhaustive_formulas
 from certlab.verifiers import FormulaEncoding, ThreeSatVerifier
-from oracles import ENC2, PHI0, PHI_UNSAT, V2, Z0, Z_UNSAT, is_shattered, vc_dimension
+from oracles import (
+    ENC2,
+    PHI0,
+    PHI_UNSAT,
+    V2,
+    Z0,
+    Z_UNSAT,
+    is_shattered,
+    reference_cert_class_vc,
+    vc_dimension,
+)
 
 # small corpus: 2 vars, at most one clause, so n + ell = 16 bits total
 ENC_SMALL = FormulaEncoding(max_vars=2, max_clauses=1)
@@ -426,6 +436,42 @@ def test_cert_class_vc_matches_naive_oracle_on_small_domain():
     domain += [int_to_bits(v, 16) for v in (0, 1, 2**15)]
     naive = vc_dimension(concepts, sorted(set(domain)), max_dim=2, budget=50_000_000)
     assert report.dimension == naive == 1
+
+
+VC_CORPORA = {
+    "exhaustive2var": exhaustive_two_var_corpus,
+    "single_clause": single_clause_corpus,
+    **{f"random{s}-200": lambda s=s: random_corpus(s, 200) for s in range(3)},
+    **{f"random{s}-60-vars3to8": lambda s=s: random_corpus(s, 60, 3, 8) for s in range(3)},
+}
+
+
+@pytest.mark.parametrize("params", [DEFAULT_CODE_PARAMS, REDUCTION_CODE_PARAMS], ids=["c8", "c4"])
+@pytest.mark.parametrize("name", sorted(VC_CORPORA))
+def test_cert_class_vc_matches_pair_walk(name, params):
+    """Testing each pair of distinct masks reports what the walk over every
+    pair of candidate points does, field for field."""
+    corpus = VC_CORPORA[name]()
+    concepts = [CertConcept(corpus.verifier, corpus.encoding.encode(f), params)
+                for f in corpus.instances]
+    assert cert_class_vc(concepts) == reference_cert_class_vc(concepts)
+
+
+@pytest.mark.parametrize(
+    "corpus, expected",
+    [(exhaustive_two_var_corpus(), 2), (single_clause_corpus(), 1), (random_corpus(0, 12), 2)],
+    ids=["exhaustive2var", "single_clause", "random12"],
+)
+def test_cert_class_vc_is_exact_in_the_uniform_layout(corpus, expected):
+    """Uniform-layout labels ignore the trailing part, so brute force over
+    the 2^ell examples of one trailing part gives the class's dimension."""
+    concepts = [CertConcept(corpus.verifier, corpus.encoding.encode(f), DEFAULT_CODE_PARAMS,
+                            kind="uniform") for f in corpus.instances]
+    lay = concepts[0].layout
+    domain = [lay.example("0" * lay.n, v) for v in range(1 << lay.ell)]
+    report = cert_class_vc(concepts)
+    assert report.dimension == vc_dimension(concepts, domain) == expected
+    assert len({c(report.shattered_singleton) for c in concepts}) == 2
 
 
 def test_restricted_class_vc_via_generic_oracle():

@@ -48,6 +48,8 @@ def forcing_corpus(tmp_path) -> str:
 CLI_CASES = {
     "enumerate": ("enumerate", "corpus.kind = exhaustive2var\n", 1),
     "vcdim": ("vcdim", "corpus.kind = exhaustive2var\n", 2),
+    # 5,441 candidate points, 14,799,520 pairs of them
+    "vcdim-random1000": ("vcdim", "corpus.kind = random\ncorpus.count = 1000\n", 0),
     "codes-test": ("codes-test", "codes.lengths = 4,8\ncodes.samples = 300\n", 3),
     "codes-test-exhaustive": (
         "codes-test",
@@ -99,6 +101,9 @@ CLI_GOLDEN = {
         "decider_report.txt": "dac62cee626a39e9ad3b2d4bf8f54109a6b07e33351b53e3c1bb5bd45a11e1a8"
     },
     "vcdim": {"dimension_report.txt": "6aba981bfde111e9e1ce3dc8563b30692eeb06b7fed5a6ce984538bd5ec6852a"},
+    "vcdim-random1000": {
+        "dimension_report.txt": "11b5ad71acb64ade59dcf8a506946d957e1814a0c03d19d461b144c48aca2a66"
+    },
 }
 
 
