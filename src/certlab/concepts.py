@@ -281,22 +281,28 @@ def cert_class_vc(concepts: list[CertConcept]) -> CertVcReport:
     every trailing part.  A candidate point is one such (head, i) that some
     concept labels 1, kept with the mask of concepts that do; a point no
     concept labels 1 sits in no shattered set.  Two points with the same mask
-    cannot take the labels (1, 0), so testing each pair of distinct masks
-    decides all `pairs_checked` pairs of candidate points.  The singleton
-    reported is the first candidate, in concept then index order, whose mask
-    is not full, as one of its examples.
+    cannot take the labels (1, 0), and two with different heads have disjoint
+    masks (a concept labels 1 only examples with its own head), so testing
+    each pair of distinct masks within one head decides all `pairs_checked`
+    pairs of candidate points; in the uniform layout every head is "".  The
+    singleton reported is the first candidate, in concept then index order,
+    whose mask is not full, as one of its examples.
     """
     full = (1 << len(concepts)) - 1
-    points: dict[str, list] = {}  # head + index bits -> [mask, first example]
+    points: dict[tuple, list] = {}  # (head, index bits) -> [mask, first example]
     for ci, concept in enumerate(concepts):
-        cut = concept.layout.matched + concept.layout.ell
+        matched, cut = concept.layout.matched, concept.layout.matched + concept.layout.ell
         for x in concept.one_points():
-            points.setdefault(x[:cut], [0, x])[0] |= 1 << ci
+            points.setdefault((x[:matched], x[matched:cut]), [0, x])[0] |= 1 << ci
     singleton = next((x for mask, x in points.values() if mask != full), None)
+    masks: dict[str, set[int]] = {}  # head -> its points' distinct masks
+    for (head, _), (mask, _) in points.items():
+        masks.setdefault(head, set()).add(mask)
     shattered = any(
         # the labelings (1,1), (1,0), (0,1) and (0,0) are each realized
         ma & mb and ma & ~mb and mb & ~ma and ma | mb != full
-        for ma, mb in itertools.combinations({mask for mask, _ in points.values()}, 2)
+        for group in masks.values()
+        for ma, mb in itertools.combinations(group, 2)
     )
     k = len(points)
     return CertVcReport(

@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 all assertions passed, 1 assertion failure, 2 configuration
-error (bad arguments, bad config file, a bad value of a key the command
-reads, missing inputs).  A key the command does not read is ignored.
-Every error ends in one line on stderr.
+error (bad arguments, bad config file, a key outside the command's table in
+`commands.COMMANDS`, a bad value of a key in it, missing inputs).  Every
+error ends in one line on stderr.
 """
 
 from __future__ import annotations
@@ -14,24 +14,8 @@ import sys
 from pathlib import Path
 
 from ..errors import BudgetError, CertlabError, ConfigError, FormatError
-from .commands import (
-    cmd_codes_test,
-    cmd_enumerate,
-    cmd_learn,
-    cmd_reduce,
-    cmd_tradeoff,
-    cmd_vcdim,
-)
-from .config import get_int, parse_config, read_text_file
-
-COMMANDS = {
-    "enumerate": cmd_enumerate,
-    "learn": cmd_learn,
-    "reduce": cmd_reduce,
-    "tradeoff": cmd_tradeoff,
-    "vcdim": cmd_vcdim,
-    "codes-test": cmd_codes_test,
-}
+from . import commands
+from .config import parse_config, read_config, read_text_file
 
 
 @functools.cache
@@ -41,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
     # parse_args turns them into one-line ConfigErrors
     parser = argparse.ArgumentParser(prog="certlab", exit_on_error=False)
     sub = parser.add_subparsers(dest="command")
-    for name in COMMANDS:
+    for name in commands.COMMANDS:
         p = sub.add_parser(name, exit_on_error=False)
         p.add_argument("--config", type=str, default=None, help="path to a key = value config file")
         p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
@@ -64,23 +48,22 @@ def parse_args(argv) -> argparse.Namespace:
     if extra:
         raise ConfigError(f"unrecognized arguments: {' '.join(extra)}")
     if args.command is None:
-        raise ConfigError(f"missing command (choose from {', '.join(COMMANDS)})")
+        raise ConfigError(f"missing command (choose from {', '.join(commands.COMMANDS)})")
     return args
 
 
 def main(argv=None) -> int:
     try:
         args = parse_args(argv)
-        cfg: dict[str, str] = {}
-        if args.config is not None:
-            cfg = parse_config(read_text_file(args.config, "config file"))
-        seed = args.seed if args.seed is not None else get_int(cfg, "seed", 0)
+        text = "" if args.config is None else read_text_file(args.config, "config file")
+        cfg = read_config(parse_config(text), commands.COMMANDS[args.command], args.command)
+        seed = args.seed if args.seed is not None else cfg["seed"]
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"output directory cannot be made: {args.out} ({exc.strerror})") from None
-        code = COMMANDS[args.command](cfg, out_dir, seed)
+        code = getattr(commands, "cmd_" + args.command.replace("-", "_"))(cfg, out_dir, seed)
     except (ConfigError, FormatError, BudgetError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -42,8 +42,8 @@ from ..paclearn import (
 from ..reduction import DeciderConfig, learner_error_target, sat_decider
 from ..sat import brute_force_sat
 from ..verifiers import FormulaEncoding, ThreeSatVerifier
-from .config import get_float, get_fraction, get_int, get_int_list, get_str, get_str_list
-from .corpus import Corpus, build_corpus, forcing_formula
+from .config import FRACTION, INT, INTS, NAMES, NUMBER, STR
+from .corpus import CORPUS_KEYS, Corpus, build_corpus, forcing_formula
 
 
 def _fmt(v) -> str:
@@ -66,11 +66,8 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     write_lines(path, lines)
 
 
-def code_params_from(cfg: dict[str, str], default: CodeParams) -> CodeParams:
-    return CodeParams(
-        c=get_int(cfg, "code.c", default.c),
-        eps_star=get_fraction(cfg, "code.eps_star", default.eps_star),
-    )
+def code_params_from(cfg: dict) -> CodeParams:
+    return CodeParams(c=cfg["code.c"], eps_star=cfg["code.eps_star"])
 
 
 # -- learners: learner(sample, counter=None) -> hypothesis ----------------------------
@@ -136,9 +133,9 @@ def distribution_suite(concept: CertConcept) -> list[tuple[str, Distribution]]:
 # -- commands -----------------------------------------------------------------------
 
 
-def cmd_enumerate(cfg: dict[str, str], out_dir: Path, seed) -> int:
+def cmd_enumerate(cfg: dict, out_dir: Path, seed) -> int:
     corpus = build_corpus(cfg, seed)
-    params = code_params_from(cfg, DEFAULT_CODE_PARAMS)
+    params = code_params_from(cfg)
     zs = [corpus.encoding.encode(inst) for inst in corpus.instances]
     lines = []
     for z, tree in enumerate_class(corpus.verifier, params, zs):
@@ -177,9 +174,9 @@ def probe_domain(concepts: list[CertConcept], limit: int = 16) -> list[str]:
     return pts
 
 
-def cmd_vcdim(cfg: dict[str, str], out_dir: Path, seed) -> int:
+def cmd_vcdim(cfg: dict, out_dir: Path, seed) -> int:
     corpus = build_corpus(cfg, seed)
-    params = code_params_from(cfg, DEFAULT_CODE_PARAMS)
+    params = code_params_from(cfg)
     concepts = [
         CertConcept(corpus.verifier, corpus.encoding.encode(inst), params)
         for inst in corpus.instances
@@ -204,13 +201,11 @@ def cmd_vcdim(cfg: dict[str, str], out_dir: Path, seed) -> int:
     return 0 if ok else 1
 
 
-def cmd_codes_test(cfg: dict[str, str], out_dir: Path, seed) -> int:
-    params = code_params_from(cfg, DEFAULT_CODE_PARAMS)
-    lengths = get_int_list(cfg, "codes.lengths", [8, 12])
-    samples = get_int(cfg, "codes.samples", 2000)
+def cmd_codes_test(cfg: dict, out_dir: Path, seed) -> int:
+    params = code_params_from(cfg)
+    lengths, samples = cfg["codes.lengths"], cfg["codes.samples"]
     if samples < 1:
         raise ConfigError(f"codes.samples must be >= 1, got {samples}")
-    exhaustive_limit = get_int(cfg, "codes.exhaustive_limit", 0)
     lines = [f"code: c={params.c} eps_star={params.eps_star}"]
     ok = True
     for m in lengths:
@@ -222,7 +217,7 @@ def cmd_codes_test(cfg: dict[str, str], out_dir: Path, seed) -> int:
             v = rng.getrandbits(m)
             clean = clean and code.decode_value(code.encode_value(v)) == v
         res = radius_recovery(
-            params, m, exhaustive_limit=exhaustive_limit, samples=samples, seed=seed
+            params, m, exhaustive_limit=cfg["codes.exhaustive_limit"], samples=samples, seed=seed
         )
         # beyond-radius inputs must not crash: flip bits 0..radius
         code.decode_value(code.encode_value(rng.getrandbits(m)) ^ ((1 << (code.radius + 1)) - 1))
@@ -267,14 +262,11 @@ def _target_concept(corpus: Corpus, params: CodeParams) -> CertConcept:
 LEARN_CSV_HEADER = ["n", "p", "learner", "distribution", "m", "trials", "success_rate", "mean_error", "mean_steps"]
 
 
-def cmd_learn(cfg: dict[str, str], out_dir: Path, seed) -> int:
+def cmd_learn(cfg: dict, out_dir: Path, seed) -> int:
     corpus = build_corpus(cfg, seed)
-    params = code_params_from(cfg, DEFAULT_CODE_PARAMS)
-    eps = get_float(cfg, "learn.eps", 0.1)
-    trials = get_int(cfg, "learn.trials", 200)
-    budgets = get_int_list(cfg, "learn.m", [47])
-    names = get_str_list(cfg, "learn.learners", list(LEARNERS))
-    min_success = get_float(cfg, "learn.min_success", 0.0)
+    params = code_params_from(cfg)
+    eps, trials, budgets = cfg["learn.eps"], cfg["learn.trials"], cfg["learn.m"]
+    names, min_success = cfg["learn.learners"], cfg["learn.min_success"]
     if not 0 <= min_success <= 1:
         raise ConfigError(f"learn.min_success must lie in [0, 1], got {min_success}")
     concept = _target_concept(corpus, params)
@@ -290,16 +282,11 @@ def cmd_learn(cfg: dict[str, str], out_dir: Path, seed) -> int:
     return 0 if all(res.success_rate >= min_success for *_, res in grid) else 1
 
 
-def cmd_reduce(cfg: dict[str, str], out_dir: Path, seed) -> int:
+def cmd_reduce(cfg: dict, out_dir: Path, seed) -> int:
     corpus = build_corpus(cfg, seed)
-    params = code_params_from(cfg, REDUCTION_CODE_PARAMS)
-    variant = get_str(cfg, "decider.variant", "standard")
-    config = DeciderConfig(
-        m=get_int(cfg, "decider.m", 12),
-        r=get_int(cfg, "decider.r", 5),
-        code_params=params,
-        variant=variant,
-    )
+    params = code_params_from(cfg)
+    variant = cfg["decider.variant"]
+    config = DeciderConfig(m=cfg["decider.m"], r=cfg["decider.r"], code_params=params, variant=variant)
     v = corpus.verifier
     if variant == "uniform":
         learner = partial(junta_learner, layout=ExampleLayout.of(v.n, params, v.p, variant))
@@ -337,9 +324,9 @@ def cmd_reduce(cfg: dict[str, str], out_dir: Path, seed) -> int:
 TRADEOFF_CSV_HEADER = ["n", "p", "learner", "m", "trials", "success_rate", "mean_error", "mean_steps"]
 
 
-def cmd_tradeoff(cfg: dict[str, str], out_dir: Path, seed) -> int:
-    params = code_params_from(cfg, DEFAULT_CODE_PARAMS)
-    num_vars = get_int(cfg, "tradeoff.vars", 16)
+def cmd_tradeoff(cfg: dict, out_dir: Path, seed) -> int:
+    params = code_params_from(cfg)
+    num_vars = cfg["tradeoff.vars"]
     if num_vars < 1:
         raise ConfigError(f"tradeoff.vars must be >= 1, got {num_vars}")
     formula = forcing_formula(num_vars=num_vars, forced=max(1, num_vars // 2), extra=4)
@@ -348,10 +335,8 @@ def cmd_tradeoff(cfg: dict[str, str], out_dir: Path, seed) -> int:
     concept = CertConcept(v, encoding.encode(formula), params)
     if concept.first_cert is None:
         raise ConfigError("tradeoff formula must be satisfiable")
-    eps = get_float(cfg, "tradeoff.eps", 0.1)
-    trials = get_int(cfg, "tradeoff.trials", 5)
-    budgets = get_int_list(cfg, "tradeoff.m", [1, 2, 4, 8, 16, 47])
-    factor = get_float(cfg, "tradeoff.factor", 100.0)
+    eps, trials, budgets = cfg["tradeoff.eps"], cfg["tradeoff.trials"], cfg["tradeoff.m"]
+    factor = cfg["tradeoff.factor"]
     if factor <= 0:
         raise ConfigError(f"tradeoff.factor must be > 0, got {factor}")
     suite = [("uniform_useful", uniform_useful(concept))]
@@ -377,3 +362,44 @@ def cmd_tradeoff(cfg: dict[str, str], out_dir: Path, seed) -> int:
     lines.extend(f"  {name} m={m}: {res.wall_s:.4f}s" for name, m, _, res in grid)
     write_lines(out_dir / "tradeoff_summary.txt", lines)
     return 0 if ok else 1
+
+
+#: `seed` and the code keys at the module preset, which every command takes.
+COMMON_KEYS = {
+    "seed": (INT, 0),
+    "code.c": (INT, DEFAULT_CODE_PARAMS.c),
+    "code.eps_star": (FRACTION, DEFAULT_CODE_PARAMS.eps_star),
+}
+
+#: command -> its config keys, key -> (kind, default).  `cli.main` runs
+#: `cmd_<command>` ("-" read as "_"), looked up when run: traced runs wrap it.
+COMMANDS = {
+    "enumerate": COMMON_KEYS | CORPUS_KEYS,
+    "learn": COMMON_KEYS | CORPUS_KEYS | {
+        "learn.learners": (NAMES, list(LEARNERS)),
+        "learn.m": (INTS, [47]),
+        "learn.eps": (NUMBER, 0.1),
+        "learn.trials": (INT, 200),
+        "learn.min_success": (NUMBER, 0.0),
+    },
+    "reduce": COMMON_KEYS | CORPUS_KEYS | {
+        "code.c": (INT, REDUCTION_CODE_PARAMS.c),
+        "code.eps_star": (FRACTION, REDUCTION_CODE_PARAMS.eps_star),
+        "decider.m": (INT, 12),
+        "decider.r": (INT, 5),
+        "decider.variant": (STR, "standard"),
+    },
+    "tradeoff": COMMON_KEYS | {
+        "tradeoff.vars": (INT, 16),
+        "tradeoff.m": (INTS, [1, 2, 4, 8, 16, 47]),
+        "tradeoff.eps": (NUMBER, 0.1),
+        "tradeoff.trials": (INT, 5),
+        "tradeoff.factor": (NUMBER, 100.0),
+    },
+    "vcdim": COMMON_KEYS | CORPUS_KEYS,
+    "codes-test": COMMON_KEYS | {
+        "codes.lengths": (INTS, [8, 12]),
+        "codes.samples": (INT, 2000),
+        "codes.exhaustive_limit": (INT, 0),
+    },
+}

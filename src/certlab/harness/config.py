@@ -1,6 +1,8 @@
 """Flat, line-oriented `key = value` config files with dotted section keys.
 
 No nesting, no quoting; `#` starts a comment.  Parsing preserves key order.
+Each command declares its keys once, as a table key -> (kind, default), and
+reads its config only through `read_config`.
 """
 
 from __future__ import annotations
@@ -43,48 +45,30 @@ def read_text_file(path: str, what: str) -> str:
         raise ConfigError(f"{what} cannot be read: {path} ({exc.strerror})") from None
 
 
-def _get(cfg: dict[str, str], key: str, default, convert, errors, expected: str):
-    """cfg[key] converted, default when the key is absent; a ConfigError when
-    it is absent with no default or fails to convert."""
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing config key {key!r}")
-        return default
-    try:
-        return convert(cfg[key])
-    except errors:
-        raise ConfigError(f"config key {key!r} must be {expected}, got {cfg[key]!r}") from None
+#: The kinds of config value: (convert, the errors a bad value raises, what a
+#: value must be, what a list must hold one of).  A list is its
+#: comma-separated items, blank ones skipped, each converted.
+STR = (str, (), "", None)
+INT = (int, ValueError, "an integer", None)
+NUMBER = (lambda s: float(Fraction(s)), (ValueError, ZeroDivisionError, OverflowError), "a number", None)
+FRACTION = (Fraction, (ValueError, ZeroDivisionError), "a fraction", None)
+INTS = (lambda s: [int(t) for t in s.split(",") if t.strip()], ValueError, "comma-separated integers", "integer")
+NAMES = (lambda s: [t.strip() for t in s.split(",") if t.strip()], (), "comma-separated names", "name")
 
 
-def get_str(cfg: dict[str, str], key: str, default: str | None = None) -> str:
-    return _get(cfg, key, default, str, (), "")
-
-
-def get_int(cfg: dict[str, str], key: str, default: int | None = None) -> int:
-    return _get(cfg, key, default, int, ValueError, "an integer")
-
-
-def get_float(cfg: dict[str, str], key: str, default: float | None = None) -> float:
-    errors = (ValueError, ZeroDivisionError, OverflowError)
-    return _get(cfg, key, default, lambda s: float(Fraction(s)), errors, "a number")
-
-
-def get_fraction(cfg: dict[str, str], key: str, default: Fraction | None = None) -> Fraction:
-    return _get(cfg, key, default, Fraction, (ValueError, ZeroDivisionError), "a fraction")
-
-
-def _get_list(cfg: dict[str, str], key: str, default: list | None, convert, kind: str) -> list:
-    """cfg[key]'s comma-separated tokens, blank ones skipped, each converted."""
-    expected = f"comma-separated {kind}s"
-    values = _get(cfg, key, default, lambda s: [convert(t) for t in s.split(",") if t.strip()], ValueError, expected)
-    if not values:
-        raise ConfigError(f"config key {key!r} must list at least one {kind}")
+def read_config(cfg: dict[str, str], keys: dict[str, tuple], command: str) -> dict:
+    """Every key of the command's table, key -> (kind, default): its value in
+    cfg converted by its kind, else its default.  A one-line ConfigError for
+    a key outside the table, a value that fails to convert or an empty list."""
+    values = {key: default for key, (_, default) in keys.items()}
+    for key, text in cfg.items():
+        if key not in keys:
+            raise ConfigError(f"unknown config key {key!r} for {command}")
+        convert, errors, expected, item = keys[key][0]
+        try:
+            values[key] = convert(text)
+        except errors:
+            raise ConfigError(f"config key {key!r} must be {expected}, got {text!r}") from None
+        if values[key] == []:
+            raise ConfigError(f"config key {key!r} must list at least one {item}")
     return values
-
-
-def get_int_list(cfg: dict[str, str], key: str, default: list[int] | None = None) -> list[int]:
-    return _get_list(cfg, key, default, int, "integer")
-
-
-def get_str_list(cfg: dict[str, str], key: str, default: list[str] | None = None) -> list[str]:
-    return _get_list(cfg, key, default, str.strip, "name")

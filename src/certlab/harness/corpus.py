@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from ..errors import ConfigError
 from ..sat import ThreeSatInstance, exhaustive_formulas, parse_dimacs, random_instance
 from ..verifiers import FormulaEncoding, ThreeSatVerifier
-from .config import get_int, get_str, get_str_list, read_text_file
+from .config import INT, NAMES, STR, read_text_file
 
 
 @dataclass
@@ -58,21 +58,28 @@ def dimacs_corpus(paths: list[str]) -> Corpus:
     return Corpus(instances, encoding, ThreeSatVerifier(encoding))
 
 
-def build_corpus(cfg: dict[str, str], seed: int | str) -> Corpus:
-    kind = get_str(cfg, "corpus.kind", "exhaustive2var")
+#: The corpus keys, key -> (kind, default); `corpus.paths` has no default.
+CORPUS_KEYS = {
+    "corpus.kind": (STR, "exhaustive2var"),
+    "corpus.count": (INT, 200),
+    "corpus.vars_min": (INT, 3),
+    "corpus.vars_max": (INT, 4),
+    "corpus.paths": (NAMES, None),
+}
+
+
+def build_corpus(cfg: dict, seed: int | str) -> Corpus:
+    kind = cfg["corpus.kind"]
     if kind == "exhaustive2var":
         return exhaustive_two_var_corpus()
     if kind == "single_clause":
         return single_clause_corpus()
     if kind == "random":
-        return random_corpus(
-            seed,
-            count=get_int(cfg, "corpus.count", 200),
-            vars_min=get_int(cfg, "corpus.vars_min", 3),
-            vars_max=get_int(cfg, "corpus.vars_max", 4),
-        )
+        return random_corpus(seed, cfg["corpus.count"], cfg["corpus.vars_min"], cfg["corpus.vars_max"])
     if kind == "dimacs":
-        return dimacs_corpus(get_str_list(cfg, "corpus.paths"))
+        if cfg["corpus.paths"] is None:
+            raise ConfigError("missing config key 'corpus.paths'")
+        return dimacs_corpus(cfg["corpus.paths"])
     raise ConfigError(f"unknown corpus.kind {kind!r}")
 
 

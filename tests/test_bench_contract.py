@@ -62,3 +62,15 @@ def test_learners_are_looked_up_when_made(monkeypatch):
     learner = commands.resolve_learner("few_sample", verifier, DEFAULT_CODE_PARAMS)
     learner("sample", counter="counter")
     assert calls == [("few_sample", "sample", verifier, DEFAULT_CODE_PARAMS, "counter")]
+
+
+def test_commands_are_looked_up_when_run(monkeypatch, tmp_path):
+    """A traced run replaces `cmd_tradeoff` where the harness module holds it
+    (the `harness.cmd_tradeoff` span); the CLI must run that one."""
+    from certlab.harness import commands
+    from certlab.harness.cli import main
+
+    ran = []
+    monkeypatch.setattr(commands, "cmd_tradeoff", lambda cfg, out_dir, seed: ran.append(seed) or 0)
+    assert main(["tradeoff", "--seed", "3", "--out", str(tmp_path)]) == 0
+    assert ran == [3]

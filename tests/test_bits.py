@@ -12,6 +12,7 @@ from certlab.bits import (
 from certlab.codes import DEFAULT_CODE_PARAMS, decode, get_code
 from certlab.errors import ShapeError
 from certlab.harness import commands
+from certlab.harness.config import read_config
 from certlab.sat import ThreeSatInstance
 from certlab.verifiers import FormulaEncoding, ThreeSatVerifier, first_certificate
 from oracles import bits_to_int, flip_positions, lex_rank
@@ -131,7 +132,7 @@ def test_a_tradeoff_sweep_scans_no_point_inside_its_trials(tmp_path, monkeypatch
         return result
 
     monkeypatch.setattr(commands, "pac_trial_suite", suite)
-    assert commands.cmd_tradeoff({}, tmp_path, 0) == 0
+    assert commands.cmd_tradeoff(read_config({}, commands.COMMANDS["tradeoff"], "tradeoff"), tmp_path, 0) == 0
     assert len(rescanned) == 0
     # what is left is few_sample_learner's certificate search on each of its
     # 24 samples with a 1-labelled point: first_certificate scans the

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,8 @@ from certlab.concepts import CertConcept, ExampleLayout
 from certlab.errors import ConfigError, FormatError
 from certlab.harness import commands
 from certlab.harness.cli import build_parser, main
-from certlab.harness.commands import distribution_suite, resolve_learner, write_csv
-from certlab.harness.config import get_fraction, get_int, get_int_list, get_str, get_str_list, parse_config
+from certlab.harness.commands import COMMANDS, distribution_suite, resolve_learner, write_csv
+from certlab.harness.config import FRACTION, INT, INTS, NAMES, parse_config, read_config
 from certlab.harness.corpus import (
     build_corpus,
     dimacs_corpus,
@@ -58,15 +59,12 @@ def test_config_errors():
     with pytest.raises(FormatError):
         parse_config("a = 1\na = 2\n")
     cfg = parse_config("x = 3\nf = 1/8\nlist = 1,2\nnames = a , b,\n")
-    assert get_int(cfg, "x") == 3
-    assert get_int(cfg, "missing", 9) == 9
-    assert str(get_fraction(cfg, "f")) == "1/8"
-    assert get_int_list(cfg, "list") == [1, 2]
-    assert get_str_list(cfg, "names") == ["a", "b"]
+    keys = {"x": (INT, None), "missing": (INT, 9), "f": (FRACTION, None), "list": (INTS, None), "names": (NAMES, None)}
+    assert read_config(cfg, keys, "test") == {"x": 3, "missing": 9, "f": Fraction(1, 8), "list": [1, 2], "names": ["a", "b"]}
     with pytest.raises(ConfigError):
-        get_int(cfg, "f")
+        read_config(cfg, {**keys, "f": (INT, None)}, "test")
     with pytest.raises(ConfigError):
-        get_str(cfg, "absent")
+        read_config({**cfg, "absent": "1"}, keys, "test")
 
 
 def test_corpora_shapes():
@@ -94,11 +92,16 @@ def test_dimacs_corpus(tmp_path):
         dimacs_corpus([str(tmp_path / "missing.cnf")])
 
 
+def parsed(command: str, cfg: dict[str, str]) -> dict:
+    """command's config values, cfg's over the defaults of its table."""
+    return read_config(cfg, COMMANDS[command], command)
+
+
 def test_build_corpus_kinds(tmp_path):
-    assert len(build_corpus({"corpus.kind": "exhaustive2var"}, 0).instances) == 93
-    assert len(build_corpus({"corpus.kind": "random", "corpus.count": "5"}, 1).instances) == 5
+    assert len(build_corpus(parsed("vcdim", {"corpus.kind": "exhaustive2var"}), 0).instances) == 93
+    assert len(build_corpus(parsed("vcdim", {"corpus.kind": "random", "corpus.count": "5"}), 1).instances) == 5
     with pytest.raises(ConfigError):
-        build_corpus({"corpus.kind": "nope"}, 0)
+        build_corpus(parsed("vcdim", {"corpus.kind": "nope"}), 0)
 
 
 def test_forcing_formula_is_satisfiable_with_high_rank_witness():
@@ -141,7 +144,7 @@ def test_tradeoff_builds_only_the_distribution_it_sweeps(tmp_path, monkeypatch):
         real_init(self, points, weights)
 
     monkeypatch.setattr(Distribution, "__init__", counting_init)
-    assert commands.cmd_tradeoff({}, tmp_path, 0) == 0
+    assert commands.cmd_tradeoff(parsed("tradeoff", {}), tmp_path, 0) == 0
     assert built == [128]  # uniform on the 2^7 useful points
 
 
@@ -211,7 +214,7 @@ def test_reduce_plugs_in_the_junta_learner_on_the_uniform_layout(tmp_path, monke
         raise Plugged
 
     monkeypatch.setattr(commands, "sat_decider", capture)
-    cfg = {"corpus.kind": "single_clause", "decider.variant": "uniform"}
+    cfg = parsed("reduce", {"corpus.kind": "single_clause", "decider.variant": "uniform"})
     with pytest.raises(Plugged):
         commands.cmd_reduce(cfg, tmp_path, 0)
     (v, config, learner), = plugged
@@ -254,7 +257,7 @@ def test_tradeoff_labels_its_support_once_per_sweep(tmp_path, monkeypatch):
     monkeypatch.setattr(CertConcept, "__init__", marking_init)
     monkeypatch.setattr(CertConcept, "__call__", counting_call)
     monkeypatch.setattr(commands, "few_sample_learner", marked_learner)
-    assert commands.cmd_tradeoff({}, tmp_path, 0) == 0
+    assert commands.cmd_tradeoff(parsed("tradeoff", {}), tmp_path, 0) == 0
     assert learned
     assert 0 < len(outside) <= 128
 
@@ -339,22 +342,29 @@ def test_uniform_concepts_have_no_useless_example():
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def readme_config_keys() -> list[str]:
-    """The keys of the README's config block, in the order it lists them."""
+def test_readme_config_block_lists_exactly_the_keys_read():
     readme = (ROOT / "README.md").read_text()
     block = readme.split("### Config format", 1)[1].split("```", 2)[1]
-    return re.findall(r"^(\S+) =", block, flags=re.MULTILINE)
-
-
-def test_readme_config_block_lists_exactly_the_keys_read():
-    read = set()
-    for path in (ROOT / "src" / "certlab" / "harness").glob("*.py"):
-        text = path.read_text()
-        read |= set(re.findall(r'get_\w+\(cfg, "([^"]+)"', text))
-        read |= set(re.findall(r'cfg\.get\("([^"]+)"', text))
-    listed = readme_config_keys()
-    assert len(listed) == len(set(listed))
-    assert set(listed) == read
+    # (key, value, comment) in the order the block lists them
+    listed = re.findall(r"^(\S+) = (\S+) +# (.*)$", block, flags=re.MULTILINE)
+    assert len(listed) == len(block.strip().splitlines())
+    keys = [key for key, _, _ in listed]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == {key for table in COMMANDS.values() for key in table}
+    # reduce's code preset is the one the note under the block names
+    note = re.search(r"`reduce` defaults to .*?\(`c=(\S+), eps_star=(\S+)`\)", readme)
+    reduce_code = {"code.c": note[1], "code.eps_star": note[2]}
+    for command, table in COMMANDS.items():
+        for key, value, comment in listed:
+            if key not in table:
+                continue
+            if command == "reduce":
+                value = reduce_code.get(key, value)
+            default = table[key][1]
+            if default is None:
+                assert "(no default)" in comment, key
+            else:
+                assert read_config({key: value}, table, command)[key] == default, (command, key)
 
 
 # -- CLI end-to-end -------------------------------------------------------------------
@@ -435,11 +445,32 @@ def test_cli_rejects_unusable_values_in_one_line(tmp_path, capsys, command, cfg_
         # a byte order mark before the first key does not hide that key
         ("vcdim", b"\xef\xbb\xbfcorpus.kind = bogus\n", "unknown corpus.kind 'bogus'"),
         ("enumerate", "corpus.kind = dimacs\ncorpus.paths = ,\n", "config key 'corpus.paths' must list at least one name"),
+        ("enumerate", "corpus.kind = dimacs\n", "missing config key 'corpus.paths'"),
+        # a declared key's value is read even on a run that does not use it
+        ("enumerate", "corpus.count = junk\n", "config key 'corpus.count' must be an integer, got 'junk'"),
     ],
 )
 def test_cli_error_names_the_key_or_value_at_fault(tmp_path, capsys, command, cfg_text, message):
     assert run_cli(tmp_path, command, cfg_text) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command,typo,foreign",
+    [
+        ("enumerate", "corpus.kinds", "decider.m"),
+        ("learn", "learn.trial", "tradeoff.m"),
+        ("reduce", "decider.mm", "tradeoff.vars"),
+        ("tradeoff", "tradeoff.var", "learn.eps"),
+        ("vcdim", "corpus.cont", "tradeoff.vars"),
+        ("codes-test", "codes.length", "corpus.kind"),
+    ],
+)
+def test_a_key_outside_the_command_table_is_named_in_one_line_exit_2(tmp_path, capsys, command, typo, foreign):
+    for key in (typo, foreign):
+        assert key not in COMMANDS[command]
+        assert run_cli(tmp_path, command, f"{key} = 4\n") == 2
+        assert capsys.readouterr().err == f"configuration error: unknown config key {key!r} for {command}\n"
 
 
 @pytest.mark.parametrize(
@@ -577,12 +608,16 @@ def _case_timed_out(signum, frame):
 # would wait out the time limit once per step.
 @settings(max_examples=300, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(
-    command=st.sampled_from(sorted(FUZZ_BASES)),
-    overrides=st.dictionaries(
-        st.sampled_from(readme_config_keys()), st.sampled_from(FUZZ_VALUES), min_size=1, max_size=3
-    ),
+    st.sampled_from(sorted(FUZZ_BASES)).flatmap(
+        lambda command: st.tuples(
+            st.just(command),
+            # the command's own keys, so every case gets past the key check to its values
+            st.dictionaries(st.sampled_from(list(COMMANDS[command])), st.sampled_from(FUZZ_VALUES), min_size=1, max_size=3),
+        )
+    )
 )
-def test_cli_fuzzed_config_values_exit_0_1_or_2_with_one_line(command, overrides):
+def test_cli_fuzzed_config_values_exit_0_1_or_2_with_one_line(case):
+    command, overrides = case
     cfg_text = serialize_config({**FUZZ_BASES[command], **overrides})
     err = io.StringIO()
     previous = signal.signal(signal.SIGALRM, _case_timed_out)
@@ -669,7 +704,7 @@ def test_codes_test_decodes_a_word_beyond_the_certified_radius(tmp_path, monkeyp
 
     monkeypatch.setattr(LinearCode, "encode_value", encode_value)
     monkeypatch.setattr(LinearCode, "decode_value", decode_value)
-    cfg = {"codes.lengths": "8,12,16", "codes.samples": "20"}
+    cfg = parsed("codes-test", {"codes.lengths": "8,12,16", "codes.samples": "20"})
     assert commands.cmd_codes_test(cfg, tmp_path, 0) == 0
     beyond = [code.message_len for code, cw, y in decoded if (y ^ cw).bit_count() > code.radius]
     assert beyond == [8, 12, 16]
