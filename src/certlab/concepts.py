@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .bits import int_to_bits, random_bits
 from .codes import CodeParams, get_code
-from .errors import BudgetError, ConfigError, FormatError, ShapeError
+from .errors import BudgetError, ConfigError, ShapeError
 from .verifiers import StepCounter, ThreeSatVerifier, first_certificate
 
 
@@ -31,7 +31,7 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 def check_layout_kind(kind: str) -> str:
     if kind not in LAYOUT_KINDS:
-        raise ConfigError(f"unknown variant {kind!r}")
+        raise ConfigError(f"unknown variant {kind!r} (choose from {', '.join(LAYOUT_KINDS)})")
     return kind
 
 
@@ -214,48 +214,6 @@ def serialize_tree(tree: DecisionTree) -> str:
             stack.append(node.hi)
             stack.append(node.lo)
     return " ".join(out)
-
-
-def parse_tree(text: str) -> DecisionTree:
-    tokens = text.split()
-    pos = size = 0
-    # open query nodes: [var] until the low child is read, then [var, lo]
-    stack: list[list] = []
-    while True:
-        if pos >= len(tokens):
-            raise FormatError("tree text ends prematurely")
-        tok = tokens[pos]
-        pos += 1
-        if tok.startswith("L"):
-            if tok not in ("L0", "L1"):
-                raise FormatError(f"bad leaf token {tok!r}")
-            node = int(tok[1])
-            size += 1
-        elif tok.startswith("Q"):
-            var = tok[1:]
-            if not (var.isascii() and var.isdigit()) or (var[0] == "0" and var != "0"):
-                raise FormatError(f"bad query token {tok!r}")
-            stack.append([int(var)])
-            continue
-        else:
-            raise FormatError(f"bad token {tok!r}")
-        # a finished subtree completes every open node waiting for its high child
-        while stack and len(stack[-1]) == 2:
-            var, lo = stack.pop()
-            node = Node(var, lo, node)
-        if not stack:
-            break
-        stack[-1].append(node)
-    if pos != len(tokens):
-        raise FormatError("trailing tokens after tree")
-    return DecisionTree(root=node, size=size)
-
-
-def enumerate_class(verifier: ThreeSatVerifier, params: CodeParams, zs):
-    """Yield (z, decision tree) for each seed instance, in the given order."""
-    for z in zs:
-        concept = CertConcept(verifier, z, params)
-        yield z, build_decision_tree(concept)
 
 
 # -- dimension oracles ----------------------------------------------------------

@@ -18,7 +18,7 @@ class ConfigError(CertlabError):
 
 
 class FormatError(CertlabError):
-    """Malformed serialized input (DIMACS, bit-encoding, config, tree text)."""
+    """Malformed serialized input (DIMACS, bit-encoding, config)."""
 
 
 class DataInconsistencyError(CertlabError):

@@ -2,9 +2,10 @@
 
 No command needs these.  They are the slow, obviously correct versions of
 what the package computes, the field-by-field formula encoding, the
-NP-oracle view of its verifiers, the single challenge round, and the
-writers its parsers' round trips read back.  They are kept apart from the
-code they check the way perfbench/reference.py keeps the benchmark's
+NP-oracle view of its verifiers, the single challenge round, the writers
+its parsers' round trips read back, the (z, tree) class enumerator and
+the reader of the tree text `enumerate` writes.  They are kept apart from
+the code they check the way perfbench/reference.py keeps the benchmark's
 checks.  The two-variable formulas many test modules share are defined
 here once.
 """
@@ -17,7 +18,15 @@ from dataclasses import dataclass
 
 from certlab.bits import bits_of_rank, check_bits, int_to_bits
 from certlab.codes import CodeParams
-from certlab.concepts import CertConcept, CertVcReport, DecisionTree, ExampleLayout, dt_eval
+from certlab.concepts import (
+    CertConcept,
+    CertVcReport,
+    DecisionTree,
+    ExampleLayout,
+    Node,
+    build_decision_tree,
+    dt_eval,
+)
 from certlab.errors import (
     BudgetError,
     ConfigError,
@@ -109,6 +118,14 @@ def naive_first_certificate(v: ThreeSatVerifier, z: str) -> str | None:
     return None
 
 
+def enumerate_class(verifier: ThreeSatVerifier, params: CodeParams, zs):
+    """Yield (z, decision tree) for each seed instance, in the given order:
+    the trees `enumerate` writes, as objects."""
+    for z in zs:
+        concept = CertConcept(verifier, z, params)
+        yield z, build_decision_tree(concept)
+
+
 class TreeHypothesis:
     __slots__ = ("tree",)
 
@@ -158,7 +175,7 @@ def reference_error(dist, f, h) -> float:
     return sum(w for x, w in zip(dist.points, dist.weights) if int(f(x)) != int(h(x)))
 
 
-# -- writers whose output the parsers read back ---------------------------------
+# -- writers whose output the parsers read back, and the tree-text reader -------
 
 
 def to_dimacs(inst: ThreeSatInstance) -> str:
@@ -170,6 +187,43 @@ def to_dimacs(inst: ThreeSatInstance) -> str:
 
 def serialize_config(cfg: dict[str, str]) -> str:
     return "".join(f"{k} = {v}\n" for k, v in cfg.items())
+
+
+def parse_tree(text: str) -> DecisionTree:
+    """The tree a preorder token text writes (README "Decision tree text"),
+    or FormatError; every text it accepts re-serializes to itself."""
+    tokens = text.split()
+    pos = size = 0
+    # open query nodes: [var] until the low child is read, then [var, lo]
+    stack: list[list] = []
+    while True:
+        if pos >= len(tokens):
+            raise FormatError("tree text ends prematurely")
+        tok = tokens[pos]
+        pos += 1
+        if tok.startswith("L"):
+            if tok not in ("L0", "L1"):
+                raise FormatError(f"bad leaf token {tok!r}")
+            node = int(tok[1])
+            size += 1
+        elif tok.startswith("Q"):
+            var = tok[1:]
+            if not (var.isascii() and var.isdigit()) or (var[0] == "0" and var != "0"):
+                raise FormatError(f"bad query token {tok!r}")
+            stack.append([int(var)])
+            continue
+        else:
+            raise FormatError(f"bad token {tok!r}")
+        # a finished subtree completes every open node waiting for its high child
+        while stack and len(stack[-1]) == 2:
+            var, lo = stack.pop()
+            node = Node(var, lo, node)
+        if not stack:
+            break
+        stack[-1].append(node)
+    if pos != len(tokens):
+        raise FormatError("trailing tokens after tree")
+    return DecisionTree(root=node, size=size)
 
 
 # -- the formula encoding, field by field --------------------------------------------

@@ -16,8 +16,6 @@ from certlab.concepts import (
     cert_class_vc,
     distinct_concept_count,
     dt_eval,
-    enumerate_class,
-    parse_tree,
     serialize_tree,
 )
 from certlab.errors import BudgetError, FormatError, ShapeError
@@ -31,7 +29,9 @@ from oracles import (
     V2,
     Z0,
     Z_UNSAT,
+    enumerate_class,
     is_shattered,
+    parse_tree,
     reference_cert_class_vc,
     vc_dimension,
 )

@@ -15,7 +15,7 @@ from hypothesis import Phase, given, settings, strategies as st
 
 import certlab
 from certlab.codes import DEFAULT_CODE_PARAMS, LinearCode
-from certlab.concepts import CertConcept, ExampleLayout
+from certlab.concepts import CertConcept, ExampleLayout, dt_eval, serialize_tree
 from certlab.errors import ConfigError, FormatError
 from certlab.harness import commands
 from certlab.harness.cli import build_parser, main
@@ -41,7 +41,7 @@ from certlab.paclearn import (
 )
 from certlab.sat import brute_force_sat, random_instance
 from certlab.verifiers import StepCounter
-from oracles import serialize_config, to_dimacs
+from oracles import parse_tree, serialize_config, to_dimacs
 
 
 def test_config_parse_serialize_round_trip():
@@ -448,6 +448,7 @@ def test_cli_rejects_unusable_values_in_one_line(tmp_path, capsys, command, cfg_
         ("enumerate", "corpus.kind = dimacs\n", "missing config key 'corpus.paths'"),
         # a declared key's value is read even on a run that does not use it
         ("enumerate", "corpus.count = junk\n", "config key 'corpus.count' must be an integer, got 'junk'"),
+        ("reduce", "decider.variant = bogus\n", "unknown variant 'bogus' (choose from standard, uniform)"),
     ],
 )
 def test_cli_error_names_the_key_or_value_at_fault(tmp_path, capsys, command, cfg_text, message):
@@ -662,15 +663,37 @@ def test_cli_output_file_that_cannot_be_written_is_one_line_exit_2(tmp_path, cap
     assert len(err.splitlines()) == 1
 
 
-def test_cli_enumerate(tmp_path):
-    assert run_cli(tmp_path, "enumerate", "corpus.kind = single_clause\n") == 0
-    lines = (tmp_path / "trees.txt").read_text().strip().splitlines()
-    assert len(lines) == 9
-    from certlab.concepts import parse_tree
-
-    for line in lines:
+@pytest.mark.parametrize("preset", ["", "code.c = 4\ncode.eps_star = 1/8\n"], ids=["default_code", "reduction_code"])
+@pytest.mark.parametrize(
+    "corpus_text",
+    [
+        "corpus.kind = single_clause\n",
+        "corpus.kind = exhaustive2var\n",
+        "corpus.kind = random\ncorpus.count = 40\ncorpus.vars_min = 3\ncorpus.vars_max = 8\n",
+    ],
+    ids=["single_clause", "exhaustive2var", "random"],
+)
+def test_cli_enumerate(tmp_path, corpus_text, preset):
+    """Line k of trees.txt is instance k's encoding and its concept's exact
+    tree: the text re-serializes to itself, has matched + 2^ell leaves (one
+    without a certificate), and gives the concept's label at every useful
+    index value and at a useless point."""
+    assert run_cli(tmp_path, "enumerate", corpus_text + preset) == 0
+    cfg = read_config(parse_config(corpus_text + preset), COMMANDS["enumerate"], "enumerate")
+    corpus = build_corpus(cfg, cfg["seed"])
+    params = commands.code_params_from(cfg)
+    lines = (tmp_path / "trees.txt").read_text().splitlines()
+    assert len(lines) == len(corpus.instances)
+    for line, inst in zip(lines, corpus.instances):
         z, text = line.split(" ", 1)
-        parse_tree(text)
+        assert z == corpus.encoding.encode(inst)
+        tree = parse_tree(text)
+        assert serialize_tree(tree) == text
+        concept = CertConcept(corpus.verifier, z, params)
+        lay = concept.layout
+        assert tree.size == (1 if concept.first_cert is None else lay.matched + (1 << lay.ell))
+        points = [lay.example(z, v) for v in range(1 << lay.ell)] + [commands.useless_point(concept)]
+        assert [dt_eval(tree, x) for x in points] == [concept(x) for x in points]
 
 
 def test_cli_vcdim(tmp_path):

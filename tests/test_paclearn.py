@@ -24,7 +24,6 @@ from certlab.paclearn import (
     sparse_erm,
     support_labels,
 )
-from certlab.concepts import enumerate_class
 from certlab.harness.commands import COMMANDS, _target_concept, distribution_suite
 from certlab.harness.config import read_config
 from certlab.harness.corpus import build_corpus
@@ -35,6 +34,7 @@ from oracles import (
     V2,
     Z0,
     Z_UNSAT,
+    enumerate_class,
     erm_learner,
     reference_error,
     reference_junta_label,

@@ -3,11 +3,11 @@ and read back what the matching writer wrote."""
 
 from hypothesis import given, settings, strategies as st
 
-from certlab.concepts import DecisionTree, Node, parse_tree, serialize_tree
+from certlab.concepts import DecisionTree, Node, serialize_tree
 from certlab.errors import FormatError
 from certlab.harness.config import parse_config
 from certlab.sat import ThreeSatInstance, parse_dimacs
-from oracles import serialize_config, to_dimacs
+from oracles import parse_tree, serialize_config, to_dimacs
 
 SEPARATORS = [" ", "  ", "\t", "\n", "\r\n", "\r", "\x0c", " ", ""]
 
