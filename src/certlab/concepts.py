@@ -238,20 +238,23 @@ def cert_class_vc(concepts: list[CertConcept]) -> CertVcReport:
     the standard layout that is the one example (z, i), in the uniform layout
     every trailing part.  A candidate point is one such (head, i) that some
     concept labels 1, kept with the mask of concepts that do; a point no
-    concept labels 1 sits in no shattered set.  Two points with the same mask
-    cannot take the labels (1, 0), and two with different heads have disjoint
-    masks (a concept labels 1 only examples with its own head), so testing
-    each pair of distinct masks within one head decides all `pairs_checked`
-    pairs of candidate points; in the uniform layout every head is "".  The
-    singleton reported is the first candidate, in concept then index order,
-    whose mask is not full, as one of its examples.
+    concept labels 1 sits in no shattered set.  Only concepts with the
+    point's head label it 1: masks number the concepts within a head, and
+    with two or more heads no mask nor OR of two is full.  Points with one
+    mask cannot take the labels (1, 0), nor points with two heads (1, 1), so
+    testing each pair of distinct masks within one head decides all
+    `pairs_checked` candidate pairs (in the uniform layout every head is
+    "").  The singleton is the first candidate, in concept then index order,
+    with a mask that is not full, as one of its examples.
     """
-    full = (1 << len(concepts)) - 1
+    last: dict[str, int] = {}  # head -> the number of its latest concept
     points: dict[tuple, list] = {}  # (head, index bits) -> [mask, first example]
-    for ci, concept in enumerate(concepts):
-        matched, cut = concept.layout.matched, concept.layout.matched + concept.layout.ell
+    for concept in concepts:
+        head, cut = concept.head, concept.layout.matched + concept.layout.ell
+        ci = last[head] = last.get(head, -1) + 1
         for x in concept.one_points():
-            points.setdefault((x[:matched], x[matched:cut]), [0, x])[0] |= 1 << ci
+            points.setdefault((head, x[len(head) : cut]), [0, x])[0] |= 1 << ci
+    full = (1 << len(concepts)) - 1 if len(last) == 1 else -1  # -1: never a mask
     singleton = next((x for mask, x in points.values() if mask != full), None)
     masks: dict[str, set[int]] = {}  # head -> its points' distinct masks
     for (head, _), (mask, _) in points.items():

@@ -3,7 +3,8 @@ a brute-force SAT oracle, corpora.
 
 A clause is a tuple of signed variable indices (DIMACS convention, 1-based,
 at most 3 literals).  Assignments are bitstrings with variable j at string
-position j-1.
+position j-1.  `satisfying_mask` ANDs each narrow half of a doubling mask
+with cached half-width literal masks, and no OR touches a wide operand.
 """
 
 from __future__ import annotations
@@ -85,26 +86,25 @@ def eval_assignment(inst: ThreeSatInstance, assignment: str) -> bool:
 # The set of satisfying assignments over {0,1}^p is materialized as one big
 # integer: bit v is set iff the assignment with integer value v (MSB-first,
 # variable j at weight 2^(p-j)) satisfies the formula.
+_LIT_MASKS: dict[int, dict[int, int]] = {}  # one p: {l: the v < 2^(p-1) that satisfy l}
 
-_VAR_MASKS: dict[tuple[int, int], int] = {}
 
-
-def _var_mask(p: int, j: int) -> int:
-    # assignments v whose bit (p-j) is set, as a 2^p-bit mask
-    key = (p, j)
-    cached = _VAR_MASKS.get(key)
-    if cached is not None:
-        return cached
-    # one period (2^b zeros then 2^b ones), doubled by shifts to 2^p bits;
-    # a big-int division would be quadratic in the mask width
-    b = p - j
-    mask = ((1 << (1 << b)) - 1) << (1 << b)
-    width = 1 << (b + 1)
-    while width < (1 << p):
-        mask |= mask << width
-        width <<= 1
-    _VAR_MASKS[key] = mask
-    return mask
+def _literal_masks(p: int) -> dict[int, int]:
+    if p not in _LIT_MASKS:
+        half = (1 << p) >> 1
+        full = (1 << half) - 1
+        lits = {1: 0, -1: full} if p else {}  # x_1 = 1 only at v >= 2^(p-1)
+        for j in range(2, p + 1):
+            # 2^b zeros then 2^b ones, doubled by shifts to the half width;
+            # a big-int division would be quadratic in the width
+            b = 1 << (p - j)
+            mask, width = ((1 << b) - 1) << b, 2 * b
+            while width < half:
+                mask, width = mask | mask << width, 2 * width
+            lits[j], lits[-j] = mask, mask ^ full
+        _LIT_MASKS.clear()
+        _LIT_MASKS[p] = lits
+    return _LIT_MASKS[p]
 
 
 def satisfying_mask(inst: ThreeSatInstance, p: int) -> int:
@@ -116,9 +116,11 @@ def satisfying_mask(inst: ThreeSatInstance, p: int) -> int:
     mask covers variables p-e+1..p in 2^e bits and holds the clauses whose
     first variable is among them.  Variable j = p-e+1 is the top bit of
     step e, so a clause whose first literal is on x_j restricts only one
-    half (x_j = 0 for a positive literal, x_j = 1 for a negative one) to the
-    clause's other literals, which live on the lower 2^(e-1) bits.  Every
-    big-int operation is as wide as the variables seen so far.
+    half (x_j = 0 for a positive literal, x_j = 1 for a negative one) to its
+    other literals, which live on the lower 2^(e-1) bits: it ANDs that half
+    with their literal masks, one AND (2 literals) or two and an OR of their
+    results (3 literals), or empties it (1 literal).  Below bit 2^(e-1), x_j's
+    own masks are 0 and all ones, so tautologies need no case.
     """
     if p < inst.num_vars:
         raise ShapeError(f"p={p} smaller than num_vars={inst.num_vars}")
@@ -128,24 +130,19 @@ def satisfying_mask(inst: ThreeSatInstance, p: int) -> int:
             return 0
         # canonical clauses are sorted by variable, so clause[0] is the first
         buckets[p - abs(clause[0]) + 1].append(clause)
+    lits = _literal_masks(p)
     mask = 1
     for e in range(1, p + 1):
-        half = 1 << (e - 1)
-        full = (1 << half) - 1
-        lo = hi = mask
-        for clause in buckets[e]:
-            rest = 0
-            for lit in clause[1:]:
-                # x_j's own mask cuts to 0, so (x_j, -x_j) needs no case
-                m = _var_mask(p, abs(lit)) & full
-                rest |= m if lit > 0 else m ^ full
-            if clause[0] > 0:
-                lo &= rest
+        halves = [mask, mask]  # x_j = 0, x_j = 1
+        for first, *rest in buckets[e]:
+            k = first < 0
+            if len(rest) == 2:
+                halves[k] = (halves[k] & lits[rest[0]]) | (halves[k] & lits[rest[1]])
             else:
-                hi &= rest
-        if not (lo or hi):
+                halves[k] = halves[k] & lits[rest[0]] if rest else 0
+        if not any(halves):
             return 0
-        mask = (hi << half) | lo
+        mask = (halves[1] << (1 << (e - 1))) | halves[0]
     return mask
 
 

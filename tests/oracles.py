@@ -36,7 +36,7 @@ from certlab.errors import (
 )
 from certlab.paclearn import LabeledSample
 from certlab.reduction import AmTranscript, _Challenge
-from certlab.sat import ThreeSatInstance, _var_mask, eval_assignment
+from certlab.sat import ThreeSatInstance, eval_assignment
 from certlab.verifiers import (
     FormulaEncoding,
     StepCounter,
@@ -71,6 +71,28 @@ def flip_positions(s: str, positions) -> str:
     return "".join(out)
 
 
+VAR_MASKS: dict[tuple[int, int], int] = {}
+
+
+def var_mask(p: int, j: int) -> int:
+    """The assignments v in {0,1}^p whose bit (p-j) is set, that is x_j = 1,
+    as a 2^p-bit mask; cached by (p, j)."""
+    key = (p, j)
+    cached = VAR_MASKS.get(key)
+    if cached is not None:
+        return cached
+    # one period (2^b zeros then 2^b ones), doubled by shifts to 2^p bits;
+    # a big-int division would be quadratic in the mask width
+    b = p - j
+    mask = ((1 << (1 << b)) - 1) << (1 << b)
+    width = 1 << (b + 1)
+    while width < (1 << p):
+        mask |= mask << width
+        width <<= 1
+    VAR_MASKS[key] = mask
+    return mask
+
+
 def clausewise_mask(inst: ThreeSatInstance, p: int) -> int:
     """satisfying_mask computed clause by clause at the full 2^p-bit width:
     the AND over clauses of the OR of their literal masks."""
@@ -81,7 +103,7 @@ def clausewise_mask(inst: ThreeSatInstance, p: int) -> int:
     for clause in inst.clauses:
         sat = 0
         for lit in clause:
-            m = _var_mask(p, abs(lit))
+            m = var_mask(p, abs(lit))
             sat |= m if lit > 0 else (full ^ m)
         mask &= sat
         if not mask:

@@ -124,7 +124,7 @@ def test_every_function_in_src_is_run_by_a_command_or_allowed(
 ):
     # start from empty module caches, so the commands build what they use
     monkeypatch.setattr(codes, "_CODE_CACHE", {})
-    monkeypatch.setattr(sat, "_VAR_MASKS", {})
+    monkeypatch.setattr(sat, "_LIT_MASKS", {})
     build_parser.cache_clear()
     defined = defined_functions()
     covered = reached_by_commands(tmp_path) | perfbench_functions(perfbench_modules)

@@ -15,7 +15,8 @@ from certlab.sat import (
     random_instance,
     satisfying_mask,
 )
-from oracles import PHI0, PHI_UNSAT, clausewise_mask, solutions, to_dimacs
+import oracles
+from oracles import PHI0, PHI_UNSAT, clausewise_mask, solutions, to_dimacs, var_mask
 
 
 def test_eval_assignment_examples():
@@ -89,15 +90,57 @@ def test_satisfying_mask_equals_the_clausewise_mask_at_p20():
         assert satisfying_mask(inst, 20) == clausewise_mask(inst, 20)
 
 
+def widest_bucket_formula(rng: random.Random, p: int) -> ThreeSatInstance:
+    """A formula over p variables whose clauses mostly start on x1 or x2, so
+    they restrict the fold's two widest halves: units, 2- and 3-literal
+    clauses, and the tautologies x1 | -x1 | xp and -x1 | x2 | -x2 on the
+    lower and the upper half."""
+    clauses = [(1, -1, p), (-1, 2, -2)]
+    for _ in range(3 * p // 2):
+        first = rng.choice((1, 1, 2, 2, rng.randint(3, p - 2)))
+        width = rng.choice((1,) + (2,) * 5 + (3,) * 10)
+        vs = (first, *rng.sample(range(first + 1, p + 1), width - 1))
+        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
+    return ThreeSatInstance(p, clauses)
+
+
+def test_satisfying_mask_equals_the_clausewise_mask_in_the_widest_buckets():
+    rng = random.Random("widest")
+    nonzero = 0
+    for p in range(12, 17):
+        for _ in range(8):
+            inst = widest_bucket_formula(rng, p)
+            mask = satisfying_mask(inst, p)
+            assert mask == clausewise_mask(inst, p), (p, inst)
+            nonzero += mask != 0
+    assert nonzero >= 30  # most formulas keep solutions for the masks to differ on
+
+
 def test_var_mask_matches_the_division_formula(monkeypatch):
-    monkeypatch.setattr(sat, "_VAR_MASKS", {})
+    monkeypatch.setattr(oracles, "VAR_MASKS", {})
+    monkeypatch.setattr(sat, "_LIT_MASKS", {})
     for p in range(1, 13):
         ones = (1 << (1 << p)) - 1
+        half = (1 << (1 << (p - 1))) - 1
+        lits = sat._literal_masks(p)
         for j in range(1, p + 1):
             b = p - j
             chunk = ((1 << (1 << b)) - 1) << (1 << b)
             period = 1 << (b + 1)
-            assert sat._var_mask(p, j) == chunk * (ones // ((1 << period) - 1)), (p, j)
+            assert var_mask(p, j) == chunk * (ones // ((1 << period) - 1)), (p, j)
+            # the literal masks: x_j's mask cut to 2^(p-1) bits and its complement there
+            assert lits[j] == var_mask(p, j) & half, (p, j)
+            assert lits[-j] == lits[j] ^ half, (p, j)
+
+
+def test_the_literal_mask_cache_holds_one_p(monkeypatch):
+    monkeypatch.setattr(sat, "_LIT_MASKS", {})
+    satisfying_mask(ThreeSatInstance(12, [(1, 2, -3)]), 12)
+    satisfying_mask(ThreeSatInstance(10, [(1, 2, -3)]), 10)
+    assert list(sat._LIT_MASKS) == [10]
+    lits = sat._LIT_MASKS[10]
+    assert sorted(lits) == [*range(-10, 0), *range(1, 11)]
+    assert all(0 <= m < 1 << (1 << 9) for m in lits.values())
 
 
 def test_satisfying_mask_extra_free_variables():

@@ -174,9 +174,9 @@ def test_first_certificate_counts_equal_the_binary_search_generic_p12():
 
 def test_first_certificate_matches_the_reference_solver_p17_to_p24(perfbench_modules, monkeypatch):
     reference = perfbench_modules("reference")
-    # the full-width variable masks of p = 17..24 would stay cached for the
-    # rest of the session; keep them for this test only
-    monkeypatch.setattr(sat, "_VAR_MASKS", {})
+    # the p = 24 literal masks would stay cached for the rest of the
+    # session; keep them for this test only
+    monkeypatch.setattr(sat, "_LIT_MASKS", {})
     outcomes = set()
     for p in range(17, 25):
         rng = random.Random(f"scaled:{p}")
@@ -196,11 +196,11 @@ def test_first_certificate_matches_the_reference_solver_p17_to_p24(perfbench_mod
 def test_first_certificate_memory_stays_bounded_over_many_instances(monkeypatch):
     # a satisfiable p = 20 formula's accept mask is 128 KiB; a verifier that
     # kept one per instance would hold megabytes after 50 of them
-    monkeypatch.setattr(sat, "_VAR_MASKS", {})
+    monkeypatch.setattr(sat, "_LIT_MASKS", {})
     rng = random.Random("bounded:20")
     enc = FormulaEncoding(max_vars=20, max_clauses=88)
     v = ThreeSatVerifier(enc)
-    first_certificate(v, enc.encode(random_instance(rng, 20, 88)))  # builds the variable masks
+    first_certificate(v, enc.encode(random_instance(rng, 20, 88)))  # builds the literal masks
     zs = [enc.encode(random_instance(rng, 20, 88)) for _ in range(50)]
     assert len(set(zs)) == 50
     tracemalloc.start()
