@@ -12,6 +12,7 @@ always labeled 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -25,8 +26,6 @@ from .verifiers import StepCounter, ThreeSatVerifier, first_certificate
 #: The two example layouts: "standard" is z then index, "uniform" is index
 #: then x, where x is ignored.
 LAYOUT_KINDS = ("standard", "uniform")
-
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def check_layout_kind(kind: str) -> str:
@@ -103,14 +102,6 @@ class JuntaHypothesis:
         lo, hi = lay.matched, lay.matched + lay.ell
         word, head = self.word, self.head
         return [(word >> int(x[lo:hi], 2)) & 1 if x.startswith(head) else 0 for x in points]
-
-    def labels_on(self, dist) -> bytes:
-        """The 0/1 label of each support point of the distribution, in
-        support order: the word's bit at the point's index value.  A point
-        that does not start with the head reads bit 2^ell, which is 0."""
-        width = (1 << self.layout.ell) + 1
-        bits = f"{self.word:0{width}b}"[::-1].encode().translate(_BIT_BYTES)  # byte v: bit v
-        return bytes(map(bits.__getitem__, dist.index_values(self.layout, self.head)))
 
 
 class CertConcept(JuntaHypothesis):
@@ -248,14 +239,17 @@ def cert_class_vc(concepts: list[CertConcept]) -> CertVcReport:
     with a mask that is not full, as one of its examples.
     """
     last: dict[str, int] = {}  # head -> the number of its latest concept
-    points: dict[tuple, list] = {}  # (head, index bits) -> [mask, first example]
+    points: dict[tuple, list] = {}  # (head, index value) -> [mask, first concept]
     for concept in concepts:
-        head, cut = concept.head, concept.layout.matched + concept.layout.ell
+        head = concept.head
         ci = last[head] = last.get(head, -1) + 1
-        for x in concept.one_points():
-            points.setdefault((head, x[len(head) : cut]), [0, x])[0] |= 1 << ci
+        for i, bit in enumerate(f"{concept.word:b}"[::-1]):
+            if bit == "1":
+                points.setdefault((head, i), [0, concept])[0] |= 1 << ci
     full = (1 << len(concepts)) - 1 if len(last) == 1 else -1  # -1: never a mask
-    singleton = next((x for mask, x in points.values() if mask != full), None)
+    singleton = next(
+        (c.layout.example(c.z, i) for (_, i), (mask, c) in points.items() if mask != full), None
+    )
     masks: dict[str, set[int]] = {}  # head -> its points' distinct masks
     for (head, _), (mask, _) in points.items():
         masks.setdefault(head, set()).add(mask)
@@ -285,36 +279,34 @@ def ldim_oracle(concepts, domain) -> int:
     Returns min(Ldim, LDIM_DEPTH): the adversary presents a point on which the
     surviving version space splits, the learner predicts optimally, and a
     mistake is forced on the branch the adversary keeps.  Exact whenever the
-    result is below LDIM_DEPTH.
+    result is below LDIM_DEPTH.  A version space is a set of the class's
+    distinct label vectors on the domain: concepts that label it alike never
+    split.  A junta labels the domain in one call, any other concept is
+    called once per point.
     """
     domain = list(domain)
-    concepts = list(concepts)
     if len(domain) > LDIM_MAX_DOMAIN:
         raise BudgetError(
             f"ldim search over {len(domain)} points at depth {LDIM_DEPTH} exceeds budget"
         )
-    labels = [tuple(int(c(x)) for x in domain) for c in concepts]
-    memo: dict[tuple, int] = {}
+    rows = frozenset(
+        tuple(c.labels(domain)) if isinstance(c, JuntaHypothesis) else tuple(int(c(x)) for x in domain)
+        for c in concepts
+    )
 
-    def value(vs: frozenset[int], depth: int) -> int:
+    @functools.cache
+    def value(vs: frozenset[tuple], depth: int) -> int:
         if depth == 0 or len(vs) <= 1:
             return 0
-        key = (vs, depth)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
         out = 0
         for xi in range(len(domain)):
-            v0 = frozenset(ci for ci in vs if labels[ci][xi] == 0)
+            v0 = frozenset(row for row in vs if row[xi] == 0)
             v1 = vs - v0
             if v0 and v1:
-                got = 1 + min(value(v0, depth - 1), value(v1, depth - 1))
-                if got > out:
-                    out = got
-        memo[key] = out
+                out = max(out, 1 + min(value(v0, depth - 1), value(v1, depth - 1)))
         return out
 
-    return value(frozenset(range(len(concepts))), LDIM_DEPTH)
+    return value(rows, LDIM_DEPTH)
 
 
 def distinct_concept_count(concepts: list[CertConcept]) -> int:

@@ -129,24 +129,32 @@ class SupportLabels(dict):
         self.dist, self.labels = dist, labels
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def labels_on(dist: Distribution, g) -> bytes:
+    """g's 0/1 labels on the distribution's support, in support order: this
+    distribution's support labels are their bytes; a junta's are its word's
+    bits at the cached index values (a point that does not start with its
+    head reads bit 2^ell, which is 0); any other callable is called once per
+    point, and a table or other support labels answer from C."""
+    if isinstance(g, SupportLabels) and g.dist is dist:
+        return g.labels
+    if isinstance(g, JuntaHypothesis):
+        bits = f"{g.word:0{(1 << g.layout.ell) + 1}b}"[::-1].encode().translate(_BIT_BYTES)  # byte v: bit v
+        return bytes(map(bits.__getitem__, dist.index_values(g.layout, g.head)))
+    return bytes(map(g, dist.points))
+
+
 def support_labels(dist: Distribution, concept) -> SupportLabels:
-    """The concept's labels, calling it once per support point in support order."""
-    return SupportLabels(dist, bytes([int(concept(x)) for x in dist.points]))
+    """The concept's labels on the support, in support order, as `labels_on` gives them."""
+    return SupportLabels(dist, labels_on(dist, concept))
 
 
 def error_of(dist: Distribution, f, h) -> float:
     """Exact weighted disagreement Pr_{x~D}[f(x) != h(x)]: the weights of the
-    support points where the labels differ, summed in support order.  This
-    distribution's support labels are read as bytes, a junta labels the
-    support in one call, and any other callable is called once per point;
-    a table or other support labels answer from C, with no Python frame."""
-    f_labels, h_labels = (
-        g.labels if isinstance(g, SupportLabels) and g.dist is dist
-        else g.labels_on(dist) if isinstance(g, JuntaHypothesis)
-        else map(g, dist.points)
-        for g in (f, h)
-    )
-    return sum(compress(dist.weights, map(ne, f_labels, h_labels)))
+    support points where the `labels_on` bytes differ, summed in support order."""
+    return sum(compress(dist.weights, map(ne, labels_on(dist, f), labels_on(dist, h))))
 
 
 # -- hypotheses -----------------------------------------------------------------
@@ -228,7 +236,6 @@ def junta_learner(
 class SuiteResult:
     success_rate: float
     mean_error: float
-    errors: tuple[float, ...]
     mean_steps: float
     wall_s: float
 
@@ -276,7 +283,6 @@ def pac_trial_suite(
     return SuiteResult(
         success_rate=successes / trials,
         mean_error=sum(errors) / trials,
-        errors=tuple(errors),
         mean_steps=total_steps / trials,
         wall_s=wall,
     )

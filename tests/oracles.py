@@ -471,6 +471,31 @@ def reference_cert_class_vc(concepts: list[CertConcept]) -> CertVcReport:
     )
 
 
+def reference_ldim(concepts, domain, depth: int = 3) -> int:
+    """min(Ldim, depth) by minimax over concept indices, each concept called
+    once per domain point, with a hand-written memo of (version space,
+    depth): the search `ldim_oracle` makes over distinct label vectors."""
+    domain = list(domain)
+    labels = [tuple(int(c(x)) for x in domain) for c in concepts]
+    memo: dict[tuple, int] = {}
+
+    def value(vs: frozenset[int], depth: int) -> int:
+        if depth == 0 or len(vs) <= 1:
+            return 0
+        key = (vs, depth)
+        if key not in memo:
+            out = 0
+            for xi in range(len(domain)):
+                v0 = frozenset(ci for ci in vs if labels[ci][xi] == 0)
+                v1 = vs - v0
+                if v0 and v1:
+                    out = max(out, 1 + min(value(v0, depth - 1), value(v1, depth - 1)))
+            memo[key] = out
+        return memo[key]
+
+    return value(frozenset(range(len(labels))), depth)
+
+
 def exhaustive_adversary_max_mistakes(
     make_learner, concepts, domain, max_rounds: int
 ) -> int:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -455,6 +456,34 @@ def test_cert_class_vc_matches_pair_walk(name, params):
     concepts = [CertConcept(corpus.verifier, corpus.encoding.encode(f), params)
                 for f in corpus.instances]
     assert cert_class_vc(concepts) == reference_cert_class_vc(concepts)
+
+
+@functools.cache
+def standard_concepts(name: str) -> list[CertConcept]:
+    corpus = VC_CORPORA[name]()
+    return [CertConcept(corpus.verifier, corpus.encoding.encode(f), DEFAULT_CODE_PARAMS)
+            for f in corpus.instances]
+
+
+def structural_vc(concepts) -> int:
+    """In the standard layout two examples with different heads are never
+    both labelled 1, and the examples of one head take at most two label
+    patterns, so no pair is shattered; a singleton is exactly when some
+    concept labels an example 1 and another distinct concept exists."""
+    return int(any(c.word for c in concepts) and distinct_concept_count(concepts) >= 2)
+
+
+@pytest.mark.parametrize("name", sorted(VC_CORPORA))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_standard_vc_is_the_structural_value(name, data):
+    """On whole corpora, and on small subclasses with duplicates, which reach
+    the 0 cases: no concept, only zero words, or one nonzero function."""
+    whole = standard_concepts(name)
+    assert cert_class_vc(whole).dimension == structural_vc(whole) == 1
+    concepts = data.draw(st.lists(st.sampled_from(whole), max_size=4))
+    concepts += data.draw(st.lists(st.sampled_from(concepts), max_size=2)) if concepts else []
+    assert cert_class_vc(concepts).dimension == structural_vc(concepts)
 
 
 @pytest.mark.parametrize(

@@ -3,10 +3,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from certlab.bits import int_to_bits
 from certlab.codes import DEFAULT_CODE_PARAMS
-from certlab.concepts import CertConcept, cert_class_vc, ldim_oracle
+from certlab.concepts import CertConcept, JuntaHypothesis, cert_class_vc, ldim_oracle
 from certlab.errors import BudgetError, DataInconsistencyError
 from certlab.paclearn import (
     Distribution,
@@ -33,6 +34,7 @@ from oracles import (
     Z0,
     Z_UNSAT,
     exhaustive_adversary_max_mistakes,
+    reference_ldim,
 )
 
 
@@ -210,6 +212,29 @@ def test_ldim_restricted_cert_class_is_one():
     assert dim == 1
     vc = cert_class_vc(concepts).dimension
     assert dim >= vc
+
+
+LDIM_POOL = concepts_for(exhaustive_formulas(2, 2)) + [
+    CertConcept(V2, ENC2.encode(f), DEFAULT_CODE_PARAMS, kind="uniform") for f in exhaustive_formulas(2, 1)
+]
+LDIM_POINTS = sorted({x for c in LDIM_POOL for x in c.one_points()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ldim_oracle_matches_the_per_concept_minimax(data):
+    """Searching distinct label vectors, with juntas labelled in one call,
+    gives the value of the minimax over concepts, each called per point."""
+    lay = LDIM_POOL[0].layout
+    point = st.sampled_from(LDIM_POINTS) | st.text("01", min_size=lay.example_len, max_size=lay.example_len)
+    domain = data.draw(st.lists(point, max_size=16))
+    base = data.draw(st.lists(st.sampled_from(LDIM_POOL), max_size=5))
+    base += [JuntaHypothesis(w, lay) for w in data.draw(st.lists(st.integers(0, (1 << 16) - 1), max_size=6))]
+    duplicates = data.draw(st.lists(st.sampled_from(base), max_size=3)) if base else []
+    wrapped = [lambda x, c=c: c(x) for c in data.draw(st.lists(st.sampled_from(LDIM_POOL), max_size=2))]
+    dictators = [lambda x, k=k: x[k] == "1" for k in data.draw(st.lists(st.integers(0, lay.example_len - 1), max_size=2))]
+    concepts = data.draw(st.permutations(base + duplicates + wrapped + dictators))
+    assert ldim_oracle(concepts, domain) == reference_ldim(concepts, domain)
 
 
 def test_ldim_budget_guard():

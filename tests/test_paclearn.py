@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from certlab.bits import int_to_bits
 from certlab.codes import DEFAULT_CODE_PARAMS, get_code
-from certlab.concepts import CertConcept, ExampleLayout
+from certlab.concepts import CertConcept, ExampleLayout, ldim_oracle
 from certlab.errors import ConfigError, DataInconsistencyError, ShapeError
 from certlab.paclearn import (
     Distribution,
@@ -20,6 +20,7 @@ from certlab.paclearn import (
     error_of,
     few_sample_learner,
     junta_learner,
+    labels_on,
     pac_trial_suite,
     sparse_erm,
     support_labels,
@@ -321,8 +322,8 @@ def test_error_of_equals_the_per_point_sum_exactly(data):
     for j in juntas:
         assert j.labels(dist.points) == [j(x) for x in dist.points]
         assert j.labels(points) == [reference_junta_label(j, x) for x in points]
-        assert list(j.labels_on(dist)) == j.labels(points)
-    assert not any(juntas[3].labels_on(dist))
+        assert list(labels_on(dist, j)) == j.labels(points)
+    assert not any(labels_on(dist, juntas[3]))
 
 
 @pytest.mark.parametrize("delta", [-1, 1])
@@ -344,15 +345,16 @@ def test_error_of_on_a_support_of_the_wrong_length_raises_the_index_error(delta)
     assert str(err.value) == f"example must have length {want}, got {want + 2}"
 
 
-def python_calls(fn, *args) -> int:
-    """The Python frames entered while fn(*args) runs, fn's own included.
-    The collector is held off: a collection set off inside fn would run
-    other objects' Python finalizers there and count their frames."""
+def python_calls(fn, *args, code=None) -> int:
+    """The Python frames entered while fn(*args) runs, fn's own included, or
+    only those running the given code object.  The collector is held off: a
+    collection set off inside fn would run other objects' Python finalizers
+    there and count their frames."""
     calls = 0
 
     def profile(frame, event, arg):
         nonlocal calls
-        calls += event == "call"
+        calls += event == "call" and code in (None, frame.f_code)
 
     gc.collect()
     gc.disable()
@@ -383,6 +385,20 @@ def test_scoring_and_drawing_run_no_python_frame_per_point():
     labels = support_labels(dist, lambda x: x.count("1") % 2)
     drawing = [python_calls(draw_sample, dist, labels, m, random.Random(m)) for m in (1, 47)]
     assert drawing[0] == drawing[1]
+
+
+def test_juntas_label_a_support_or_probe_without_a_call_per_point():
+    """`support_labels` and `ldim_oracle` label certificate concepts from
+    their words: no `JuntaHypothesis.__call__` frame runs."""
+    c = concept0()
+    dist = Distribution.uniform(useful_points(c) + [c.layout.example("1" * V2.n, 3)])
+    concepts = [CertConcept(V2, ENC2.encode(f), DEFAULT_CODE_PARAMS) for f in exhaustive_formulas(2, 2)]
+    probe = dist.points[-16:]
+    call = JuntaHypothesis.__call__.__code__
+    assert python_calls(support_labels, dist, c, code=call) == 0
+    assert python_calls(ldim_oracle, concepts, probe, code=call) == 0
+    # a concept behind a lambda is called once per point, and counted
+    assert python_calls(ldim_oracle, concepts + [lambda x: c(x)], probe, code=call) == 16
 
 
 def test_a_checked_sample_is_built_without_a_python_frame():
@@ -669,7 +685,7 @@ def test_pac_trial_suite_deterministic_and_perfect_learner():
     learner = partial(few_sample_learner, verifier=V2, params=DEFAULT_CODE_PARAMS)
     a = pac_trial_suite(learner, c, dist, 0.1, 47, 30, "seed")
     b = pac_trial_suite(learner, c, dist, 0.1, 47, 30, "seed")
-    assert a.errors == b.errors
+    assert (a.success_rate, a.mean_error, a.mean_steps) == (b.success_rate, b.mean_error, b.mean_steps)
     assert a.success_rate == 1.0
 
 
@@ -692,20 +708,18 @@ def test_a_raising_learner_fails_its_trial_with_error_one():
     concept = _target_concept(corpus, DEFAULT_CODE_PARAMS)
     dist = dict(distribution_suite(concept))["useless_mass"]
     junta = partial(junta_learner, layout=concept.layout)
-    raised = []
+    learned = []  # each trial's hypothesis, None where the learner raised
 
     def learner(sample, counter=None):
-        try:
-            hypothesis = junta(sample, counter=counter)
-        except DataInconsistencyError:
-            raised.append(True)
-            raise
-        raised.append(False)
-        return hypothesis
+        learned.append(None)
+        learned[-1] = junta(sample, counter=counter)
+        return learned[-1]
 
     res = pac_trial_suite(learner, concept, dist, 0.1, 47, 200, 5)
+    raised = [h is None for h in learned]
     assert any(raised) and not all(raised)
-    assert all(err == 1.0 for err, r in zip(res.errors, raised) if r)
+    errors = [1.0 if h is None else error_of(dist, concept, h) for h in learned]
+    assert res.mean_error == sum(errors) / 200
     assert res.success_rate <= raised.count(False) / 200
 
     def counts_then_raises(sample, counter=None):
@@ -713,7 +727,7 @@ def test_a_raising_learner_fails_its_trial_with_error_one():
         raise DataInconsistencyError("always")
 
     res = pac_trial_suite(counts_then_raises, concept, dist, 0.1, 5, 4, 0)
-    assert (res.success_rate, res.errors, res.mean_steps) == (0.0, (1.0,) * 4, 3.0)
+    assert (res.success_rate, res.mean_error, res.mean_steps) == (0.0, 1.0, 3.0)
 
 
 def test_realizable_consistency_property():
