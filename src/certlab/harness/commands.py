@@ -135,9 +135,9 @@ def distribution_suite(concept: CertConcept) -> list[tuple[str, Distribution]]:
 def cmd_enumerate(cfg: dict, out_dir: Path, seed) -> int:
     corpus = build_corpus(cfg, seed)
     params = code_params_from(cfg)
-    zs = [corpus.encoding.encode(inst) for inst in corpus.instances]
     lines = []
-    for z in zs:
+    for inst in corpus.instances:
+        z = corpus.verifier.encode(inst)
         tree = build_decision_tree(CertConcept(corpus.verifier, z, params))
         lines.append(f"{z} {serialize_tree(tree)}")
     write_lines(out_dir / "trees.txt", lines)
@@ -174,8 +174,7 @@ def cmd_vcdim(cfg: dict, out_dir: Path, seed) -> int:
     corpus = build_corpus(cfg, seed)
     params = code_params_from(cfg)
     concepts = [
-        CertConcept(corpus.verifier, corpus.encoding.encode(inst), params)
-        for inst in corpus.instances
+        CertConcept(corpus.verifier, corpus.verifier.encode(inst), params) for inst in corpus.instances
     ]
     report = cert_class_vc(concepts)
     n_distinct = distinct_concept_count(concepts)
@@ -244,8 +243,7 @@ def pac_trial_grid(concept, verifier, params, names, budgets, suite, eps, trials
 def _target_concept(corpus: Corpus, params: CodeParams) -> CertConcept:
     fallback = None
     for inst in corpus.instances:
-        z = corpus.encoding.encode(inst)
-        concept = CertConcept(corpus.verifier, z, params)
+        concept = CertConcept(corpus.verifier, corpus.verifier.encode(inst), params)
         if concept.first_cert is not None:
             if concept.sparsity > 0:
                 return concept

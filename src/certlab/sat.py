@@ -3,8 +3,13 @@ a brute-force SAT oracle, corpora.
 
 A clause is a tuple of signed variable indices (DIMACS convention, 1-based,
 at most 3 literals).  Assignments are bitstrings with variable j at string
-position j-1.  `satisfying_mask` ANDs each narrow half of a doubling mask
-with cached half-width literal masks, and no OR touches a wide operand.
+position j-1.  A formula's clauses are made canonical once, where the
+formula is built: the checked constructor canonicalises any clauses (DIMACS,
+user input), and `random_instance`, `exhaustive_formulas` and
+`FormulaEncoding.decode` build canonical clauses themselves and go through
+the unchecked `ThreeSatInstance._of_canonical`.  `satisfying_mask` ANDs each
+narrow half of a doubling mask with cached half-width literal masks; only its
+top step, where the literal masks are as wide as the half, ORs two of them.
 """
 
 from __future__ import annotations
@@ -35,9 +40,10 @@ def _canon_clause(lits, num_vars: int) -> Clause:
 class ThreeSatInstance:
     """A CNF formula with clauses of width <= 3.
 
-    Clauses are canonicalized on construction (literals sorted, duplicates
-    within a clause dropped).  An empty clause list is trivially satisfiable;
-    an empty clause (width 0) is unsatisfiable.
+    Clauses are canonicalized on construction (literals sorted by variable,
+    a positive literal before its negation, duplicates within a clause
+    dropped).  An empty clause list is trivially satisfiable; an empty clause
+    (width 0) is unsatisfiable.
     """
 
     __slots__ = ("num_vars", "clauses")
@@ -47,6 +53,14 @@ class ThreeSatInstance:
             raise FormatError("num_vars must be nonnegative")
         self.num_vars = num_vars
         self.clauses: tuple[Clause, ...] = tuple(_canon_clause(c, num_vars) for c in clauses)
+
+    @classmethod
+    def _of_canonical(cls, num_vars: int, clauses: tuple[Clause, ...]) -> ThreeSatInstance:
+        """The instance of a tuple of clauses already canonical over num_vars
+        variables, not checked again."""
+        inst = object.__new__(cls)
+        inst.num_vars, inst.clauses = num_vars, clauses
+        return inst
 
     def __eq__(self, other) -> bool:
         return (
@@ -119,8 +133,11 @@ def satisfying_mask(inst: ThreeSatInstance, p: int) -> int:
     half (x_j = 0 for a positive literal, x_j = 1 for a negative one) to its
     other literals, which live on the lower 2^(e-1) bits: it ANDs that half
     with their literal masks, one AND (2 literals) or two and an OR of their
-    results (3 literals), or empties it (1 literal).  Below bit 2^(e-1), x_j's
-    own masks are 0 and all ones, so tautologies need no case.
+    results (3 literals), or empties it (1 literal).  At the top step (e = p)
+    the literal masks are as wide as the half, so a 3-literal clause ANDs the
+    half with the OR of the two masks instead: 2 wide operations, not 3.
+    Below bit 2^(e-1), x_j's own masks are 0 and all ones, so tautologies
+    need no case.
     """
     if p < inst.num_vars:
         raise ShapeError(f"p={p} smaller than num_vars={inst.num_vars}")
@@ -137,7 +154,8 @@ def satisfying_mask(inst: ThreeSatInstance, p: int) -> int:
         for first, *rest in buckets[e]:
             k = first < 0
             if len(rest) == 2:
-                halves[k] = (halves[k] & lits[rest[0]]) | (halves[k] & lits[rest[1]])
+                h, a, b = halves[k], lits[rest[0]], lits[rest[1]]
+                halves[k] = h & (a | b) if e == p else (h & a) | (h & b)
             else:
                 halves[k] = halves[k] & lits[rest[0]] if rest else 0
         if not any(halves):
@@ -213,7 +231,7 @@ def clause_universe(num_vars: int) -> list[Clause]:
         for vs in itertools.combinations(range(1, num_vars + 1), width):
             for signs in itertools.product((1, -1), repeat=width):
                 out.append(tuple(s * v for v, s in zip(vs, signs)))
-    return [_canon_clause(c, num_vars) for c in out]
+    return out  # canonical as built: the variables ascend and differ
 
 
 def exhaustive_formulas(num_vars: int, max_clauses: int) -> list[ThreeSatInstance]:
@@ -222,16 +240,19 @@ def exhaustive_formulas(num_vars: int, max_clauses: int) -> list[ThreeSatInstanc
     out = []
     for k in range(max_clauses + 1):
         for subset in itertools.combinations(universe, k):
-            out.append(ThreeSatInstance(num_vars, subset))
+            out.append(ThreeSatInstance._of_canonical(num_vars, subset))
     return out
 
 
 def random_instance(rng: random.Random, num_vars: int, num_clauses: int) -> ThreeSatInstance:
-    """Random formula: fixed clause count, 3 distinct variables per clause."""
+    """Random formula: fixed clause count, 3 distinct variables per clause.
+
+    Each sign is drawn in sample order; sorting the signed literals by
+    variable then gives the canonical clause, since the variables differ."""
     if num_vars < 3:
         raise ShapeError(f"clause width 3 exceeds num_vars {num_vars}")
     clauses = []
     for _ in range(num_clauses):
         vs = rng.sample(range(1, num_vars + 1), 3)
-        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
-    return ThreeSatInstance(num_vars, clauses)
+        clauses.append(tuple(sorted([v if rng.random() < 0.5 else -v for v in vs], key=abs)))
+    return ThreeSatInstance._of_canonical(num_vars, tuple(clauses))

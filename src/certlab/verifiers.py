@@ -5,7 +5,10 @@ A verifier has an instance length n, a certificate length p and two answers
 for an instance z: check(z, w), whether it accepts the certificate w, and
 accept_mask(z), the big-int mask of the certificates it accepts (bit v set
 iff it accepts the certificate with integer value v).  `ThreeSatVerifier` is
-the verifier every command builds.
+the verifier every command builds.  Each formula is made canonical once:
+`FormulaEncoding.decode` builds canonical clauses itself, and a caller that
+holds the formula has `ThreeSatVerifier.encode` remember it, so its z is
+never decoded back.
 
 The one NP primitive the rest of the package uses is the lexicographically
 first accepted certificate, which `first_certificate` reads off the accept
@@ -42,6 +45,9 @@ class StepCounter:
 
 # -- fixed-width binary encoding of formulas ----------------------------------
 
+#: The absent slots that fill a clause of each width to 3 slots.
+_ABSENT_SLOTS = ((0, 0, 0), (0, 0), (0,), ())
+
 
 @dataclass(frozen=True)
 class FormulaEncoding:
@@ -52,6 +58,13 @@ class FormulaEncoding:
     Each clause block holds 3 literal slots of (present, polarity, var index);
     unused slots and unused blocks are all-zero.  The all-zero string decodes
     to the canonical degenerate formula (0 variables, no clauses).
+
+    Three derived tables, left out of eq, hash and repr, serve the codec.
+    `encode` joins each literal's slot text (an absent slot's is under 0).
+    `decode` maps each slot to a key, 2 * var for a positive literal and
+    2 * var + 1 for a negative one (0 for an all-zero absent slot, -1 for one
+    with stray bits), so that a clause's sorted set of keys is in canonical
+    order, and maps each key back to its literal.
     """
 
     max_vars: int
@@ -62,40 +75,60 @@ class FormulaEncoding:
     slot_bits: int = field(init=False, repr=False)
     clause_bits: int = field(init=False, repr=False)
     width: int = field(init=False, repr=False)
+    _slot_text: dict[int, str] = field(init=False, repr=False, compare=False)
+    _slot_keys: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _key_lits: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.max_vars < 1 or self.max_clauses < 0:
             raise ConfigError("max_vars must be >= 1 and max_clauses >= 0")
         var_bits = max(1, (self.max_vars - 1).bit_length())
+        slot_bits, present, positive = 2 + var_bits, 2 << var_bits, 1 << var_bits
+        slot_keys = [0] + [-1] * (2 * present - 1)
+        key_lits = [0] * (2 * positive + 2)
+        slot_text = {0: "0" * slot_bits}  # 0 stands for an absent slot
+        for var in range(1, positive + 1):
+            for lit, slot in ((var, present | positive | var - 1), (-var, present | var - 1)):
+                key = 2 * var + (lit < 0)
+                slot_keys[slot], key_lits[key] = key, lit
+                if var <= self.max_vars:
+                    slot_text[lit] = format(slot, f"0{slot_bits}b")
         # derived fields: a frozen dataclass sets them through its __dict__
         self.__dict__.update(
             num_vars_bits=self.max_vars.bit_length(),
             clause_count_bits=max(1, self.max_clauses.bit_length()),
             var_bits=var_bits,
-            slot_bits=2 + var_bits,
-            clause_bits=3 * (2 + var_bits),
+            slot_bits=slot_bits,
+            clause_bits=3 * slot_bits,
+            _slot_text=slot_text,
+            _slot_keys=tuple(slot_keys),
+            _key_lits=tuple(key_lits),
         )
         self.__dict__["width"] = (
             self.num_vars_bits + self.clause_count_bits + self.max_clauses * self.clause_bits
         )
 
     def encode(self, inst: ThreeSatInstance) -> str:
+        """The formula's bits; any clause tuple of up to 3 literals over
+        variables 1..max_vars encodes as it is, repeats included."""
         if inst.num_vars > self.max_vars:
             raise ConfigError(f"instance has {inst.num_vars} vars, encoding allows {self.max_vars}")
         if len(inst.clauses) > self.max_clauses:
             raise ConfigError(
                 f"instance has {len(inst.clauses)} clauses, encoding allows {self.max_clauses}"
             )
-        slot_bits, present, positive = self.slot_bits, 2 << self.var_bits, 1 << self.var_bits
-        value = inst.num_vars << self.clause_count_bits | len(inst.clauses)
-        for clause in inst.clauses:
-            for lit in clause:
-                value = value << slot_bits | present | (positive if lit > 0 else 0) | abs(lit) - 1
-            value <<= slot_bits * (3 - len(clause))
-        value <<= self.clause_bits * (self.max_clauses - len(inst.clauses))
-        return format(value, f"0{self.width}b")
+        head = format(
+            inst.num_vars << self.clause_count_bits | len(inst.clauses),
+            f"0{self.num_vars_bits + self.clause_count_bits}b",
+        )
+        text = self._slot_text
+        body = "".join([text[lit] for c in inst.clauses for lit in c + _ABSENT_SLOTS[len(c)]])
+        return (head + body).ljust(self.width, "0")
 
     def decode(self, bits: str) -> ThreeSatInstance:
+        """The formula the bits encode, its clauses canonical, or FormatError.
+        Stray bits anywhere are reported before a variable above num_vars,
+        and of those the first in slot order is named."""
         check_bits(bits, name="encoded formula")
         if len(bits) != self.width:
             raise FormatError(f"encoded formula must have {self.width} bits, got {len(bits)}")
@@ -110,24 +143,34 @@ class FormulaEncoding:
         end = head + count * self.clause_bits
         if "1" in bits[end:]:
             raise FormatError("bits set past the declared clause blocks")
-        slot_bits, present, positive = self.slot_bits, 2 << self.var_bits, 1 << self.var_bits
-        shifts = (2 * slot_bits, slot_bits, 0)
+        value = int(bits[head:end] or "0", 2)
+        slot_keys, key_lit = self._slot_keys, self._key_lits
+        slot_bits, clause_bits = self.slot_bits, self.clause_bits
+        low, block_mask = (1 << slot_bits) - 1, (1 << clause_bits) - 1
+        limit, outside = 2 * num_vars + 1, 0  # the largest key in range; the first key above it
         clauses = []
-        for start in range(head, end, self.clause_bits):
-            block = int(bits[start : start + self.clause_bits], 2)
-            lits = []
-            for shift in shifts:
-                slot = block >> shift
-                if slot < present:
-                    # an absent slot: it and every slot after it are all-zero
-                    if block:
-                        raise FormatError("a literal slot follows an absent one or has stray bits")
-                    break
-                block ^= slot << shift
-                var = (slot & (positive - 1)) + 1
-                lits.append(var if slot & positive else -var)
-            clauses.append(lits)
-        return ThreeSatInstance(num_vars, clauses)
+        for shift in range(end - head - clause_bits, -1, -clause_bits):
+            block = value >> shift & block_mask
+            a = slot_keys[block >> 2 * slot_bits]
+            b = slot_keys[block >> slot_bits & low]
+            c = slot_keys[block & low]
+            keys = sorted({a, b, c})
+            if keys[-1] > limit and not outside:
+                outside = next(k for k in (a, b, c) if k > limit)
+            if len(keys) == 3 and keys[0] > 0:  # three distinct literals, the usual clause
+                x, y, z = keys
+                clauses.append((key_lit[x], key_lit[y], key_lit[z]))
+                continue
+            if keys[0] <= 0:
+                # an absent slot: it and every slot after it are all-zero
+                if c or a < 0 or b < 0 or b and not a:
+                    raise FormatError("a literal slot follows an absent one or has stray bits")
+                del keys[0]
+            clauses.append(tuple(map(key_lit.__getitem__, keys)))
+        if outside:
+            lit = key_lit[outside]
+            raise FormatError(f"literal {lit} references a variable outside [1, {num_vars}]")
+        return ThreeSatInstance._of_canonical(num_vars, tuple(clauses))
 
 
 class ThreeSatVerifier:
@@ -138,7 +181,8 @@ class ThreeSatVerifier:
     The verifier remembers only the instance it was last asked about: its
     string, its decoded formula (None when malformed) and its accept mask.
     Every caller asks about one instance many times in a row, and a reader
-    takes the whole memo at once, so it never mixes two instances.
+    takes the whole memo at once, so it never mixes two instances.  A caller
+    that holds the formula has `encode` remember it, and z is not decoded.
     """
 
     def __init__(self, encoding: FormulaEncoding) -> None:
@@ -159,6 +203,14 @@ class ThreeSatVerifier:
                 inst = None
             memo = self._memo = (z, inst, 0 if inst is None else satisfying_mask(inst, self.p))
         return memo
+
+    def encode(self, inst: ThreeSatInstance) -> str:
+        """The formula's z, remembered with the formula and its accept mask as
+        `_read` remembers a decoded instance; inst must be canonical, so that
+        it equals z's decoding."""
+        z = self.encoding.encode(inst)
+        self._memo = (z, inst, satisfying_mask(inst, self.p))
+        return z
 
     def check(self, z: str, w: str) -> bool:
         inst = self._read(z)[1]
@@ -202,7 +254,8 @@ def first_certificate(
     check_bits(z, length=v.n, name="instance")
     _check_budget(v)
     mask = v.accept_mask(z)
-    rank = (mask & -mask).bit_length() or (1 << v.p) + 1
+    # bits up to the lowest set one; a negative operand would copy the wide mask twice
+    rank = (mask ^ (mask - 1)).bit_length() if mask else (1 << v.p) + 1
     lo, hi = 1, 1 << v.p
     while lo < hi:
         mid = (lo + hi) // 2

@@ -315,6 +315,25 @@ def reference_decode(enc: FormulaEncoding, bits: str) -> ThreeSatInstance:
     return ThreeSatInstance(num_vars, clauses[:count])
 
 
+def reference_random_instance(rng: random.Random, num_vars: int, num_clauses: int) -> ThreeSatInstance:
+    """sat.random_instance drawn with the same RNG calls, each clause in sample
+    order and canonicalised by the checked constructor."""
+    clauses = []
+    for _ in range(num_clauses):
+        vs = rng.sample(range(1, num_vars + 1), 3)
+        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
+    return ThreeSatInstance(num_vars, clauses)
+
+
+def assert_canonical(inst: ThreeSatInstance) -> None:
+    """The formula is a fixed point of the checked constructor: the same
+    tuple of clause tuples, every literal a plain int."""
+    again = ThreeSatInstance(inst.num_vars, inst.clauses)
+    assert type(inst.num_vars) is int and type(inst.clauses) is tuple
+    assert inst.clauses == again.clauses
+    assert all(type(c) is tuple and all(type(lit) is int for lit in c) for c in inst.clauses)
+
+
 # -- verifiers and the NP-oracle view --------------------------------------------
 
 

@@ -40,7 +40,7 @@ from certlab.paclearn import (
     support_labels,
 )
 from certlab.sat import brute_force_sat, random_instance
-from certlab.verifiers import StepCounter
+from certlab.verifiers import StepCounter, ThreeSatVerifier
 from oracles import parse_tree, serialize_config, to_dimacs
 
 
@@ -102,6 +102,26 @@ def test_build_corpus_kinds(tmp_path):
     assert len(build_corpus(parsed("vcdim", {"corpus.kind": "random", "corpus.count": "5"}), 1).instances) == 5
     with pytest.raises(ConfigError):
         build_corpus(parsed("vcdim", {"corpus.kind": "nope"}), 0)
+
+
+def test_the_verifier_remembers_each_corpus_formula_as_decoding_would(tmp_path):
+    cnf = tmp_path / "dup.cnf"
+    # repeated and unsorted literals, which the DIMACS parser canonicalises
+    cnf.write_text("p cnf 5 3\n3 -1 3 0\n-2 2 0\n5 0\n")
+    kinds = [
+        {"corpus.kind": "exhaustive2var"},
+        {"corpus.kind": "single_clause"},
+        {"corpus.kind": "random", "corpus.count": "60", "corpus.vars_max": "8"},
+        {"corpus.kind": "dimacs", "corpus.paths": f"{cnf},{cnf}"},
+    ]
+    for cfg in kinds:
+        corpus = build_corpus(parsed("vcdim", cfg), 3)
+        fresh = ThreeSatVerifier(corpus.encoding)
+        for inst in corpus.instances:
+            z = corpus.verifier.encode(inst)
+            # (z, formula, accept mask), as reading z would remember them
+            assert corpus.verifier._memo == fresh._read(z)
+            assert corpus.verifier._memo[1] == corpus.encoding.decode(z)
 
 
 def test_forcing_formula_is_satisfiable_with_high_rank_witness():

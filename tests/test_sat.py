@@ -16,7 +16,16 @@ from certlab.sat import (
     satisfying_mask,
 )
 import oracles
-from oracles import PHI0, PHI_UNSAT, clausewise_mask, solutions, to_dimacs, var_mask
+from oracles import (
+    PHI0,
+    PHI_UNSAT,
+    assert_canonical,
+    clausewise_mask,
+    reference_random_instance,
+    solutions,
+    to_dimacs,
+    var_mask,
+)
 
 
 def test_eval_assignment_examples():
@@ -202,3 +211,21 @@ def test_random_instance_properties():
     a = random_instance(random.Random("s"), 4, 4)
     b = random_instance(random.Random("s"), 4, 4)
     assert a == b
+
+
+def test_random_instance_equals_the_checked_constructors_formula():
+    # random_instance sorts its clauses itself; the checked constructor
+    # canonicalises the same draws
+    for seed in range(200):
+        size = random.Random(f"size:{seed}")
+        num_vars = size.randint(3, 16)
+        num_clauses = size.randint(1, 4 * num_vars)
+        inst = random_instance(random.Random(seed), num_vars, num_clauses)
+        assert inst == reference_random_instance(random.Random(seed), num_vars, num_clauses)
+        assert_canonical(inst)
+
+
+def test_exhaustive_formulas_are_canonical():
+    for num_vars in (1, 2, 3):
+        for inst in exhaustive_formulas(num_vars, 2):
+            assert_canonical(inst)

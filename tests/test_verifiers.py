@@ -1,11 +1,12 @@
 import random
+import re
 import tracemalloc
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from certlab.bits import int_to_bits
+from certlab.bits import bits_of_rank, int_to_bits
 from certlab.errors import BudgetError, ConfigError, FormatError, ShapeError
 from certlab import sat
 from certlab.sat import ThreeSatInstance, exhaustive_formulas, random_instance
@@ -22,6 +23,7 @@ from oracles import (
     Z0,
     Z_UNSAT,
     FnVerifier,
+    assert_canonical,
     LexQuery,
     flip_positions,
     lex_oracle,
@@ -312,6 +314,8 @@ def assert_decodes_as_reference(enc: FormulaEncoding, word: str):
     instance, or FormatError from both.  Returns the instance or None."""
     inst = decode_outcome(FormulaEncoding.decode, enc, word)
     assert inst == decode_outcome(reference_decode, enc, word)
+    if inst is not None:
+        assert_canonical(inst)
     return inst
 
 
@@ -370,6 +374,86 @@ def test_encoding_round_trips_generated_instances(case):
     assert z == reference_encode(enc, inst)
     assert len(z) == enc.width
     assert enc.decode(z) == inst
+
+
+def test_decode_matches_the_reference_at_wide_variable_fields():
+    # max_vars 17..24 gives the 5-bit variable field the certify benchmark's
+    # p = 20 formulas use; words are encodings, some with 1-3 bits flipped
+    rng = random.Random(36)
+    for max_vars in range(17, 25):
+        enc = FormulaEncoding(max_vars, rng.randint(85, 95))
+        for _ in range(12):
+            num_vars = rng.choice([max_vars, rng.randint(0, max_vars)])
+            clauses = [
+                tuple(rng.choice([v, -v]) for v in rng.choices(range(1, num_vars + 1), k=rng.randint(0, 3)))
+                if num_vars else ()
+                for _ in range(rng.randint(0, enc.max_clauses))
+            ]
+            word = enc.encode(SimpleNamespace(num_vars=num_vars, clauses=clauses))
+            assert enc.decode(word) == ThreeSatInstance(num_vars, clauses)
+            assert assert_decodes_as_reference(enc, word) is not None
+            for flips in range(1, 4):
+                assert_decodes_as_reference(enc, flip_positions(word, rng.sample(range(enc.width), flips)))
+
+
+def crafted_word(enc: FormulaEncoding, num_vars: int, count: int, *slots: str) -> str:
+    """The header fields, then the slot texts in order, zero-filled to the width."""
+    header = int_to_bits(num_vars, enc.num_vars_bits) + int_to_bits(count, enc.clause_count_bits)
+    return (header + "".join(slots)).ljust(enc.width, "0")
+
+
+def lit_slot(enc: FormulaEncoding, lit: int) -> str:
+    return "1" + ("1" if lit > 0 else "0") + int_to_bits(abs(lit) - 1, enc.var_bits)
+
+
+def test_decode_pins_each_format_error_and_its_order():
+    enc = FormulaEncoding(max_vars=5, max_clauses=3)  # 3-bit variable field, up to variable 8
+    zero, L = "0" * enc.slot_bits, lambda lit: lit_slot(enc, lit)
+    stray = "a literal slot follows an absent one or has stray bits"
+    cases = [
+        (crafted_word(enc, 6, 0), "header declares 6 vars and 0 clauses, encoding allows 5 and 3"),
+        # past the declared blocks before stray bits or a variable out of range
+        (crafted_word(enc, 2, 1, "01000", zero, zero, L(7)), "bits set past the declared clause blocks"),
+        (crafted_word(enc, 2, 1, L(1), "01000"), stray),  # a polarity bit in an absent slot
+        (crafted_word(enc, 2, 1, L(1), L(2), "00001"), stray),  # variable bits in an absent slot
+        (crafted_word(enc, 2, 1, L(1), zero, L(2)), stray),  # a literal after an absent slot
+        (crafted_word(enc, 2, 1, zero, L(1)), stray),
+        # stray bits in a later clause before a variable out of range in an earlier one
+        (crafted_word(enc, 2, 2, L(7), zero, zero, zero, L(1)), stray),
+        # the first literal out of range in slot order, not in canonical order
+        (crafted_word(enc, 3, 1, L(5), L(-4)), "literal 5 references a variable outside [1, 3]"),
+        (
+            crafted_word(enc, 3, 3, L(1), L(2), zero, L(-4), L(8), L(1), L(5)),
+            "literal -4 references a variable outside [1, 3]",
+        ),
+        (crafted_word(enc, 0, 1, L(1)), "literal 1 references a variable outside [1, 0]"),
+    ]
+    for word, message in cases:
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            enc.decode(word)
+    with pytest.raises(FormatError, match=f"^encoded formula must have {enc.width} bits, got 3$"):
+        enc.decode("000")
+    two = FormulaEncoding(max_vars=5, max_clauses=2)
+    with pytest.raises(FormatError, match="^header declares 2 vars and 3 clauses, encoding allows 5 and 2$"):
+        two.decode(crafted_word(two, 2, 3))
+
+
+def test_decode_builds_canonical_clauses_from_any_slot_order():
+    enc = FormulaEncoding(max_vars=5, max_clauses=3)
+    L = lambda lit: lit_slot(enc, lit)  # noqa: E731
+    word = crafted_word(enc, 5, 3, L(-3), L(3), L(1), L(2), L(-2), L(2), L(4), L(4), L(4))
+    inst = enc.decode(word)
+    assert inst.clauses == ((1, 3, -3), (2, -2), (4,))
+    assert_canonical(inst)
+
+
+def test_first_certificate_reads_the_rank_of_the_lowest_set_bit():
+    for p in (1, 5, 20):
+        for mask in (1, 1 << (2**p - 1), (1 << 2**p) - 1):
+            stub = SimpleNamespace(n=1, p=p, accept_mask=lambda z, m=mask: m, check=lambda z, w: True)
+            assert first_certificate(stub, "1") == bits_of_rank((mask & -mask).bit_length(), p)
+    stub = SimpleNamespace(n=1, p=5, accept_mask=lambda z: 0, check=lambda z, w: False)
+    assert first_certificate(stub, "1") is None
 
 
 def test_three_sat_verifier_rejects_on_malformed_instance():
