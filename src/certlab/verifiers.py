@@ -143,24 +143,19 @@ class FormulaEncoding:
         end = head + count * self.clause_bits
         if "1" in bits[end:]:
             raise FormatError("bits set past the declared clause blocks")
-        value = int(bits[head:end] or "0", 2)
         slot_keys, key_lit = self._slot_keys, self._key_lits
         slot_bits, clause_bits = self.slot_bits, self.clause_bits
-        low, block_mask = (1 << slot_bits) - 1, (1 << clause_bits) - 1
+        low = (1 << slot_bits) - 1
         limit, outside = 2 * num_vars + 1, 0  # the largest key in range; the first key above it
         clauses = []
-        for shift in range(end - head - clause_bits, -1, -clause_bits):
-            block = value >> shift & block_mask
+        for start in range(head, end, clause_bits):
+            block = int(bits[start : start + clause_bits], 2)
             a = slot_keys[block >> 2 * slot_bits]
             b = slot_keys[block >> slot_bits & low]
             c = slot_keys[block & low]
             keys = sorted({a, b, c})
             if keys[-1] > limit and not outside:
                 outside = next(k for k in (a, b, c) if k > limit)
-            if len(keys) == 3 and keys[0] > 0:  # three distinct literals, the usual clause
-                x, y, z = keys
-                clauses.append((key_lit[x], key_lit[y], key_lit[z]))
-                continue
             if keys[0] <= 0:
                 # an absent slot: it and every slot after it are all-zero
                 if c or a < 0 or b < 0 or b and not a:
@@ -176,7 +171,8 @@ class FormulaEncoding:
 class ThreeSatVerifier:
     """Certificate checker for encoded formulas: the certificate is an
     assignment to max_vars variables; bits beyond an instance's declared
-    num_vars are ignored.  Malformed instance strings reject everything.
+    num_vars are ignored.  Malformed instance strings reject everything, and
+    a p beyond the enumeration budget raises BudgetError before any mask.
 
     The verifier remembers only the instance it was last asked about: its
     string, its decoded formula (None when malformed) and its accept mask.
@@ -192,6 +188,13 @@ class ThreeSatVerifier:
         # "" encodes no instance (every width is at least 2) and rejects everything
         self._memo: tuple[str, ThreeSatInstance | None, int] = ("", None, 0)
 
+    def _remember(self, z: str, inst: ThreeSatInstance | None) -> tuple[str, ThreeSatInstance | None, int]:
+        """Remember (z, inst, accept mask); BudgetError, before any mask is
+        built, when p exceeds the enumeration budget."""
+        _check_budget(self)
+        memo = self._memo = (z, inst, 0 if inst is None else satisfying_mask(inst, self.p))
+        return memo
+
     def _read(self, z: str) -> tuple[str, ThreeSatInstance | None, int]:
         """(z, decoded formula or None, accept mask), decoded and computed
         together when z is not the remembered instance."""
@@ -201,7 +204,7 @@ class ThreeSatVerifier:
                 inst = self.encoding.decode(z)
             except FormatError:
                 inst = None
-            memo = self._memo = (z, inst, 0 if inst is None else satisfying_mask(inst, self.p))
+            memo = self._remember(z, inst)
         return memo
 
     def encode(self, inst: ThreeSatInstance) -> str:
@@ -209,7 +212,7 @@ class ThreeSatVerifier:
         `_read` remembers a decoded instance; inst must be canonical, so that
         it equals z's decoding."""
         z = self.encoding.encode(inst)
-        self._memo = (z, inst, satisfying_mask(inst, self.p))
+        self._remember(z, inst)
         return z
 
     def check(self, z: str, w: str) -> bool:
@@ -249,13 +252,12 @@ def first_certificate(
     charged for the binary search that finds the minimal k with an accepted
     certificate among the first k: p lex-oracle calls, each a rank-order
     scan charged as the lex oracle in tests/oracles.py counts it.  One
-    direct `check` then asserts consistency.
+    direct `check` then asserts consistency.  BudgetError, from the
+    verifier, when p exceeds the enumeration budget.
     """
     check_bits(z, length=v.n, name="instance")
-    _check_budget(v)
     mask = v.accept_mask(z)
-    # bits up to the lowest set one; a negative operand would copy the wide mask twice
-    rank = (mask ^ (mask - 1)).bit_length() if mask else (1 << v.p) + 1
+    rank = (mask & -mask).bit_length() or (1 << v.p) + 1
     lo, hi = 1, 1 << v.p
     while lo < hi:
         mid = (lo + hi) // 2

@@ -3,6 +3,7 @@ import io
 import os
 import random
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -600,6 +601,33 @@ def test_cli_reduce_on_a_40_variable_file_is_exit_2_at_once(tmp_path):
     )
     assert done.returncode == 2
     assert done.stderr == "configuration error: message length 40 unsupported (supported: 2..16)\n"
+
+
+@pytest.mark.parametrize("command", ["enumerate", "vcdim", "learn"])
+@pytest.mark.parametrize(
+    "corpus_text",
+    ["corpus.kind = random\ncorpus.count = 3\ncorpus.vars_max = 40\n", "corpus.kind = dimacs\ncorpus.paths = {cnf}\n"],
+    ids=["random", "dimacs"],
+)
+def test_a_corpus_past_the_enumeration_budget_is_exit_2_before_any_mask(tmp_path, command, corpus_text):
+    # an accept mask at p = 40 is 2^40 bits: the budget must be checked before
+    # the first one is built.  A subprocess under a 1 GiB address-space cap,
+    # so building one fails fast and a hang fails the test
+    (tmp_path / "v40.cnf").write_text("p cnf 40 1\n1 0\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(corpus_text.format(cnf=tmp_path / "v40.cnf"))
+    src = str(Path(certlab.__file__).resolve().parents[1])
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # noqa: E731
+    done = subprocess.run(
+        [sys.executable, "-m", "certlab.harness.cli", command, "--config", str(cfg), "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=cap,
+    )
+    assert done.returncode == 2
+    assert done.stderr == "configuration error: certificate length 40 exceeds enumeration budget of 24 bits\n"
 
 
 #: A small config per command, so that a fuzzed value that is accepted
