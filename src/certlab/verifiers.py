@@ -63,8 +63,9 @@ class FormulaEncoding:
     `encode` joins each literal's slot text (an absent slot's is under 0).
     `decode` maps each slot to a key, 2 * var for a positive literal and
     2 * var + 1 for a negative one (0 for an all-zero absent slot, -1 for one
-    with stray bits), so that a clause's sorted set of keys is in canonical
-    order, and maps each key back to its literal.
+    with stray bits), so that sorted keys are in canonical order.  It maps
+    each key back to its literal as a 1-tuple, the absent key 0 to (), and a
+    clause is the sum of its sorted keys' tuples, each repeat skipped.
     """
 
     max_vars: int
@@ -77,7 +78,7 @@ class FormulaEncoding:
     width: int = field(init=False, repr=False)
     _slot_text: dict[int, str] = field(init=False, repr=False, compare=False)
     _slot_keys: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _key_lits: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _key_lits: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.max_vars < 1 or self.max_clauses < 0:
@@ -85,12 +86,12 @@ class FormulaEncoding:
         var_bits = max(1, (self.max_vars - 1).bit_length())
         slot_bits, present, positive = 2 + var_bits, 2 << var_bits, 1 << var_bits
         slot_keys = [0] + [-1] * (2 * present - 1)
-        key_lits = [0] * (2 * positive + 2)
+        key_lits = [()] * (2 * positive + 2)
         slot_text = {0: "0" * slot_bits}  # 0 stands for an absent slot
         for var in range(1, positive + 1):
             for lit, slot in ((var, present | positive | var - 1), (-var, present | var - 1)):
                 key = 2 * var + (lit < 0)
-                slot_keys[slot], key_lits[key] = key, lit
+                slot_keys[slot], key_lits[key] = key, (lit,)
                 if var <= self.max_vars:
                     slot_text[lit] = format(slot, f"0{slot_bits}b")
         # derived fields: a frozen dataclass sets them through its __dict__
@@ -153,17 +154,17 @@ class FormulaEncoding:
             a = slot_keys[block >> 2 * slot_bits]
             b = slot_keys[block >> slot_bits & low]
             c = slot_keys[block & low]
-            keys = sorted({a, b, c})
-            if keys[-1] > limit and not outside:
+            x, y, z = sorted((a, b, c))
+            if z > limit and not outside:
                 outside = next(k for k in (a, b, c) if k > limit)
-            if keys[0] <= 0:
-                # an absent slot: it and every slot after it are all-zero
-                if c or a < 0 or b < 0 or b and not a:
-                    raise FormatError("a literal slot follows an absent one or has stray bits")
-                del keys[0]
-            clauses.append(tuple(map(key_lit.__getitem__, keys)))
+            # x <= 0 is an absent slot: it and every slot after it are all-zero
+            if x <= 0 and (c or a < 0 or b < 0 or b and not a):
+                raise FormatError("a literal slot follows an absent one or has stray bits")
+            clauses.append(
+                key_lit[x] + (() if y == x else key_lit[y]) + (() if z == y else key_lit[z])
+            )
         if outside:
-            lit = key_lit[outside]
+            (lit,) = key_lit[outside]
             raise FormatError(f"literal {lit} references a variable outside [1, {num_vars}]")
         return ThreeSatInstance._of_canonical(num_vars, tuple(clauses))
 
@@ -188,7 +189,9 @@ class ThreeSatVerifier:
         # "" encodes no instance (every width is at least 2) and rejects everything
         self._memo: tuple[str, ThreeSatInstance | None, int] = ("", None, 0)
 
-    def _remember(self, z: str, inst: ThreeSatInstance | None) -> tuple[str, ThreeSatInstance | None, int]:
+    def _remember(
+        self, z: str, inst: ThreeSatInstance | None
+    ) -> tuple[str, ThreeSatInstance | None, int]:
         """Remember (z, inst, accept mask); BudgetError, before any mask is
         built, when p exceeds the enumeration budget."""
         _check_budget(self)
@@ -252,10 +255,10 @@ def first_certificate(
     charged for the binary search that finds the minimal k with an accepted
     certificate among the first k: p lex-oracle calls, each a rank-order
     scan charged as the lex oracle in tests/oracles.py counts it.  One
-    direct `check` then asserts consistency.  BudgetError, from the
-    verifier, when p exceeds the enumeration budget.
+    direct `check` then asserts consistency.
     """
     check_bits(z, length=v.n, name="instance")
+    _check_budget(v)
     mask = v.accept_mask(z)
     rank = (mask & -mask).bit_length() or (1 << v.p) + 1
     lo, hi = 1, 1 << v.p
