@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable, Iterator
 from functools import partial
 from pathlib import Path
 
@@ -51,18 +52,23 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_lines(path: Path, lines: list[str]) -> None:
-    """Write the lines, each ending in a newline, or raise a one-line ConfigError."""
+def write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Write each line as it arrives, ending in a newline, or raise a one-line
+    ConfigError.  A run that raises part-way removes the file it opened."""
     try:
-        path.write_text("\n".join(lines) + "\n", newline="\n")
+        out = path.open("w", newline="\n")
+        try:
+            with out:
+                out.writelines(line + "\n" for line in lines)
+        except BaseException:
+            path.unlink()
+            raise
     except OSError as exc:
         raise ConfigError(f"output file cannot be written: {path} ({exc.strerror})") from None
 
 
-def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    write_lines(path, lines)
+def write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> None:
+    write_lines(path, [",".join(header), *(",".join(map(_fmt, row)) for row in rows)])
 
 
 def code_params_from(cfg: dict) -> CodeParams:
@@ -132,14 +138,15 @@ def distribution_suite(concept: CertConcept) -> list[tuple[str, Distribution]]:
 # -- commands -----------------------------------------------------------------------
 
 
-def cmd_enumerate(cfg: dict, out_dir: Path, seed) -> int:
-    corpus = build_corpus(cfg, seed)
-    params = code_params_from(cfg)
-    lines = []
+def corpus_concepts(corpus: Corpus, params: CodeParams) -> Iterator[CertConcept]:
+    """Each formula's concept, in corpus order, as the formulas arrive."""
     for inst in corpus.instances:
-        z = corpus.verifier.encode(inst)
-        tree = build_decision_tree(CertConcept(corpus.verifier, z, params))
-        lines.append(f"{z} {serialize_tree(tree)}")
+        yield CertConcept(corpus.verifier, corpus.verifier.encode(inst), params)
+
+
+def cmd_enumerate(cfg: dict, out_dir: Path, seed) -> int:
+    concepts = corpus_concepts(build_corpus(cfg, seed), code_params_from(cfg))
+    lines = (f"{c.z} {serialize_tree(build_decision_tree(c))}" for c in concepts)
     write_lines(out_dir / "trees.txt", lines)
     return 0
 
@@ -171,11 +178,7 @@ def probe_domain(concepts: list[CertConcept], limit: int = 16) -> list[str]:
 
 
 def cmd_vcdim(cfg: dict, out_dir: Path, seed) -> int:
-    corpus = build_corpus(cfg, seed)
-    params = code_params_from(cfg)
-    concepts = [
-        CertConcept(corpus.verifier, corpus.verifier.encode(inst), params) for inst in corpus.instances
-    ]
+    concepts = list(corpus_concepts(build_corpus(cfg, seed), code_params_from(cfg)))
     report = cert_class_vc(concepts)
     n_distinct = distinct_concept_count(concepts)
     probe = probe_domain(concepts)
@@ -240,10 +243,9 @@ def pac_trial_grid(concept, verifier, params, names, budgets, suite, eps, trials
                 yield name, m, dist_name, pac_trial_suite(learner, labels, dist, eps, m, trials, label)
 
 
-def _target_concept(corpus: Corpus, params: CodeParams) -> CertConcept:
+def _target_concept(concepts: Iterable[CertConcept]) -> CertConcept:
     fallback = None
-    for inst in corpus.instances:
-        concept = CertConcept(corpus.verifier, corpus.verifier.encode(inst), params)
+    for concept in concepts:
         if concept.first_cert is not None:
             if concept.sparsity > 0:
                 return concept
@@ -263,7 +265,7 @@ def cmd_learn(cfg: dict, out_dir: Path, seed) -> int:
     names, min_success = cfg["learn.learners"], cfg["learn.min_success"]
     if not 0 <= min_success <= 1:
         raise ConfigError(f"learn.min_success must lie in [0, 1], got {min_success}")
-    concept = _target_concept(corpus, params)
+    concept = _target_concept(corpus_concepts(corpus, params))
     v = corpus.verifier
     suite = distribution_suite(concept)
     seed_label = "{seed}:{name}:{m}:{dist}"
@@ -294,7 +296,9 @@ def cmd_reduce(cfg: dict, out_dir: Path, seed) -> int:
     false_accepts = 0
     sat_total = 0
     sat_accepted = 0
+    instances = 0
     for i, inst in enumerate(corpus.instances):
+        instances += 1
         # the decider first: it rejects p > 16 before brute force walks 2^p assignments
         report = sat_decider(inst, v, config, learner, f"{seed}:{i}")
         truth = brute_force_sat(inst)
@@ -308,7 +312,7 @@ def cmd_reduce(cfg: dict, out_dir: Path, seed) -> int:
         lines.extend(rest)
     rate = (sat_accepted / sat_total) if sat_total else 1.0
     lines.append(
-        f"summary: instances={len(corpus.instances)} satisfiable={sat_total} "
+        f"summary: instances={instances} satisfiable={sat_total} "
         f"accept_rate_on_sat={_fmt(rate)} false_accepts={false_accepts}"
     )
     write_lines(out_dir / "decider_report.txt", lines)

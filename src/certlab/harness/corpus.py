@@ -1,8 +1,9 @@
-"""Formula corpora and their encodings, built from config."""
+"""Formula corpora and their verifiers, built from config."""
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from ..errors import ConfigError
@@ -13,39 +14,33 @@ from .config import INT, NAMES, STR, read_text_file
 
 @dataclass
 class Corpus:
-    instances: list[ThreeSatInstance]
-    encoding: FormulaEncoding
+    instances: Iterator[ThreeSatInstance]  # given one at a time, read once
     verifier: ThreeSatVerifier
 
 
 def exhaustive_two_var_corpus() -> Corpus:
     """All formulas with up to 3 distinct clauses over 2 variables (93 of them)."""
-    encoding = FormulaEncoding(max_vars=2, max_clauses=3)
-    return Corpus(exhaustive_formulas(2, 3), encoding, ThreeSatVerifier(encoding))
+    return Corpus(iter(exhaustive_formulas(2, 3)), ThreeSatVerifier(FormulaEncoding(2, 3)))
 
 
 def single_clause_corpus() -> Corpus:
     """Tiny corpus (2 variables, at most one clause): small enough that the
     whole example domain is exhaustively enumerable."""
-    encoding = FormulaEncoding(max_vars=2, max_clauses=1)
-    return Corpus(exhaustive_formulas(2, 1), encoding, ThreeSatVerifier(encoding))
+    return Corpus(iter(exhaustive_formulas(2, 1)), ThreeSatVerifier(FormulaEncoding(2, 1)))
 
 
 def random_corpus(seed: int | str, count: int, vars_min: int = 3, vars_max: int = 4) -> Corpus:
-    """Seeded random formulas; clause count equals the variable count, which
-    keeps every instance satisfiable with many certificates (k width-3 clauses
-    rule out at most k*2^(v-3) of the 2^v assignments)."""
+    """Seeded random formulas, each drawn from one RNG stream as it is read:
+    its variable count v, then its v width-3 clauses.  They rule out at most
+    v*2^(v-3) of the 2^v assignments, which proves satisfiability for v <= 7 only."""
     if not 3 <= vars_min <= vars_max:
         raise ConfigError("random corpus needs 3 <= vars_min <= vars_max")
     if count < 1:
         raise ConfigError(f"random corpus needs count >= 1, got {count}")
     rng = random.Random(f"corpus:{seed}")
-    instances = []
-    for _ in range(count):
-        v = rng.randint(vars_min, vars_max)
-        instances.append(random_instance(rng, v, num_clauses=v))
-    encoding = FormulaEncoding(max_vars=vars_max, max_clauses=vars_max)
-    return Corpus(instances, encoding, ThreeSatVerifier(encoding))
+    sizes = (rng.randint(vars_min, vars_max) for _ in range(count))
+    instances = (random_instance(rng, v, num_clauses=v) for v in sizes)
+    return Corpus(instances, ThreeSatVerifier(FormulaEncoding(vars_max, vars_max)))
 
 
 def dimacs_corpus(paths: list[str]) -> Corpus:
@@ -54,8 +49,8 @@ def dimacs_corpus(paths: list[str]) -> Corpus:
         raise ConfigError("DIMACS corpus needs at least one file")
     max_vars = max(inst.num_vars for inst in instances)
     max_clauses = max(len(inst.clauses) for inst in instances)
-    encoding = FormulaEncoding(max_vars=max(1, max_vars), max_clauses=max(1, max_clauses))
-    return Corpus(instances, encoding, ThreeSatVerifier(encoding))
+    encoding = FormulaEncoding(max(1, max_vars), max(1, max_clauses))
+    return Corpus(iter(instances), ThreeSatVerifier(encoding))
 
 
 #: The corpus keys, key -> (kind, default); `corpus.paths` has no default.

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bits import bits_of_rank, check_bits
+from .bits import bits_of_rank, check_bits, is_bits
 from .errors import BudgetError, ConfigError, FormatError
 from .sat import ThreeSatInstance, eval_assignment, satisfying_mask
 
@@ -130,7 +130,8 @@ class FormulaEncoding:
         """The formula the bits encode, its clauses canonical, or FormatError.
         Stray bits anywhere are reported before a variable above num_vars,
         and of those the first in slot order is named."""
-        check_bits(bits, name="encoded formula")
+        if not isinstance(bits, str) or not is_bits(bits):
+            raise FormatError(f"encoded formula must be a string over 0/1, got {bits!r}")
         if len(bits) != self.width:
             raise FormatError(f"encoded formula must have {self.width} bits, got {len(bits)}")
         head = self.num_vars_bits + self.clause_count_bits

@@ -16,7 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from certlab.bits import bits_of_rank, check_bits, int_to_bits
+from certlab.bits import bits_of_rank, check_bits, int_to_bits, is_bits
 from certlab.codes import CodeParams
 from certlab.concepts import (
     CertConcept,
@@ -277,7 +277,8 @@ def reference_encode(enc: FormulaEncoding, inst) -> str:
 def reference_decode(enc: FormulaEncoding, bits: str) -> ThreeSatInstance:
     """FormulaEncoding.decode read field by field, checking every field as
     it goes, the variable range included."""
-    check_bits(bits, name="encoded formula")
+    if not isinstance(bits, str) or not is_bits(bits):
+        raise FormatError(f"encoded formula must be a string over 0/1, got {bits!r}")
     if len(bits) != enc.width:
         raise FormatError(f"encoded formula must have {enc.width} bits, got {len(bits)}")
     pos = 0

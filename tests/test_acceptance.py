@@ -4,6 +4,7 @@ pass/fail line each.  Run with `pytest -s tests/test_acceptance.py -v`.
 
 import math
 import time
+from dataclasses import replace
 from functools import lru_cache, partial
 
 from certlab.bits import int_to_bits
@@ -46,7 +47,7 @@ def report(num: int, ok: bool, detail: str, elapsed: float, budget: float) -> No
 def two_var_concepts():
     corpus = exhaustive_two_var_corpus()
     return corpus, [
-        CertConcept(corpus.verifier, corpus.encoding.encode(f), DEFAULT_CODE_PARAMS)
+        CertConcept(corpus.verifier, corpus.verifier.encoding.encode(f), DEFAULT_CODE_PARAMS)
         for f in corpus.instances
     ]
 
@@ -65,7 +66,9 @@ def few_sample_target():
 
 @lru_cache(maxsize=None)
 def decider_corpora():
-    return exhaustive_two_var_corpus(), random_corpus("acceptance", count=200)
+    """The two corpora with their formulas listed, since several tests read them."""
+    corpora = exhaustive_two_var_corpus(), random_corpus("acceptance", count=200)
+    return tuple(replace(corpus, instances=list(corpus.instances)) for corpus in corpora)
 
 
 def test_criterion_01_vc_dimension_is_one():
@@ -287,7 +290,7 @@ def test_criterion_10_structural_checks():
     ok = True
     checked = 0
     for inst in small.instances:
-        z = small.encoding.encode(inst)
+        z = small.verifier.encoding.encode(inst)
         c = CertConcept(small.verifier, z, DEFAULT_CODE_PARAMS)
         lay = c.layout
         assert lay.n + lay.ell <= 20
@@ -306,7 +309,7 @@ def test_criterion_10_structural_checks():
     for corpus in (small, two_var, rand_corpus):
         for inst in corpus.instances:
             ctr = StepCounter()
-            first_certificate(corpus.verifier, corpus.encoding.encode(inst), counter=ctr)
+            first_certificate(corpus.verifier, corpus.verifier.encoding.encode(inst), counter=ctr)
             calls_ok = calls_ok and ctr.oracle_calls <= corpus.verifier.p
     v16, concept16 = few_sample_target()
     ctr = StepCounter()
@@ -315,7 +318,7 @@ def test_criterion_10_structural_checks():
 
     sizes_ok = True
     for inst in two_var.instances:
-        c = CertConcept(two_var.verifier, two_var.encoding.encode(inst), DEFAULT_CODE_PARAMS)
+        c = CertConcept(two_var.verifier, two_var.verifier.encoding.encode(inst), DEFAULT_CODE_PARAMS)
         sizes_ok = sizes_ok and build_decision_tree(c).size <= c.layout.n + 2 * c.layout.cp
 
     ok = ok and calls_ok and sizes_ok

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from certlab import bits
+from certlab import bits, verifiers
 from certlab.bits import (
     bits_of_rank,
     check_bits,
@@ -110,10 +110,17 @@ def test_random_bits_deterministic():
 
 
 def counted_scans(monkeypatch) -> list[str]:
-    """Every string `check_bits` scans from now on, in order."""
+    """Every string `is_bits` scans from now on, in order: through
+    `check_bits`, and in `FormulaEncoding.decode`, which calls it directly."""
     scanned: list[str] = []
     real = bits.is_bits
-    monkeypatch.setattr(bits, "is_bits", lambda s: scanned.append(s) or real(s))
+
+    def counting(s):
+        scanned.append(s)
+        return real(s)
+
+    monkeypatch.setattr(bits, "is_bits", counting)
+    monkeypatch.setattr(verifiers, "is_bits", counting)
     return scanned
 
 

@@ -101,7 +101,7 @@ def test_sparsity_bounded_by_cp():
 def test_concept_word_is_the_encoded_first_certificate(params):
     corpus = exhaustive_two_var_corpus()
     for inst in corpus.instances:
-        c = CertConcept(corpus.verifier, corpus.encoding.encode(inst), params)
+        c = CertConcept(corpus.verifier, corpus.verifier.encoding.encode(inst), params)
         if c.first_cert is None:
             assert c.word == 0
             continue
@@ -413,7 +413,7 @@ def test_cert_class_vc_on_two_var_corpus():
 def test_distinct_concept_count_counts_functions(corpus, expected):
     """Concepts are equal functions exactly when their 1-sets are equal, so
     an all-zero certificate's concept is the unsatisfiable one's."""
-    concepts = [CertConcept(corpus.verifier, corpus.encoding.encode(f), DEFAULT_CODE_PARAMS)
+    concepts = [CertConcept(corpus.verifier, corpus.verifier.encoding.encode(f), DEFAULT_CODE_PARAMS)
                 for f in corpus.instances]
     independent = len({frozenset(c.one_points()) for c in concepts})
     assert distinct_concept_count(concepts) == independent == expected
@@ -453,7 +453,7 @@ def test_cert_class_vc_matches_pair_walk(name, params):
     """Testing each pair of distinct masks reports what the walk over every
     pair of candidate points does, field for field."""
     corpus = VC_CORPORA[name]()
-    concepts = [CertConcept(corpus.verifier, corpus.encoding.encode(f), params)
+    concepts = [CertConcept(corpus.verifier, corpus.verifier.encoding.encode(f), params)
                 for f in corpus.instances]
     assert cert_class_vc(concepts) == reference_cert_class_vc(concepts)
 
@@ -461,7 +461,7 @@ def test_cert_class_vc_matches_pair_walk(name, params):
 @functools.cache
 def standard_concepts(name: str) -> list[CertConcept]:
     corpus = VC_CORPORA[name]()
-    return [CertConcept(corpus.verifier, corpus.encoding.encode(f), DEFAULT_CODE_PARAMS)
+    return [CertConcept(corpus.verifier, corpus.verifier.encoding.encode(f), DEFAULT_CODE_PARAMS)
             for f in corpus.instances]
 
 
@@ -494,7 +494,7 @@ def test_standard_vc_is_the_structural_value(name, data):
 def test_cert_class_vc_is_exact_in_the_uniform_layout(corpus, expected):
     """Uniform-layout labels ignore the trailing part, so brute force over
     the 2^ell examples of one trailing part gives the class's dimension."""
-    concepts = [CertConcept(corpus.verifier, corpus.encoding.encode(f), DEFAULT_CODE_PARAMS,
+    concepts = [CertConcept(corpus.verifier, corpus.verifier.encoding.encode(f), DEFAULT_CODE_PARAMS,
                             kind="uniform") for f in corpus.instances]
     lay = concepts[0].layout
     domain = [lay.example("0" * lay.n, v) for v in range(1 << lay.ell)]

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -69,12 +70,12 @@ def test_config_errors():
 
 
 def test_corpora_shapes():
-    assert len(exhaustive_two_var_corpus().instances) == 93
-    assert len(single_clause_corpus().instances) == 9
-    rc = random_corpus(0, count=30)
-    assert len(rc.instances) == 30
-    assert all(brute_force_sat(f) for f in rc.instances)  # clause count = vars keeps them sat
-    assert random_corpus("s", 10).instances == random_corpus("s", 10).instances
+    assert len(list(exhaustive_two_var_corpus().instances)) == 93
+    assert len(list(single_clause_corpus().instances)) == 9
+    rc = list(random_corpus(0, count=30).instances)
+    assert len(rc) == 30
+    assert all(brute_force_sat(f) for f in rc)  # clause count = vars keeps them sat
+    assert list(random_corpus("s", 10).instances) == list(random_corpus("s", 10).instances)
     with pytest.raises(ConfigError):
         random_corpus(0, 5, vars_min=2)
 
@@ -84,11 +85,11 @@ def test_dimacs_corpus(tmp_path):
     p = tmp_path / "a.cnf"
     p.write_text(to_dimacs(f))
     corpus = dimacs_corpus([str(p)])
-    assert corpus.instances == [f]
+    assert list(corpus.instances) == [f]
     # a leading UTF-8 byte order mark is skipped, not read as a clause
     bom = tmp_path / "bom.cnf"
     bom.write_bytes(b"\xef\xbb\xbf" + to_dimacs(f).encode())
-    assert dimacs_corpus([str(bom)]).instances == [f]
+    assert list(dimacs_corpus([str(bom)]).instances) == [f]
     with pytest.raises(ConfigError):
         dimacs_corpus([str(tmp_path / "missing.cnf")])
 
@@ -99,8 +100,8 @@ def parsed(command: str, cfg: dict[str, str]) -> dict:
 
 
 def test_build_corpus_kinds(tmp_path):
-    assert len(build_corpus(parsed("vcdim", {"corpus.kind": "exhaustive2var"}), 0).instances) == 93
-    assert len(build_corpus(parsed("vcdim", {"corpus.kind": "random", "corpus.count": "5"}), 1).instances) == 5
+    assert len(list(build_corpus(parsed("vcdim", {"corpus.kind": "exhaustive2var"}), 0).instances)) == 93
+    assert len(list(build_corpus(parsed("vcdim", {"corpus.kind": "random", "corpus.count": "5"}), 1).instances)) == 5
     with pytest.raises(ConfigError):
         build_corpus(parsed("vcdim", {"corpus.kind": "nope"}), 0)
 
@@ -117,12 +118,12 @@ def test_the_verifier_remembers_each_corpus_formula_as_decoding_would(tmp_path):
     ]
     for cfg in kinds:
         corpus = build_corpus(parsed("vcdim", cfg), 3)
-        fresh = ThreeSatVerifier(corpus.encoding)
+        fresh = ThreeSatVerifier(corpus.verifier.encoding)
         for inst in corpus.instances:
             z = corpus.verifier.encode(inst)
             # (z, formula, accept mask), as reading z would remember them
             assert corpus.verifier._memo == fresh._read(z)
-            assert corpus.verifier._memo[1] == corpus.encoding.decode(z)
+            assert corpus.verifier._memo[1] == corpus.verifier.encoding.decode(z)
 
 
 def test_forcing_formula_is_satisfiable_with_high_rank_witness():
@@ -146,7 +147,7 @@ def test_distribution_suite_shapes():
 
     corpus = exhaustive_two_var_corpus()
     inst = next(f for f in corpus.instances if brute_force_sat(f))
-    concept = CertConcept(corpus.verifier, corpus.encoding.encode(inst), DEFAULT_CODE_PARAMS)
+    concept = CertConcept(corpus.verifier, corpus.verifier.encoding.encode(inst), DEFAULT_CODE_PARAMS)
     suite = distribution_suite(concept)
     names = [name for name, _ in suite]
     assert names == ["uniform_useful", "useless_mass", "pm_useful", "pm_useless"]
@@ -183,7 +184,7 @@ TWO_VAR_SAT = [f for f in TWO_VAR.instances if brute_force_sat(f)]
 )
 def test_trial_suites_label_alike_from_the_concept_and_its_support_labels(inst, name, m, trials, seed):
     v = TWO_VAR.verifier
-    concept = CertConcept(v, TWO_VAR.encoding.encode(inst), DEFAULT_CODE_PARAMS)
+    concept = CertConcept(v, TWO_VAR.verifier.encoding.encode(inst), DEFAULT_CODE_PARAMS)
     learner = resolve_learner(name, v, DEFAULT_CODE_PARAMS)
     for dist_name, dist in distribution_suite(concept):
         labels = support_labels(dist, concept)
@@ -215,7 +216,7 @@ def test_every_table_learner_is_the_learner_it_names(name):
     if name == "sparse_erm":
         learners.append(commands.make_sparse_erm())
     for inst in TWO_VAR_SAT[:4]:
-        concept = CertConcept(v, TWO_VAR.encoding.encode(inst), params)
+        concept = CertConcept(v, TWO_VAR.verifier.encoding.encode(inst), params)
         for dist_name, dist in distribution_suite(concept):
             sample = draw_sample(dist, concept, 12, random.Random(dist_name))
             for learner in learners:
@@ -303,7 +304,7 @@ def test_learn_and_tradeoff_run_their_grids_in_order_with_their_seed_labels(tmp_
     monkeypatch.setattr(commands, "pac_trial_suite", suite)
     cfg = "corpus.kind = single_clause\nlearn.learners = sparse_erm,few_sample\nlearn.m = 5,0\n"
     assert run_cli(tmp_path, "learn", cfg, seed=77) == 0
-    concept = commands._target_concept(single_clause_corpus(), DEFAULT_CODE_PARAMS)
+    concept = commands._target_concept(commands.corpus_concepts(single_clause_corpus(), DEFAULT_CODE_PARAMS))
     dists = distribution_suite(concept)
     grid = [(name, m, d) for name in ("sparse_erm", "few_sample") for m in (5, 0) for d in range(4)]
     want = [(m, f"77:{name}:{m}:{dists[d][0]}") for name, m, d in grid]
@@ -351,7 +352,7 @@ def test_uniform_concepts_have_no_useless_example():
 
     corpus = exhaustive_two_var_corpus()
     inst = next(f for f in corpus.instances if brute_force_sat(f))
-    z = corpus.encoding.encode(inst)
+    z = corpus.verifier.encoding.encode(inst)
     concept = CertConcept(corpus.verifier, z, DEFAULT_CODE_PARAMS, kind="uniform")
     for build in (distribution_suite, lambda c: probe_domain([c])):
         with pytest.raises(ConfigError, match="no useless example"):
@@ -585,6 +586,33 @@ def test_cli_reduce_on_a_17_variable_file_is_exit_2(tmp_path, capsys):
     assert err == "configuration error: message length 17 unsupported (supported: 2..16)\n"
 
 
+def test_enumerate_that_fails_part_way_leaves_no_trees_file(tmp_path, capsys):
+    # the unsatisfiable formula's line needs no code; the satisfiable one's
+    # needs a length-17 code, so the run fails after one line is written
+    (tmp_path / "unsat.cnf").write_text("p cnf 17 2\n1 0\n-1 0\n")
+    (tmp_path / "sat.cnf").write_text("p cnf 17 1\n-17 0\n")
+    cfg = f"corpus.kind = dimacs\ncorpus.paths = {tmp_path}/unsat.cnf,{tmp_path}/sat.cnf\n"
+    assert run_cli(tmp_path, "enumerate", cfg) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: message length 17 unsupported (supported: 2..16)\n"
+    assert not (tmp_path / "trees.txt").exists()
+
+
+def test_enumerate_memory_does_not_grow_with_the_corpus(tmp_path):
+    """Formulas, concepts and lines stream: a run holds one formula at a
+    time, so its traced peak stays far below what 800 lines would take."""
+    cfg = parsed("enumerate", {"corpus.kind": "random", "corpus.count": "800", "corpus.vars_max": "6"})
+    commands.cmd_enumerate(cfg, tmp_path, 0)  # builds the codes and masks the run reuses
+    tracemalloc.start()
+    try:
+        assert commands.cmd_enumerate(cfg, tmp_path, 0) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "trees.txt").read_text().splitlines()) == 800
+    assert peak < 1 << 20, f"traced peak {peak} bytes"
+
+
 def test_cli_reduce_on_a_40_variable_file_is_exit_2_at_once(tmp_path):
     # brute force would walk 2^40 assignments, so the decider's length check
     # must come first; a subprocess, so a hang fails the test
@@ -729,10 +757,11 @@ def test_cli_enumerate(tmp_path, corpus_text, preset):
     corpus = build_corpus(cfg, cfg["seed"])
     params = commands.code_params_from(cfg)
     lines = (tmp_path / "trees.txt").read_text().splitlines()
-    assert len(lines) == len(corpus.instances)
-    for line, inst in zip(lines, corpus.instances):
+    instances = list(corpus.instances)
+    assert len(lines) == len(instances)
+    for line, inst in zip(lines, instances):
         z, text = line.split(" ", 1)
-        assert z == corpus.encoding.encode(inst)
+        assert z == corpus.verifier.encoding.encode(inst)
         tree = parse_tree(text)
         assert serialize_tree(tree) == text
         concept = CertConcept(corpus.verifier, z, params)
@@ -795,11 +824,11 @@ def test_cli_learn_small(tmp_path):
 
     # m = 0 rows: success is exactly whether constant-0 is eps-close
     from certlab.codes import DEFAULT_CODE_PARAMS
-    from certlab.harness.commands import _target_concept
+    from certlab.harness.commands import _target_concept, corpus_concepts
     from certlab.paclearn import TableHypothesis, error_of
 
     corpus = single_clause_corpus()
-    concept = _target_concept(corpus, DEFAULT_CODE_PARAMS)
+    concept = _target_concept(corpus_concepts(corpus, DEFAULT_CODE_PARAMS))
     expected = {
         name: 1.0 if error_of(dist, concept, TableHypothesis(())) <= 0.1 else 0.0
         for name, dist in distribution_suite(concept)

@@ -25,7 +25,7 @@ from certlab.paclearn import (
     sparse_erm,
     support_labels,
 )
-from certlab.harness.commands import COMMANDS, _target_concept, distribution_suite
+from certlab.harness.commands import COMMANDS, _target_concept, corpus_concepts, distribution_suite
 from certlab.harness.config import read_config
 from certlab.harness.corpus import build_corpus
 from certlab.sat import ThreeSatInstance, exhaustive_formulas
@@ -705,7 +705,7 @@ def test_a_raising_learner_fails_its_trial_with_error_one():
     # on useless_mass the junta learner sees index 0 with both labels whenever
     # a draw labels it 1, as learn's target for this corpus does
     corpus = build_corpus(read_config({"corpus.kind": "random", "corpus.count": "50"}, COMMANDS["learn"], "learn"), 5)
-    concept = _target_concept(corpus, DEFAULT_CODE_PARAMS)
+    concept = _target_concept(corpus_concepts(corpus, DEFAULT_CODE_PARAMS))
     dist = dict(distribution_suite(concept))["useless_mass"]
     junta = partial(junta_learner, layout=concept.layout)
     learned = []  # each trial's hypothesis, None where the learner raised

@@ -456,6 +456,18 @@ def test_first_certificate_reads_the_rank_of_the_lowest_set_bit():
     assert first_certificate(stub, "1") is None
 
 
+def test_a_word_with_a_character_other_than_0_and_1_is_a_format_error():
+    """decode, a parser, raises only FormatError, which the verifier reads as
+    a malformed instance that accepts nothing."""
+    enc = FormulaEncoding(2, 3)
+    word = "2" * enc.width
+    with pytest.raises(FormatError, match="^encoded formula must be a string over 0/1, got '2"):
+        enc.decode(word)
+    v = ThreeSatVerifier(enc)
+    assert v.accept_mask(word) == 0
+    assert v.check(word, "00") is False
+
+
 def test_three_sat_verifier_rejects_on_malformed_instance():
     junk = "1" * V2.n
     try:
