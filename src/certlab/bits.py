@@ -3,13 +3,13 @@
 Bitstrings are plain Python strings over {'0','1'}, most significant bit
 first.  All comparisons in this package are between equal-length strings,
 where ordinary string order coincides with lexicographic order.  A string
-is scanned for 0/1 once, by the entry that first receives it: `check_bits`
-raises ShapeError in `Distribution`, `LabeledSample`, the decider's
-challenge, `first_certificate` and `codes.decode`; `FormulaEncoding.decode`,
-a parser, tests `is_bits` and raises FormatError.  `ExampleLayout` builds
-valid points, and code that reads a point later tests only its length.  The
-decider checks a repetition's drawn points once; each proof's labels are
-chosen from pre-built (point, 0) and (point, 1) pairs and are not checked again.
+is scanned for 0/1 once, by the entry that first receives it: `Distribution`,
+`LabeledSample`, the decider's challenge, `first_certificate` and
+`codes.decode` raise ShapeError, and the parser `FormulaEncoding.decode`
+raises FormatError.  `ExampleLayout` builds valid points, and code that
+reads a point later tests only its length.  The decider checks a
+repetition's drawn points once; each proof's labels are chosen from
+pre-built (point, 0) and (point, 1) pairs and are not checked again.
 """
 
 from __future__ import annotations

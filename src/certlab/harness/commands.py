@@ -67,8 +67,10 @@ def write_lines(path: Path, lines: Iterable[str]) -> None:
         raise ConfigError(f"output file cannot be written: {path} ({exc.strerror})") from None
 
 
-def write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> None:
-    write_lines(path, [",".join(header), *(",".join(map(_fmt, row)) for row in rows)])
+def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+    lines = [",".join(header)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    write_lines(path, lines)
 
 
 def code_params_from(cfg: dict) -> CodeParams:
@@ -296,9 +298,7 @@ def cmd_reduce(cfg: dict, out_dir: Path, seed) -> int:
     false_accepts = 0
     sat_total = 0
     sat_accepted = 0
-    instances = 0
     for i, inst in enumerate(corpus.instances):
-        instances += 1
         # the decider first: it rejects p > 16 before brute force walks 2^p assignments
         report = sat_decider(inst, v, config, learner, f"{seed}:{i}")
         truth = brute_force_sat(inst)
@@ -312,7 +312,7 @@ def cmd_reduce(cfg: dict, out_dir: Path, seed) -> int:
         lines.extend(rest)
     rate = (sat_accepted / sat_total) if sat_total else 1.0
     lines.append(
-        f"summary: instances={instances} satisfiable={sat_total} "
+        f"summary: instances={i + 1} satisfiable={sat_total} "
         f"accept_rate_on_sat={_fmt(rate)} false_accepts={false_accepts}"
     )
     write_lines(out_dir / "decider_report.txt", lines)

@@ -20,13 +20,13 @@ class Corpus:
 
 def exhaustive_two_var_corpus() -> Corpus:
     """All formulas with up to 3 distinct clauses over 2 variables (93 of them)."""
-    return Corpus(iter(exhaustive_formulas(2, 3)), ThreeSatVerifier(FormulaEncoding(2, 3)))
+    return Corpus(iter(exhaustive_formulas(2, 3)), ThreeSatVerifier(FormulaEncoding(max_vars=2, max_clauses=3)))
 
 
 def single_clause_corpus() -> Corpus:
     """Tiny corpus (2 variables, at most one clause): small enough that the
     whole example domain is exhaustively enumerable."""
-    return Corpus(iter(exhaustive_formulas(2, 1)), ThreeSatVerifier(FormulaEncoding(2, 1)))
+    return Corpus(iter(exhaustive_formulas(2, 1)), ThreeSatVerifier(FormulaEncoding(max_vars=2, max_clauses=1)))
 
 
 def random_corpus(seed: int | str, count: int, vars_min: int = 3, vars_max: int = 4) -> Corpus:
@@ -40,7 +40,7 @@ def random_corpus(seed: int | str, count: int, vars_min: int = 3, vars_max: int 
     rng = random.Random(f"corpus:{seed}")
     sizes = (rng.randint(vars_min, vars_max) for _ in range(count))
     instances = (random_instance(rng, v, num_clauses=v) for v in sizes)
-    return Corpus(instances, ThreeSatVerifier(FormulaEncoding(vars_max, vars_max)))
+    return Corpus(instances, ThreeSatVerifier(FormulaEncoding(max_vars=vars_max, max_clauses=vars_max)))
 
 
 def dimacs_corpus(paths: list[str]) -> Corpus:
@@ -49,7 +49,7 @@ def dimacs_corpus(paths: list[str]) -> Corpus:
         raise ConfigError("DIMACS corpus needs at least one file")
     max_vars = max(inst.num_vars for inst in instances)
     max_clauses = max(len(inst.clauses) for inst in instances)
-    encoding = FormulaEncoding(max(1, max_vars), max(1, max_clauses))
+    encoding = FormulaEncoding(max_vars=max(1, max_vars), max_clauses=max(1, max_clauses))
     return Corpus(iter(instances), ThreeSatVerifier(encoding))
 
 

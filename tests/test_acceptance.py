@@ -287,6 +287,7 @@ def test_criterion_09_tradeoff_curve(tmp_path):
 def test_criterion_10_structural_checks():
     t0 = time.perf_counter()
     small = single_clause_corpus()
+    small = replace(small, instances=list(small.instances))  # read again below
     ok = True
     checked = 0
     for inst in small.instances:
