@@ -1,12 +1,8 @@
 import contextlib
 import io
-import os
 import random
 import re
-import resource
 import signal
-import subprocess
-import sys
 import tempfile
 import tracemalloc
 from fractions import Fraction
@@ -15,7 +11,6 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-import certlab
 from certlab.codes import DEFAULT_CODE_PARAMS, LinearCode
 from certlab.concepts import CertConcept, ExampleLayout, dt_eval, serialize_tree
 from certlab.errors import ConfigError, FormatError
@@ -611,51 +606,6 @@ def test_enumerate_memory_does_not_grow_with_the_corpus(tmp_path):
         tracemalloc.stop()
     assert len((tmp_path / "trees.txt").read_text().splitlines()) == 800
     assert peak < 1 << 20, f"traced peak {peak} bytes"
-
-
-def test_cli_reduce_on_a_40_variable_file_is_exit_2_at_once(tmp_path):
-    # brute force would walk 2^40 assignments, so the decider's length check
-    # must come first; a subprocess, so a hang fails the test
-    (tmp_path / "v40.cnf").write_text("p cnf 40 1\n1 0\n")
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text(f"corpus.kind = dimacs\ncorpus.paths = {tmp_path}/v40.cnf\n")
-    src = str(Path(certlab.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "certlab.harness.cli", "reduce", "--config", str(cfg), "--out", str(tmp_path)],
-        capture_output=True,
-        text=True,
-        timeout=30,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert done.returncode == 2
-    assert done.stderr == "configuration error: message length 40 unsupported (supported: 2..16)\n"
-
-
-@pytest.mark.parametrize("command", ["enumerate", "vcdim", "learn"])
-@pytest.mark.parametrize(
-    "corpus_text",
-    ["corpus.kind = random\ncorpus.count = 3\ncorpus.vars_max = 40\n", "corpus.kind = dimacs\ncorpus.paths = {cnf}\n"],
-    ids=["random", "dimacs"],
-)
-def test_a_corpus_past_the_enumeration_budget_is_exit_2_before_any_mask(tmp_path, command, corpus_text):
-    # an accept mask at p = 40 is 2^40 bits: the budget must be checked before
-    # the first one is built.  A subprocess under a 1 GiB address-space cap,
-    # so building one fails fast and a hang fails the test
-    (tmp_path / "v40.cnf").write_text("p cnf 40 1\n1 0\n")
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text(corpus_text.format(cnf=tmp_path / "v40.cnf"))
-    src = str(Path(certlab.__file__).resolve().parents[1])
-    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # noqa: E731
-    done = subprocess.run(
-        [sys.executable, "-m", "certlab.harness.cli", command, "--config", str(cfg), "--out", str(tmp_path)],
-        capture_output=True,
-        text=True,
-        timeout=30,
-        env={**os.environ, "PYTHONPATH": src},
-        preexec_fn=cap,
-    )
-    assert done.returncode == 2
-    assert done.stderr == "configuration error: certificate length 40 exceeds enumeration budget of 24 bits\n"
 
 
 #: A small config per command, so that a fuzzed value that is accepted
