@@ -35,9 +35,9 @@ from ..paclearn import (
     Distribution,
     few_sample_learner,
     junta_learner,
+    labels_on,
     pac_trial_suite,
     sparse_erm,
-    support_labels,
 )
 from ..reduction import DeciderConfig, learner_error_target, sat_decider
 from ..sat import brute_force_sat
@@ -234,10 +234,11 @@ def cmd_codes_test(cfg: dict, out_dir: Path, seed) -> int:
 
 def pac_trial_grid(concept, verifier, params, names, budgets, suite, eps, trials, seed, seed_label):
     """Yield (learner name, m, distribution name, SuiteResult) by learner, then budget, then
-    (name, Distribution) of suite.  Each learner is resolved and each support labelled once;
-    trials are seeded by seed_label formatted with seed, name, m and dist."""
+    (name, Distribution) of suite.  Each learner is resolved once, and the target is its
+    labels on each support, made once; trials are seeded by seed_label formatted with seed,
+    name, m and dist."""
     learners = [(name, resolve_learner(name, verifier, params)) for name in names]
-    labelled = [(dist_name, dist, support_labels(dist, concept)) for dist_name, dist in suite]
+    labelled = [(dist_name, dist, labels_on(dist, concept)) for dist_name, dist in suite]
     for name, learner in learners:
         for m in budgets:
             for dist_name, dist, labels in labelled:
@@ -330,7 +331,7 @@ def cmd_tradeoff(cfg: dict, out_dir: Path, seed) -> int:
     formula = forcing_formula(num_vars=num_vars, forced=max(1, num_vars // 2), extra=4)
     encoding = FormulaEncoding(max_vars=num_vars, max_clauses=len(formula.clauses))
     v = ThreeSatVerifier(encoding)
-    concept = CertConcept(v, encoding.encode(formula), params)
+    concept = CertConcept(v, v.encode(formula), params)
     if concept.first_cert is None:
         raise ConfigError("tradeoff formula must be satisfiable")
     eps, trials, budgets = cfg["tradeoff.eps"], cfg["tradeoff.trials"], cfg["tradeoff.m"]

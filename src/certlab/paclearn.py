@@ -5,7 +5,9 @@ A learner is any callable learner(sample, counter=None) -> hypothesis, where
 the sample is a tuple of (point, label) pairs, and a hypothesis is any
 callable h(x) -> 0/1 (a table, a frozenset of its 1-points, answers with a
 bool); learners that need more (a verifier, a layout) have it bound first,
-e.g. with functools.partial.
+e.g. with functools.partial.  A trial's target is one value: its 0/1 labels
+on the distribution's support, the bytes `labels_on` gives, which samples are
+drawn from and hypotheses scored against.
 """
 
 from __future__ import annotations
@@ -63,12 +65,6 @@ class Distribution:
     def point_mass(cls, point: str) -> "Distribution":
         return cls([point], [1.0])
 
-    def draw(self, rng: random.Random, m: int) -> list[str]:
-        # `choices` returns [] for any m <= 0, drawing nothing from rng
-        if m < 0:
-            raise ConfigError("sample size must be nonnegative")
-        return rng.choices(self.points, cum_weights=self.cum_weights, k=m)
-
     def index_values(self, layout: ExampleLayout, head: str = "") -> tuple[int, ...]:
         """Each support point's index value under the layout, in support order,
         or 2^ell where the point does not start with head; made once per (layout,
@@ -97,64 +93,42 @@ class LabeledSample(tuple):
                     raise ShapeError(f"label must be 0/1, got {y!r}")
         return tuple.__new__(cls, pairs)
 
-    @classmethod
-    def from_checked(cls, points, labels) -> "LabeledSample":
-        """Points checked where they entered, with labels checked as the constructor does."""
-        if len(labels) != len(points):
-            raise ShapeError(f"need {len(points)} labels, got {len(labels)}")
-        for y in labels:
-            if y not in (0, 1):
-                raise ShapeError(f"label must be 0/1, got {y!r}")
-        return cls._of_pairs(zip(points, labels))
-
     # the sample of already checked pairs, not checked again: no Python frame
     _of_pairs = classmethod(tuple.__new__)
 
 
-def draw_sample(dist: Distribution, concept, m: int, rng: random.Random) -> LabeledSample:
-    """m i.i.d. draws from the distribution, labeled by the concept."""
-    points = dist.draw(rng, m)
-    return LabeledSample.from_checked(points, [int(concept(x)) for x in points])
-
-
-class SupportLabels(dict):
-    """A concept's 0/1 labels on one distribution's support: a point -> label dict,
-    called in place of the concept, and the labels in support order as bytes."""
-
-    __slots__ = ("dist", "labels")
-    __call__ = dict.__getitem__  # no Python frame per drawn point
-
-    def __init__(self, dist: Distribution, labels: bytes) -> None:
-        super().__init__(zip(dist.points, labels))
-        self.dist, self.labels = dist, labels
+def draw_sample(dist: Distribution, labels: bytes, m: int, rng: random.Random) -> LabeledSample:
+    """m i.i.d. draws from the distribution, each a support point paired with
+    its byte of labels, the target's labels on the support in support order.
+    Support positions are drawn by `choices` over the weights: the same rng
+    calls as drawing the points, and none for m = 0."""
+    if m < 0:
+        raise ConfigError("sample size must be nonnegative")
+    at = rng.choices(range(len(dist.points)), cum_weights=dist.cum_weights, k=m)
+    return LabeledSample._of_pairs(zip(map(dist.points.__getitem__, at), map(labels.__getitem__, at)))
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def labels_on(dist: Distribution, g) -> bytes:
-    """g's 0/1 labels on the distribution's support, in support order: this
-    distribution's support labels are their bytes; a junta's are its word's
-    bits at the cached index values (a point that does not start with its
-    head reads bit 2^ell, which is 0); any other callable is called once per
-    point, and a table or other support labels answer from C."""
-    if isinstance(g, SupportLabels) and g.dist is dist:
-        return g.labels
+    """g's 0/1 labels on the distribution's support, in support order: a
+    junta's are its word's bits at the cached index values (a point that does
+    not start with its head reads bit 2^ell, which is 0); any other callable
+    is called once per point, and a table answers from C."""
     if isinstance(g, JuntaHypothesis):
         bits = f"{g.word:0{(1 << g.layout.ell) + 1}b}"[::-1].encode().translate(_BIT_BYTES)  # byte v: bit v
         return bytes(map(bits.__getitem__, dist.index_values(g.layout, g.head)))
     return bytes(map(g, dist.points))
 
 
-def support_labels(dist: Distribution, concept) -> SupportLabels:
-    """The concept's labels on the support, in support order, as `labels_on` gives them."""
-    return SupportLabels(dist, labels_on(dist, concept))
-
-
-def error_of(dist: Distribution, f, h) -> float:
-    """Exact weighted disagreement Pr_{x~D}[f(x) != h(x)]: the weights of the
-    support points where the `labels_on` bytes differ, summed in support order."""
-    return sum(compress(dist.weights, map(ne, labels_on(dist, f), labels_on(dist, h))))
+def error_of(dist: Distribution, labels: bytes, h) -> float:
+    """Exact weighted disagreement Pr_{x~D}[f(x) != h(x)] of the target f whose
+    support labels are labels, one per support point, and the hypothesis h: the
+    weights where they differ from h's `labels_on` bytes, summed in support order."""
+    if len(labels) != len(dist.points):
+        raise ShapeError(f"need {len(dist.points)} labels, one per support point, got {len(labels)}")
+    return sum(compress(dist.weights, map(ne, labels, labels_on(dist, h))))
 
 
 # -- hypotheses -----------------------------------------------------------------
@@ -242,14 +216,15 @@ class SuiteResult:
 
 def pac_trial_suite(
     learner,
-    concept,
+    labels: bytes,
     dist: Distribution,
     eps: float,
     m: int,
     trials: int,
     master_seed: int | str,
 ) -> SuiteResult:
-    """Empirical estimate of the PAC success event Pr[error <= eps].
+    """Empirical estimate of the PAC success event Pr[error <= eps] for the
+    target whose 0/1 labels on the support are labels, `labels_on(dist, target)`.
 
     learner(sample, counter=None) -> hypothesis, called with a fresh
     StepCounter per trial.  A learner that raises a CertlabError fails its
@@ -261,20 +236,23 @@ def pac_trial_suite(
         raise ConfigError("trials must be >= 1")
     if not 0 < eps < 1:
         raise ConfigError(f"eps must lie in (0, 1), got {eps}")
+    for y in labels:
+        if y not in (0, 1):
+            raise ShapeError(f"label must be 0/1, got {y!r}")
     errors = []
     successes = 0
     total_steps = 0
     t0 = time.perf_counter()
     for t in range(trials):
         rng = random.Random(f"{master_seed}:{t}")
-        sample = draw_sample(dist, concept, m, rng)
+        sample = draw_sample(dist, labels, m, rng)
         counter = StepCounter()
         try:
             hyp = learner(sample, counter=counter)
         except CertlabError:
             err = 1.0
         else:
-            err = error_of(dist, concept, hyp)
+            err = error_of(dist, labels, hyp)
         errors.append(err)
         total_steps += counter.steps
         if err <= eps + 1e-12:

@@ -243,6 +243,8 @@ def sat_decider(
     master_seed: int | str,
 ) -> DeciderReport:
     """Encode the formula and run the one-sided decider against it."""
-    z = verifier.encoding.encode(inst)
+    # the codes' range first: encode builds the formula's 2^p-bit accept mask
+    get_code(config.code_params, verifier.p)
+    z = verifier.encode(inst)
     result = rtime_decide(z, verifier, config, learner, master_seed)
     return DeciderReport(instance=inst, accept=result.accept, result=result)

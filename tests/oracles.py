@@ -2,9 +2,9 @@
 
 No command needs these.  They are the slow, obviously correct versions of
 what the package computes, the field-by-field formula encoding, the
-NP-oracle view of its verifiers, the single challenge round, the writers
-its parsers' round trips read back, the (z, tree) class enumerator and
-the reader of the tree text `enumerate` writes.  They are kept apart from
+NP-oracle view of its verifiers, the PAC trial loop, the single challenge
+round, the writers its parsers' round trips read back, the (z, tree) class
+enumerator and the reader of the tree text `enumerate` writes.  They are kept apart from
 the code they check the way perfbench/reference.py keeps the benchmark's
 checks.  The two-variable formulas many test modules share are defined
 here once.
@@ -29,6 +29,7 @@ from certlab.concepts import (
 )
 from certlab.errors import (
     BudgetError,
+    CertlabError,
     ConfigError,
     DataInconsistencyError,
     FormatError,
@@ -195,6 +196,29 @@ def reference_error(dist, f, h) -> float:
     point: the weights where int(f(x)) != int(h(x)), summed in support order
     by the builtin sum."""
     return sum(w for x, w in zip(dist.points, dist.weights) if int(f(x)) != int(h(x)))
+
+
+def reference_trial_suite(learner, concept, dist, eps, m, trials, master_seed):
+    """(success_rate, mean_error, mean_steps) of the trial loop as the paper
+    states it: trial t draws m points i.i.d. from the distribution with the
+    generator seeded by (master_seed, t), labels each by calling the concept,
+    runs the learner with a fresh counter, and scores it by `reference_error`;
+    a learner that raises a CertlabError fails its trial with error 1.0."""
+    errors, steps = [], 0
+    for t in range(trials):
+        rng = random.Random(f"{master_seed}:{t}")
+        points = rng.choices(dist.points, cum_weights=dist.cum_weights, k=m)
+        sample = LabeledSample((x, int(concept(x))) for x in points)
+        counter = StepCounter()
+        try:
+            h = learner(sample, counter=counter)
+        except CertlabError:
+            errors.append(1.0)
+        else:
+            errors.append(reference_error(dist, concept, h))
+        steps += counter.steps
+    successes = sum(err <= eps + 1e-12 for err in errors)
+    return successes / trials, sum(errors) / trials, steps / trials
 
 
 # -- writers whose output the parsers read back, and the tree-text reader -------

@@ -27,7 +27,7 @@ from certlab.harness.corpus import (
     single_clause_corpus,
 )
 from certlab.harness.cli import main as cli_main
-from certlab.paclearn import few_sample_learner, junta_learner, pac_trial_suite, sparse_erm
+from certlab.paclearn import few_sample_learner, junta_learner, labels_on, pac_trial_suite, sparse_erm
 from certlab.reduction import DeciderConfig, sat_decider
 from certlab.concepts import ExampleLayout
 from certlab.sat import brute_force_sat
@@ -129,7 +129,7 @@ def test_criterion_04_few_sample_learner_succeeds_at_47_samples():
     rates = {}
     ok = True
     for name, dist in distribution_suite(concept):
-        res = pac_trial_suite(learner, concept, dist, eps, m, 200, f"c4:{name}")
+        res = pac_trial_suite(learner, labels_on(dist, concept), dist, eps, m, 200, f"c4:{name}")
         rates[name] = res.success_rate
         ok = ok and res.success_rate >= 0.95
     detail = " ".join(f"{k}={v:.3f}" for k, v in rates.items())
@@ -149,7 +149,7 @@ def test_criterion_05_sparse_erm_succeeds_at_union_bound_samples():
     rates = {}
     ok = True
     for name, dist in distribution_suite(concept):
-        res = pac_trial_suite(sparse_erm, concept, dist, eps, m, 200, f"c5:{name}")
+        res = pac_trial_suite(sparse_erm, labels_on(dist, concept), dist, eps, m, 200, f"c5:{name}")
         rates[name] = res.success_rate
         ok = ok and res.success_rate >= 0.95
     detail = " ".join(f"{k}={v:.3f}" for k, v in rates.items())
@@ -250,7 +250,7 @@ def test_criterion_08_online_mistake_bounds():
     rates = {}
     conv_ok = True
     for name, dist in distribution_suite(concept16):
-        res = pac_trial_suite(conv16, concept16, dist, 0.1, conv16.sample_size, 200, f"c8:{name}")
+        res = pac_trial_suite(conv16, labels_on(dist, concept16), dist, 0.1, conv16.sample_size, 200, f"c8:{name}")
         rates[name] = res.success_rate
         conv_ok = conv_ok and res.success_rate >= 1 - 0.1 - 0.05
 

@@ -131,9 +131,9 @@ def test_a_tradeoff_sweep_scans_no_point_inside_its_trials(tmp_path, monkeypatch
     rescanned, inside = [], []
     real_suite = commands.pac_trial_suite
 
-    def suite(learner, concept, dist, *args):
+    def suite(learner, labels, dist, *args):
         before = len(scanned)
-        result = real_suite(learner, concept, dist, *args)
+        result = real_suite(learner, labels, dist, *args)
         inside.extend(scanned[before:])
         rescanned.extend(s for s in scanned[before:] if s in dist.points)
         return result

@@ -169,6 +169,21 @@ RUNS = [
         exit=2,
         stderr="configuration error: config key 'learn.learners' must list at least one name",
     ),
+    # a negative sample size, also after a budget that has run
+    Run(
+        "learn-negative-m",
+        "learn",
+        config="learn.m = 0,-1\n",
+        exit=2,
+        stderr="configuration error: sample size must be nonnegative",
+    ),
+    Run(
+        "tradeoff-negative-m",
+        "tradeoff",
+        config="tradeoff.m = -1\n",
+        exit=2,
+        stderr="configuration error: sample size must be nonnegative",
+    ),
     # a config saved with a UTF-8 byte order mark keeps its first key
     Run(
         "bom",

@@ -61,6 +61,13 @@ CLI_CASES = {
         "corpus.kind = single_clause\nlearn.m = 0,6,20\nlearn.trials = 12\n",
         4,
     ),
+    # p = 6: 64 index values; all four distributions at m = 0
+    "learn-random-p6": (
+        "learn",
+        "corpus.kind = random\ncorpus.count = 20\ncorpus.vars_max = 6\n"
+        "learn.m = 0,1,9,47\nlearn.trials = 25\n",
+        11,
+    ),
     "reduce-random-standard": (
         "reduce",
         "corpus.kind = random\ncorpus.count = 12\ndecider.m = 8\ndecider.r = 3\n",
@@ -88,6 +95,7 @@ CLI_GOLDEN = {
     },
     "enumerate": {"trees.txt": "94094336ce1d972d26fbcf21c49193bbe206c14c67be5220f3a8401ae84eccd4"},
     "learn": {"learn.csv": "9dcc578526a24af2f17e35981036ad57a51f54ce7772b865c4b994bc9dc379df"},
+    "learn-random-p6": {"learn.csv": "a9f4184e757bdd8d69c655ec415c13850e922b8873ec032f9ff7cf3b027f93cc"},
     "reduce-forcing-standard": {
         "decider_report.txt": "c20875402028933f6397fa468530954a2894c7a77effafd30bcb483977f42671"
     },

@@ -32,13 +32,13 @@ from certlab.paclearn import (
     draw_sample,
     few_sample_learner,
     junta_learner,
+    labels_on,
     pac_trial_suite,
     sparse_erm,
-    support_labels,
 )
 from certlab.sat import brute_force_sat, random_instance
-from certlab.verifiers import StepCounter, ThreeSatVerifier
-from oracles import parse_tree, serialize_config, to_dimacs
+from certlab.verifiers import FormulaEncoding, StepCounter, ThreeSatVerifier
+from oracles import parse_tree, reference_trial_suite, serialize_config, to_dimacs
 
 
 def test_config_parse_serialize_round_trip():
@@ -177,15 +177,16 @@ TWO_VAR_SAT = [f for f in TWO_VAR.instances if brute_force_sat(f)]
     st.integers(1, 4),
     st.integers(0, 2**32),
 )
-def test_trial_suites_label_alike_from_the_concept_and_its_support_labels(inst, name, m, trials, seed):
+def test_trial_suites_match_the_reference_trial_loop(inst, name, m, trials, seed):
+    """A suite run on the target's support labels, drawing pre-labelled
+    support positions, equals the loop that draws points and calls the concept."""
     v = TWO_VAR.verifier
     concept = CertConcept(v, TWO_VAR.verifier.encoding.encode(inst), DEFAULT_CODE_PARAMS)
     learner = resolve_learner(name, v, DEFAULT_CODE_PARAMS)
     for dist_name, dist in distribution_suite(concept):
-        labels = support_labels(dist, concept)
-        a = pac_trial_suite(learner, concept, dist, 0.1, m, trials, f"{seed}:{dist_name}")
-        b = pac_trial_suite(learner, labels, dist, 0.1, m, trials, f"{seed}:{dist_name}")
-        assert (a.success_rate, a.mean_error, a.mean_steps) == (b.success_rate, b.mean_error, b.mean_steps)
+        a = pac_trial_suite(learner, labels_on(dist, concept), dist, 0.1, m, trials, f"{seed}:{dist_name}")
+        b = reference_trial_suite(learner, concept, dist, 0.1, m, trials, f"{seed}:{dist_name}")
+        assert (a.success_rate, a.mean_error, a.mean_steps) == b
 
 
 def _same_as_direct(learner, direct, sample, support):
@@ -213,7 +214,7 @@ def test_every_table_learner_is_the_learner_it_names(name):
     for inst in TWO_VAR_SAT[:4]:
         concept = CertConcept(v, TWO_VAR.verifier.encoding.encode(inst), params)
         for dist_name, dist in distribution_suite(concept):
-            sample = draw_sample(dist, concept, 12, random.Random(dist_name))
+            sample = draw_sample(dist, labels_on(dist, concept), 12, random.Random(dist_name))
             for learner in learners:
                 _same_as_direct(learner, direct, sample, dist.points)
 
@@ -237,8 +238,25 @@ def test_reduce_plugs_in_the_junta_learner_on_the_uniform_layout(tmp_path, monke
     inst = next(f for f in single_clause_corpus().instances if brute_force_sat(f))
     concept = CertConcept(v, v.encoding.encode(inst), config.code_params, kind="uniform")
     points = [layout.example("0" * v.n, i) for i in range(1 << layout.ell)]
-    sample = draw_sample(Distribution.uniform(points), concept, 10, random.Random(0))
+    dist = Distribution.uniform(points)
+    sample = draw_sample(dist, labels_on(dist, concept), 10, random.Random(0))
     _same_as_direct(learner, lambda s, c: junta_learner(s, layout, counter=c), sample, points)
+
+
+def test_reduce_and_tradeoff_decode_no_formula(tmp_path, monkeypatch):
+    """Both commands hold each formula and have the verifier encode it, so no
+    instance string is decoded back into the formula it came from."""
+    decoded = []
+    real_decode = FormulaEncoding.decode
+
+    def counting_decode(self, bits):
+        decoded.append(bits)
+        return real_decode(self, bits)
+
+    monkeypatch.setattr(FormulaEncoding, "decode", counting_decode)
+    assert commands.cmd_reduce(parsed("reduce", {"corpus.kind": "random", "corpus.count": "20"}), tmp_path, 0) == 0
+    assert commands.cmd_tradeoff(parsed("tradeoff", {}), tmp_path, 0) == 0
+    assert decoded == []
 
 
 def test_tradeoff_labels_its_support_once_per_sweep(tmp_path, monkeypatch):
@@ -280,12 +298,13 @@ def test_tradeoff_labels_its_support_once_per_sweep(tmp_path, monkeypatch):
 def test_learn_and_tradeoff_run_their_grids_in_order_with_their_seed_labels(tmp_path, monkeypatch):
     """learner, then budget, then distribution; each support labelled once;
     the rows, the step ratio and the wall-clock lines in the order run."""
-    calls, labelled = [], []
-    real_labels = commands.support_labels
+    calls, labelled, made = [], [], []
+    real_labels = commands.labels_on
 
     def labels(dist, concept):
         labelled.append(dist)
-        return real_labels(dist, concept)
+        made.append(real_labels(dist, concept))
+        return made[-1]
 
     def suite(learner, f, dist, eps, m, trials, master_seed):
         calls.append((learner, f, dist, m, master_seed))
@@ -295,7 +314,7 @@ def test_learn_and_tradeoff_run_their_grids_in_order_with_their_seed_labels(tmp_
     def ran(learner, name):
         return learner is sparse_erm if name == "sparse_erm" else learner.func is few_sample_learner
 
-    monkeypatch.setattr(commands, "support_labels", labels)
+    monkeypatch.setattr(commands, "labels_on", labels)
     monkeypatch.setattr(commands, "pac_trial_suite", suite)
     cfg = "corpus.kind = single_clause\nlearn.learners = sparse_erm,few_sample\nlearn.m = 5,0\n"
     assert run_cli(tmp_path, "learn", cfg, seed=77) == 0
@@ -306,19 +325,20 @@ def test_learn_and_tradeoff_run_their_grids_in_order_with_their_seed_labels(tmp_
     assert [(m, label) for *_, m, label in calls] == want
     assert [(dist.points, dist.weights) for dist in labelled] == [(d.points, d.weights) for _, d in dists]
     for (name, _, d), (learner, f, dist, _, _) in zip(grid, calls):
-        assert ran(learner, name) and dist is labelled[d] and f.dist is dist
+        assert ran(learner, name) and dist is labelled[d] and f is made[d]
     rows = (tmp_path / "learn.csv").read_text().splitlines()[1:]
     assert [row.split(",")[-1] for row in rows] == [str(i) for i in range(1, 17)]
 
     calls.clear()
     labelled.clear()
+    made.clear()
     cfg = "tradeoff.vars = 4\ntradeoff.m = 3,1\ntradeoff.factor = 0.1\n"
     assert run_cli(tmp_path, "tradeoff", cfg, seed=77) == 0
     grid = [(name, m) for name in ("few_sample", "sparse_erm") for m in (3, 1)]
     assert [(m, label) for *_, m, label in calls] == [(m, f"77:{name}:{m}") for name, m in grid]
     assert len(labelled) == 1
     for (name, _), (learner, f, dist, _, _) in zip(grid, calls):
-        assert ran(learner, name) and dist is labelled[0] and f.dist is dist
+        assert ran(learner, name) and dist is labelled[0] and f is made[0]
     rows = (tmp_path / "tradeoff.csv").read_text().splitlines()[1:]
     assert [row.split(",")[-1] for row in rows] == ["1", "2", "3", "4"]
     summary = (tmp_path / "tradeoff_summary.txt").read_text().splitlines()
@@ -780,7 +800,7 @@ def test_cli_learn_small(tmp_path):
     corpus = single_clause_corpus()
     concept = _target_concept(corpus_concepts(corpus, DEFAULT_CODE_PARAMS))
     expected = {
-        name: 1.0 if error_of(dist, concept, TableHypothesis(())) <= 0.1 else 0.0
+        name: 1.0 if error_of(dist, labels_on(dist, concept), TableHypothesis(())) <= 0.1 else 0.0
         for name, dist in distribution_suite(concept)
     }
     header = body[0].split(",")

@@ -15,6 +15,7 @@ from certlab.paclearn import (
     draw_sample,
     error_of,
     few_sample_learner,
+    labels_on,
 )
 from certlab.sat import ThreeSatInstance, exhaustive_formulas
 from online_learners import (
@@ -271,10 +272,11 @@ def test_conversion_of_zero_mistake_learner_returns_the_concept():
     c = CertConcept(V2, Z0, DEFAULT_CODE_PARAMS)
     conv = OnlineToPacLearner(lambda: FixedHypothesisLearner(c), 0, eps=0.1, delta=0.1)
     pts = [Z0 + int_to_bits(v, 4) for v in range(16)]
-    sample = draw_sample(Distribution.uniform(pts), c, conv.sample_size, random.Random(0))
+    dist = Distribution.uniform(pts)
+    sample = draw_sample(dist, labels_on(dist, c), conv.sample_size, random.Random(0))
     h = conv(sample)
     assert h is c
-    assert error_of(Distribution.uniform(pts), c, h) == 0.0
+    assert error_of(dist, labels_on(dist, c), h) == 0.0
 
 
 def test_conversion_monte_carlo_success():
@@ -285,9 +287,9 @@ def test_conversion_monte_carlo_success():
     ok = 0
     trials = 40
     for t in range(trials):
-        sample = draw_sample(dist, c, conv.sample_size, random.Random(f"mc:{t}"))
+        sample = draw_sample(dist, labels_on(dist, c), conv.sample_size, random.Random(f"mc:{t}"))
         h = conv(sample)
-        if error_of(dist, c, h) <= 0.1:
+        if error_of(dist, labels_on(dist, c), h) <= 0.1:
             ok += 1
     assert ok / trials >= 0.9
 
@@ -304,6 +306,7 @@ def test_conversion_returns_intermediate_hypothesis():
 
     conv = OnlineToPacLearner(lambda: Recorder(V2, DEFAULT_CODE_PARAMS), 1, 0.1, 0.1)
     pts = [Z0 + int_to_bits(v, 4) for v in range(16)]
-    sample = draw_sample(Distribution.uniform(pts), c, 50, random.Random(1))
+    dist = Distribution.uniform(pts)
+    sample = draw_sample(dist, labels_on(dist, c), 50, random.Random(1))
     h = conv(sample)
     assert any(h is s for s in seen)

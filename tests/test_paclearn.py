@@ -23,7 +23,6 @@ from certlab.paclearn import (
     labels_on,
     pac_trial_suite,
     sparse_erm,
-    support_labels,
 )
 from certlab.harness.commands import COMMANDS, _target_concept, corpus_concepts, distribution_suite
 from certlab.harness.config import read_config
@@ -51,6 +50,12 @@ def useful_points(c: CertConcept) -> list[str]:
     return [c.z + int_to_bits(v, c.layout.ell) for v in range(1 << c.layout.ell)]
 
 
+def uniform_error(points, target, h) -> float:
+    """h's error against the target under the uniform distribution on points."""
+    dist = Distribution.uniform(points)
+    return error_of(dist, labels_on(dist, target), h)
+
+
 # -- distributions and samples ---------------------------------------------------
 
 
@@ -76,19 +81,19 @@ def test_distribution_validation():
 def test_draw_sample_basics():
     c = concept0()
     dist = Distribution.uniform(useful_points(c))
-    assert len(draw_sample(dist, c, 0, random.Random(0))) == 0
+    assert len(draw_sample(dist, labels_on(dist, c), 0, random.Random(0))) == 0
     pm = Distribution.point_mass(useful_points(c)[3])
-    s = draw_sample(pm, c, 5, random.Random(0))
+    s = draw_sample(pm, labels_on(pm, c), 5, random.Random(0))
     assert all(x == useful_points(c)[3] and y == c(x) for x, y in s)
     with pytest.raises(ConfigError):
-        draw_sample(dist, c, -1, random.Random(0))
+        draw_sample(dist, labels_on(dist, c), -1, random.Random(0))
 
 
 def test_draw_sample_uniform_frequencies_within_3_sigma():
     pts = ["00", "01", "10", "11"]
     dist = Distribution.uniform(pts)
     m = 10_000
-    draws = dist.draw(random.Random(42), m)
+    draws = [x for x, _ in draw_sample(dist, bytes(4), m, random.Random(42))]
     sigma = math.sqrt(0.25 * 0.75 / m)
     for p in pts:
         assert abs(draws.count(p) / m - 0.25) <= 3 * sigma
@@ -107,17 +112,19 @@ def test_draw_sample_uniform_frequencies_within_3_sigma():
 )
 def test_draw_is_choices_over_the_weights_and_leaves_the_rng_alike(seed, points, weights):
     dist = Distribution(points, weights)
+    labels = bytes(i % 2 for i in range(len(points)))
     for m in (0, 1, 47):
         ours, theirs = random.Random(seed), random.Random(seed)
-        assert dist.draw(ours, m) == theirs.choices(points, weights=weights, k=m)
+        drawn = theirs.choices(range(len(points)), weights=weights, k=m)
+        assert draw_sample(dist, labels, m, ours) == tuple((points[i], labels[i]) for i in drawn)
         assert ours.random() == theirs.random()
 
 
 def test_draw_sample_deterministic_given_seed():
     c = concept0()
     dist = Distribution.uniform(useful_points(c))
-    a = draw_sample(dist, c, 20, random.Random("s"))
-    b = draw_sample(dist, c, 20, random.Random("s"))
+    a = draw_sample(dist, labels_on(dist, c), 20, random.Random("s"))
+    b = draw_sample(dist, labels_on(dist, c), 20, random.Random("s"))
     assert a == b
 
 
@@ -178,28 +185,6 @@ def test_labeled_sample_accepts_exactly_what_a_per_pair_check_accepts(data):
         assert LabeledSample(pairs) == pairs
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_from_checked_checks_labels_as_the_constructor_does(data):
-    length = data.draw(st.integers(0, 12))
-    points = data.draw(st.lists(st.text("01", min_size=length, max_size=length), max_size=6))
-    labels = tuple(data.draw(SAMPLE_LABELS) for _ in points)
-    pairs = tuple(zip(points, labels))
-    expected = outcome(LabeledSample, pairs)
-    assert outcome(partial(LabeledSample.from_checked, points), labels) == expected
-    if expected is None:
-        checked = LabeledSample.from_checked(points, labels)
-        assert checked == pairs
-        # True and 1.0 are kept as given, as the constructor keeps them
-        assert [type(y) for _, y in checked] == [type(y) for y in labels]
-
-
-def test_from_checked_needs_one_label_per_point():
-    for labels in ((1,), (1, 0, 1)):
-        with pytest.raises(ShapeError, match=f"need 2 labels, got {len(labels)}"):
-            LabeledSample.from_checked(["01", "10"], labels)
-
-
 def test_labeled_sample_messages():
     good = ("0101", 1)
     cases = [
@@ -224,7 +209,7 @@ def test_labeled_sample_messages():
     assert len(LabeledSample((good, ("1111", True), ("0000", 1.0)))) == 3
 
 
-def test_support_labels_call_the_concept_once_per_support_point():
+def test_labels_on_calls_the_concept_once_per_support_point():
     c = concept0()
     dist = Distribution.uniform(useful_points(c) + ["0" * c.layout.example_len])
     calls = []
@@ -233,14 +218,14 @@ def test_support_labels_call_the_concept_once_per_support_point():
         calls.append(x)
         return c(x)
 
-    labels = support_labels(dist, counting)
+    labels = labels_on(dist, counting)
     assert calls == list(dist.points)
-    for x in dist.points:
-        assert labels(x) == int(c(x))
+    for x, y in zip(dist.points, labels):
+        assert y == int(c(x))
     assert calls == list(dist.points)
 
 
-def test_support_labels_raise_what_the_concept_raises():
+def test_labels_on_raises_what_the_concept_raises():
     c = concept0()
     dist = Distribution.uniform(useful_points(c) + ["0" * c.layout.example_len])
     bad = dist.points[3]
@@ -251,28 +236,30 @@ def test_support_labels_raise_what_the_concept_raises():
         return c(x)
 
     with pytest.raises(DataInconsistencyError) as err:
-        support_labels(dist, picky)
+        labels_on(dist, picky)
     assert str(err.value) == f"no label for {bad}"
 
 
 def test_error_of_examples():
     c = concept0()
     dist = Distribution.uniform(useful_points(c))
-    assert error_of(dist, c, c) == 0.0
+    labels = labels_on(dist, c)
+    assert error_of(dist, labels, c) == 0.0
     flip = lambda x: 1 - c(x)
-    assert error_of(dist, c, flip) == pytest.approx(1.0)
+    assert error_of(dist, labels, flip) == pytest.approx(1.0)
     # constant-0 error under uniform-on-useful = codeword weight / 2^ell
     cw = get_code(DEFAULT_CODE_PARAMS, 2).encode_value(0b01)
     expected = cw.bit_count() / (1 << c.layout.ell)
-    assert error_of(dist, c, TableHypothesis(())) == pytest.approx(expected)
+    assert error_of(dist, labels, TableHypothesis(())) == pytest.approx(expected)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_error_of_equals_the_per_point_sum_exactly(data):
     """error_of sums the same weights in the same order as one call of f and h
-    per support point, so the floats are equal whatever the hypotheses; a
-    junta labels a point list, and a whole support, as it labels each point."""
+    per support point, so the floats are equal whatever the target f and the
+    hypothesis h; a junta labels a point list, and a whole support, as it
+    labels each point."""
     kind = data.draw(st.sampled_from(["standard", "uniform"]))
     lay = ExampleLayout.of(V2.n, DEFAULT_CODE_PARAMS, V2.p, kind)
     other = ExampleLayout.of(
@@ -308,17 +295,12 @@ def test_error_of_equals_the_per_point_sum_exactly(data):
     ]
     others = [
         TableHypothesis(data.draw(st.lists(st.sampled_from(points)))),
-        support_labels(dist, concept),
-        # labels of the same points, in another order, on another distribution
-        support_labels(
-            Distribution.uniform(data.draw(st.permutations(points))), data.draw(st.sampled_from(juntas))
-        ),
         lambda x: x.count("1") % 2,
         lambda x: x.endswith("1"),  # answers with a bool
     ]
     f = data.draw(st.sampled_from(juntas + others))
     h = data.draw(st.sampled_from(juntas + others))
-    assert error_of(dist, f, h) == reference_error(dist, f, h)
+    assert error_of(dist, labels_on(dist, f), h) == reference_error(dist, f, h)
     for j in juntas:
         assert j.labels(dist.points) == [j(x) for x in dist.points]
         assert j.labels(points) == [reference_junta_label(j, x) for x in points]
@@ -337,12 +319,22 @@ def test_error_of_on_a_support_of_the_wrong_length_raises_the_index_error(delta)
         with pytest.raises(ShapeError) as expected:
             reference_error(dist, f, h)
         with pytest.raises(ShapeError) as err:
-            error_of(dist, f, h)
+            error_of(dist, labels_on(dist, f), h)
         assert str(err.value) == str(expected.value) == f"example must have length {want}, got {n}"
     # a point list of mixed lengths raises at its first wrong one
     with pytest.raises(ShapeError) as err:
         c.labels(["0" * want, "0" * (want + 2), "0" * n])
     assert str(err.value) == f"example must have length {want}, got {want + 2}"
+
+
+def test_error_of_needs_one_label_per_support_point():
+    c = concept0()
+    dist = Distribution.uniform(useful_points(c))
+    labels = labels_on(dist, c)
+    for wrong in (labels[:-1], labels + b"\x00", b""):
+        with pytest.raises(ShapeError) as err:
+            error_of(dist, wrong, c)
+        assert str(err.value) == f"need {len(labels)} labels, one per support point, got {len(wrong)}"
 
 
 def python_calls(fn, *args, code=None) -> int:
@@ -369,33 +361,32 @@ def python_calls(fn, *args, code=None) -> int:
 
 
 def test_scoring_and_drawing_run_no_python_frame_per_point():
-    """A table and support labels answer from C, so scoring a support and
-    labelling a draw enter as many Python frames at any size."""
+    """A table answers from C, and a draw takes its labels from the support
+    labels, so scoring a support and drawing a sample enter as many Python
+    frames at any size."""
 
     def scoring_frames(size):
         dist = Distribution.uniform([int_to_bits(i, 7) for i in range(size)])
-        labels = support_labels(dist, lambda x: x.count("1") % 2)
-        # labels of the same points on another distribution: called per point
-        elsewhere = support_labels(Distribution.uniform(dist.points[::-1]), lambda x: x[-1] == "1")
+        labels = labels_on(dist, lambda x: x.count("1") % 2)
         table = TableHypothesis(dist.points[::3])
-        return python_calls(error_of, dist, labels, table), python_calls(error_of, dist, table, elsewhere)
+        return python_calls(error_of, dist, labels, table)
 
     assert scoring_frames(8) == scoring_frames(128)
     dist = Distribution.uniform([int_to_bits(i, 7) for i in range(128)])
-    labels = support_labels(dist, lambda x: x.count("1") % 2)
+    labels = labels_on(dist, lambda x: x.count("1") % 2)
     drawing = [python_calls(draw_sample, dist, labels, m, random.Random(m)) for m in (1, 47)]
     assert drawing[0] == drawing[1]
 
 
 def test_juntas_label_a_support_or_probe_without_a_call_per_point():
-    """`support_labels` and `ldim_oracle` label certificate concepts from
+    """`labels_on` and `ldim_oracle` label certificate concepts from
     their words: no `JuntaHypothesis.__call__` frame runs."""
     c = concept0()
     dist = Distribution.uniform(useful_points(c) + [c.layout.example("1" * V2.n, 3)])
     concepts = [CertConcept(V2, ENC2.encode(f), DEFAULT_CODE_PARAMS) for f in exhaustive_formulas(2, 2)]
     probe = dist.points[-16:]
     call = JuntaHypothesis.__call__.__code__
-    assert python_calls(support_labels, dist, c, code=call) == 0
+    assert python_calls(labels_on, dist, c, code=call) == 0
     assert python_calls(ldim_oracle, concepts, probe, code=call) == 0
     # a concept behind a lambda is called once per point, and counted
     assert python_calls(ldim_oracle, concepts + [lambda x: c(x)], probe, code=call) == 16
@@ -425,8 +416,9 @@ def test_a_trial_suite_of_juntas_reads_each_index_value_once(monkeypatch):
 
     monkeypatch.setattr(ExampleLayout, "index", counting_index)
     learner = partial(few_sample_learner, verifier=V2, params=DEFAULT_CODE_PARAMS)
-    for f in (support_labels(dist, c), c):
-        res = pac_trial_suite(learner, f, dist, 0.1, 47, 20, "index-once")
+    labels = labels_on(dist, c)
+    for seed in ("index-once", "index-once:2"):
+        res = pac_trial_suite(learner, labels, dist, 0.1, 47, 20, seed)
         assert res.success_rate == 1.0
     assert read == list(dist.points)
 
@@ -446,7 +438,7 @@ def test_few_sample_exact_after_one_useful_example():
         x = int_to_bits(rng.getrandbits(c.layout.example_len), c.layout.example_len)
         assert h(x) == c(x)
     # exact hypothesis has zero error on every distribution over the domain
-    assert error_of(Distribution.uniform(useful_points(c)), c, h) == 0.0
+    assert uniform_error(useful_points(c), c, h) == 0.0
 
 
 def test_few_sample_returns_the_concept_it_pins():
@@ -524,7 +516,7 @@ def test_sparse_erm_full_coverage_zero_error():
     c = concept0()
     pairs = tuple((x, c(x)) for x in useful_points(c))
     h = sparse_erm(LabeledSample(pairs))
-    assert error_of(Distribution.uniform(useful_points(c)), c, h) == 0.0
+    assert uniform_error(useful_points(c), c, h) == 0.0
 
 
 def test_sparse_erm_contradiction_raises():
@@ -545,7 +537,7 @@ def test_junta_learner_full_coverage():
         pairs.append((x, c(x)))
     h = junta_learner(LabeledSample(tuple(pairs)), lay)
     pts = [int_to_bits(v, lay.ell) + "0" * lay.n for v in range(1 << lay.ell)]
-    assert error_of(Distribution.uniform(pts), c, h) == 0.0
+    assert uniform_error(pts, c, h) == 0.0
 
 
 def test_junta_learner_partial_coverage_error_bound():
@@ -558,7 +550,7 @@ def test_junta_learner_partial_coverage_error_bound():
     )
     h = junta_learner(LabeledSample(pairs), lay)
     pts = [int_to_bits(v, lay.ell) + "0" * lay.n for v in range(1 << lay.ell)]
-    err = error_of(Distribution.uniform(pts), c, h)
+    err = uniform_error(pts, c, h)
     unseen_ones = sum((c.word >> v) & 1 for v in range(8, 16))
     assert err == pytest.approx(unseen_ones / 16)
 
@@ -683,10 +675,20 @@ def test_pac_trial_suite_deterministic_and_perfect_learner():
     c = concept0()
     dist = Distribution.uniform(useful_points(c))
     learner = partial(few_sample_learner, verifier=V2, params=DEFAULT_CODE_PARAMS)
-    a = pac_trial_suite(learner, c, dist, 0.1, 47, 30, "seed")
-    b = pac_trial_suite(learner, c, dist, 0.1, 47, 30, "seed")
+    a = pac_trial_suite(learner, labels_on(dist, c), dist, 0.1, 47, 30, "seed")
+    b = pac_trial_suite(learner, labels_on(dist, c), dist, 0.1, 47, 30, "seed")
     assert (a.success_rate, a.mean_error, a.mean_steps) == (b.success_rate, b.mean_error, b.mean_steps)
     assert a.success_rate == 1.0
+
+
+def test_a_trial_suite_needs_a_0_1_target():
+    c = concept0()
+    dist = Distribution.uniform(useful_points(c))
+    labels = labels_on(dist, c)
+    for target, bad in ((labels[:3] + b"\x02" + labels[4:], "2"), (labels[:-1] + b"\xff", "255"), ("01" * 8, "'0'")):
+        with pytest.raises(ShapeError) as err:
+            pac_trial_suite(sparse_erm, target, dist, 0.1, 47, 3, 0)
+        assert str(err.value) == f"label must be 0/1, got {bad}"
 
 
 def test_constant_zero_learner_fails_heavy_one_mass():
@@ -697,7 +699,7 @@ def test_constant_zero_learner_fails_heavy_one_mass():
     def learner(sample, counter=None):
         return TableHypothesis(())
 
-    res = pac_trial_suite(learner, c, dist, 0.1, 5, 20, 0)
+    res = pac_trial_suite(learner, labels_on(dist, c), dist, 0.1, 5, 20, 0)
     assert res.success_rate == 0.0
 
 
@@ -715,10 +717,11 @@ def test_a_raising_learner_fails_its_trial_with_error_one():
         learned[-1] = junta(sample, counter=counter)
         return learned[-1]
 
-    res = pac_trial_suite(learner, concept, dist, 0.1, 47, 200, 5)
+    labels = labels_on(dist, concept)
+    res = pac_trial_suite(learner, labels, dist, 0.1, 47, 200, 5)
     raised = [h is None for h in learned]
     assert any(raised) and not all(raised)
-    errors = [1.0 if h is None else error_of(dist, concept, h) for h in learned]
+    errors = [1.0 if h is None else error_of(dist, labels, h) for h in learned]
     assert res.mean_error == sum(errors) / 200
     assert res.success_rate <= raised.count(False) / 200
 
@@ -726,7 +729,7 @@ def test_a_raising_learner_fails_its_trial_with_error_one():
         counter.steps += 3
         raise DataInconsistencyError("always")
 
-    res = pac_trial_suite(counts_then_raises, concept, dist, 0.1, 5, 4, 0)
+    res = pac_trial_suite(counts_then_raises, labels, dist, 0.1, 5, 4, 0)
     assert (res.success_rate, res.mean_error, res.mean_steps) == (0.0, 1.0, 3.0)
 
 
@@ -735,7 +738,7 @@ def test_realizable_consistency_property():
     c = concept0()
     dist = Distribution.uniform(useful_points(c))
     for m in (1, 5, 20):
-        sample = draw_sample(dist, c, m, rng)
+        sample = draw_sample(dist, labels_on(dist, c), m, rng)
         for h in (
             few_sample_learner(sample, V2, DEFAULT_CODE_PARAMS),
             sparse_erm(sample),

@@ -16,6 +16,7 @@ from certlab.paclearn import (
     TableHypothesis,
     error_of,
     junta_learner,
+    labels_on,
     sparse_erm,
 )
 from certlab.reduction import DeciderConfig, _Challenge, rtime_decide, sat_decider
@@ -164,7 +165,7 @@ def test_completeness_transfer_error_below_eps_star_implies_accept():
         t = am_round(
             Z0, V2, recording_learner, HonestMerlin(), PARAMS, random.Random(seed), 12
         )
-        err = error_of(dist, concept, captured["h"])
+        err = error_of(dist, labels_on(dist, concept), captured["h"])
         if err <= eps_star + 1e-12:
             assert t.verdict == 1, f"seed {seed}: error {err} but verdict 0"
 
