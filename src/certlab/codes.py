@@ -33,9 +33,17 @@ kept as m parity masks, one per message bit.  When the walk has more than
 one high part, `decode_value` first reads each set's candidate message off
 the received word and returns it if its codeword lies within the certified
 radius (d-1)//2 (Prange's information-set decoding).  A set that carries no
-error reads the sent message.  The step is exact: a codeword within that
-radius is the unique nearest one, which is what the walk returns.  When
-every set carries an error, the walk runs as before.
+error reads the sent message.  When every set carries an error, a second
+pass lets each set carry one (Lee and Brickell's refinement): a one-bit
+word 1 << s at the set's position s reads the message move_s, so the
+candidates are the read message XOR each move_s, and one within the radius
+is returned.  Both passes are exact: a codeword within that radius is the
+unique nearest one, which is what the walk returns.  With k disjoint sets,
+some set carries at most one of any 2k-1 errors, so no word within
+min((d-1)//2, 2k-1) errors walks.
+
+Before the sets and the walk, a word of weight at most d/2 decodes to 0: no nonzero
+codeword is nearer to it than 0, and a tie goes to the smaller message.
 """
 
 from __future__ import annotations
@@ -200,30 +208,43 @@ class LinearCode:
         would find it.  The lanes are read only when `some_lane_below` finds
         one below the best distance: it never misses such a lane, and a high
         part without one would not be kept.  A codeword within `radius` is
-        the unique nearest one, so the search returns 0 when y itself is
-        that close and otherwise stops at the first high part that reaches
-        it.
+        the unique nearest one, so the search stops at the first high part
+        that reaches it.  It returns 0 at once when y is within half the
+        distance of 0: every other codeword is at least as far, and a tie
+        goes to message 0.
 
         Before the walk, when there is more than one high part, each
         information set reads a candidate message v off y, one parity per
         message bit, and v is returned when y is within `radius` of cw(v).
         By the same uniqueness that is the message the walk would return; a
-        set with no error among its positions reads the sent message, so
-        the walk runs only when every set carries one."""
+        set with no error among its positions reads the sent message.  When
+        every set carries an error, a second pass tries, per set, each
+        v ^ move_s: the message read had the one error been at the set's
+        position s.  A word within `radius` walks only when every set
+        carries at least two of its errors."""
         if y_int >> self.codeword_len:
             raise ShapeError(f"received word must lie in [0, 2^{self.codeword_len})")
-        radius = self.radius
         best_v, best_d = 0, y_int.bit_count()
-        if best_d <= radius:
+        if 2 * best_d <= self.distance:
             return 0
+        radius = self.radius
         dec = self.lane_decoder()
-        high, low, h = dec.high, dec.low, dec.low_bits
+        high, low, h, low_mask = dec.high, dec.low, dec.low_bits, dec.low_mask
+        # read inline, where a `_read_message` call per set would slow the
+        # median word; the second pass is rare
         for masks in dec.info_sets:
             v = 0
             for mask in masks:
                 v = v << 1 | (y_int & mask).bit_count() & 1
-            if (y_int ^ high[v >> h] ^ low[v & dec.low_mask]).bit_count() <= radius:
+            if (y_int ^ high[v >> h] ^ low[v & low_mask]).bit_count() <= radius:
                 return v
+        for masks, moves, flips in zip(dec.info_sets, dec.moves, dec.flips):
+            v = _read_message(masks, y_int)
+            e = y_int ^ high[v >> h] ^ low[v & low_mask]
+            weights = [(e ^ flip).bit_count() for flip in flips]
+            d = min(weights)
+            if d <= radius:
+                return v ^ moves[weights.index(d)]
         tables, spec, n_bytes, as_lanes = dec.tables, dec.hex_spec, dec.n_bytes, dec.as_lanes
         some_lane_below = dec.some_lane_below
         for hi, cw in enumerate(high):
@@ -245,6 +266,15 @@ _HEX_DISTANCE = [
     bytes.maketrans(b"0123456789abcdef", bytes((d ^ nib).bit_count() for d in range(16)))
     for nib in range(1 << CHUNK_BITS)
 ]
+
+
+def _read_message(masks: list[int], y_int: int) -> int:
+    """The message an information set, given as its parity masks, reads
+    off the word y_int."""
+    v = 0
+    for mask in masks:
+        v = v << 1 | (y_int & mask).bit_count() & 1
+    return v
 
 
 def _information_sets(rows: list[int], codeword_len: int) -> list[list[int]]:
@@ -293,6 +323,13 @@ class _LaneDecoder:
         self.high = _span(rows[: len(rows) - h])
         # with one high part the walk is one table sum: no candidate step
         self.info_sets = _information_sets(rows, codeword_len) if len(self.high) > 1 else []
+        # per set, the message move_s it reads off 1 << s at each of its
+        # positions s, in order, and move_s's codeword flip_s
+        self.moves = [
+            [_read_message(masks, 1 << s) for s in range(codeword_len) if any(mask >> s & 1 for mask in masks)]
+            for masks in self.info_sets
+        ]
+        self.flips = [[self.high[mv >> h] ^ low[mv & self.low_mask] for mv in moves] for moves in self.moves]
         # the narrowest lane that holds every distance 0..codeword_len
         lane_type = next(t for t in "BHIQ" if codeword_len < 1 << (8 * array(t).itemsize))
         wide = lane_type != "B"

@@ -177,6 +177,15 @@ RUNS = [
         exit=2,
         stderr="configuration error: sample size must be nonnegative",
     ),
+    # past the codes' lengths: the 2^24-bit accept mask is never built
+    Run(
+        "tradeoff-wide",
+        "tradeoff",
+        config="tradeoff.vars = 24\n",
+        exit=2,
+        stderr="configuration error: message length 24 unsupported (supported: 2..16)",
+        timeout=30,
+    ),
     Run(
         "tradeoff-negative-m",
         "tradeoff",

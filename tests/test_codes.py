@@ -298,9 +298,14 @@ def test_a_word_whose_errors_miss_an_information_set_skips_the_walk(params, monk
         v = rng.getrandbits(16)
         errors = sum(1 << p for p in rng.sample(clean, code.contract_radius))
         words.append((v, code.encode_value(v) ^ errors))
-    # one error in each set leaves the walk, which reads the tables
-    hit_all = sum(masks[0] & -masks[0] for masks in dec.info_sets)
-    assert hit_all.bit_count() == len(dec.info_sets) <= code.radius
+    # two errors in each set (its two lowest positions) leave the walk,
+    # which reads the tables
+    hit_all = 0
+    for masks in dec.info_sets:
+        positions = functools.reduce(int.__or__, masks)
+        rest = positions & (positions - 1)
+        hit_all |= positions ^ rest & (rest - 1)
+    assert hit_all.bit_count() == 2 * len(dec.info_sets) <= code.radius
     walked = code.encode_value(rng.getrandbits(16)) ^ hit_all
     monkeypatch.setattr(dec, "tables", Unreadable())
     for v, y_int in words:
@@ -328,6 +333,93 @@ def test_a_candidate_one_error_past_the_radius_is_not_kept():
             assert read_message(code.lane_decoder().info_sets[0], y_int) == v
             assert full_scan(code, y_int) != v
             assert code.decode_value(y_int) == full_scan(code, y_int)
+
+
+def positions_of(word: int) -> list[int]:
+    return [p for p in range(word.bit_length()) if word >> p & 1]
+
+
+@pytest.mark.parametrize("params", [DEFAULT_CODE_PARAMS, REDUCTION_CODE_PARAMS])
+@pytest.mark.parametrize("m", range(9, 17))
+def test_words_with_up_to_twice_the_sets_less_one_errors_skip_the_walk(params, m, monkeypatch):
+    # with k disjoint sets, some set carries at most one of 2k-1 errors;
+    # half the words spread their errors two to a set, in a random set order
+    code = get_code(params, m)
+    dec = code.lane_decoder()
+    k = min(code.radius, 2 * len(dec.info_sets) - 1)
+    sets = [positions_of(functools.reduce(int.__or__, masks)) for masks in dec.info_sets]
+    rng = random.Random(f"no-walk:{params.c}:{m}")
+    words = []
+    for i in range(100):
+        if i % 2:
+            spread = []
+            for positions in rng.sample(sets, len(sets)):
+                spread += rng.sample(positions, min(2, k - len(spread)))
+        else:
+            spread = rng.sample(range(code.codeword_len), k)
+        assert len(set(spread)) == k
+        v = rng.getrandbits(m)
+        words.append((v, code.encode_value(v) ^ sum(1 << p for p in spread)))
+    monkeypatch.setattr(dec, "tables", Unreadable())
+    for v, y_int in words:
+        assert code.decode_value(y_int) == v
+
+
+def test_a_one_error_candidate_one_past_the_radius_is_not_kept():
+    # y is radius + 1 errors from the codeword of v: one at position s of
+    # the first information set, the rest outside it, all on the support of
+    # a codeword cw(u) of odd weight d = 2*radius + 1.  So y is radius from
+    # cw(v ^ u), the nearest codeword.  The other radius positions of that
+    # support hit the first set at least twice and every other set once, so
+    # no set reads v ^ u, nor does the first set after one correction,
+    # while the correction at s reads v; the second pass must pass it over
+    presets = set()
+    for params in (DEFAULT_CODE_PARAMS, REDUCTION_CODE_PARAMS):
+        for m in range(9, 17):
+            code = get_code(params, m)
+            if code.distance % 2 == 0:
+                continue
+            info_sets = code.lane_decoder().info_sets
+            sets = [functools.reduce(int.__or__, masks) for masks in info_sets]
+            for u, cw in enumerate(codewords(code)):
+                inside = positions_of(cw & sets[0])
+                if cw.bit_count() != code.distance or len(inside) < 3:
+                    continue
+                s = inside[0]
+                kept = set(inside[1:]).union(positions_of(cw & t)[0] for t in sets[1:])
+                kept.update([p for p in positions_of(cw & ~sets[0]) if p not in kept][: code.radius - len(kept)])
+                if len(kept) > code.radius:
+                    continue
+                errors = [p for p in positions_of(cw) if p not in kept]
+                v = random.Random(f"pass-two:{params.c}:{m}").getrandbits(m)
+                y_int = code.encode_value(v) ^ sum(1 << p for p in errors)
+                assert len(errors) == code.radius + 1 and s in errors
+                assert read_message(info_sets[0], y_int ^ 1 << s) == v
+                assert full_scan(code, y_int) == v ^ u
+                assert code.decode_value(y_int) == v ^ u
+                presets.add(params)
+                break
+    assert presets == {DEFAULT_CODE_PARAMS, REDUCTION_CODE_PARAMS}
+
+
+@pytest.mark.parametrize("params, m", [(REDUCTION_CODE_PARAMS, 8), (DEFAULT_CODE_PARAMS, 9), (REDUCTION_CODE_PARAMS, 12)])
+def test_words_at_half_an_even_distance_decode_as_the_full_scan_does(params, m):
+    # a word of weight d/2 is no nearer to any codeword than to 0; half of a
+    # minimum-weight codeword's support ties with it, and the tie goes to 0.
+    # One more bit of that support makes the other codeword the nearer one
+    code = get_code(params, m)
+    half = code.distance // 2
+    assert code.distance == 2 * half
+    rng = random.Random(f"half-distance:{params.c}:{m}")
+    words = [sum(1 << p for p in rng.sample(range(code.codeword_len), half)) for _ in range(100)]
+    for cw in codewords(code):
+        if cw.bit_count() == code.distance:
+            support = positions_of(cw)
+            words.append(sum(1 << p for p in support[:half]))
+            words.append(sum(1 << p for p in support[: half + 1]))
+    assert len(words) > 100
+    for y_int in words:
+        assert code.decode_value(y_int) == full_scan(code, y_int)
 
 
 @settings(max_examples=150, deadline=None)

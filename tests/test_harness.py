@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+from certlab import verifiers
 from certlab.codes import DEFAULT_CODE_PARAMS, LinearCode
 from certlab.concepts import CertConcept, ExampleLayout, dt_eval, serialize_tree
 from certlab.errors import ConfigError, FormatError
@@ -257,6 +258,14 @@ def test_reduce_and_tradeoff_decode_no_formula(tmp_path, monkeypatch):
     assert commands.cmd_reduce(parsed("reduce", {"corpus.kind": "random", "corpus.count": "20"}), tmp_path, 0) == 0
     assert commands.cmd_tradeoff(parsed("tradeoff", {}), tmp_path, 0) == 0
     assert decoded == []
+
+
+def test_tradeoff_rejects_an_uncoded_p_before_building_the_mask(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(verifiers, "satisfying_mask", lambda inst, p: built.append(p))
+    with pytest.raises(ConfigError, match=r"^message length 24 unsupported \(supported: 2\.\.16\)$"):
+        commands.cmd_tradeoff(parsed("tradeoff", {"tradeoff.vars": "24"}), tmp_path, 0)
+    assert built == []
 
 
 def test_tradeoff_labels_its_support_once_per_sweep(tmp_path, monkeypatch):
