@@ -2,7 +2,8 @@
 
 Each supported message length gets its own linear code: rate exactly 1/c,
 generator found by seeded random search, minimum distance certified by a
-Gray-code scan over all nonzero codewords, decoding by nearest codeword.
+Gray-code scan over all nonzero codewords (an attempt's scan stops once it
+cannot beat the best so far), decoding by nearest codeword.
 The contract radius floor(eps_star*c*m) is what callers may rely on; the
 certified radius (d-1)//2 is usually larger and is exported alongside.
 Messages and codewords are ints throughout (`encode_value`, `decode_value`);
@@ -117,7 +118,8 @@ def _span(rows: list[int]) -> list[int]:
     return words
 
 
-def _min_weight(rows: list[int]) -> int:
+def _min_weight(rows: list[int], stop: int) -> int:
+    """The least nonzero-codeword weight, or the first weight <= stop met."""
     # Gray-code walk over all nonzero message values; one XOR per step.
     acc = 0
     best = 1 << 62
@@ -126,7 +128,7 @@ def _min_weight(rows: list[int]) -> int:
         w = acc.bit_count()
         if w < best:
             best = w
-            if best == 0:
+            if best <= stop:
                 break
     return best
 
@@ -163,7 +165,8 @@ class LinearCode:
         best_rows, best_d = None, -1
         for attempt in range(cap):
             rows = [rng.getrandbits(self.codeword_len) for _ in range(message_len)]
-            d = _min_weight(rows)
+            # kept only if d > best_d, so its scan may stop at a weight <= best_d
+            d = _min_weight(rows, best_d)
             if d > best_d:
                 best_rows, best_d = rows, d
             if attempt + 1 >= baseline and best_d >= target:

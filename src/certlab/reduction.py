@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .bits import check_bits, int_to_bits
@@ -189,14 +190,16 @@ def rtime_decide(
         distinct = sorted(set(points))
         slot = {pt: j for j, pt in enumerate(distinct)}
         LabeledSample((pt, 0) for pt in points)  # checks the points
-        choices = [(((pt, 0), (pt, 1)), slot[pt]) for pt in points]
+        proofs = product(*[((pt, 0), (pt, 1)) for pt in distinct])
+        if len(points) > 1:  # else the product's tuple is the sample already
+            proofs = map(itemgetter(*map(slot.__getitem__, points)), proofs)
 
         rep_accept = False
         rep_digest = ""
         proofs_run = 0
-        for assignment in product((0, 1), repeat=len(distinct)):
+        for pairs in proofs:
             proofs_run += 1
-            sample = LabeledSample._of_pairs([pair[assignment[j]] for pair, j in choices])
+            sample = LabeledSample._of_pairs(pairs)
             proof = challenge.prove(sample, read_at)
             if proof is not None and proof.verdict:
                 label_str = "".join(str(y) for _, y in sample)

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import random
 import sys
 import tracemalloc
@@ -13,6 +14,7 @@ from certlab.codes import (
     REDUCTION_CODE_PARAMS,
     CodeParams,
     LinearCode,
+    _min_weight,
     _span,
     decode,
     get_code,
@@ -76,6 +78,49 @@ def test_certified_radius_covers_contract_for_all_supported_lengths():
             code = get_code(params, m)
             assert code.radius >= code.contract_radius
             assert code.distance >= 2 * code.contract_radius + 1
+
+
+#: sha256 of repr((generator_rows, distance)), first 16 hex digits, for
+#: m = 2..16: a change to the search that moves any code shows here.
+PINNED_CODES = {
+    DEFAULT_CODE_PARAMS: (
+        "d94b951d0bc97589 0c5ba4af7eacb7f5 ce29719451d98bd7 a4a3c382739af75e "
+        "270895e0b240b58b 8fef49d085eb80b1 b14e2daebe83508e 48b8958b78ddcf84 "
+        "484c8dcbbcd42b1c 6f8c5a411cfd7816 566bc272f66cb8aa 3f8b1a0c15721c55 "
+        "253a34e400d1b39f 89b6e0d46b319406 c1bd0703c266f743"
+    ),
+    REDUCTION_CODE_PARAMS: (
+        "d458cdef38393163 3c1a4f1006c76f50 94a5c7831762d38a 847fb6f42b2685a0 "
+        "b845d56c8458f9e7 950f19dd5f78c658 47316607ae5a8e82 11c7d7390b8df848 "
+        "4c8fe216d9d6c202 971bd3aa6bfc83f2 83d5c0a3392780ed a787f1056efbae10 "
+        "a3145401baf6c266 1152622c9a344630 c77f21884fac2a46"
+    ),
+}
+
+
+def test_every_supported_code_is_pinned():
+    for params, pinned in PINNED_CODES.items():
+        digests = []
+        for m in range(2, 17):
+            code = get_code(params, m)
+            text = repr((code.generator_rows, code.distance))
+            digests.append(hashlib.sha256(text.encode()).hexdigest()[:16])
+        assert digests == pinned.split()
+
+
+def test_min_weight_stops_only_at_a_weight_within_stop():
+    # without a weight <= stop the walk is exact; with one it may stop there
+    rng = random.Random(41)
+    for _ in range(60):
+        m = rng.randint(1, 10)
+        rows = [rng.getrandbits(rng.randint(m, 3 * m)) for _ in range(m)]
+        least = min(w.bit_count() for w in _span(rows)[1:])
+        for stop in range(-1, 3 * m + 1):
+            got = _min_weight(rows, stop)
+            if stop < least:
+                assert got == least
+            else:
+                assert least <= got <= stop
 
 
 def test_unsupported_lengths_fail_fast():

@@ -521,20 +521,20 @@ def reference_samples(z, layout, seed, rep, m):
 @pytest.mark.parametrize("variant", LAYOUT_KINDS)
 def test_the_decider_hands_the_learner_every_label_string_in_product_order(variant):
     inner = JUNTA_V2 if variant == "uniform" else sparse_erm
-    config = DeciderConfig(m=6, r=3, code_params=PARAMS, variant=variant)
     layout = ExampleLayout.of(V2.n, PARAMS, V2.p, variant)
-    for z in (Z0, Z_UNSAT):
-        for seed in range(3):
-            learner = RecordingLearner(inner)
-            result = rtime_decide(z, V2, config, learner, seed)
-            expected = []
-            for rec in result.repetitions:
-                samples = reference_samples(z, layout, seed, rec.rep, config.m)
-                # an accepting repetition stops at its accepting proof
-                expected += islice(samples, rec.proofs_run) if rec.accept else samples
-            assert learner.samples == expected
-            for sample in learner.samples:
-                assert all(type(y) is int and y in (0, 1) for _, y in sample)
+    # one drawn point is a sample of its own, without a slot lookup
+    for m, z, seed in product((1, 6), (Z0, Z_UNSAT), range(3)):
+        config = DeciderConfig(m=m, r=3, code_params=PARAMS, variant=variant)
+        learner = RecordingLearner(inner)
+        result = rtime_decide(z, V2, config, learner, seed)
+        expected = []
+        for rec in result.repetitions:
+            samples = reference_samples(z, layout, seed, rec.rep, config.m)
+            # an accepting repetition stops at its accepting proof
+            expected += islice(samples, rec.proofs_run) if rec.accept else samples
+        assert learner.samples == expected
+        for sample in learner.samples:
+            assert all(type(y) is int and y in (0, 1) for _, y in sample)
 
 
 class FixedDecode:
