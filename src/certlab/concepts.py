@@ -123,11 +123,10 @@ class CertConcept(JuntaHypothesis):
         counter: StepCounter | None = None,
     ) -> None:
         layout = ExampleLayout.of(verifier.n, params, verifier.p, kind)
+        code = get_code(params, verifier.p)  # a p outside the codes' range ends before any mask
         self.z = z
         self.first_cert = first_certificate(verifier, z, counter=counter)
-        word = 0
-        if self.first_cert is not None:
-            word = get_code(params, verifier.p).encode_value(int(self.first_cert, 2))
+        word = 0 if self.first_cert is None else code.encode_value(int(self.first_cert, 2))
         super().__init__(word, layout, z[: layout.matched])
 
     @property

@@ -331,8 +331,6 @@ def cmd_tradeoff(cfg: dict, out_dir: Path, seed) -> int:
     formula = forcing_formula(num_vars=num_vars, forced=max(1, num_vars // 2), extra=4)
     encoding = FormulaEncoding(max_vars=num_vars, max_clauses=len(formula.clauses))
     v = ThreeSatVerifier(encoding)
-    # the codes' range first: encode builds the formula's 2^p-bit accept mask
-    get_code(params, v.p)
     concept = CertConcept(v, v.encode(formula), params)
     if concept.first_cert is None:
         raise ConfigError("tradeoff formula must be satisfiable")

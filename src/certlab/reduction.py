@@ -35,24 +35,6 @@ def learner_error_target(params: CodeParams, variant: str = "standard"):
     return eps if check_layout_kind(variant) == "standard" else eps / 100
 
 
-@dataclass
-class AmTranscript:
-    seed: str
-    indices: tuple[str, ...]
-    merlin_labels: str
-    y: str
-    w_tilde: str
-    verdict: int
-    failed: bool = False
-
-    def digest(self) -> str:
-        wt = f"0x{int(self.w_tilde, 2):x}" if self.w_tilde else "-"
-        return (
-            f"seed={self.seed} idx={','.join(self.indices)} "
-            f"labels={self.merlin_labels or '-'} wtilde={wt} verdict={self.verdict}"
-        )
-
-
 class _Proof(NamedTuple):
     answers: int  # bit v: the hypothesis's answer at index value v
     w_val: int
@@ -68,7 +50,6 @@ class _Challenge:
         self, z: str, verifier: ThreeSatVerifier, learner, params: CodeParams, variant: str
     ):
         check_bits(z, length=verifier.n, name="z")
-        self.verifier = verifier
         self.learner = learner
         self.layout = ExampleLayout.of(verifier.n, params, verifier.p, variant)
         # get_code rejects a p outside the codes' range before the 2^p-bit mask is built
@@ -117,14 +98,16 @@ class _Challenge:
         w_val = self.code.decode_value(answers & self._cp_mask)
         return _Proof(answers, w_val, self.accept_bytes[w_val >> 3] >> (w_val & 7) & 1)
 
-    def transcript(self, seed_label: str, points, labels: str, proof) -> AmTranscript:
+    def digest(self, seed_label: str, points, labels: str, proof: _Proof) -> str:
+        """The line that names an accepting proof: its seed, the index values
+        of the drawn points, their labels, the decoded certificate and the
+        verdict."""
         lay = self.layout
-        indices = tuple(int_to_bits(lay.index(x), lay.ell) for x in points)
-        if proof is None:
-            return AmTranscript(seed_label, indices, labels, "", "", 0, failed=True)
-        y = format(proof.answers, f"0{1 << lay.ell}b")[::-1]
-        w_tilde = format(proof.w_val, f"0{self.verifier.p}b")
-        return AmTranscript(seed_label, indices, labels, y, w_tilde, proof.verdict)
+        indices = ",".join(int_to_bits(lay.index(x), lay.ell) for x in points)
+        return (
+            f"seed={seed_label} idx={indices} "
+            f"labels={labels or '-'} wtilde=0x{proof.w_val:x} verdict={proof.verdict}"
+        )
 
 
 # -- the one-sided decider -------------------------------------------------------
@@ -203,7 +186,7 @@ def rtime_decide(
             proof = challenge.prove(sample, read_at)
             if proof is not None and proof.verdict:
                 label_str = "".join(str(y) for _, y in sample)
-                rep_digest = challenge.transcript(seed_label, points, label_str, proof).digest()
+                rep_digest = challenge.digest(seed_label, points, label_str, proof)
                 rep_accept = True
                 break
         total_run += proofs_run
@@ -246,8 +229,6 @@ def sat_decider(
     master_seed: int | str,
 ) -> DeciderReport:
     """Encode the formula and run the one-sided decider against it."""
-    # the codes' range first: encode builds the formula's 2^p-bit accept mask
-    get_code(config.code_params, verifier.p)
     z = verifier.encode(inst)
     result = rtime_decide(z, verifier, config, learner, master_seed)
     return DeciderReport(instance=inst, accept=result.accept, result=result)

@@ -8,7 +8,8 @@ iff it accepts the certificate with integer value v).  `ThreeSatVerifier` is
 the verifier every command builds.  Each formula is made canonical once:
 `FormulaEncoding.decode` builds canonical clauses itself, and a caller that
 holds the formula has `ThreeSatVerifier.encode` remember it, so its z is
-never decoded back.
+never decoded back.  The verifier builds a formula's accept mask on its
+first read and holds it in the same memo from then on.
 
 The one NP primitive the rest of the package uses is the lexicographically
 first accepted certificate, which `first_certificate` reads off the accept
@@ -174,49 +175,43 @@ class ThreeSatVerifier:
     """Certificate checker for encoded formulas: the certificate is an
     assignment to max_vars variables; bits beyond an instance's declared
     num_vars are ignored.  Malformed instance strings reject everything, and
-    a p beyond the enumeration budget raises BudgetError before any mask.
+    a p beyond the enumeration budget raises BudgetError when the verifier
+    is made.
 
     The verifier remembers only the instance it was last asked about: its
-    string, its decoded formula (None when malformed) and its accept mask.
-    Every caller asks about one instance many times in a row, and a reader
-    takes the whole memo at once, so it never mixes two instances.  A caller
-    that holds the formula has `encode` remember it, and z is not decoded.
+    string, its decoded formula (None when malformed) and, once it is read,
+    its accept mask (None before).  Every caller asks about one instance
+    many times in a row, and a reader takes the whole memo at once, so it
+    never mixes two instances.  A caller that holds the formula has `encode`
+    remember it, and z is not decoded.
     """
 
     def __init__(self, encoding: FormulaEncoding) -> None:
         self.encoding = encoding
         self.n = encoding.width
         self.p = encoding.max_vars
-        # "" encodes no instance (every width is at least 2) and rejects everything
-        self._memo: tuple[str, ThreeSatInstance | None, int] = ("", None, 0)
-
-    def _remember(
-        self, z: str, inst: ThreeSatInstance | None
-    ) -> tuple[str, ThreeSatInstance | None, int]:
-        """Remember (z, inst, accept mask); BudgetError, before any mask is
-        built, when p exceeds the enumeration budget."""
         _check_budget(self)
-        memo = self._memo = (z, inst, 0 if inst is None else satisfying_mask(inst, self.p))
-        return memo
+        # "" encodes no instance (every width is at least 2) and rejects everything
+        self._memo: tuple[str, ThreeSatInstance | None, int | None] = ("", None, 0)
 
-    def _read(self, z: str) -> tuple[str, ThreeSatInstance | None, int]:
-        """(z, decoded formula or None, accept mask), decoded and computed
-        together when z is not the remembered instance."""
+    def _read(self, z: str) -> tuple[str, ThreeSatInstance | None, int | None]:
+        """(z, decoded formula or None, accept mask or None), decoded when z
+        is not the remembered instance; a malformed z's mask is 0."""
         memo = self._memo
         if memo[0] != z:
             try:
-                inst = self.encoding.decode(z)
+                memo = (z, self.encoding.decode(z), None)
             except FormatError:
-                inst = None
-            memo = self._remember(z, inst)
+                memo = (z, None, 0)
+            self._memo = memo
         return memo
 
     def encode(self, inst: ThreeSatInstance) -> str:
-        """The formula's z, remembered with the formula and its accept mask as
-        `_read` remembers a decoded instance; inst must be canonical, so that
-        it equals z's decoding."""
+        """The formula's z, remembered with the formula as `_read` remembers
+        a decoded instance; inst must be canonical, so that it equals z's
+        decoding."""
         z = self.encoding.encode(inst)
-        self._remember(z, inst)
+        self._memo = (z, inst, None)
         return z
 
     def check(self, z: str, w: str) -> bool:
@@ -224,7 +219,12 @@ class ThreeSatVerifier:
         return inst is not None and eval_assignment(inst, w)
 
     def accept_mask(self, z: str) -> int:
-        return self._read(z)[2]
+        """The instance's accept mask, built on its first read."""
+        z, inst, mask = self._read(z)
+        if mask is None:
+            mask = satisfying_mask(inst, self.p)
+            self._memo = (z, inst, mask)
+        return mask
 
 
 # -- the first certificate -----------------------------------------------------

@@ -36,7 +36,7 @@ from certlab.errors import (
     ShapeError,
 )
 from certlab.paclearn import LabeledSample
-from certlab.reduction import AmTranscript, _Challenge
+from certlab.reduction import _Challenge
 from certlab.sat import ThreeSatInstance, eval_assignment
 from certlab.verifiers import (
     FormulaEncoding,
@@ -582,6 +582,28 @@ def exhaustive_adversary_max_mistakes(
 # -- one challenge round -------------------------------------------------------------
 
 
+@dataclass
+class AmTranscript:
+    """One round's record: y is the hypothesis's answer at each index value,
+    w_tilde the decoded certificate; a round whose learner raised has both
+    empty and is failed."""
+
+    seed: str
+    indices: tuple[str, ...]
+    merlin_labels: str
+    y: str
+    w_tilde: str
+    verdict: int
+    failed: bool = False
+
+    def digest(self) -> str:
+        wt = f"0x{int(self.w_tilde, 2):x}" if self.w_tilde else "-"
+        return (
+            f"seed={self.seed} idx={','.join(self.indices)} "
+            f"labels={self.merlin_labels or '-'} wtilde={wt} verdict={self.verdict}"
+        )
+
+
 class HonestMerlin:
     """Answers with the true concept labels (computed via the first certificate)."""
 
@@ -624,4 +646,10 @@ def am_round(
 
     sample = LabeledSample(tuple(zip(points, [int(b) for b in labels])))
     proof = challenge.prove(sample, read_at)
-    return challenge.transcript(seed_label, points, labels, proof)
+    lay = challenge.layout
+    indices = tuple(int_to_bits(lay.index(x), lay.ell) for x in points)
+    if proof is None:
+        return AmTranscript(seed_label, indices, labels, "", "", 0, failed=True)
+    y = format(proof.answers, f"0{1 << lay.ell}b")[::-1]
+    w_tilde = format(proof.w_val, f"0{verifier.p}b")
+    return AmTranscript(seed_label, indices, labels, y, w_tilde, proof.verdict)

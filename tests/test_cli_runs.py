@@ -129,14 +129,14 @@ RUNS = [
     ),
     # the CLI contract: a bad input ends at once with exit 2 and one stderr line.
     # Brute force over 40 variables would walk 2^40 assignments, so the
-    # decider's length check must come first
+    # verifier checks the budget when it is made, before any formula
     Run(
         "reduce-wide",
         "reduce",
         config="corpus.kind = dimacs\ncorpus.paths = wide.cnf\n",
         files={"wide.cnf": V40_CNF},
         exit=2,
-        stderr="configuration error: message length 40 unsupported (supported: 2..16)",
+        stderr=f"configuration error: {BUDGET_40}",
         timeout=30,
     ),
     # an output file that is a directory
@@ -182,6 +182,16 @@ RUNS = [
         "tradeoff-wide",
         "tradeoff",
         config="tradeoff.vars = 24\n",
+        exit=2,
+        stderr="configuration error: message length 24 unsupported (supported: 2..16)",
+        timeout=30,
+    ),
+    # p = 24 is within the budget but past the codes' lengths: each concept
+    # gets its code first, so no 2^24-bit accept mask is built
+    Run(
+        "enumerate-wide",
+        "enumerate",
+        config="corpus.kind = random\ncorpus.vars_min = 24\ncorpus.vars_max = 24\n",
         exit=2,
         stderr="configuration error: message length 24 unsupported (supported: 2..16)",
         timeout=30,

@@ -117,7 +117,7 @@ def test_the_verifier_remembers_each_corpus_formula_as_decoding_would(tmp_path):
         fresh = ThreeSatVerifier(corpus.verifier.encoding)
         for inst in corpus.instances:
             z = corpus.verifier.encode(inst)
-            # (z, formula, accept mask), as reading z would remember them
+            # (z, formula, no mask until one is read), as reading z would remember them
             assert corpus.verifier._memo == fresh._read(z)
             assert corpus.verifier._memo[1] == corpus.verifier.encoding.decode(z)
 
@@ -265,6 +265,16 @@ def test_tradeoff_rejects_an_uncoded_p_before_building_the_mask(tmp_path, monkey
     monkeypatch.setattr(verifiers, "satisfying_mask", lambda inst, p: built.append(p))
     with pytest.raises(ConfigError, match=r"^message length 24 unsupported \(supported: 2\.\.16\)$"):
         commands.cmd_tradeoff(parsed("tradeoff", {"tradeoff.vars": "24"}), tmp_path, 0)
+    assert built == []
+
+
+@pytest.mark.parametrize("command", ["enumerate", "learn", "vcdim"])
+def test_a_corpus_command_rejects_an_uncoded_p_before_building_the_mask(tmp_path, monkeypatch, command):
+    built = []
+    monkeypatch.setattr(verifiers, "satisfying_mask", lambda inst, p: built.append(p))
+    cfg = parsed(command, {"corpus.kind": "random", "corpus.vars_min": "24", "corpus.vars_max": "24"})
+    with pytest.raises(ConfigError, match=r"^message length 24 unsupported \(supported: 2\.\.16\)$"):
+        getattr(commands, f"cmd_{command}")(cfg, tmp_path, 0)
     assert built == []
 
 
@@ -611,8 +621,9 @@ def test_cli_reduce_on_a_17_variable_file_is_exit_2(tmp_path, capsys):
 
 
 def test_enumerate_that_fails_part_way_leaves_no_trees_file(tmp_path, capsys):
-    # the unsatisfiable formula's line needs no code; the satisfiable one's
-    # needs a length-17 code, so the run fails after one line is written
+    # each concept gets its length-17 code first, so the run fails at the
+    # first formula, once the file is open and before any line is written;
+    # the next test fails after a line
     (tmp_path / "unsat.cnf").write_text("p cnf 17 2\n1 0\n-1 0\n")
     (tmp_path / "sat.cnf").write_text("p cnf 17 1\n-17 0\n")
     cfg = f"corpus.kind = dimacs\ncorpus.paths = {tmp_path}/unsat.cnf,{tmp_path}/sat.cnf\n"
@@ -620,6 +631,17 @@ def test_enumerate_that_fails_part_way_leaves_no_trees_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "configuration error: message length 17 unsupported (supported: 2..16)\n"
     assert not (tmp_path / "trees.txt").exists()
+
+
+def test_write_lines_that_fails_after_a_line_leaves_no_file(tmp_path):
+    def lines():
+        yield "first"
+        raise ConfigError("stopped part-way")
+
+    path = tmp_path / "out.txt"
+    with pytest.raises(ConfigError, match="^stopped part-way$"):
+        commands.write_lines(path, lines())
+    assert not path.exists()
 
 
 def test_enumerate_memory_does_not_grow_with_the_corpus(tmp_path):
