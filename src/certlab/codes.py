@@ -29,19 +29,23 @@ skipping it leaves the result unchanged.
 
 A word within the certified radius rarely needs that walk.  Once per code,
 greedy GF(2) elimination over the positions in order picks disjoint
-information sets: m positions each, whose bits fix the message.  A set is
-kept as m parity masks, one per message bit.  When the walk has more than
-one high part, `decode_value` first reads each set's candidate message off
-the received word and returns it if its codeword lies within the certified
-radius (d-1)//2 (Prange's information-set decoding).  A set that carries no
-error reads the sent message.  When every set carries an error, a second
-pass lets each set carry one (Lee and Brickell's refinement): a one-bit
-word 1 << s at the set's position s reads the message move_s, so the
-candidates are the read message XOR each move_s, and one within the radius
-is returned.  Both passes are exact: a codeword within that radius is the
-unique nearest one, which is what the walk returns.  With k disjoint sets,
-some set carries at most one of any 2k-1 errors, so no word within
-min((d-1)//2, 2k-1) errors walks.
+information sets: m positions each, whose bits fix the message.  The
+message a set reads is linear in the word, and the elimination keeps a set's
+positions in a short window (3 or 4 bytes at c=8, m=16), so a set is kept
+as one table per byte of its window: entry x is the message the set reads
+off byte value x at that byte, and the set reads a word as the XOR of the
+entries its bytes select.  When the walk has more than one high part,
+`decode_value` converts the received word to bytes once, first reads each
+set's candidate message off it and returns it if its codeword lies within
+the certified radius (d-1)//2 (Prange's information-set decoding).  A set
+that carries no error reads the sent message.  When every set carries an
+error, a second pass lets each set carry one (Lee and Brickell's
+refinement): a one-bit word 1 << s at the set's position s reads the
+message move_s, so the candidates are the message the first pass read XOR
+each move_s, and one within the radius is returned.  Both passes are exact:
+a codeword within that radius is the unique nearest one, which is what the
+walk returns.  With k disjoint sets, some set carries at most one of any
+2k-1 errors, so no word within min((d-1)//2, 2k-1) errors walks.
 
 Before the sets and the walk, a word of weight at most d/2 decodes to 0: no nonzero
 codeword is nearer to it than 0, and a tie goes to the smaller message.
@@ -54,7 +58,7 @@ import math
 import random
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -79,12 +83,15 @@ class CodeParams:
 
     c: int
     eps_star: Fraction
+    #: `get_code`'s key: ints hash in C, where a Fraction hashes in Python
+    code_key: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.c, int) or self.c <= 1:
             raise ConfigError("rate denominator c must be an integer > 1")
         eps = Fraction(self.eps_star)
         object.__setattr__(self, "eps_star", eps)
+        object.__setattr__(self, "code_key", (self.c, eps.numerator, eps.denominator))
         if not Fraction(0) < eps < Fraction(1, 2):
             raise ConfigError("eps_star must lie in (0, 1/2)")
         if eps * self.c * MIN_MESSAGE_LEN < 1:
@@ -217,8 +224,9 @@ class LinearCode:
         goes to message 0.
 
         Before the walk, when there is more than one high part, each
-        information set reads a candidate message v off y, one parity per
-        message bit, and v is returned when y is within `radius` of cw(v).
+        information set reads a candidate message v off y, the XOR of one
+        table entry per byte of y its positions span, and v is returned when
+        y is within `radius` of cw(v).
         By the same uniqueness that is the message the walk would return; a
         set with no error among its positions reads the sent message.  When
         every set carries an error, a second pass tries, per set, each
@@ -233,21 +241,22 @@ class LinearCode:
         radius = self.radius
         dec = self.lane_decoder()
         high, low, h, low_mask = dec.high, dec.low, dec.low_bits, dec.low_mask
-        # read inline, where a `_read_message` call per set would slow the
-        # median word; the second pass is rare
-        for masks in dec.info_sets:
-            v = 0
-            for mask in masks:
-                v = v << 1 | (y_int & mask).bit_count() & 1
-            if (y_int ^ high[v >> h] ^ low[v & low_mask]).bit_count() <= radius:
-                return v
-        for masks, moves, flips in zip(dec.info_sets, dec.moves, dec.flips):
-            v = _read_message(masks, y_int)
-            e = y_int ^ high[v >> h] ^ low[v & low_mask]
-            weights = [(e ^ flip).bit_count() for flip in flips]
-            d = min(weights)
-            if d <= radius:
-                return v ^ moves[weights.index(d)]
+        if dec.reads:
+            y_bytes = y_int.to_bytes(dec.word_bytes, "little")
+            missed = []
+            for reads in dec.reads:
+                v = 0
+                for i, table in reads:
+                    v ^= table[y_bytes[i]]
+                e = y_int ^ high[v >> h] ^ low[v & low_mask]
+                if e.bit_count() <= radius:
+                    return v
+                missed.append((v, e))
+            for (v, e), moves, flips in zip(missed, dec.moves, dec.flips):
+                weights = [(e ^ flip).bit_count() for flip in flips]
+                d = min(weights)
+                if d <= radius:
+                    return v ^ moves[weights.index(d)]
         tables, spec, n_bytes, as_lanes = dec.tables, dec.hex_spec, dec.n_bytes, dec.as_lanes
         some_lane_below = dec.some_lane_below
         for hi, cw in enumerate(high):
@@ -326,13 +335,26 @@ class _LaneDecoder:
         self.high = _span(rows[: len(rows) - h])
         # with one high part the walk is one table sum: no candidate step
         self.info_sets = _information_sets(rows, codeword_len) if len(self.high) > 1 else []
-        # per set, the message move_s it reads off 1 << s at each of its
-        # positions s, in order, and move_s's codeword flip_s
-        self.moves = [
-            [_read_message(masks, 1 << s) for s in range(codeword_len) if any(mask >> s & 1 for mask in masks)]
-            for masks in self.info_sets
-        ]
-        self.flips = [[self.high[mv >> h] ^ low[mv & self.low_mask] for mv in moves] for moves in self.moves]
+        self.word_bytes = -(-codeword_len // 8)
+        message_type = next(t for t in "BHIQ" if len(rows) <= 8 * array(t).itemsize)
+        # per set: the message move_s it reads off 1 << s at each of its
+        # positions s, in order; move_s's codeword flip_s; and (i, table_i)
+        # for each byte i its positions span.  The read is linear, so a set
+        # reads a word as the XOR of table_i[byte i of the word], where
+        # table_i[x] is the XOR of the moves that x's bits select
+        self.moves, self.flips, self.reads = [], [], []
+        for masks in self.info_sets:
+            moves = {
+                s: _read_message(masks, 1 << s)
+                for s in range(codeword_len)
+                if any(mask >> s & 1 for mask in masks)
+            }
+            self.moves.append(list(moves.values()))
+            self.flips.append([self.high[mv >> h] ^ low[mv & self.low_mask] for mv in moves.values()])
+            self.reads.append([
+                (i, array(message_type, _span([moves.get(8 * i + b, 0) for b in reversed(range(8))])))
+                for i in range(min(moves) // 8, max(moves) // 8 + 1)
+            ])
         # the narrowest lane that holds every distance 0..codeword_len
         lane_type = next(t for t in "BHIQ" if codeword_len < 1 << (8 * array(t).itemsize))
         wide = lane_type != "B"
@@ -373,11 +395,11 @@ class _LaneDecoder:
         return t > self.half or ((total | self.guard) - t * self.ones) & self.guard != self.guard
 
 
-_CODE_CACHE: dict[tuple[int, Fraction, int], LinearCode] = {}
+_CODE_CACHE: dict[tuple[tuple[int, int, int], int], LinearCode] = {}
 
 
 def get_code(params: CodeParams, message_len: int) -> LinearCode:
-    key = (params.c, params.eps_star, message_len)
+    key = (params.code_key, message_len)
     code = _CODE_CACHE.get(key)
     if code is None:
         code = LinearCode(params, message_len)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from certlab.codes import (
     DEFAULT_CODE_PARAMS,
+    MAX_CODEWORD_BITS,
     REDUCTION_CODE_PARAMS,
     CodeParams,
     LinearCode,
@@ -318,6 +319,31 @@ def test_information_sets_read_back_every_message(params, m):
         assert all(read_message(masks, code.encode_value(v)) == v for masks in sets)
 
 
+def table_read(reads, y_int: int) -> int:
+    """The message one information set reads off y_int through its byte tables."""
+    y_bytes = y_int.to_bytes(MAX_CODEWORD_BITS // 8, "little")
+    return functools.reduce(int.__xor__, (table[y_bytes[i]] for i, table in reads), 0)
+
+
+@pytest.mark.parametrize("params", [DEFAULT_CODE_PARAMS, REDUCTION_CODE_PARAMS])
+@pytest.mark.parametrize("m", range(9, 17))
+def test_each_set_reads_through_its_tables_what_its_parity_masks_read(params, m):
+    code = get_code(params, m)
+    dec = code.lane_decoder()
+    n = code.codeword_len
+    rng = random.Random(f"table-read:{params.c}:{m}")
+    words = [rng.getrandbits(n) for _ in range(200)]
+    assert len(dec.reads) == len(dec.moves) == len(dec.info_sets)
+    for masks, reads, moves in zip(dec.info_sets, dec.reads, dec.moves):
+        for y_int in words:
+            assert table_read(reads, y_int) == read_message(masks, y_int)
+        one_bit = [table_read(reads, 1 << s) for s in range(n)]
+        assert one_bit == [read_message(masks, 1 << s) for s in range(n)]
+        # the second pass's moves are the one-bit reads at the set's positions
+        positions = functools.reduce(int.__or__, masks)
+        assert moves == [one_bit[s] for s in positions_of(positions)]
+
+
 class Unreadable:
     """Stands in for the lane tables: any read of it raises."""
 
@@ -520,6 +546,16 @@ def test_decoder_tables_stay_small_at_m16():
     assert all(entry < 1 << (8 * 256) for table in dec.tables for entry in table.values())
 
 
+def test_read_tables_stay_small_at_m16():
+    # 7 sets over 3 or 4 bytes each, a 256-entry table of 2-byte messages
+    # per byte: 11 KiB in all
+    dec = get_code(DEFAULT_CODE_PARAMS, 16).lane_decoder()
+    tables = [table for reads in dec.reads for _, table in reads]
+    assert all(table.itemsize == 2 and len(table) == 256 for table in tables)
+    assert all(len(reads) <= 4 for reads in dec.reads)
+    assert sum(len(table) * table.itemsize for table in tables) <= 12 * 1024
+
+
 def test_decode_shape_errors():
     with pytest.raises(ShapeError):
         decode(DEFAULT_CODE_PARAMS, "010")  # not divisible by c
@@ -547,6 +583,14 @@ def test_construction_is_deterministic():
     assert a.generator_rows == b.generator_rows
     assert a.distance == b.distance
     assert get_code(DEFAULT_CODE_PARAMS, 8) is get_code(DEFAULT_CODE_PARAMS, 8)
+
+
+def test_equal_params_made_apart_share_one_code():
+    a = CodeParams(c=8, eps_star=Fraction(2, 32))
+    b = CodeParams(c=8, eps_star=Fraction(1, 16))
+    assert a is not b and a == b and repr(a) == repr(b) == "CodeParams(c=8, eps_star=Fraction(1, 16))"
+    assert get_code(a, 12) is get_code(b, 12) is get_code(DEFAULT_CODE_PARAMS, 12)
+    assert get_code(REDUCTION_CODE_PARAMS, 12) is not get_code(b, 12)
 
 
 def test_module_level_encode_decode():
