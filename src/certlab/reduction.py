@@ -43,8 +43,9 @@ class _Proof(NamedTuple):
 
 class _Challenge:
     """One instance's challenge protocol: its example layout, code and
-    accept mask, read once.  `prove` runs one proof; its verdict is one bit
-    of that mask, read from the mask's bytes."""
+    accept mask, read once.  `run` proves a repetition's samples in one
+    loop; a proof's verdict is one bit of that mask, read from the mask's
+    bytes."""
 
     def __init__(
         self, z: str, verifier: ThreeSatVerifier, learner, params: CodeParams, variant: str
@@ -72,12 +73,9 @@ class _Challenge:
 
     def answers(self, hypothesis, read_at: str) -> int:
         """Bit v: the hypothesis's answer at `layout.example(read_at, v)`.  A
-        table hypothesis is answered from its ones that are queries, and a
-        junta on this layout (a certificate concept too) by its word, or 0
-        when read_at does not start with its head."""
-        if type(hypothesis) is TableHypothesis:
-            # the ones are distinct, so summing their bits ORs them
-            return sum(map(self._bits_at(read_at).get, hypothesis, repeat(0)))
+        junta on this layout (a certificate concept too) is answered by its
+        word, or 0 when read_at does not start with its head; `run` answers
+        a table hypothesis itself."""
         if isinstance(hypothesis, JuntaHypothesis) and hypothesis.layout == self.layout:
             return hypothesis.word if read_at.startswith(hypothesis.head) else 0
         word = 0
@@ -86,17 +84,33 @@ class _Challenge:
                 word |= bit
         return word
 
-    def prove(self, sample: LabeledSample, read_at: str) -> _Proof | None:
-        """Learn from the sample, query the hypothesis at every index value
-        with read_at's other bits, decode its first cp answers and check the
-        result; None when the learner raises."""
-        try:
-            hypothesis = self.learner(sample)
-        except CertlabError:
-            return None
-        answers = self.answers(hypothesis, read_at)
-        w_val = self.code.decode_value(answers & self._cp_mask)
-        return _Proof(answers, w_val, self.accept_bytes[w_val >> 3] >> (w_val & 7) & 1)
+    def run(self, samples, read_at: str) -> tuple[int, LabeledSample | None, _Proof | None]:
+        """Prove the samples in order up to the first that accepts: learn
+        from each, query the hypothesis at every index value with read_at's
+        other bits, decode its first cp answers and read the mask bit at the
+        result.  Returns the proofs run, the last sample and its proof, None
+        when the learner raised on it.  A table hypothesis is answered from
+        its ones that are queries, any other through `answers`."""
+        learner, decode, cp_mask = self.learner, self.code.decode_value, self._cp_mask
+        accept_bytes, get = self.accept_bytes, self._bits_at(read_at).get
+        run, sample, w_val = 0, None, None
+        for sample in samples:
+            run += 1
+            try:
+                hypothesis = learner(sample)
+            except CertlabError:
+                w_val = None
+                continue
+            if type(hypothesis) is TableHypothesis:
+                # the ones are distinct, so summing their bits ORs them
+                answers = sum(map(get, hypothesis, repeat(0)))
+            else:
+                answers = self.answers(hypothesis, read_at)
+            w_val = decode(answers & cp_mask)
+            verdict = accept_bytes[w_val >> 3] >> (w_val & 7) & 1
+            if verdict:
+                break
+        return run, sample, None if w_val is None else _Proof(answers, w_val, verdict)
 
     def digest(self, seed_label: str, points, labels: str, proof: _Proof) -> str:
         """The line that names an accepting proof: its seed, the index values
@@ -159,9 +173,10 @@ def rtime_decide(
     point make every learner here fail (reject), so enumerating one label per
     distinct point covers the whole proof space.  The drawn points are
     checked once per repetition; each proof's sample is then chosen from
-    pre-built (point, 0) and (point, 1) pairs and not checked again.
-    One-sided by construction: the verifier check at the end rejects every
-    proof for a false instance.
+    pre-built (point, 0) and (point, 1) pairs and not checked again.  A
+    repetition's proofs run in one `_Challenge.run` loop, and the digest is
+    built only for the proof that accepts.  One-sided by construction: the
+    verifier check at the end rejects every proof for a false instance.
     """
     challenge = _Challenge(z, verifier, learner, config.code_params, config.variant)
     reps: list[RepetitionRecord] = []
@@ -177,18 +192,13 @@ def rtime_decide(
         if len(points) > 1:  # else the product's tuple is the sample already
             proofs = map(itemgetter(*map(slot.__getitem__, points)), proofs)
 
-        rep_accept = False
+        samples = map(LabeledSample._of_pairs, proofs)
+        proofs_run, sample, proof = challenge.run(samples, read_at)
+        rep_accept = proof is not None and proof.verdict == 1
         rep_digest = ""
-        proofs_run = 0
-        for pairs in proofs:
-            proofs_run += 1
-            sample = LabeledSample._of_pairs(pairs)
-            proof = challenge.prove(sample, read_at)
-            if proof is not None and proof.verdict:
-                label_str = "".join(str(y) for _, y in sample)
-                rep_digest = challenge.digest(seed_label, points, label_str, proof)
-                rep_accept = True
-                break
+        if rep_accept:
+            label_str = "".join(str(y) for _, y in sample)
+            rep_digest = challenge.digest(seed_label, points, label_str, proof)
         total_run += proofs_run
         reps.append(RepetitionRecord(rep, rep_accept, proofs_run, rep_digest))
         if rep_accept:

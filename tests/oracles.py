@@ -4,7 +4,8 @@ No command needs these.  They are the slow, obviously correct versions of
 what the package computes, the field-by-field formula encoding, the
 NP-oracle view of its verifiers, the PAC trial loop, the single challenge
 round, the writers its parsers' round trips read back, the (z, tree) class
-enumerator and the reader of the tree text `enumerate` writes.  They are kept apart from
+enumerator and the reader of the tree text `enumerate` writes, and the
+Python frame counter the call-count tests share.  They are kept apart from
 the code they check the way perfbench/reference.py keeps the benchmark's
 checks.  The two-variable formulas many test modules share are defined
 here once.
@@ -12,8 +13,10 @@ here once.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 
 from certlab.bits import bits_of_rank, check_bits, int_to_bits, is_bits
@@ -645,7 +648,7 @@ def am_round(
         raise ConfigError("am_round requires an honest or fixed-proof Merlin")
 
     sample = LabeledSample(tuple(zip(points, [int(b) for b in labels])))
-    proof = challenge.prove(sample, read_at)
+    proof = challenge.run((sample,), read_at)[2]
     lay = challenge.layout
     indices = tuple(int_to_bits(lay.index(x), lay.ell) for x in points)
     if proof is None:
@@ -653,3 +656,26 @@ def am_round(
     y = format(proof.answers, f"0{1 << lay.ell}b")[::-1]
     w_tilde = format(proof.w_val, f"0{verifier.p}b")
     return AmTranscript(seed_label, indices, labels, y, w_tilde, proof.verdict)
+
+
+def python_calls(fn, *args, code=None) -> int:
+    """The Python frames entered while fn(*args) runs, fn's own included, or
+    only those running the given code object.  The collector is held off: a
+    collection set off inside fn would run other objects' Python finalizers
+    there and count their frames."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and code in (None, frame.f_code)
+
+    gc.collect()
+    gc.disable()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+        gc.enable()
+    return calls

@@ -3,6 +3,7 @@ name.  These checks fail when a change to certlab moves or renames something
 the benchmark uses, instead of leaving a traced layer silently absent or a
 workload unable to start.  They read perfbench/ and never edit it."""
 
+import hashlib
 import importlib
 import subprocess
 import sys
@@ -74,3 +75,40 @@ def test_commands_are_looked_up_when_run(monkeypatch, tmp_path):
     monkeypatch.setattr(commands, "cmd_tradeoff", lambda cfg, out_dir, seed: ran.append(seed) or 0)
     assert main(["tradeoff", "--seed", "3", "--out", str(tmp_path)]) == 0
     assert ran == [3]
+
+
+def test_a_decide_round_keeps_its_counts(perfbench_modules, monkeypatch, tmp_path):
+    """One `decide` round at seed 0, in-process: its proofs, learner calls,
+    decodes, accepts and accepting digests, as recorded before the decider's
+    proofs ran in one loop."""
+    from certlab import codes
+
+    workloads = perfbench_modules("workloads")
+    calls = {"learner": 0, "decode": 0}
+
+    def counting(learner):
+        def counted(sample, counter=None):
+            calls["learner"] += 1
+            return learner(sample, counter=counter)
+
+        return counted
+
+    decode_value = codes.LinearCode.decode_value
+
+    def counted_decode(code, word):
+        calls["decode"] += 1
+        return decode_value(code, word)
+
+    monkeypatch.setattr(codes.LinearCode, "decode_value", counted_decode)
+    decide = workloads.Decide(0, tmp_path, learner_wrap=counting)
+    proofs = accepts = 0
+    digests = hashlib.sha256()
+    for inp in decide.round_inputs(0):
+        result = decide.run(inp).result
+        proofs += result.proofs_run
+        accepts += result.accept
+        for rec in result.repetitions:
+            if rec.accept:
+                digests.update(rec.digest.encode() + b"\n")
+    assert (proofs, calls["learner"], calls["decode"], accepts) == (112716, 112716, 112716, 59)
+    assert digests.hexdigest() == "f03f580a24325ce7ef64e2d8cbf54bfaff1ef37edd7247d65549a63d9318dea6"

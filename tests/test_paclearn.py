@@ -1,7 +1,5 @@
-import gc
 import math
 import random
-import sys
 from functools import partial
 
 import pytest
@@ -36,6 +34,7 @@ from oracles import (
     Z_UNSAT,
     enumerate_class,
     erm_learner,
+    python_calls,
     reference_error,
     reference_junta_label,
     reference_junta_table,
@@ -335,29 +334,6 @@ def test_error_of_needs_one_label_per_support_point():
         with pytest.raises(ShapeError) as err:
             error_of(dist, wrong, c)
         assert str(err.value) == f"need {len(labels)} labels, one per support point, got {len(wrong)}"
-
-
-def python_calls(fn, *args, code=None) -> int:
-    """The Python frames entered while fn(*args) runs, fn's own included, or
-    only those running the given code object.  The collector is held off: a
-    collection set off inside fn would run other objects' Python finalizers
-    there and count their frames."""
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        calls += event == "call" and code in (None, frame.f_code)
-
-    gc.collect()
-    gc.disable()
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(previous)
-        gc.enable()
-    return calls
 
 
 def test_scoring_and_drawing_run_no_python_frame_per_point():

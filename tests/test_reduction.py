@@ -9,7 +9,7 @@ from certlab.bits import int_to_bits
 from certlab.codes import REDUCTION_CODE_PARAMS, get_code
 from certlab import paclearn
 from certlab.concepts import LAYOUT_KINDS, CertConcept, ExampleLayout
-from certlab.errors import BudgetError, ConfigError, ShapeError
+from certlab.errors import BudgetError, ConfigError, DataInconsistencyError, ShapeError
 from certlab.paclearn import (
     JuntaHypothesis,
     LabeledSample,
@@ -19,7 +19,7 @@ from certlab.paclearn import (
     labels_on,
     sparse_erm,
 )
-from certlab.reduction import DeciderConfig, _Challenge, rtime_decide, sat_decider
+from certlab.reduction import DeciderConfig, _Challenge, _Proof, rtime_decide, sat_decider
 from certlab.sat import ThreeSatInstance, brute_force_sat, exhaustive_formulas, random_instance
 from certlab.verifiers import FormulaEncoding, ThreeSatVerifier
 from oracles import (
@@ -34,6 +34,7 @@ from oracles import (
     HonestMerlin,
     am_round,
     flip_positions,
+    python_calls,
     verify,
 )
 
@@ -409,6 +410,12 @@ def opaque_sparse_erm(sample, counter=None):
     return OpaqueHypothesis(sparse_erm(sample, counter=counter))
 
 
+def answers_via_run(challenge, hypothesis, read_at: str) -> int:
+    """The answers `run` reads off the hypothesis, handed to it by a learner."""
+    challenge.learner = lambda sample: hypothesis
+    return challenge.run((LabeledSample(()),), read_at)[2].answers
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_table_answers_match_the_per_index_loop(data):
@@ -436,8 +443,8 @@ def test_table_answers_match_the_per_index_loop(data):
             )
         )
         table = TableHypothesis(ones)
-        word = challenge.answers(table, read_at)
-        assert word == challenge.answers(OpaqueHypothesis(table), read_at)
+        word = answers_via_run(challenge, table, read_at)
+        assert word == answers_via_run(challenge, OpaqueHypothesis(table), read_at)
         assert word == sum(1 << v for v, x in enumerate(queries) if x in table)
 
 
@@ -473,6 +480,24 @@ def test_junta_answers_match_the_per_index_loop(data):
         assert word == sum(1 << v for v, x in enumerate(queries) if junta(x))
 
 
+class ReadoutTableLearner:
+    """The junta learner's hypothesis as a table: the queries at the
+    repetition's read-out point whose index values are labelled 1.  The
+    repetition is told by its drawn points."""
+
+    def __init__(self, z: str, config: DeciderConfig, seed: int) -> None:
+        self.layout = ExampleLayout.of(V2.n, PARAMS, V2.p, config.variant)
+        self.read_at = {}
+        for rep in range(config.r):
+            points, read_at = self.layout.draw(random.Random(f"{seed}:rep{rep}"), z, config.m)
+            self.read_at[frozenset(points)] = read_at
+
+    def __call__(self, sample, counter=None):
+        lay = self.layout
+        read_at = self.read_at[frozenset(x for x, _ in sample)]
+        return TableHypothesis(lay.example(read_at, lay.index(x)) for x, y in sample if y)
+
+
 @pytest.mark.parametrize("variant", LAYOUT_KINDS)
 def test_table_answers_leave_the_decider_result_unchanged(variant):
     config = DeciderConfig(m=6, r=3, code_params=PARAMS, variant=variant)
@@ -484,6 +509,14 @@ def test_table_answers_leave_the_decider_result_unchanged(variant):
     if variant == "standard":
         # a rejecting repetition, then one that accepts on a proof past the first
         assert [rec.accept for rec in results[Z0].repetitions] == [False, True]
+        return
+    # each uniform repetition has its own queries: tables with ones at them,
+    # a rejecting repetition and then an accepting one
+    table_learner = ReadoutTableLearner(Z0, config, 6)
+    result = rtime_decide(Z0, V2, config, table_learner, 6)
+    opaque = lambda sample, counter=None: OpaqueHypothesis(table_learner(sample))
+    assert result == rtime_decide(Z0, V2, config, opaque, 6)
+    assert [rec.accept for rec in result.repetitions] == [False, True]
 
 
 def test_decider_checks_the_points_once_per_repetition(monkeypatch):
@@ -562,6 +595,91 @@ def test_the_verdict_is_the_mask_bit_at_the_decoded_value(enc, inst):
     _, read_at = challenge.layout.draw(random.Random(0), z, 0)
     for w_val in range(1 << verifier.p):
         challenge.code = FixedDecode(w_val)
-        proof = challenge.prove(LabeledSample(()), read_at)
+        proof = challenge.run((LabeledSample(()),), read_at)[2]
         assert proof.w_val == w_val
         assert proof.verdict == (mask >> w_val) & 1
+
+
+# -- one proof loop per repetition ---------------------------------------------------
+
+
+class RaisingLearner:
+    """Raises on the samples it is given, and learns every other sample with
+    the inner learner."""
+
+    def __init__(self, learner, failing) -> None:
+        self.learner = learner
+        self.failing = failing
+
+    def __call__(self, sample, counter=None):
+        if sample in self.failing:
+            raise DataInconsistencyError("a chosen sample")
+        return self.learner(sample, counter=counter)
+
+
+def reference_run(challenge, mask: int, samples, read_at: str):
+    """`_Challenge.run` as a per-sample loop: every index value's query asked
+    of the hypothesis, then the decode and the bit of the accept mask."""
+    lay = challenge.layout
+    queries = [lay.example(read_at, v) for v in range(1 << lay.ell)]
+    run, sample, proof = 0, None, None
+    for sample in samples:
+        run += 1
+        try:
+            hypothesis = challenge.learner(sample)
+        except DataInconsistencyError:
+            proof = None
+            continue
+        answers = sum(1 << v for v, x in enumerate(queries) if hypothesis(x))
+        w_val = challenge.code.decode_value(answers & ((1 << lay.cp) - 1))
+        proof = (answers, w_val, (mask >> w_val) & 1)
+        if proof[2]:
+            break
+    return run, sample, proof
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_run_returns_what_the_per_sample_loop_returns(data):
+    variant = data.draw(st.sampled_from(LAYOUT_KINDS))
+    z = data.draw(st.sampled_from([Z0, Z_UNSAT]))
+    layout = ExampleLayout.of(V2.n, PARAMS, V2.p, variant)
+    inner = data.draw(
+        st.sampled_from([sparse_erm, opaque_sparse_erm, partial(junta_learner, layout=layout)])
+    )
+    challenge = _Challenge(z, V2, inner, PARAMS, variant)
+    concept = CertConcept(V2, z, PARAMS, kind=variant)
+    mask = V2.accept_mask(z)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    for _ in range(2):  # a second read-out point, as in the decider's next repetition
+        drawn, read_at = layout.draw(rng, z, 4)
+        queries = [layout.example(read_at, v) for v in range(1 << layout.ell)]
+        # pairs labelled at random or by the concept, which accepts on Z0
+        pair = st.one_of(
+            st.tuples(st.sampled_from(queries + drawn), st.integers(0, 1)),
+            st.sampled_from([(x, concept(x)) for x in queries + drawn]),
+        )
+        samples = data.draw(st.lists(st.lists(pair, max_size=10).map(LabeledSample), max_size=6))
+        # the learner may raise on any sample, the last included
+        chosen = data.draw(st.sets(st.integers(0, 5), max_size=2))
+        failing = [sample for j, sample in enumerate(samples) if j in chosen]
+        challenge.learner = RaisingLearner(inner, failing)
+        run, sample, proof = challenge.run(iter(samples), read_at)
+        assert (run, sample, proof) == reference_run(challenge, mask, samples, read_at)
+        if z == Z_UNSAT:
+            assert run == len(samples) and (proof is None or proof.verdict == 0)
+        if samples and samples[-1] in failing and run == len(samples):
+            assert proof is None
+
+
+@pytest.mark.parametrize("variant", LAYOUT_KINDS)
+def test_a_decider_run_builds_no_per_proof_frame_around_its_learner_and_decoder(variant):
+    """Proof records, `answers` and the query dict are not made per proof: a
+    repetition on Z_UNSAT runs all its proofs and builds a record for its
+    last one only, and a table hypothesis is answered in the loop."""
+    config = DeciderConfig(m=6, r=3, code_params=PARAMS, variant=variant)
+    run = (rtime_decide, Z_UNSAT, V2, config, sparse_erm, 0)
+    assert rtime_decide(*run[1:]).proofs_run > 3 * config.r
+    assert python_calls(*run, code=_Proof.__new__.__code__) == config.r
+    assert python_calls(*run, code=_Challenge.answers.__code__) == 0
+    assert python_calls(*run, code=_Challenge._bits_at.__code__) <= config.r
