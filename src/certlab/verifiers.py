@@ -1,22 +1,27 @@
 """NP-style verifiers, the fixed-width formula encoding, and the
 first-certificate search.
 
-A verifier has an instance length n, a certificate length p and two answers
-for an instance z: check(z, w), whether it accepts the certificate w, and
-accept_mask(z), the big-int mask of the certificates it accepts (bit v set
-iff it accepts the certificate with integer value v).  `ThreeSatVerifier` is
-the verifier every command builds.  Each formula is made canonical once:
-`FormulaEncoding.decode` builds canonical clauses itself, and a caller that
-holds the formula has `ThreeSatVerifier.encode` remember it, so its z is
-never decoded back.  The verifier builds a formula's accept mask on its
-first read and holds it in the same memo from then on.
+A verifier has an instance length n, a certificate length p and three
+answers for an instance z, where a certificate is numbered by its integer
+value v:
+- check(z, w), whether it accepts the certificate w;
+- accept_mask(z), the big-int mask of the certificates it accepts (bit v set
+  iff it accepts certificate v), which only the decider reads;
+- first_accepted(z), the least v it accepts, or None.
+`ThreeSatVerifier` is the verifier every command builds.  Each formula is
+made canonical once: `FormulaEncoding.decode` builds canonical clauses
+itself, and a caller that holds the formula has `ThreeSatVerifier.encode`
+remember it, so its z is never decoded back.  The verifier works out a
+formula's accept mask and its first accepted value on their first reads
+and holds both in the same memo from then on.
 
 The one NP primitive the rest of the package uses is the lexicographically
-first accepted certificate, which `first_certificate` reads off the accept
-mask.  Its cost model is a binary search over k made of p lex-oracle calls
-"is one of the first k certificates accepted?", each a rank-order scan with
-early exit.  The lex oracle in tests/oracles.py runs those scans, and the
-tests check the StepCounter's charges against it.
+first accepted certificate, which `first_certificate` takes from
+first_accepted: for a formula, a lex-first search that never builds the
+2^p-bit accept mask.  Its cost model is a binary search over k made of p
+lex-oracle calls "is one of the first k certificates accepted?", each a
+rank-order scan with early exit.  The lex oracle in tests/oracles.py runs
+those scans, and the tests check the StepCounter's charges against it.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .bits import bits_of_rank, check_bits, is_bits
 from .errors import BudgetError, ConfigError, FormatError
-from .sat import ThreeSatInstance, eval_assignment, satisfying_mask
+from .sat import ThreeSatInstance, eval_assignment, first_satisfying, satisfying_mask
 
 #: Longest certificate length p whose 2^p certificates first_certificate searches.
 DEFAULT_BUDGET_BITS = 24
@@ -171,6 +176,10 @@ class FormulaEncoding:
         return ThreeSatInstance._of_canonical(num_vars, tuple(clauses))
 
 
+#: A verifier's memo: (z, formula, accept mask, first accepted value).
+_Memo = tuple[str, ThreeSatInstance | None, int | None, int | None]
+
+
 class ThreeSatVerifier:
     """Certificate checker for encoded formulas: the certificate is an
     assignment to max_vars variables; bits beyond an instance's declared
@@ -179,8 +188,9 @@ class ThreeSatVerifier:
     is made.
 
     The verifier remembers only the instance it was last asked about: its
-    string, its decoded formula (None when malformed) and, once it is read,
-    its accept mask (None before).  Every caller asks about one instance
+    string, its decoded formula (None when malformed) and, once each is
+    read, its accept mask and its first accepted value (None before; -1
+    stands for none accepted).  Every caller asks about one instance
     many times in a row, and a reader takes the whole memo at once, so it
     never mixes two instances.  A caller that holds the formula has `encode`
     remember it, and z is not decoded.
@@ -192,17 +202,18 @@ class ThreeSatVerifier:
         self.p = encoding.max_vars
         _check_budget(self)
         # "" encodes no instance (every width is at least 2) and rejects everything
-        self._memo: tuple[str, ThreeSatInstance | None, int | None] = ("", None, 0)
+        self._memo: _Memo = ("", None, 0, -1)
 
-    def _read(self, z: str) -> tuple[str, ThreeSatInstance | None, int | None]:
-        """(z, decoded formula or None, accept mask or None), decoded when z
-        is not the remembered instance; a malformed z's mask is 0."""
+    def _read(self, z: str) -> _Memo:
+        """(z, decoded formula or None, accept mask or None, first accepted
+        value or None), decoded when z is not the remembered instance; a
+        malformed z's mask is 0 and its first value -1."""
         memo = self._memo
         if memo[0] != z:
             try:
-                memo = (z, self.encoding.decode(z), None)
+                memo = (z, self.encoding.decode(z), None, None)
             except FormatError:
-                memo = (z, None, 0)
+                memo = (z, None, 0, -1)
             self._memo = memo
         return memo
 
@@ -211,7 +222,7 @@ class ThreeSatVerifier:
         a decoded instance; inst must be canonical, so that it equals z's
         decoding."""
         z = self.encoding.encode(inst)
-        self._memo = (z, inst, None)
+        self._memo = (z, inst, None, None)
         return z
 
     def check(self, z: str, w: str) -> bool:
@@ -220,11 +231,21 @@ class ThreeSatVerifier:
 
     def accept_mask(self, z: str) -> int:
         """The instance's accept mask, built on its first read."""
-        z, inst, mask = self._read(z)
+        z, inst, mask, first = self._read(z)
         if mask is None:
             mask = satisfying_mask(inst, self.p)
-            self._memo = (z, inst, mask)
+            self._memo = (z, inst, mask, first)
         return mask
+
+    def first_accepted(self, z: str) -> int | None:
+        """The least accepted certificate's value, or None, searched on its
+        first read; the accept mask is not built."""
+        z, inst, mask, first = self._read(z)
+        if first is None:
+            found = first_satisfying(inst, self.p)
+            first = -1 if found is None else found
+            self._memo = (z, inst, mask, first)
+        return None if first < 0 else first
 
 
 # -- the first certificate -----------------------------------------------------
@@ -252,16 +273,16 @@ def first_certificate(
 ) -> str | None:
     """Lexicographically first accepted certificate, or None.
 
-    Its rank is read off the accept mask's lowest set bit.  The counter is
-    charged for the binary search that finds the minimal k with an accepted
-    certificate among the first k: p lex-oracle calls, each a rank-order
-    scan charged as the lex oracle in tests/oracles.py counts it.  One
-    direct `check` then asserts consistency.
+    Its rank is one past the verifier's first accepted value.  The counter
+    is charged for the binary search that finds the minimal k with an
+    accepted certificate among the first k: p lex-oracle calls, each a
+    rank-order scan charged as the lex oracle in tests/oracles.py counts
+    it.  One direct `check` then asserts consistency.
     """
     check_bits(z, length=v.n, name="instance")
     _check_budget(v)
-    mask = v.accept_mask(z)
-    rank = (mask & -mask).bit_length() or (1 << v.p) + 1
+    first = v.first_accepted(z)
+    rank = (1 << v.p) + 1 if first is None else first + 1
     lo, hi = 1, 1 << v.p
     while lo < hi:
         mid = (lo + hi) // 2

@@ -368,7 +368,8 @@ def assert_canonical(inst: ThreeSatInstance) -> None:
 @dataclass
 class FnVerifier:
     """Verifier backed by an arbitrary check function; its accept mask calls
-    the function on every certificate in rank order."""
+    the function on every certificate in rank order, and its first accepted
+    value on each until one is accepted."""
 
     n: int
     p: int
@@ -387,6 +388,10 @@ class FnVerifier:
             if self.check(z, format(v, f"0{self.p}b")):
                 mask |= 1 << v
         return mask
+
+    def first_accepted(self, z: str) -> int | None:
+        accepted = (v for v in range(1 << self.p) if self.check(z, format(v, f"0{self.p}b")))
+        return next(accepted, None)
 
 
 def lex_rank(w: str) -> int:

@@ -1,0 +1,55 @@
+"""Check first_certificate against perfbench/reference.py's backtracking
+solver on 25 seeded random formulas at each p from 17 to 24, the budget's
+top, with 4.3p clauses each.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/scaled_first_certificates.py
+
+Prints one line per p and exits 1 on a mismatch, or unless both satisfiable
+and unsatisfiable formulas occur.  The test suite checks two formulas a p;
+this check runs 25 a p outside it.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from reference import lex_first_solution  # noqa: E402
+
+from certlab.sat import random_instance  # noqa: E402
+from certlab.verifiers import FormulaEncoding, ThreeSatVerifier, first_certificate  # noqa: E402
+
+FORMULAS = 25
+
+
+def main() -> int:
+    outcomes = set()
+    for p in range(17, 25):
+        rng = random.Random(f"scaled:{p}")
+        clauses = round(4.3 * p)
+        enc = FormulaEncoding(max_vars=p, max_clauses=clauses)
+        v = ThreeSatVerifier(enc)
+        unsat = 0
+        for i in range(FORMULAS):
+            inst = random_instance(rng, p, clauses)
+            w = first_certificate(v, enc.encode(inst))
+            expected = lex_first_solution(p, inst.clauses)
+            if w != expected:
+                print(f"p={p} formula {i}: first_certificate {w} != reference {expected}")
+                return 1
+            unsat += w is None
+            outcomes.add(w is None)
+        print(f"p={p}: {FORMULAS} formulas agree, {unsat} unsatisfiable")
+    if outcomes != {True, False}:
+        print("the formulas were all satisfiable or all unsatisfiable")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

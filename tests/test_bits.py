@@ -148,15 +148,15 @@ def test_a_tradeoff_sweep_scans_no_point_inside_its_trials(tmp_path, monkeypatch
     assert len(inside) == 2 * 24
 
 
-def test_first_certificate_scans_its_strings_three_times_on_a_mask_miss(monkeypatch):
+def test_first_certificate_scans_its_strings_three_times_on_a_memo_miss(monkeypatch):
     enc = FormulaEncoding(max_vars=2, max_clauses=3)
     z = enc.encode(ThreeSatInstance(2, [(1, 2), (-1, 2)]))
-    v = ThreeSatVerifier(enc)  # fresh: the mask of z is a miss
+    v = ThreeSatVerifier(enc)  # fresh: z is not in its memo
     scanned = counted_scans(monkeypatch)
     w = first_certificate(v, z)
     # first_certificate scans z as it enters; FormulaEncoding.decode scans it
-    # as the verifier reads the mask; eval_assignment, which v.check runs to
-    # confirm the result, scans w
+    # as the verifier reads the formula; eval_assignment, which v.check runs
+    # to confirm the result, scans w
     assert (w, scanned) == ("01", [z, z, w])
 
 

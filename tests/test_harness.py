@@ -260,9 +260,17 @@ def test_reduce_and_tradeoff_decode_no_formula(tmp_path, monkeypatch):
     assert decoded == []
 
 
-def test_tradeoff_rejects_an_uncoded_p_before_building_the_mask(tmp_path, monkeypatch):
+def record_searches(monkeypatch) -> list[int]:
+    """The p of each accept mask built and each first certificate searched
+    from now on, recorded in their place."""
     built = []
     monkeypatch.setattr(verifiers, "satisfying_mask", lambda inst, p: built.append(p))
+    monkeypatch.setattr(verifiers, "first_satisfying", lambda inst, p: built.append(p))
+    return built
+
+
+def test_tradeoff_rejects_an_uncoded_p_before_building_the_mask(tmp_path, monkeypatch):
+    built = record_searches(monkeypatch)
     with pytest.raises(ConfigError, match=r"^message length 24 unsupported \(supported: 2\.\.16\)$"):
         commands.cmd_tradeoff(parsed("tradeoff", {"tradeoff.vars": "24"}), tmp_path, 0)
     assert built == []
@@ -270,8 +278,7 @@ def test_tradeoff_rejects_an_uncoded_p_before_building_the_mask(tmp_path, monkey
 
 @pytest.mark.parametrize("command", ["enumerate", "learn", "vcdim"])
 def test_a_corpus_command_rejects_an_uncoded_p_before_building_the_mask(tmp_path, monkeypatch, command):
-    built = []
-    monkeypatch.setattr(verifiers, "satisfying_mask", lambda inst, p: built.append(p))
+    built = record_searches(monkeypatch)
     cfg = parsed(command, {"corpus.kind": "random", "corpus.vars_min": "24", "corpus.vars_max": "24"})
     with pytest.raises(ConfigError, match=r"^message length 24 unsupported \(supported: 2\.\.16\)$"):
         getattr(commands, f"cmd_{command}")(cfg, tmp_path, 0)

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from certlab.sat import (
     clause_universe,
     eval_assignment,
     exhaustive_formulas,
+    first_satisfying,
     parse_dimacs,
     random_instance,
     satisfying_mask,
@@ -97,6 +99,74 @@ def test_satisfying_mask_equals_the_clausewise_mask_at_p20():
     for _ in range(5):
         inst = random_instance(rng, 20, 88)
         assert satisfying_mask(inst, 20) == clausewise_mask(inst, 20)
+
+
+def lowest_set_bit(mask: int) -> int | None:
+    return (mask & -mask).bit_length() - 1 if mask else None
+
+
+@st.composite
+def search_case(draw):
+    """A formula, a certificate width p of 1..12 at least its num_vars, and
+    how many variables the search folds, from none (it walks all p) to more
+    than p.  Half the literals fall on x1..x3, so units, clauses with only
+    walked literals and tautologies such as (1, -1, 3) are common; up to 40
+    clauses make many formulas unsatisfiable; now and then an empty clause
+    is added."""
+    p = draw(st.integers(1, 12))
+    n = max(0, p - draw(st.integers(0, 2)))
+    fold = draw(st.integers(0, p + 1))
+    clauses = []
+    if n:
+        var = st.one_of(st.integers(1, min(n, 3)), st.integers(1, n))
+        literal = var.flatmap(lambda v: st.sampled_from([v, -v]))
+        clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=3), max_size=40))
+    if draw(st.integers(0, 7)) == 0:
+        clauses.insert(draw(st.integers(0, len(clauses))), ())
+    return ThreeSatInstance(n, clauses), p, fold
+
+
+def assert_search_finds_the_lowest_set_bit(inst, p, fold):
+    with mock.patch.object(sat, "SEARCH_FOLD_VARS", fold):
+        got = first_satisfying(inst, p)
+    assert got == lowest_set_bit(clausewise_mask(inst, p)), (inst, p, fold)
+
+
+@settings(max_examples=500, deadline=None)
+@given(search_case())
+def test_first_satisfying_is_the_clausewise_masks_lowest_set_bit(case):
+    assert_search_finds_the_lowest_set_bit(*case)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        ThreeSatInstance(0, []),
+        ThreeSatInstance(3, [()]),
+        ThreeSatInstance(3, [(1, -1, 3)]),  # a tautology on the walked variable
+        ThreeSatInstance(3, [(1, -1, 3), (1,), (-3,)]),  # ... which holds where x1 = 1
+        ThreeSatInstance(3, [(1, 3, -3), (-1,)]),  # a tautology below it
+        ThreeSatInstance(4, [(1,), (-1, 2), (-2, -3, 4), (3, -4)]),  # units and a chain
+        ThreeSatInstance(3, [(1, 2), (1, -2), (-1, 3), (-1, -3)]),  # unsatisfiable
+        ThreeSatInstance(4, [(-1, -2, -3), (1, 2, 3), (-1, 2), (3, 4)]),
+    ],
+)
+def test_first_satisfying_at_every_fold_width(inst):
+    for p in range(inst.num_vars, inst.num_vars + 3):
+        for fold in range(p + 2):
+            assert_search_finds_the_lowest_set_bit(inst, p, fold)
+
+
+def test_first_satisfying_is_the_lowest_set_bit_at_p20():
+    # the certify workload's formulas: the search walks the top 4 variables
+    rng = random.Random("first:20")
+    found = set()
+    for _ in range(8):
+        inst = random_instance(rng, 20, 88)
+        want = lowest_set_bit(clausewise_mask(inst, 20))
+        assert first_satisfying(inst, 20) == want, inst
+        found.add(want is None)
+    assert found == {True, False}
 
 
 def widest_bucket_formula(rng: random.Random, p: int) -> ThreeSatInstance:

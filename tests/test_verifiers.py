@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from certlab.bits import bits_of_rank, int_to_bits
 from certlab.errors import BudgetError, ConfigError, FormatError, ShapeError
-from certlab import sat
+from certlab import sat, verifiers
 from certlab.sat import ThreeSatInstance, exhaustive_formulas, random_instance
 from certlab.verifiers import (
     FormulaEncoding,
@@ -213,6 +213,37 @@ def test_first_certificate_memory_stays_bounded_over_many_instances(monkeypatch)
         tracemalloc.stop()
     assert any(w is not None for w in found)
     assert peak < 2 << 20, f"peak traced memory {peak >> 10} KiB"
+
+
+def test_a_first_certificate_builds_no_full_mask(perfbench_modules, monkeypatch):
+    # one p = 20 accept mask takes 128 KiB: the search builds none, and once
+    # the literal masks are built its traced peak stays below one
+    reference = perfbench_modules("reference")
+
+    def no_mask(*args):
+        raise AssertionError("the full accept mask was built")
+
+    monkeypatch.setattr(sat, "_LIT_MASKS", {})
+    for owner in (sat, verifiers):
+        monkeypatch.setattr(owner, "satisfying_mask", no_mask)
+    monkeypatch.setattr(ThreeSatVerifier, "accept_mask", no_mask)
+    sat._literal_masks(20)
+    rng = random.Random("no-mask:20")
+    enc = FormulaEncoding(max_vars=20, max_clauses=88)
+    outcomes = set()
+    for _ in range(8):
+        inst = random_instance(rng, 20, 88)
+        v, z = ThreeSatVerifier(enc), enc.encode(inst)
+        tracemalloc.start()
+        try:
+            w = first_certificate(v, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w == reference.lex_first_solution(20, inst.clauses), inst
+        assert peak < 128 << 10, f"peak traced memory {peak >> 10} KiB"
+        outcomes.add(w is None)
+    assert outcomes == {True, False}
 
 
 def test_mask_path_equals_generic_path():
@@ -447,12 +478,12 @@ def test_decode_builds_canonical_clauses_from_any_slot_order():
     assert_canonical(inst)
 
 
-def test_first_certificate_reads_the_rank_of_the_lowest_set_bit():
+def test_first_certificate_is_one_past_the_first_accepted_value():
     for p in (1, 5, 20):
-        for mask in (1, 1 << (2**p - 1), (1 << 2**p) - 1):
-            stub = SimpleNamespace(n=1, p=p, accept_mask=lambda z, m=mask: m, check=lambda z, w: True)
-            assert first_certificate(stub, "1") == bits_of_rank((mask & -mask).bit_length(), p)
-    stub = SimpleNamespace(n=1, p=5, accept_mask=lambda z: 0, check=lambda z, w: False)
+        for first in (0, 1, 2**p - 1):
+            stub = SimpleNamespace(n=1, p=p, first_accepted=lambda z, f=first: f, check=lambda z, w: True)
+            assert first_certificate(stub, "1") == bits_of_rank(first + 1, p)
+    stub = SimpleNamespace(n=1, p=5, first_accepted=lambda z: None, check=lambda z, w: False)
     assert first_certificate(stub, "1") is None
 
 
@@ -478,3 +509,4 @@ def test_three_sat_verifier_rejects_on_malformed_instance():
     if not decodable:
         assert not verify(V2, junk, "00")
         assert not nondet_oracle(V2, junk)
+        assert first_certificate(ThreeSatVerifier(ENC2), junk) is None
