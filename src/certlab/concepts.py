@@ -227,38 +227,38 @@ def cert_class_vc(concepts: list[CertConcept]) -> CertVcReport:
     concept labels alike all examples with the same head and index value: in
     the standard layout that is the one example (z, i), in the uniform layout
     every trailing part.  A candidate point is one such (head, i) that some
-    concept labels 1, kept with the mask of concepts that do; a point no
-    concept labels 1 sits in no shattered set.  Only concepts with the
-    point's head label it 1: masks number the concepts within a head, and
-    with two or more heads no mask nor OR of two is full.  Points with one
-    mask cannot take the labels (1, 0), nor points with two heads (1, 1), so
-    testing each pair of distinct masks within one head decides all
-    `pairs_checked` candidate pairs (in the uniform layout every head is
-    "").  The singleton is the first candidate, in concept then index order,
-    with a mask that is not full, as one of its examples.
+    concept labels 1; a point no concept labels 1 sits in no shattered set.
+    Only concepts with the point's head label it 1, so the class is read one
+    head at a time, as the head's distinct words: each of the head's points
+    gets the mask of the words whose bit is set there, and the table goes
+    once the head is done.  With two or more heads no mask nor OR of two is
+    full.  Points with one mask cannot take the labels (1, 0), nor points
+    with two heads (1, 1), so testing each pair of distinct masks within one
+    head decides all `pairs_checked` candidate pairs (in the uniform layout
+    every head is "").  The singleton is the first candidate, in head, word
+    and index order, with a mask that is not full, as one of its examples: in
+    either layout that is concept then index order.
     """
-    last: dict[str, int] = {}  # head -> the number of its latest concept
-    points: dict[tuple, list] = {}  # (head, index value) -> [mask, first concept]
+    heads: dict[str, dict[int, CertConcept]] = {}  # head -> word -> its first concept
     for concept in concepts:
-        head = concept.head
-        ci = last[head] = last.get(head, -1) + 1
-        for i, bit in enumerate(f"{concept.word:b}"[::-1]):
-            if bit == "1":
-                points.setdefault((head, i), [0, concept])[0] |= 1 << ci
-    full = (1 << len(concepts)) - 1 if len(last) == 1 else -1  # -1: never a mask
-    singleton = next(
-        (c.layout.example(c.z, i) for (_, i), (mask, c) in points.items() if mask != full), None
-    )
-    masks: dict[str, set[int]] = {}  # head -> its points' distinct masks
-    for (head, _), (mask, _) in points.items():
-        masks.setdefault(head, set()).add(mask)
-    shattered = any(
+        heads.setdefault(concept.head, {}).setdefault(concept.word, concept)
+    k, shattered, singleton = 0, False, None
+    for words in heads.values():
+        points: dict[int, list] = {}  # index value -> [mask, first concept]
+        for wi, concept in enumerate(words.values()):
+            for i, bit in enumerate(f"{concept.word:b}"[::-1]):
+                if bit == "1":
+                    points.setdefault(i, [0, concept])[0] |= 1 << wi
+        full = (1 << len(words)) - 1 if len(heads) == 1 else -1  # -1: never a mask
+        singleton = singleton or next(
+            (c.layout.example(c.z, i) for i, (mask, c) in points.items() if mask != full), None
+        )
+        k += len(points)
         # the labelings (1,1), (1,0), (0,1) and (0,0) are each realized
-        ma & mb and ma & ~mb and mb & ~ma and ma | mb != full
-        for group in masks.values()
-        for ma, mb in itertools.combinations(group, 2)
-    )
-    k = len(points)
+        shattered = shattered or any(
+            ma & mb and ma & ~mb and mb & ~ma and ma | mb != full
+            for ma, mb in itertools.combinations({mask for mask, _ in points.values()}, 2)
+        )
     return CertVcReport(
         dimension=2 if shattered else 1 if singleton is not None else 0,
         shattered_singleton=singleton,

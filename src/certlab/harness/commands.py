@@ -180,15 +180,22 @@ def probe_domain(concepts: list[CertConcept], limit: int = 16) -> list[str]:
 
 
 def cmd_vcdim(cfg: dict, out_dir: Path, seed) -> int:
-    concepts = list(corpus_concepts(build_corpus(cfg, seed), code_params_from(cfg)))
+    # the class, not the corpus: the first concept of each distinct (head, word),
+    # and the corpus's first two, whose useless points the probe takes
+    count, first_two, distinct = 0, [], {}
+    for count, c in enumerate(corpus_concepts(build_corpus(cfg, seed), code_params_from(cfg)), 1):
+        if count <= 2:
+            first_two.append(c)
+        distinct.setdefault((c.head, c.word), c)
+    concepts = list(distinct.values())
     report = cert_class_vc(concepts)
     n_distinct = distinct_concept_count(concepts)
-    probe = probe_domain(concepts)
+    probe = probe_domain(first_two + concepts)
     ldim = ldim_oracle(concepts, probe) if probe else 0
     log_bound = math.log2(n_distinct) if n_distinct else 0.0
     ok = report.dimension <= log_bound + 1e-9 and ldim >= report.dimension
     lines = [
-        f"concepts = {len(concepts)}",
+        f"concepts = {count}",
         f"distinct_concepts = {n_distinct}",
         f"vc_dimension = {report.dimension}",
         f"shattered_singleton = {report.shattered_singleton or '-'}",

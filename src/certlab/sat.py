@@ -8,11 +8,10 @@ formula is built: the checked constructor canonicalises any clauses (DIMACS,
 user input), and `random_instance`, `exhaustive_formulas` and
 `FormulaEncoding.decode` build canonical clauses themselves and go through
 the unchecked `ThreeSatInstance._of_canonical`.  `satisfying_mask` ANDs each
-narrow half of a doubling mask with cached half-width literal masks; only its
-top step, where the literal masks are as wide as the half, ORs two of them.
-`first_satisfying` runs the same fold over the low variables only and walks
-the top ones in lex order, so it finds the mask's lowest set bit without
-building the 2^p-bit mask; only the decider needs the whole mask.
+narrow half of a doubling mask with cached literal masks.  `first_satisfying`
+runs the same fold over the low variables only, with their literal masks
+alone, and walks the top ones in lex order, so it finds the mask's lowest set
+bit without building the 2^p-bit mask; only the decider needs the whole mask.
 """
 
 from __future__ import annotations
@@ -103,15 +102,19 @@ def eval_assignment(inst: ThreeSatInstance, assignment: str) -> bool:
 # The set of satisfying assignments over {0,1}^p is materialized as one big
 # integer: bit v is set iff the assignment with integer value v (MSB-first,
 # variable j at weight 2^(p-j)) satisfies the formula.
-_LIT_MASKS: dict[int, dict[int, int]] = {}  # one p: {l: the v < 2^(p-1) that satisfy l}
+_LIT_MASKS: dict[tuple[int, int], dict[int, int]] = {}  # one (p, w): _literal_masks(p, w)
 
 
-def _literal_masks(p: int) -> dict[int, int]:
-    if p not in _LIT_MASKS:
-        half = (1 << p) >> 1
+def _literal_masks(p: int, w: int) -> dict[int, int]:
+    """{l: the v < 2^(w-1) that satisfy l} for the literals on variables
+    p-w+1..p: x_j's mask depends only on p - j, so these are the low 2^(w-1)
+    bits of the p-variable masks."""
+    if (p, w) not in _LIT_MASKS:
+        half = (1 << w) >> 1
         full = (1 << half) - 1
-        lits = {1: 0, -1: full} if p else {}  # x_1 = 1 only at v >= 2^(p-1)
-        for j in range(2, p + 1):
+        top = p - w + 1
+        lits = {top: 0, -top: full} if w else {}  # x_top = 1 only at v >= 2^(w-1)
+        for j in range(top + 1, p + 1):
             # 2^b zeros then 2^b ones, doubled by shifts to the half width;
             # a big-int division would be quadratic in the width
             b = 1 << (p - j)
@@ -120,15 +123,16 @@ def _literal_masks(p: int) -> dict[int, int]:
                 mask, width = mask | mask << width, 2 * width
             lits[j], lits[-j] = mask, mask ^ full
         _LIT_MASKS.clear()
-        _LIT_MASKS[p] = lits
-    return _LIT_MASKS[p]
+        _LIT_MASKS[p, w] = lits
+    return _LIT_MASKS[p, w]
 
 
-def _fold(inst: ThreeSatInstance, p: int, steps: int) -> tuple[int, list[list[Clause]]]:
+def _fold(inst: ThreeSatInstance, p: int, steps: int, lits: dict[int, int]) -> tuple[int, list[list[Clause]]]:
     """The first `steps` steps of `satisfying_mask`'s fold: the mask over
     variables p-steps+1..p in 2^steps bits, and the clauses by step, where
-    buckets[e] holds those whose first variable is p-e+1.  The mask is 0,
-    and the buckets may be incomplete, once no assignment is left."""
+    buckets[e] holds those whose first variable is p-e+1; lits are literal
+    masks 2^(steps-1) bits wide or wider.  The mask is 0, and the buckets may
+    be incomplete, once no assignment is left."""
     if p < inst.num_vars:
         raise ShapeError(f"p={p} smaller than num_vars={inst.num_vars}")
     buckets: list[list[Clause]] = [[] for _ in range(p + 1)]
@@ -137,7 +141,6 @@ def _fold(inst: ThreeSatInstance, p: int, steps: int) -> tuple[int, list[list[Cl
             return 0, buckets
         # canonical clauses are sorted by variable, so clause[0] is the first
         buckets[p - abs(clause[0]) + 1].append(clause)
-    lits = _literal_masks(p)
     mask = 1
     for e in range(1, steps + 1):
         halves = [mask, mask]  # x_j = 0, x_j = 1
@@ -145,7 +148,7 @@ def _fold(inst: ThreeSatInstance, p: int, steps: int) -> tuple[int, list[list[Cl
             k = first < 0
             if len(rest) == 2:
                 h, a, b = halves[k], lits[rest[0]], lits[rest[1]]
-                halves[k] = h & (a | b) if e == p else (h & a) | (h & b)
+                halves[k] = (h & a) | (h & b)
             else:
                 halves[k] = halves[k] & lits[rest[0]] if rest else 0
         if not any(halves):
@@ -166,13 +169,10 @@ def satisfying_mask(inst: ThreeSatInstance, p: int) -> int:
     half (x_j = 0 for a positive literal, x_j = 1 for a negative one) to its
     other literals, which live on the lower 2^(e-1) bits: it ANDs that half
     with their literal masks, one AND (2 literals) or two and an OR of their
-    results (3 literals), or empties it (1 literal).  At the top step (e = p)
-    the literal masks are as wide as the half, so a 3-literal clause ANDs the
-    half with the OR of the two masks instead: 2 wide operations, not 3.
-    Below bit 2^(e-1), x_j's own masks are 0 and all ones, so tautologies
-    need no case.
+    results (3 literals), or empties it (1 literal).  Below bit 2^(e-1), x_j's
+    own masks are 0 and all ones, so tautologies need no case.
     """
-    return _fold(inst, p, p)[0]
+    return _fold(inst, p, p, _literal_masks(p, p))[0]
 
 
 #: The variables `first_satisfying` folds, at most: it walks the ones above
@@ -198,10 +198,11 @@ def first_satisfying(inst: ThreeSatInstance, p: int) -> int | None:
     first leaf reached holds the answer at its mask's lowest set bit.
     """
     k = max(0, p - SEARCH_FOLD_VARS)
-    mask, buckets = _fold(inst, p, p - k)
+    # the walk ANDs masks 2^(p-k) bits wide, one variable wider than the fold's halves
+    lits = _literal_masks(p, min(p, SEARCH_FOLD_VARS + 1))
+    mask, buckets = _fold(inst, p, p - k, lits)
     if not mask:
         return None
-    lits = _literal_masks(p)
     # levels[d]: (care, want, a, b) per clause applied at x_d.  A prefix of
     # walked values holds x_j at bit k-j, and the clause's walked literals
     # are all false iff prefix & care == want.  a and b are its low

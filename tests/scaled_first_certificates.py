@@ -6,9 +6,10 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/scaled_first_certificates.py
 
-Prints one line per p and exits 1 on a mismatch, or unless both satisfiable
-and unsatisfiable formulas occur.  The test suite checks two formulas a p;
-this check runs 25 a p outside it.
+Prints one line per p and exits 1 on a mismatch, unless both satisfiable
+and unsatisfiable formulas occur, or unless the search's literal-mask cache
+then holds one table whose masks are each within 2^16 bits.  The test suite
+checks two formulas a p; this check runs 25 a p outside it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from reference import lex_first_solution  # noqa: E402
 
+from certlab import sat  # noqa: E402
 from certlab.sat import random_instance  # noqa: E402
 from certlab.verifiers import FormulaEncoding, ThreeSatVerifier, first_certificate  # noqa: E402
 
@@ -47,6 +49,10 @@ def main() -> int:
         print(f"p={p}: {FORMULAS} formulas agree, {unsat} unsatisfiable")
     if outcomes != {True, False}:
         print("the formulas were all satisfiable or all unsatisfiable")
+        return 1
+    widths = [m.bit_length() for lits in sat._LIT_MASKS.values() for m in lits.values()]
+    if len(sat._LIT_MASKS) != 1 or max(widths) > 1 << 16:
+        print(f"the literal masks: {len(sat._LIT_MASKS)} tables, widest {max(widths, default=0)} bits")
         return 1
     return 0
 

@@ -458,6 +458,17 @@ def test_cert_class_vc_matches_pair_walk(name, params):
     assert cert_class_vc(concepts) == reference_cert_class_vc(concepts)
 
 
+@pytest.mark.parametrize("kind", LAYOUT_KINDS)
+@pytest.mark.parametrize("params", [DEFAULT_CODE_PARAMS, REDUCTION_CODE_PARAMS], ids=["c8", "c4"])
+@pytest.mark.parametrize("name", sorted(VC_CORPORA))
+def test_cert_class_vc_is_blind_to_duplicate_concepts(name, params, kind):
+    """A class is a set: listing every concept twice changes no field."""
+    corpus = VC_CORPORA[name]()
+    concepts = [CertConcept(corpus.verifier, corpus.verifier.encoding.encode(f), params, kind=kind)
+                for f in corpus.instances]
+    assert cert_class_vc(concepts + concepts) == cert_class_vc(concepts)
+
+
 @functools.cache
 def standard_concepts(name: str) -> list[CertConcept]:
     corpus = VC_CORPORA[name]()

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import random
 import re
@@ -37,7 +38,7 @@ from certlab.paclearn import (
     pac_trial_suite,
     sparse_erm,
 )
-from certlab.sat import brute_force_sat, random_instance
+from certlab.sat import ThreeSatInstance, brute_force_sat, random_instance
 from certlab.verifiers import FormulaEncoding, StepCounter, ThreeSatVerifier
 from oracles import parse_tree, reference_trial_suite, serialize_config, to_dimacs
 
@@ -664,6 +665,65 @@ def test_enumerate_memory_does_not_grow_with_the_corpus(tmp_path):
         tracemalloc.stop()
     assert len((tmp_path / "trees.txt").read_text().splitlines()) == 800
     assert peak < 1 << 20, f"traced peak {peak} bytes"
+
+
+def test_vcdim_memory_holds_the_class_not_the_corpus(tmp_path):
+    """vcdim keeps one concept per distinct (head, word), and over exactly 3
+    variables there are few of them, so four times the formulas must not
+    take much more memory."""
+
+    def vcdim_peak(count: int) -> int:
+        cfg = parsed("vcdim", {"corpus.kind": "random", "corpus.count": str(count),
+                               "corpus.vars_min": "3", "corpus.vars_max": "3"})
+        tracemalloc.start()
+        try:
+            assert commands.cmd_vcdim(cfg, tmp_path, 0) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    vcdim_peak(1000)  # builds the codes and masks the runs reuse
+    small, large = vcdim_peak(1000), vcdim_peak(4000)
+    assert large < 1.5 * small, f"traced peaks {small} and {large} bytes"
+
+
+#: The probe's useless points come from a corpus's first two concepts, so a
+#: corpus whose first two files hold one formula has one useless point.
+FIRST_TWO_ALIKE = (
+    ThreeSatInstance(3, [(1, -2, 3), (-1, 2), (2, 3)]),
+    ThreeSatInstance(3, [(1, -2, 3), (-1, 2), (2, 3)]),
+    ThreeSatInstance(2, [(1,), (-1,)]),
+    ThreeSatInstance(3, [(-1,), (2, 3)]),
+    ThreeSatInstance(3, [(1,), (-2,), (3,)]),
+)
+
+
+def vcdim_dimacs_report(tmp_path, formulas, repeat: int = 1) -> str:
+    """vcdim's report on the formulas as DIMACS files, listed `repeat` times."""
+    paths = []
+    for i, f in enumerate(formulas):
+        path = tmp_path / f"f{i}.cnf"
+        path.write_text(to_dimacs(f))
+        paths.append(str(path))
+    assert run_cli(tmp_path, "vcdim", f"corpus.kind = dimacs\ncorpus.paths = {','.join(paths * repeat)}\n") == 0
+    return (tmp_path / "dimension_report.txt").read_text()
+
+
+def test_vcdim_on_a_corpus_whose_first_two_files_are_one_formula(tmp_path):
+    report = vcdim_dimacs_report(tmp_path, FIRST_TWO_ALIKE)
+    assert "(probe of 10 points, depth 3)" in report
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "eeb2ded690d2736b33b797c7058fb2abcad5e09b83208d98ca229ed2db19059a"
+    )
+
+
+def test_vcdim_on_files_listed_twice_reports_them_as_listed_once(tmp_path):
+    rng = random.Random("twice")
+    formulas = [*FIRST_TWO_ALIKE[2:], *(random_instance(rng, v, v) for v in (3, 4, 3, 4, 4))]
+    once = vcdim_dimacs_report(tmp_path, formulas).splitlines()
+    twice = vcdim_dimacs_report(tmp_path, formulas, repeat=2).splitlines()
+    assert once[0] == "concepts = 8" and twice[0] == "concepts = 16"
+    assert once[1:] == twice[1:]
 
 
 #: A small config per command, so that a fuzzed value that is accepted

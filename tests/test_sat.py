@@ -201,7 +201,7 @@ def test_var_mask_matches_the_division_formula(monkeypatch):
     for p in range(1, 13):
         ones = (1 << (1 << p)) - 1
         half = (1 << (1 << (p - 1))) - 1
-        lits = sat._literal_masks(p)
+        lits = sat._literal_masks(p, p)
         for j in range(1, p + 1):
             b = p - j
             chunk = ((1 << (1 << b)) - 1) << (1 << b)
@@ -210,14 +210,21 @@ def test_var_mask_matches_the_division_formula(monkeypatch):
             # the literal masks: x_j's mask cut to 2^(p-1) bits and its complement there
             assert lits[j] == var_mask(p, j) & half, (p, j)
             assert lits[-j] == lits[j] ^ half, (p, j)
+    # a narrow table: the masks of x_4..x_20 only, cut to 2^16 bits
+    low = (1 << (1 << 16)) - 1
+    lits = sat._literal_masks(20, 17)
+    assert sorted(lits) == [*range(-20, -3), *range(4, 21)]
+    for j in range(4, 21):
+        assert lits[j] == var_mask(20, j) & low, j
+        assert lits[-j] == lits[j] ^ low, j
 
 
 def test_the_literal_mask_cache_holds_one_p(monkeypatch):
     monkeypatch.setattr(sat, "_LIT_MASKS", {})
     satisfying_mask(ThreeSatInstance(12, [(1, 2, -3)]), 12)
     satisfying_mask(ThreeSatInstance(10, [(1, 2, -3)]), 10)
-    assert list(sat._LIT_MASKS) == [10]
-    lits = sat._LIT_MASKS[10]
+    assert list(sat._LIT_MASKS) == [(10, 10)]
+    lits = sat._LIT_MASKS[10, 10]
     assert sorted(lits) == [*range(-10, 0), *range(1, 11)]
     assert all(0 <= m < 1 << (1 << 9) for m in lits.values())
 

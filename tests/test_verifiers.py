@@ -227,9 +227,10 @@ def test_a_first_certificate_builds_no_full_mask(perfbench_modules, monkeypatch)
     for owner in (sat, verifiers):
         monkeypatch.setattr(owner, "satisfying_mask", no_mask)
     monkeypatch.setattr(ThreeSatVerifier, "accept_mask", no_mask)
-    sat._literal_masks(20)
     rng = random.Random("no-mask:20")
     enc = FormulaEncoding(max_vars=20, max_clauses=88)
+    warm = random_instance(random.Random("no-mask:warm"), 20, 88)
+    first_certificate(ThreeSatVerifier(enc), enc.encode(warm))  # builds the literal masks
     outcomes = set()
     for _ in range(8):
         inst = random_instance(rng, 20, 88)
@@ -244,6 +245,22 @@ def test_a_first_certificate_builds_no_full_mask(perfbench_modules, monkeypatch)
         assert peak < 128 << 10, f"peak traced memory {peak >> 10} KiB"
         outcomes.add(w is None)
     assert outcomes == {True, False}
+
+
+def test_a_cold_first_certificate_at_p24_builds_only_narrow_literal_masks(monkeypatch):
+    # the p = 24 literal masks at full width would take 46 MiB; the search
+    # builds those of the variables it folds, at most 2^16 bits each
+    monkeypatch.setattr(sat, "_LIT_MASKS", {})
+    enc = FormulaEncoding(max_vars=24, max_clauses=103)
+    v, z = ThreeSatVerifier(enc), enc.encode(random_instance(random.Random("cold:24"), 24, 103))
+    tracemalloc.start()
+    try:
+        first_certificate(v, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak traced memory {peak >> 10} KiB"
+    assert all(m < 1 << (1 << 16) for lits in sat._LIT_MASKS.values() for m in lits.values())
 
 
 def test_mask_path_equals_generic_path():
