@@ -127,18 +127,20 @@ def _literal_masks(p: int, w: int) -> dict[int, int]:
     return _LIT_MASKS[p, w]
 
 
-def _fold(inst: ThreeSatInstance, p: int, steps: int, lits: dict[int, int]) -> tuple[int, list[list[Clause]]]:
+def _fold(inst: ThreeSatInstance, p: int, steps: int) -> tuple[int, list[list[Clause]], dict[int, int]]:
     """The first `steps` steps of `satisfying_mask`'s fold: the mask over
-    variables p-steps+1..p in 2^steps bits, and the clauses by step, where
-    buckets[e] holds those whose first variable is p-e+1; lits are literal
-    masks 2^(steps-1) bits wide or wider.  The mask is 0, and the buckets may
-    be incomplete, once no assignment is left."""
+    variables p-steps+1..p in 2^steps bits, the clauses by step (buckets[e]
+    holds those whose first variable is p-e+1) and the literal masks, built
+    once p is checked, 2^min(p-1, steps) bits wide.  The mask is 0, and the
+    buckets may be incomplete, once no assignment is left."""
     if p < inst.num_vars:
         raise ShapeError(f"p={p} smaller than num_vars={inst.num_vars}")
+    # steps + 1: the search's walk ANDs masks one variable wider than the halves
+    lits = _literal_masks(p, min(p, steps + 1))
     buckets: list[list[Clause]] = [[] for _ in range(p + 1)]
     for clause in inst.clauses:
         if not clause:
-            return 0, buckets
+            return 0, buckets, lits
         # canonical clauses are sorted by variable, so clause[0] is the first
         buckets[p - abs(clause[0]) + 1].append(clause)
     mask = 1
@@ -152,9 +154,9 @@ def _fold(inst: ThreeSatInstance, p: int, steps: int, lits: dict[int, int]) -> t
             else:
                 halves[k] = halves[k] & lits[rest[0]] if rest else 0
         if not any(halves):
-            return 0, buckets
+            return 0, buckets, lits
         mask = (halves[1] << (1 << (e - 1))) | halves[0]
-    return mask, buckets
+    return mask, buckets, lits
 
 
 def satisfying_mask(inst: ThreeSatInstance, p: int) -> int:
@@ -172,16 +174,17 @@ def satisfying_mask(inst: ThreeSatInstance, p: int) -> int:
     results (3 literals), or empties it (1 literal).  Below bit 2^(e-1), x_j's
     own masks are 0 and all ones, so tautologies need no case.
     """
-    return _fold(inst, p, p, _literal_masks(p, p))[0]
+    return _fold(inst, p, p)[0]
 
 
 #: The variables `first_satisfying` folds, at most: it walks the ones above
-#: them, and its masks stay within 2^16 bits (8 KiB) at any p.  On random
-#: formulas of 4.3p clauses (2-core host, Python 3.11), folding 15 or 16 ran
-#: fastest from p = 19 to 24: 0.36 ms a search at p = 24, against 5.4 ms for
-#: the whole mask and 1.4 ms with only the top 4 walked.  At p = 17 and 18
-#: the whole fold ran up to 15% faster.
-SEARCH_FOLD_VARS = 16
+#: them, and its masks stay within 2^13 bits (1 KiB) at any p.  On random
+#: formulas of 4.4p clauses (2-core host, Python 3.11), the fastest width
+#: grew with p, from 12 at p = 16..18 to 14 at p = 22..24; 13 and 14 tied
+#: on the time summed over p = 16..24, and 13 was faster at p = 16 and 20.
+#: At width 13 a search took 86 us at p = 20 and 213 us at p = 24, against
+#: 117 us and 306 us at width 16.
+SEARCH_FOLD_VARS = 13
 
 
 def first_satisfying(inst: ThreeSatInstance, p: int) -> int | None:
@@ -192,31 +195,28 @@ def first_satisfying(inst: ThreeSatInstance, p: int) -> int | None:
     its mask covers the low variables k+1..p in 2^(p-k) bits.  The top k
     variables are walked depth first, x_j = 0 before x_j = 1, so the leaves
     come in increasing order.  Setting x_d applies each clause whose last
-    walked variable is x_d and whose walked literals are then all false: the
-    mask keeps only the assignments that satisfy one of its low literals,
-    and empties if it has none.  A branch whose mask empties is pruned; the
-    first leaf reached holds the answer at its mask's lowest set bit.
+    walked variable is x_d and whose walked literals are then all false: one
+    AND with the OR of its low literals' masks, made once per clause, keeps
+    only the assignments that satisfy one of them, and empties the mask if
+    it has none.  A branch whose mask empties is pruned; the first leaf
+    reached holds the answer at its mask's lowest set bit.
     """
     k = max(0, p - SEARCH_FOLD_VARS)
-    # the walk ANDs masks 2^(p-k) bits wide, one variable wider than the fold's halves
-    lits = _literal_masks(p, min(p, SEARCH_FOLD_VARS + 1))
-    mask, buckets = _fold(inst, p, p - k, lits)
+    mask, buckets, lits = _fold(inst, p, p - k)
     if not mask:
         return None
-    # levels[d]: (care, want, a, b) per clause applied at x_d.  A prefix of
+    # levels[d]: (care, want, low) per clause applied at x_d.  A prefix of
     # walked values holds x_j at bit k-j, and the clause's walked literals
-    # are all false iff prefix & care == want.  a and b are its low
-    # literals' masks, so that (m & a) | (m & b) stays as narrow as m: a
-    # twice for one literal, 0 twice for none.
+    # are all false iff prefix & care == want.  low ORs its low literals'
+    # masks, as narrow as m: one literal's own mask (no copy), 0 for none.
     walked = {}  # a walked literal: its variable, its care bit, its want bit
     for j in range(1, k + 1):
         bit = 1 << (k - j)
         walked[j], walked[-j] = (j, bit, 0), (j, bit, bit)
-    levels: list[list[tuple[int, int, int, int]]] = [[] for _ in range(k + 1)]
+    levels: list[list[tuple[int, int, int]]] = [[] for _ in range(k + 1)]
     for e in range(p - k + 1, p + 1):
         for clause in buckets[e]:
-            care = want = last = 0
-            low = []
+            care = want = last = low = 0
             for lit in clause:
                 if lit in walked:
                     last, bit, wants = walked[lit]
@@ -224,21 +224,21 @@ def first_satisfying(inst: ThreeSatInstance, p: int) -> int | None:
                         break  # x_j or not x_j holds everywhere
                     care, want = care | bit, want | wants
                 else:
-                    low.append(lits[lit])
+                    low = low | lits[lit] if low else lits[lit]
             else:
-                low = low or [0]
-                levels[last].append((care, want, low[0], low[-1]))
+                levels[last].append((care, want, low))
     stack = [(0, 0, mask)]  # (depth, prefix, mask): x_1..x_depth set in prefix
     while stack:
         d, prefix, m = stack.pop()
-        for care, want, a, b in levels[d]:
+        for care, want, low in levels[d]:
             if prefix & care == want:
-                m = (m & a) | (m & b)
+                m &= low
                 if not m:
                     break
         else:
             if d == k:
-                return prefix << (p - k) | (m & -m).bit_length() - 1
+                # m ^ (m - 1) sets the bits up to m's lowest set bit
+                return prefix << (p - k) | (m ^ (m - 1)).bit_length() - 1
             stack.append((d + 1, prefix | 1 << (k - d - 1), m))
             stack.append((d + 1, prefix, m))
     return None

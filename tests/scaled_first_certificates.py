@@ -1,6 +1,7 @@
 """Check first_certificate against perfbench/reference.py's backtracking
-solver on 25 seeded random formulas at each p from 17 to 24, the budget's
-top, with 4.3p clauses each.
+solver on 25 seeded random formulas at each p from sat.SEARCH_FOLD_VARS + 1,
+the first p whose search walks a variable, to 24, the budget's top, with
+4.3p clauses each.
 
 Run from the repository root:
 
@@ -8,8 +9,8 @@ Run from the repository root:
 
 Prints one line per p and exits 1 on a mismatch, unless both satisfiable
 and unsatisfiable formulas occur, or unless the search's literal-mask cache
-then holds one table whose masks are each within 2^16 bits.  The test suite
-checks two formulas a p; this check runs 25 a p outside it.
+then holds one table whose masks are each within 2^SEARCH_FOLD_VARS bits.
+The test suite checks two formulas a p; this check runs 25 a p outside it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ FORMULAS = 25
 
 def main() -> int:
     outcomes = set()
-    for p in range(17, 25):
+    for p in range(sat.SEARCH_FOLD_VARS + 1, 25):
         rng = random.Random(f"scaled:{p}")
         clauses = round(4.3 * p)
         enc = FormulaEncoding(max_vars=p, max_clauses=clauses)
@@ -51,7 +52,7 @@ def main() -> int:
         print("the formulas were all satisfiable or all unsatisfiable")
         return 1
     widths = [m.bit_length() for lits in sat._LIT_MASKS.values() for m in lits.values()]
-    if len(sat._LIT_MASKS) != 1 or max(widths) > 1 << 16:
+    if len(sat._LIT_MASKS) != 1 or max(widths) > 1 << sat.SEARCH_FOLD_VARS:
         print(f"the literal masks: {len(sat._LIT_MASKS)} tables, widest {max(widths, default=0)} bits")
         return 1
     return 0

@@ -158,7 +158,7 @@ def test_first_satisfying_at_every_fold_width(inst):
 
 
 def test_first_satisfying_is_the_lowest_set_bit_at_p20():
-    # the certify workload's formulas: the search walks the top 4 variables
+    # the certify workload's formulas: the search walks x_1..x_(20 - SEARCH_FOLD_VARS)
     rng = random.Random("first:20")
     found = set()
     for _ in range(8):
@@ -227,6 +227,16 @@ def test_the_literal_mask_cache_holds_one_p(monkeypatch):
     lits = sat._LIT_MASKS[10, 10]
     assert sorted(lits) == [*range(-10, 0), *range(1, 11)]
     assert all(0 <= m < 1 << (1 << 9) for m in lits.values())
+
+
+def test_a_p_below_num_vars_raises_before_any_literal_mask_is_built(monkeypatch):
+    monkeypatch.setattr(sat, "_LIT_MASKS", {})
+    satisfying_mask(ThreeSatInstance(10, [(1, 2, -3)]), 10)
+    table = sat._LIT_MASKS[10, 10]
+    for search in (satisfying_mask, first_satisfying):
+        with pytest.raises(ShapeError):
+            search(ThreeSatInstance(12, [(1, 2, -3)]), 11)
+        assert list(sat._LIT_MASKS) == [(10, 10)] and sat._LIT_MASKS[10, 10] is table
 
 
 def test_satisfying_mask_extra_free_variables():

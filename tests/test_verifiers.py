@@ -249,7 +249,8 @@ def test_a_first_certificate_builds_no_full_mask(perfbench_modules, monkeypatch)
 
 def test_a_cold_first_certificate_at_p24_builds_only_narrow_literal_masks(monkeypatch):
     # the p = 24 literal masks at full width would take 46 MiB; the search
-    # builds those of the variables it folds, at most 2^16 bits each
+    # builds those of the variables it folds and one above, each within
+    # 2^SEARCH_FOLD_VARS bits
     monkeypatch.setattr(sat, "_LIT_MASKS", {})
     enc = FormulaEncoding(max_vars=24, max_clauses=103)
     v, z = ThreeSatVerifier(enc), enc.encode(random_instance(random.Random("cold:24"), 24, 103))
@@ -260,7 +261,8 @@ def test_a_cold_first_certificate_at_p24_builds_only_narrow_literal_masks(monkey
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, f"peak traced memory {peak >> 10} KiB"
-    assert all(m < 1 << (1 << 16) for lits in sat._LIT_MASKS.values() for m in lits.values())
+    widest = 1 << (1 << sat.SEARCH_FOLD_VARS)
+    assert all(m < widest for lits in sat._LIT_MASKS.values() for m in lits.values())
 
 
 def test_mask_path_equals_generic_path():
