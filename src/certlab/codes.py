@@ -12,20 +12,21 @@ received word is a string.
 
 Nearest-codeword decoding is exact and table-driven.  A message splits into
 its low h = min(m, 8) bits and its high part, and by linearity
-cw(hi << h | lo) = cw(hi << h) ^ cw(lo).  For each 4-bit chunk of the
-received word a table holds, per nibble value, one int packing 2^h lanes:
-lane lo is the distance from that nibble to cw(lo)'s bits in the chunk.
-The sum of the entries a word selects is then its distance to every low
-codeword at once.  No lane of the sum exceeds the codeword length, so lanes
-are one byte below 256 bits and wider above, and no sum carries into the
-next lane: the lanes are exact distances.  `LinearCode.decode_value` walks
-the high parts in ascending order, so with a strict-improvement rule and
-the smallest lane index at each minimum it returns what a scan of all 2^m
-codewords in message order returns, the smallest message at least distance.
-Before it reads the lanes of a sum, one guard-bit test on the packed int
-(`_LaneDecoder.some_lane_below`) tells whether any lane is below the best
-distance so far; a high part with none cannot win under the strict rule, so
-skipping it leaves the result unchanged.
+cw(hi << h | lo) = cw(hi << h) ^ cw(lo).  For each byte of the received
+word a table holds, per byte value, one int packing 2^h lanes: lane lo is
+the distance from that byte to cw(lo)'s bits in the byte.  The tables are
+built on the first walk, each entry the sum of the entries of its two
+nibbles.  The sum of the entries a word selects is then its distance to
+every low codeword at once.  No lane of the sum exceeds the codeword length,
+so lanes are one byte below 256 bits and wider above, and no sum carries
+into the next lane: the lanes are exact distances.  `LinearCode.decode_value`
+walks the high parts in ascending order, so with a strict-improvement rule
+and the smallest lane index at each minimum it returns what a scan of all
+2^m codewords in message order returns, the smallest message at least
+distance.  Before it reads the lanes of a sum, one guard-bit test on the
+packed int (`_LaneDecoder.some_lane_below`) tells whether any lane is below
+the best distance so far; a high part with none cannot win under the strict
+rule, so skipping it leaves the result unchanged.
 
 A word within the certified radius rarely needs that walk.  Once per code,
 greedy GF(2) elimination over the positions in order picks disjoint
@@ -71,10 +72,9 @@ MAX_MESSAGE_LEN = 16
 MAX_CODEWORD_BITS = 1024
 
 #: The decoder resolves the low LOW_BITS message bits at once: a table
-#: entry packs one lane per low message.  It indexes its tables by chunks of
-#: CHUNK_BITS received bits, one hex digit of the received word.
+#: entry packs one lane per low message, and a table is indexed by one byte
+#: of the received word.
 LOW_BITS = 8
-CHUNK_BITS = 4
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,8 @@ class LinearCode:
         must lie in [0, 2^codeword_len); bit i is codeword position i.
 
         For each high part hi in ascending order, y ^ cw(hi << h) selects one
-        table entry per 4-bit chunk; their sum packs the distances to all
+        table entry per byte, split little-endian as the information sets
+        read y; their sum packs the distances to all
         2^h codewords cw(hi << h | lo), and `min` and `.index` over its lanes
         give the smallest lo at the least distance.  A high part is kept only
         when strictly better than the best so far, so the result is the
@@ -257,10 +258,11 @@ class LinearCode:
                 d = min(weights)
                 if d <= radius:
                     return v ^ moves[weights.index(d)]
-        tables, spec, n_bytes, as_lanes = dec.tables, dec.hex_spec, dec.n_bytes, dec.as_lanes
+        tables = dec.tables or dec.build_tables()
+        word_bytes, n_bytes, as_lanes = dec.word_bytes, dec.n_bytes, dec.as_lanes
         some_lane_below = dec.some_lane_below
         for hi, cw in enumerate(high):
-            total = sum(map(dict.__getitem__, tables, format(y_int ^ cw, spec)))
+            total = sum(map(list.__getitem__, tables, (y_int ^ cw).to_bytes(word_bytes, "little")))
             if not some_lane_below(total, best_d):
                 continue
             lanes = as_lanes(total.to_bytes(n_bytes, sys.byteorder))
@@ -272,11 +274,11 @@ class LinearCode:
         return best_v
 
 
-#: _HEX_DISTANCE[nib] translates a hex digit's ASCII code to the Hamming
-#: distance between the digit's 4 bits and nib.
-_HEX_DISTANCE = [
-    bytes.maketrans(b"0123456789abcdef", bytes((d ^ nib).bit_count() for d in range(16)))
-    for nib in range(1 << CHUNK_BITS)
+#: _NIBBLE_DISTANCE[k][nib] translates a byte to the Hamming distance
+#: between its low (k = 0) or high (k = 1) nibble and nib.
+_NIBBLE_DISTANCE = [
+    [bytes(((b >> 4 * k ^ nib) & 15).bit_count() for b in range(256)) for nib in range(16)]
+    for k in (0, 1)
 ]
 
 
@@ -357,32 +359,34 @@ class _LaneDecoder:
             ])
         # the narrowest lane that holds every distance 0..codeword_len
         lane_type = next(t for t in "BHIQ" if codeword_len < 1 << (8 * array(t).itemsize))
-        wide = lane_type != "B"
         self.lane_type = lane_type
         self.n_bytes = array(lane_type).itemsize << h
         # one-byte lanes are the bytes themselves; wider ones an array over them
-        self.as_lanes = partial(array, lane_type) if wide else bytes
-
-        def packed(distances: bytes) -> int:
-            if wide:
-                distances = array(lane_type, list(distances)).tobytes()
-            return int.from_bytes(distances, sys.byteorder)
-
+        self.as_lanes = bytes if lane_type == "B" else partial(array, lane_type)
         # a 1 in every lane; half is a lane's top bit, guard that bit in every lane
-        self.ones = packed(b"\1" * (1 << h))
+        self.ones = self._packed(b"\1" * (1 << h))
         self.half = 1 << (8 * array(lane_type).itemsize - 1)
         self.guard = self.ones * self.half
-        self.hex_spec = f"0{-(-codeword_len // CHUNK_BITS)}x"
-        # one column per chunk, most significant first as `format(word,
-        # hex_spec)` lists them: that chunk's hex digit of every low codeword
-        columns = zip(*[format(cw, self.hex_spec) for cw in low])
-        self.tables = [
-            {
-                f"{nib:x}": packed(digits.translate(_HEX_DISTANCE[nib]))
-                for nib in range(1 << CHUNK_BITS)
-            }
-            for digits in ("".join(col).encode("ascii") for col in columns)
-        ]
+        #: the walk's tables, one per byte of the word, built on the first walk
+        self.tables: list[list[int]] | None = None
+
+    def _packed(self, distances: bytes) -> int:
+        """One lane per distance, in lane order, as one int."""
+        if self.lane_type != "B":
+            distances = array(self.lane_type, list(distances)).tobytes()
+        return int.from_bytes(distances, sys.byteorder)
+
+    def build_tables(self) -> list[list[int]]:
+        """Per byte i of the word, entry x packs the distance from byte value
+        x to byte i of every low codeword: the sum of its low nibble's entry
+        and its high nibble's."""
+        tables = []
+        for i in range(self.word_bytes):
+            column = bytes(cw >> 8 * i & 255 for cw in self.low)
+            lows, highs = ([self._packed(column.translate(t)) for t in nibble] for nibble in _NIBBLE_DISTANCE)
+            tables.append([low + high for high in highs for low in lows])
+        self.tables = tables
+        return tables
 
     def some_lane_below(self, total: int, t: int) -> bool:
         """False only if no lane of the packed sum `total` is below t.

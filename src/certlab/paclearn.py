@@ -78,7 +78,9 @@ class Distribution:
 
 
 class LabeledSample(tuple):
-    """A labelled sample: the tuple of its (point, 0/1 label) pairs."""
+    """A labelled sample from outside, checked: the tuple of its (point, 0/1
+    label) pairs.  The samples the lab draws itself (`draw_sample`, the
+    decider's proofs) are plain tuples of pairs it made valid."""
 
     __slots__ = ()
 
@@ -93,11 +95,8 @@ class LabeledSample(tuple):
                     raise ShapeError(f"label must be 0/1, got {y!r}")
         return tuple.__new__(cls, pairs)
 
-    # the sample of already checked pairs, not checked again: no Python frame
-    _of_pairs = classmethod(tuple.__new__)
 
-
-def draw_sample(dist: Distribution, labels: bytes, m: int, rng: random.Random) -> LabeledSample:
+def draw_sample(dist: Distribution, labels: bytes, m: int, rng: random.Random) -> tuple:
     """m i.i.d. draws from the distribution, each a support point paired with
     its byte of labels, the target's labels on the support in support order.
     Support positions are drawn by `choices` over the weights: the same rng
@@ -105,7 +104,7 @@ def draw_sample(dist: Distribution, labels: bytes, m: int, rng: random.Random) -
     if m < 0:
         raise ConfigError("sample size must be nonnegative")
     at = rng.choices(range(len(dist.points)), cum_weights=dist.cum_weights, k=m)
-    return LabeledSample._of_pairs(zip(map(dist.points.__getitem__, at), map(labels.__getitem__, at)))
+    return tuple(zip(map(dist.points.__getitem__, at), map(labels.__getitem__, at)))
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -149,7 +148,7 @@ class TableHypothesis(frozenset):
 
 
 def few_sample_learner(
-    sample: LabeledSample,
+    sample: tuple,
     verifier: ThreeSatVerifier,
     params: CodeParams,
     *,
@@ -171,22 +170,21 @@ def few_sample_learner(
     return concept
 
 
-def sparse_erm(sample: LabeledSample, *, counter: StepCounter | None = None):
+def sparse_erm(sample: tuple, *, counter: StepCounter | None = None):
     """One-pass table ERM: predict 1 exactly on the sample's 1-points."""
     ones: set[str] = set()
     zeros: set[str] = set()
     for x, y in sample:
         (ones if y == 1 else zeros).add(x)
-    conflict = ones & zeros
-    if conflict:
-        raise DataInconsistencyError(f"contradictory labels for {sorted(conflict)[:3]}")
+    if not ones.isdisjoint(zeros):
+        raise DataInconsistencyError(f"contradictory labels for {sorted(ones & zeros)[:3]}")
     if counter is not None:
         counter.steps += len(sample)
     return TableHypothesis(ones)
 
 
 def junta_learner(
-    sample: LabeledSample, layout: ExampleLayout, *, counter: StepCounter | None = None
+    sample: tuple, layout: ExampleLayout, *, counter: StepCounter | None = None
 ):
     """Learn a table over the 2^ell index values; unobserved indices map to 0."""
     zeros = ones = 0  # bit v: index value v seen with label 0, with label 1

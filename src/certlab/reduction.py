@@ -84,7 +84,7 @@ class _Challenge:
                 word |= bit
         return word
 
-    def run(self, samples, read_at: str) -> tuple[int, LabeledSample | None, _Proof | None]:
+    def run(self, samples, read_at: str) -> tuple[int, tuple | None, _Proof | None]:
         """Prove the samples in order up to the first that accepts: learn
         from each, query the hypothesis at every index value with read_at's
         other bits, decode its first cp answers and read the mask bit at the
@@ -172,8 +172,9 @@ def rtime_decide(
     consistency: strings assigning different labels to the same drawn example
     point make every learner here fail (reject), so enumerating one label per
     distinct point covers the whole proof space.  The drawn points are
-    checked once per repetition; each proof's sample is then chosen from
-    pre-built (point, 0) and (point, 1) pairs and not checked again.  A
+    checked once per repetition; each proof's sample is then the plain
+    tuple of pre-built (point, 0) and (point, 1) pairs, reordered into draw
+    order, and is not checked again.  A
     repetition's proofs run in one `_Challenge.run` loop, and the digest is
     built only for the proof that accepts.  One-sided by construction: the
     verifier check at the end rejects every proof for a false instance.
@@ -188,11 +189,9 @@ def rtime_decide(
         distinct = sorted(set(points))
         slot = {pt: j for j, pt in enumerate(distinct)}
         LabeledSample((pt, 0) for pt in points)  # checks the points
-        proofs = product(*[((pt, 0), (pt, 1)) for pt in distinct])
+        samples = product(*[((pt, 0), (pt, 1)) for pt in distinct])
         if len(points) > 1:  # else the product's tuple is the sample already
-            proofs = map(itemgetter(*map(slot.__getitem__, points)), proofs)
-
-        samples = map(LabeledSample._of_pairs, proofs)
+            samples = map(itemgetter(*map(slot.__getitem__, points)), samples)
         proofs_run, sample, proof = challenge.run(samples, read_at)
         rep_accept = proof is not None and proof.verdict == 1
         rep_digest = ""

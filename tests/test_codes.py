@@ -162,7 +162,8 @@ def test_radius_recovery_sampled_m12():
 
 def test_radius_recovery_memory_does_not_grow_with_the_message_space():
     # a table of all 65,536 codewords at m=16 is over 2 MiB; one codeword per
-    # pattern is a few bytes.  The decode tables are built once per code, first.
+    # pattern is a few bytes.  The information sets' tables are built once per
+    # code, first; no contract-radius word at m=16 walks, so no walk table is built.
     get_code(DEFAULT_CODE_PARAMS, 16).lane_decoder()
     tracemalloc.start()
     try:
@@ -538,12 +539,56 @@ def test_some_lane_below_on_hand_packed_lanes(lane_type, params, m):
 
 
 def test_decoder_tables_stay_small_at_m16():
-    # 32 chunks x 16 nibbles, each entry 256 one-byte lanes: 128 KiB in all
+    # 16 bytes x 256 byte values, each entry 256 one-byte lanes: 1 MiB in all
     dec = get_code(DEFAULT_CODE_PARAMS, 16).lane_decoder()
+    tables = dec.tables or dec.build_tables()
     assert dec.lane_type == "B" and dec.n_bytes == 256
-    assert len(dec.tables) <= 32
-    assert all(len(table) == 16 for table in dec.tables)
-    assert all(entry < 1 << (8 * 256) for table in dec.tables for entry in table.values())
+    assert len(tables) == 16
+    assert all(len(table) == 256 for table in tables)
+    assert all(entry < 1 << (8 * 256) for table in tables for entry in table)
+
+
+@pytest.mark.parametrize(
+    "params, m",
+    [(params, m) for params in (DEFAULT_CODE_PARAMS, REDUCTION_CODE_PARAMS) for m in (2, 3, 8, 9, 16)]
+    + [(CodeParams(c=130, eps_star=Fraction(1, 16)), 2), (CodeParams(c=70, eps_star=Fraction(1, 16)), 4)],
+)
+def test_each_walk_table_entry_packs_the_distances_from_its_byte_value(params, m):
+    # lane lo of entry x of table i: the popcount of x XOR byte i (least
+    # significant first) of the codeword of low message lo
+    code = get_code(params, m)
+    dec = code.lane_decoder()
+    tables = dec.build_tables()
+    low = [code.encode_value(lo) for lo in range(1 << min(m, 8))]
+    width = array(dec.lane_type).itemsize
+    assert len(tables) == -(-code.codeword_len // 8)
+    for i, table in enumerate(tables):
+        column = [cw >> 8 * i & 255 for cw in low]
+        assert len(table) == 256
+        for x, entry in enumerate(table):
+            lanes = array(dec.lane_type, entry.to_bytes(width * len(low), sys.byteorder))
+            assert lanes.tolist() == [(x ^ b).bit_count() for b in column]
+
+
+@pytest.mark.parametrize("params", [DEFAULT_CODE_PARAMS, REDUCTION_CODE_PARAMS])
+def test_decodes_that_skip_the_walk_never_build_its_tables(params):
+    # a fresh code, whose tables no other test has built: words within the
+    # radius and 2k-1 errors, for k sets, decode from the information sets;
+    # the first word that walks builds the tables
+    code = LinearCode(params, 16)
+    dec = code.lane_decoder()
+    k = min(code.radius, 2 * len(dec.info_sets) - 1)
+    rng = random.Random(f"no-tables:{params.c}")
+    for errors in [k] * 50 + [rng.randint(0, k) for _ in range(50)]:
+        v = rng.getrandbits(16)
+        pattern = sum(1 << p for p in rng.sample(range(code.codeword_len), errors))
+        assert code.decode_value(code.encode_value(v) ^ pattern) == v
+    assert dec.tables is None
+    y_int = rng.getrandbits(code.codeword_len)
+    cached = get_code(params, 16)
+    assert cached is not code and cached.generator_rows == code.generator_rows
+    assert code.decode_value(y_int) == full_scan(cached, y_int)
+    assert dec.tables is not None and len(dec.tables) == dec.word_bytes
 
 
 def test_read_tables_stay_small_at_m16():

@@ -368,11 +368,25 @@ def test_juntas_label_a_support_or_probe_without_a_call_per_point():
     assert python_calls(ldim_oracle, concepts + [lambda x: c(x)], probe, code=call) == 16
 
 
-def test_a_checked_sample_is_built_without_a_python_frame():
-    pairs = [("01", 1), ("10", 0)]
-    assert python_calls(LabeledSample._of_pairs, pairs) == 0
-    sample = LabeledSample._of_pairs(pairs)
-    assert type(sample) is LabeledSample and sample == tuple(pairs) == LabeledSample(pairs)
+def test_a_drawn_sample_is_a_plain_tuple_of_pairs():
+    """`draw_sample` hands a trial's learner the tuple `zip` makes, not a
+    copy of it in a tuple subclass."""
+    c = concept0()
+    dist = Distribution.uniform(useful_points(c))
+    labels = labels_on(dist, c)
+    seen = []
+
+    def recording(sample, counter=None):
+        seen.append(sample)
+        return sparse_erm(sample, counter=counter)
+
+    pac_trial_suite(recording, labels, dist, 0.1, 9, 4, "plain-tuples")
+    seen.append(draw_sample(dist, labels, 0, random.Random(0)))
+    assert len(seen) == 5
+    for sample in seen:
+        assert type(sample) is tuple
+        assert all(type(pair) is tuple and len(pair) == 2 for pair in sample)
+        assert sample == LabeledSample(sample)
 
 
 def test_a_trial_suite_of_juntas_reads_each_index_value_once(monkeypatch):

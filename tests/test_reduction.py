@@ -567,6 +567,9 @@ def test_the_decider_hands_the_learner_every_label_string_in_product_order(varia
             expected += islice(samples, rec.proofs_run) if rec.accept else samples
         assert learner.samples == expected
         for sample in learner.samples:
+            # the tuple `product` or `itemgetter` built, not a copy of it
+            assert type(sample) is tuple and len(sample) == m
+            assert all(type(pair) is tuple for pair in sample)
             assert all(type(y) is int and y in (0, 1) for _, y in sample)
 
 
