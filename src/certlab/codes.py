@@ -2,8 +2,11 @@
 
 Each supported message length gets its own linear code: rate exactly 1/c,
 generator found by seeded random search, minimum distance certified by a
-Gray-code scan over all nonzero codewords (an attempt's scan stops once it
-cannot beat the best so far), decoding by nearest codeword.
+walk over all nonzero codewords (an attempt's walk stops once it cannot beat
+the best so far), decoding by nearest codeword.  From LANE_WALK_MIN_LEN
+message bits, on words below 256 bits, that walk is the decoder's lane walk
+at y = 0 (below), whose packed sums weigh 256 codewords each; elsewhere it
+is a Gray-code scan, one XOR per codeword.
 The contract radius floor(eps_star*c*m) is what callers may rely on; the
 certified radius (d-1)//2 is usually larger and is exported alongside.
 Messages and codewords are ints throughout (`encode_value`, `decode_value`);
@@ -125,9 +128,32 @@ def _span(rows: list[int]) -> list[int]:
     return words
 
 
+#: `_min_weight` certifies with the lane walk from this message length up,
+#: and only with one-byte lanes (words below 256 bits).  The lane walk pays
+#: a fixed cost per attempt for its nibble packs, the Gray walk a cost per
+#: codeword.  Searches timed with each walk forced (min of 5, interleaved,
+#: Python 3.11, 2-core host): at m=16, c=8 26 -> 5.7 ms and c=4 40 -> 6.0
+#: ms; at m=14, c=8 9.8 -> 4.5 ms; at m=13 the lane walk is 1.4-1.7x
+#: faster under both presets but 2.8x slower at eps_star = 9/20, whose 400
+#: attempts mostly stop early; at m = 9..12 the Gray walk is 1.4-4.5x
+#: faster.  With two-byte lanes (c=20, m = 13..16) the lane walk was
+#: 0.5-1.0x.
+LANE_WALK_MIN_LEN = 14
+
+
 def _min_weight(rows: list[int], stop: int) -> int:
-    """The least nonzero-codeword weight, or the first weight <= stop met."""
-    # Gray-code walk over all nonzero message values; one XOR per step.
+    """The least nonzero-codeword weight when no weight is <= stop, else
+    the weight <= stop at which the walk stopped.  The walk is the lane walk
+    or the Gray-code scan, chosen from the message length and the lane width
+    (see LANE_WALK_MIN_LEN)."""
+    if len(rows) >= LANE_WALK_MIN_LEN and max(rows).bit_length() < 256:
+        return _lane_min_weight(rows, stop)
+    return _gray_min_weight(rows, stop)
+
+
+def _gray_min_weight(rows: list[int], stop: int) -> int:
+    """`_min_weight` by a Gray-code walk over all nonzero message values,
+    one XOR per step."""
     acc = 0
     best = 1 << 62
     for i in range(1, 1 << len(rows)):
@@ -137,6 +163,40 @@ def _min_weight(rows: list[int], stop: int) -> int:
             best = w
             if best <= stop:
                 break
+    return best
+
+
+def _lane_min_weight(rows: list[int], stop: int) -> int:
+    """`_min_weight` by the decoder's lane walk at y = 0, for at least
+    LOW_BITS rows: the distance from 0 to a codeword is its weight.
+
+    The codewords with a zero high part or a zero low part are weighed one
+    by one first, so an attempt that meets a weight <= stop there builds
+    nothing.  Otherwise each byte of the low codewords gets its nibble
+    packs, and per nonzero high part cw(hi << h) one sum of the packs its
+    nibbles select holds the weights of all 2^h codewords cw(hi << h | lo);
+    its lanes are read only when `some_lane_below` finds one below the best
+    weight so far."""
+    low, high = _span(rows[-LOW_BITS:]), _span(rows[:-LOW_BITS])
+    best = min(w.bit_count() for w in itertools.chain(low[1:], high[1:]))
+    if best <= stop:
+        return best
+    codeword_len = max(rows).bit_length()
+    word_bytes = -(-codeword_len // 8)
+    lanes = _Lanes(LOW_BITS, codeword_len)
+    packs = [lanes.nibble_packs(column) for column in _byte_columns(low, word_bytes)]
+    # the low-nibble packs of every byte, then the high-nibble packs
+    tables = [lows for lows, _ in packs] + [highs for _, highs in packs]
+    some_lane_below, as_lanes, n_bytes = lanes.some_lane_below, lanes.as_lanes, lanes.n_bytes
+    for cw in high[1:]:
+        word = cw.to_bytes(word_bytes, "little")
+        total = sum(map(list.__getitem__, tables, word.translate(_LOW_NIBBLE) + word.translate(_HIGH_NIBBLE)))
+        if some_lane_below(total, best):
+            d = min(as_lanes(total.to_bytes(n_bytes, sys.byteorder)))
+            if d < best:
+                best = d
+                if best <= stop:
+                    break
     return best
 
 
@@ -184,8 +244,8 @@ class LinearCode:
         self.radius = (best_d - 1) // 2
         if self.radius < self.contract_radius:
             raise ConfigError(
-                f"search found distance {best_d} at length {message_len}, "
-                f"below the contract radius {self.contract_radius}"
+                f"search found distance {best_d} at length {message_len}: its certified radius "
+                f"{self.radius} is below the contract radius {self.contract_radius}"
             )
         self._decoder: _LaneDecoder | None = None
 
@@ -274,12 +334,15 @@ class LinearCode:
         return best_v
 
 
-#: _NIBBLE_DISTANCE[k][nib] translates a byte to the Hamming distance
-#: between its low (k = 0) or high (k = 1) nibble and nib.
-_NIBBLE_DISTANCE = [
-    [bytes(((b >> 4 * k ^ nib) & 15).bit_count() for b in range(256)) for nib in range(16)]
-    for k in (0, 1)
-]
+#: Translate a byte to its low nibble, and to its high nibble.
+_LOW_NIBBLE = bytes(b & 15 for b in range(256))
+_HIGH_NIBBLE = bytes(b >> 4 for b in range(256))
+
+
+def _byte_columns(words: list[int], word_bytes: int) -> list[bytes]:
+    """Per byte i of the words, little-endian: byte i of each word, in order."""
+    joined = b"".join(w.to_bytes(word_bytes, "little") for w in words)
+    return [joined[i::word_bytes] for i in range(word_bytes)]
 
 
 def _read_message(masks: list[int], y_int: int) -> int:
@@ -326,13 +389,66 @@ def _information_sets(rows: list[int], codeword_len: int) -> list[list[int]]:
     return sets
 
 
-class _LaneDecoder:
+class _Lanes:
+    """The lane geometry of words of codeword_len bits against 2^low_bits
+    low codewords: one lane per low message, packed into one int, that the
+    decoder's walk and the lane certification share."""
+
+    def __init__(self, low_bits: int, codeword_len: int) -> None:
+        # the narrowest lane that holds every distance 0..codeword_len
+        lane_type = next(t for t in "BHIQ" if codeword_len < 1 << (8 * array(t).itemsize))
+        self.low_bits = low_bits
+        self.lane_type = lane_type
+        self.n_bytes = array(lane_type).itemsize << low_bits
+        # one-byte lanes are the bytes themselves; wider ones an array over them
+        self.as_lanes = bytes if lane_type == "B" else partial(array, lane_type)
+        # a 1 in every lane; half is a lane's top bit, guard that bit in every lane
+        self.ones = self._packed(b"\1" * (1 << low_bits))
+        self.half = 1 << (8 * array(lane_type).itemsize - 1)
+        self.guard = self.ones * self.half
+
+    def _packed(self, distances: bytes) -> int:
+        """One lane per distance, in lane order, as one int."""
+        if self.lane_type != "B":
+            distances = array(self.lane_type, list(distances)).tobytes()
+        return int.from_bytes(distances, sys.byteorder)
+
+    def nibble_packs(self, column: bytes) -> tuple[list[int], list[int]]:
+        """For one byte of the low codewords, given as the column of their
+        bytes there: per nibble value nib, the packed distances from nib to
+        each low codeword's low nibble, and those to its high nibble."""
+        # the distance from nib 0 is the nibble's popcount, the sum of its
+        # four bit planes; setting bit b of nib adds 1 to each lane whose
+        # bit b is clear and takes 1 from each lane whose bit is set.  Lane
+        # arithmetic on the packed int is exact whenever every lane of the
+        # result lies in range, whatever the steps between
+        column_packed = self._packed(column)
+        planes = [column_packed >> b & self.ones for b in range(8)]
+        lows, highs = [sum(planes[:4])], [sum(planes[4:])]
+        for packs, nibble_planes in ((lows, planes[:4]), (highs, planes[4:])):
+            for plane in nibble_planes:
+                step = self.ones - (plane << 1)
+                packs += [pack + step for pack in packs]
+        return lows, highs
+
+    def some_lane_below(self, total: int, t: int) -> bool:
+        """False only if no lane of the packed sum `total` is below t.
+
+        With t <= half, setting every guard bit and subtracting t from each
+        lane borrows across no lane, and a lane below half keeps its guard
+        bit exactly when it is at least t; so a lane below t clears its
+        guard.  A lane of half or more may clear it too, which gives True
+        and only costs the caller its exact check."""
+        return t > self.half or ((total | self.guard) - t * self.ones) & self.guard != self.guard
+
+
+class _LaneDecoder(_Lanes):
     """The decoding tables of one code (see the module docstring)."""
 
     def __init__(self, rows: list[int], codeword_len: int) -> None:
         h = min(len(rows), LOW_BITS)
+        super().__init__(h, codeword_len)
         self.low = low = _span(rows[len(rows) - h :])
-        self.low_bits = h
         self.low_mask = (1 << h) - 1
         self.high = _span(rows[: len(rows) - h])
         # with one high part the walk is one table sum: no candidate step
@@ -357,46 +473,19 @@ class _LaneDecoder:
                 (i, array(message_type, _span([moves.get(8 * i + b, 0) for b in reversed(range(8))])))
                 for i in range(min(moves) // 8, max(moves) // 8 + 1)
             ])
-        # the narrowest lane that holds every distance 0..codeword_len
-        lane_type = next(t for t in "BHIQ" if codeword_len < 1 << (8 * array(t).itemsize))
-        self.lane_type = lane_type
-        self.n_bytes = array(lane_type).itemsize << h
-        # one-byte lanes are the bytes themselves; wider ones an array over them
-        self.as_lanes = bytes if lane_type == "B" else partial(array, lane_type)
-        # a 1 in every lane; half is a lane's top bit, guard that bit in every lane
-        self.ones = self._packed(b"\1" * (1 << h))
-        self.half = 1 << (8 * array(lane_type).itemsize - 1)
-        self.guard = self.ones * self.half
         #: the walk's tables, one per byte of the word, built on the first walk
         self.tables: list[list[int]] | None = None
-
-    def _packed(self, distances: bytes) -> int:
-        """One lane per distance, in lane order, as one int."""
-        if self.lane_type != "B":
-            distances = array(self.lane_type, list(distances)).tobytes()
-        return int.from_bytes(distances, sys.byteorder)
 
     def build_tables(self) -> list[list[int]]:
         """Per byte i of the word, entry x packs the distance from byte value
         x to byte i of every low codeword: the sum of its low nibble's entry
         and its high nibble's."""
         tables = []
-        for i in range(self.word_bytes):
-            column = bytes(cw >> 8 * i & 255 for cw in self.low)
-            lows, highs = ([self._packed(column.translate(t)) for t in nibble] for nibble in _NIBBLE_DISTANCE)
+        for column in _byte_columns(self.low, self.word_bytes):
+            lows, highs = self.nibble_packs(column)
             tables.append([low + high for high in highs for low in lows])
         self.tables = tables
         return tables
-
-    def some_lane_below(self, total: int, t: int) -> bool:
-        """False only if no lane of the packed sum `total` is below t.
-
-        With t <= half, setting every guard bit and subtracting t from each
-        lane borrows across no lane, and a lane below half keeps its guard
-        bit exactly when it is at least t; so a lane below t clears its
-        guard.  A lane of half or more may clear it too, which gives True
-        and only costs the caller its exact check."""
-        return t > self.half or ((total | self.guard) - t * self.ones) & self.guard != self.guard
 
 
 _CODE_CACHE: dict[tuple[tuple[int, int, int], int], LinearCode] = {}

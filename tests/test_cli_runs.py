@@ -139,6 +139,16 @@ RUNS = [
         stderr=f"configuration error: {BUDGET_40}",
         timeout=30,
     ),
+    # a contract no searched code meets: at m=2, c=8 the best distance is 10,
+    # a certified radius of 4, below floor(9/20 * 16) = 7
+    Run(
+        "codes-test-contract-unmet",
+        "codes-test",
+        config="codes.lengths = 2\ncode.eps_star = 9/20\n",
+        exit=2,
+        stderr="configuration error: search found distance 10 at length 2: "
+        "its certified radius 4 is below the contract radius 7",
+    ),
     # an output file that is a directory
     Run(
         "codes-test-unwritable",

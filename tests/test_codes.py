@@ -9,12 +9,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from certlab import codes
 from certlab.codes import (
     DEFAULT_CODE_PARAMS,
+    LANE_WALK_MIN_LEN,
     MAX_CODEWORD_BITS,
     REDUCTION_CODE_PARAMS,
     CodeParams,
     LinearCode,
+    _gray_min_weight,
+    _lane_min_weight,
     _min_weight,
     _span,
     decode,
@@ -122,6 +126,47 @@ def test_min_weight_stops_only_at_a_weight_within_stop():
                 assert got == least
             else:
                 assert least <= got <= stop
+    # at m = 9..16, c=4 and c=8 words have one-byte lanes, so `_min_weight`
+    # takes the Gray walk below LANE_WALK_MIN_LEN and the lane walk from it;
+    # c=20 words from m=13 need two-byte lanes and stay on the Gray walk.
+    # Each walk is also checked on its own, on both sides of that rule
+    assert 9 < LANE_WALK_MIN_LEN <= 16
+    for c in (4, 8, 20):
+        for m in range(9, 17):
+            rows = [rng.getrandbits(c * m) for _ in range(m)]
+            least = min(w.bit_count() for w in _span(rows)[1:])
+            for walk in (_min_weight, _gray_min_weight, _lane_min_weight):
+                for stop in (-1, least - 3, least - 1, least, least + 1, least + 6, c * m):
+                    got = walk(rows, stop)
+                    if stop < least:
+                        assert got == least, (walk.__name__, c, m, stop)
+                    else:
+                        assert least <= got <= stop, (walk.__name__, c, m, stop)
+
+
+def _refuse(*args):
+    raise AssertionError("this walk must not run")
+
+
+def test_a_fresh_m16_default_code_never_runs_the_gray_walk(monkeypatch):
+    monkeypatch.setattr(codes, "_gray_min_weight", _refuse)
+    code = LinearCode(DEFAULT_CODE_PARAMS, 16)
+    monkeypatch.undo()
+    cached = get_code(DEFAULT_CODE_PARAMS, 16)
+    assert (code.generator_rows, code.distance) == (cached.generator_rows, cached.distance)
+
+
+@pytest.mark.parametrize(
+    "params, m",
+    [(REDUCTION_CODE_PARAMS, 8), (CodeParams(c=20, eps_star=Fraction(1, 16)), 16)],
+    ids=["decide-preset-m8", "c20-m16"],
+)
+def test_short_codes_and_two_byte_lanes_never_run_the_lane_walk(params, m, monkeypatch):
+    # the decide workload's code is short, and c=20 words at m=16 are 320
+    # bits: both keep the Gray walk
+    monkeypatch.setattr(codes, "_lane_min_weight", _refuse)
+    code = LinearCode(params, m)
+    assert code.radius >= code.contract_radius
 
 
 def test_unsupported_lengths_fail_fast():

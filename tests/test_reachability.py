@@ -30,8 +30,9 @@ EXEMPT = {"__repr__", "__eq__", "__hash__"}
 COMMANDS = [
     ("enumerate", ""),
     ("vcdim", ""),
-    # length 9 has two high parts, so its decodes build the information sets
-    ("codes-test", "code.c = 4\ncode.eps_star = 1/8\ncodes.lengths = 4,9\ncodes.samples = 20\n"),
+    # length 9 has two high parts, so its decodes build the information
+    # sets; the length-16 search certifies its attempts with the lane walk
+    ("codes-test", "code.c = 4\ncode.eps_star = 1/8\ncodes.lengths = 4,9,16\ncodes.samples = 20\n"),
     ("learn", "corpus.kind = single_clause\nlearn.m = 0,6\nlearn.trials = 3\n"),
     ("tradeoff", "tradeoff.vars = 4\ntradeoff.m = 1,8\ntradeoff.trials = 2\ntradeoff.factor = 1\n"),
     ("reduce", "corpus.kind = random\ncorpus.count = 4\ndecider.m = 4\ndecider.r = 2\n"),
