@@ -62,7 +62,7 @@ import math
 import random
 import sys
 from array import array
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
@@ -80,27 +80,34 @@ MAX_CODEWORD_BITS = 1024
 LOW_BITS = 8
 
 
-@dataclass(frozen=True)
 class CodeParams:
-    """Rate denominator c and correctable-fraction contract eps_star."""
+    """Rate denominator c and correctable-fraction contract eps_star: a value,
+    whose eq, hash and repr read (c, eps_star)."""
 
-    c: int
-    eps_star: Fraction
-    #: `get_code`'s key: ints hash in C, where a Fraction hashes in Python
-    code_key: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("c", "eps_star", "code_key")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.c, int) or self.c <= 1:
+    def __init__(self, c: int, eps_star: Fraction) -> None:
+        if not isinstance(c, int) or c <= 1:
             raise ConfigError("rate denominator c must be an integer > 1")
-        eps = Fraction(self.eps_star)
-        object.__setattr__(self, "eps_star", eps)
-        object.__setattr__(self, "code_key", (self.c, eps.numerator, eps.denominator))
+        eps = Fraction(eps_star)
         if not Fraction(0) < eps < Fraction(1, 2):
             raise ConfigError("eps_star must lie in (0, 1/2)")
-        if eps * self.c * MIN_MESSAGE_LEN < 1:
+        if eps * c * MIN_MESSAGE_LEN < 1:
             raise ConfigError(
                 f"eps_star*c*m < 1 at the smallest supported length m={MIN_MESSAGE_LEN}"
             )
+        self.c, self.eps_star = c, eps
+        #: `get_code`'s key: ints hash in C, where a Fraction hashes in Python
+        self.code_key = (c, eps.numerator, eps.denominator)
+
+    def __eq__(self, other):
+        return self.code_key == other.code_key if type(other) is CodeParams else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.code_key)
+
+    def __repr__(self) -> str:
+        return f"CodeParams(c={self.c}, eps_star={self.eps_star!r})"
 
     def contract_radius(self, message_len: int) -> int:
         """floor(eps_star * c * m): the adversarial error count decode must fix."""
@@ -226,8 +233,15 @@ class LinearCode:
         if self.codeword_len > MAX_CODEWORD_BITS:
             raise BudgetError(f"codeword length {self.codeword_len} exceeds {MAX_CODEWORD_BITS} bits")
         self.contract_radius = params.contract_radius(message_len)
-        rng = random.Random(f"certlab-code-c{params.c}-eps{params.eps_star}-m{message_len}")
         target = 2 * self.contract_radius + 1
+        # Plotkin: a nonzero codeword's mean weight, n*2^(m-1)/(2^m-1), bounds d
+        bound = self.codeword_len * (1 << message_len - 1) // ((1 << message_len) - 1)
+        if target > bound:
+            raise ConfigError(
+                f"distance {target} needed at length {message_len} exceeds the Plotkin bound "
+                f"{bound} of a [{self.codeword_len}, {message_len}] linear code"
+            )
+        rng = random.Random(f"certlab-code-c{params.c}-eps{params.eps_star}-m{message_len}")
         baseline, cap = _search_attempts(message_len)
         best_rows, best_d = None, -1
         for attempt in range(cap):
@@ -510,11 +524,7 @@ def decode(params: CodeParams, y: str) -> str:
     return format(get_code(params, m).decode_value(int(y[::-1], 2)), f"0{m}b")
 
 
-@dataclass(frozen=True)
-class RadiusResult:
-    tested: int
-    recovered: int
-    exhaustive: bool
+RadiusResult = namedtuple("RadiusResult", "tested recovered exhaustive")
 
 
 def _pattern_count(n: int, radius: int) -> int:

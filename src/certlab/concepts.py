@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bits import int_to_bits, random_bits
 from .codes import CodeParams, get_code
@@ -34,20 +34,18 @@ def check_layout_kind(kind: str) -> str:
     return kind
 
 
-@dataclass(frozen=True)
-class ExampleLayout:
-    """Shape of the example domain for one (verifier, code) pair."""
+class ExampleLayout(namedtuple("ExampleLayout", "n cp ell matched")):
+    """Shape of the example domain for one (verifier, code) pair: n instance
+    bits, cp codeword positions, ell index bits, and the leading instance
+    bits a useful example shares with z, `matched` (n or 0)."""
 
-    n: int
-    cp: int
-    ell: int
-    matched: int  # leading instance bits a useful example shares with z: n or 0
+    __slots__ = ()
 
     @classmethod
     def of(cls, n: int, params: CodeParams, p: int, kind: str = "standard") -> "ExampleLayout":
         cp = params.c * p
         matched = n if check_layout_kind(kind) == "standard" else 0
-        return cls(n=n, cp=cp, ell=(cp - 1).bit_length(), matched=matched)
+        return cls(n, cp, (cp - 1).bit_length(), matched)
 
     @property
     def example_len(self) -> int:
@@ -152,12 +150,8 @@ class Node:
         self.hi = hi
 
 
-@dataclass
-class DecisionTree:
-    """Binary decision tree; leaves are 0/1 ints, size is the leaf count."""
-
-    root: object
-    size: int
+#: Binary decision tree; leaves are 0/1 ints, size is the leaf count.
+DecisionTree = namedtuple("DecisionTree", "root size")
 
 
 def dt_eval(tree: DecisionTree, x: str) -> int:
@@ -209,12 +203,7 @@ def serialize_tree(tree: DecisionTree) -> str:
 # -- dimension oracles ----------------------------------------------------------
 
 
-@dataclass
-class CertVcReport:
-    dimension: int
-    shattered_singleton: str | None
-    candidate_points: int
-    pairs_checked: int
+CertVcReport = namedtuple("CertVcReport", "dimension shattered_singleton candidate_points pairs_checked")
 
 
 def cert_class_vc(concepts: list[CertConcept]) -> CertVcReport:

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ..errors import ConfigError
 from ..sat import ThreeSatInstance, exhaustive_formulas, parse_dimacs, random_instance
@@ -12,10 +11,9 @@ from ..verifiers import FormulaEncoding, ThreeSatVerifier
 from .config import INT, NAMES, STR, read_text_file
 
 
-@dataclass
-class Corpus:
-    instances: Iterator[ThreeSatInstance]  # given one at a time, read once
-    verifier: ThreeSatVerifier
+#: A corpus's instances, an iterator of ThreeSatInstance read once, and the
+#: verifier they are encoded for.
+Corpus = namedtuple("Corpus", "instances verifier")
 
 
 def exhaustive_two_var_corpus() -> Corpus:

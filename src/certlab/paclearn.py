@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, compress
 from operator import ne
 
@@ -204,12 +204,7 @@ def junta_learner(
 # -- trial harness ----------------------------------------------------------------
 
 
-@dataclass
-class SuiteResult:
-    success_rate: float
-    mean_error: float
-    mean_steps: float
-    wall_s: float
+SuiteResult = namedtuple("SuiteResult", "success_rate mean_error mean_steps wall_s")
 
 
 def pac_trial_suite(

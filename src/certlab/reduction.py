@@ -10,10 +10,9 @@ is rejected for every seed and every proof.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product, repeat
 from operator import itemgetter
-from typing import NamedTuple
 
 from .bits import check_bits, int_to_bits
 from .codes import CodeParams, get_code
@@ -35,10 +34,9 @@ def learner_error_target(params: CodeParams, variant: str = "standard"):
     return eps if check_layout_kind(variant) == "standard" else eps / 100
 
 
-class _Proof(NamedTuple):
-    answers: int  # bit v: the hypothesis's answer at index value v
-    w_val: int
-    verdict: int
+#: A proof's answers (bit v: the hypothesis's answer at index value v), its
+#: decoded certificate value and its verdict bit.
+_Proof = namedtuple("_Proof", "answers w_val verdict")
 
 
 class _Challenge:
@@ -127,35 +125,23 @@ class _Challenge:
 # -- the one-sided decider -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeciderConfig:
-    m: int
-    r: int
-    code_params: CodeParams
-    variant: str = "standard"  # one of LAYOUT_KINDS
+class DeciderConfig(namedtuple("DeciderConfig", "m r code_params variant")):
+    """2^m proofs per repetition, r repetitions, the code and the layout
+    kind, one of LAYOUT_KINDS."""
 
-    def __post_init__(self) -> None:
-        if self.m < 0 or self.r < 1:
+    __slots__ = ()
+
+    def __new__(cls, m: int, r: int, code_params: CodeParams, variant: str = "standard"):
+        if m < 0 or r < 1:
             raise ConfigError("need m >= 0 and r >= 1")
-        if self.m > PROOF_CAP_BITS:
-            raise BudgetError(f"2^{self.m} proofs exceed the 2^{PROOF_CAP_BITS} cap")
-        check_layout_kind(self.variant)
+        if m > PROOF_CAP_BITS:
+            raise BudgetError(f"2^{m} proofs exceed the 2^{PROOF_CAP_BITS} cap")
+        check_layout_kind(variant)
+        return super().__new__(cls, m, r, code_params, variant)
 
 
-@dataclass
-class RepetitionRecord:
-    rep: int
-    accept: bool
-    proofs_run: int
-    digest: str
-
-
-@dataclass
-class DeciderResult:
-    accept: bool
-    repetitions: list[RepetitionRecord]
-    proof_space: int
-    proofs_run: int
+RepetitionRecord = namedtuple("RepetitionRecord", "rep accept proofs_run digest")
+DeciderResult = namedtuple("DeciderResult", "accept repetitions proof_space proofs_run")
 
 
 def rtime_decide(
@@ -210,11 +196,8 @@ def rtime_decide(
     )
 
 
-@dataclass
-class DeciderReport:
-    instance: ThreeSatInstance
-    accept: bool
-    result: DeciderResult
+class DeciderReport(namedtuple("DeciderReport", "instance accept result")):
+    __slots__ = ()
 
     def lines(self) -> list[str]:
         out = [

@@ -26,8 +26,6 @@ those scans, and the tests check the StepCounter's charges against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .bits import bits_of_rank, check_bits, is_bits
 from .errors import BudgetError, ConfigError, FormatError
 from .sat import ThreeSatInstance, eval_assignment, first_satisfying, satisfying_mask
@@ -55,17 +53,17 @@ class StepCounter:
 _ABSENT_SLOTS = ((0, 0, 0), (0, 0), (0,), ())
 
 
-@dataclass(frozen=True)
 class FormulaEncoding:
     """Fixed-width bit layout for formulas with up to max_vars variables and
-    max_clauses clauses; see README for the field table.
+    max_clauses clauses; see README for the field table.  A value: eq, hash
+    and repr read (max_vars, max_clauses).
 
     Layout (MSB first): num_vars | clause_count | max_clauses clause blocks.
     Each clause block holds 3 literal slots of (present, polarity, var index);
     unused slots and unused blocks are all-zero.  The all-zero string decodes
     to the canonical degenerate formula (0 variables, no clauses).
 
-    Three derived tables, left out of eq, hash and repr, serve the codec.
+    Three derived tables serve the codec.
     `encode` joins each literal's slot text (an absent slot's is under 0).
     `decode` maps each slot to a key, 2 * var for a positive literal and
     2 * var + 1 for a negative one (0 for an all-zero absent slot, -1 for one
@@ -74,22 +72,15 @@ class FormulaEncoding:
     clause is the sum of its sorted keys' tuples, each repeat skipped.
     """
 
-    max_vars: int
-    max_clauses: int
-    num_vars_bits: int = field(init=False, repr=False)
-    clause_count_bits: int = field(init=False, repr=False)
-    var_bits: int = field(init=False, repr=False)
-    slot_bits: int = field(init=False, repr=False)
-    clause_bits: int = field(init=False, repr=False)
-    width: int = field(init=False, repr=False)
-    _slot_text: dict[int, str] = field(init=False, repr=False, compare=False)
-    _slot_keys: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _key_lits: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = (
+        "max_vars", "max_clauses", "num_vars_bits", "clause_count_bits", "var_bits",
+        "slot_bits", "clause_bits", "width", "_slot_text", "_slot_keys", "_key_lits",
+    )
 
-    def __post_init__(self) -> None:
-        if self.max_vars < 1 or self.max_clauses < 0:
+    def __init__(self, max_vars: int, max_clauses: int) -> None:
+        if max_vars < 1 or max_clauses < 0:
             raise ConfigError("max_vars must be >= 1 and max_clauses >= 0")
-        var_bits = max(1, (self.max_vars - 1).bit_length())
+        var_bits = max(1, (max_vars - 1).bit_length())
         slot_bits, present, positive = 2 + var_bits, 2 << var_bits, 1 << var_bits
         slot_keys = [0] + [-1] * (2 * present - 1)
         key_lits = [()] * (2 * positive + 2)
@@ -98,22 +89,25 @@ class FormulaEncoding:
             for lit, slot in ((var, present | positive | var - 1), (-var, present | var - 1)):
                 key = 2 * var + (lit < 0)
                 slot_keys[slot], key_lits[key] = key, (lit,)
-                if var <= self.max_vars:
+                if var <= max_vars:
                     slot_text[lit] = format(slot, f"0{slot_bits}b")
-        # derived fields: a frozen dataclass sets them through its __dict__
-        self.__dict__.update(
-            num_vars_bits=self.max_vars.bit_length(),
-            clause_count_bits=max(1, self.max_clauses.bit_length()),
-            var_bits=var_bits,
-            slot_bits=slot_bits,
-            clause_bits=3 * slot_bits,
-            _slot_text=slot_text,
-            _slot_keys=tuple(slot_keys),
-            _key_lits=tuple(key_lits),
-        )
-        self.__dict__["width"] = (
-            self.num_vars_bits + self.clause_count_bits + self.max_clauses * self.clause_bits
-        )
+        self.max_vars, self.max_clauses = max_vars, max_clauses
+        self.num_vars_bits = max_vars.bit_length()
+        self.clause_count_bits = max(1, max_clauses.bit_length())
+        self.var_bits, self.slot_bits, self.clause_bits = var_bits, slot_bits, 3 * slot_bits
+        self.width = self.num_vars_bits + self.clause_count_bits + max_clauses * self.clause_bits
+        self._slot_text, self._slot_keys, self._key_lits = slot_text, tuple(slot_keys), tuple(key_lits)
+
+    def __eq__(self, other):
+        if type(other) is not FormulaEncoding:
+            return NotImplemented
+        return (self.max_vars, self.max_clauses) == (other.max_vars, other.max_clauses)
+
+    def __hash__(self) -> int:
+        return hash((self.max_vars, self.max_clauses))
+
+    def __repr__(self) -> str:
+        return f"FormulaEncoding(max_vars={self.max_vars}, max_clauses={self.max_clauses})"
 
     def encode(self, inst: ThreeSatInstance) -> str:
         """The formula's bits; any clause tuple of up to 3 literals over

@@ -4,7 +4,6 @@ pass/fail line each.  Run with `pytest -s tests/test_acceptance.py -v`.
 
 import math
 import time
-from dataclasses import replace
 from functools import lru_cache, partial
 
 from certlab.bits import int_to_bits
@@ -68,7 +67,7 @@ def few_sample_target():
 def decider_corpora():
     """The two corpora with their formulas listed, since several tests read them."""
     corpora = exhaustive_two_var_corpus(), random_corpus("acceptance", count=200)
-    return tuple(replace(corpus, instances=list(corpus.instances)) for corpus in corpora)
+    return tuple(corpus._replace(instances=list(corpus.instances)) for corpus in corpora)
 
 
 def test_criterion_01_vc_dimension_is_one():
@@ -287,7 +286,7 @@ def test_criterion_09_tradeoff_curve(tmp_path):
 def test_criterion_10_structural_checks():
     t0 = time.perf_counter()
     small = single_clause_corpus()
-    small = replace(small, instances=list(small.instances))  # read again below
+    small = small._replace(instances=list(small.instances))  # read again below
     ok = True
     checked = 0
     for inst in small.instances:

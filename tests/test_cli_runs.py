@@ -139,15 +139,25 @@ RUNS = [
         stderr=f"configuration error: {BUDGET_40}",
         timeout=30,
     ),
-    # a contract no searched code meets: at m=2, c=8 the best distance is 10,
-    # a certified radius of 4, below floor(9/20 * 16) = 7
+    # a contract no linear code meets ends before the search: at m=2, c=8
+    # distance 2*floor(9/20 * 16)+1 = 15 exceeds the Plotkin bound 16*2/3
     Run(
         "codes-test-contract-unmet",
         "codes-test",
         config="codes.lengths = 2\ncode.eps_star = 9/20\n",
         exit=2,
-        stderr="configuration error: search found distance 10 at length 2: "
-        "its certified radius 4 is below the contract radius 7",
+        stderr="configuration error: distance 15 needed at length 2 exceeds the Plotkin bound 10 "
+        "of a [16, 2] linear code",
+    ),
+    # ... and at the longest lengths, where the whole capped search is 400 attempts
+    Run(
+        "codes-test-contract-unmet-long",
+        "codes-test",
+        config="codes.lengths = 14,16\ncode.eps_star = 9/20\n",
+        exit=2,
+        stderr="configuration error: distance 101 needed at length 14 exceeds the Plotkin bound 56 "
+        "of a [112, 14] linear code",
+        timeout=10,
     ),
     # an output file that is a directory
     Run(
@@ -294,3 +304,21 @@ def test_a_run_cannot_import_a_module_of_tests(tmp_path):
     done = run_child(["-c", "import oracles"], tmp_path, 30)
     assert done.returncode != 0
     assert "ModuleNotFoundError: No module named 'oracles'" in done.stderr
+
+
+def test_certlab_loads_only_stdlib_modules_and_none_of_the_costly_ones(tmp_path):
+    """Every certlab module, imported in a child without site packages,
+    loads only certlab and standard-library modules, and not `dataclasses`,
+    `inspect` or `typing`, which cost most of a start-up."""
+    names = sorted(
+        ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
+        for path in (SRC / "certlab").rglob("*.py")
+    )
+    code = "import sys\nfor name in sys.argv[1:]: __import__(name)\nprint(*sorted(sys.modules))"
+    done = run_child(["-S", "-c", code, *names], tmp_path, 30)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "certlab.harness.cli" in names and loaded >= set(names)
+    allowed = sys.stdlib_module_names | {"certlab", "__main__"}
+    assert sorted(name for name in loaded if name.split(".")[0] not in allowed) == []
+    assert loaded.isdisjoint({"dataclasses", "inspect", "typing"})

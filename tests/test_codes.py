@@ -29,14 +29,27 @@ from certlab.errors import ConfigError, ShapeError
 
 
 def test_params_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^rate denominator c must be an integer > 1$"):
         CodeParams(c=1, eps_star=Fraction(1, 4))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^rate denominator c must be an integer > 1$"):
+        CodeParams(c=8.0, eps_star=Fraction(1, 4))
+    with pytest.raises(ConfigError, match=r"^eps_star must lie in \(0, 1/2\)$"):
         CodeParams(c=8, eps_star=Fraction(1, 2))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^eps_star must lie in \(0, 1/2\)$"):
         CodeParams(c=8, eps_star=Fraction(0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^eps_star\*c\*m < 1 at the smallest supported length m=2$"):
         CodeParams(c=2, eps_star=Fraction(1, 8))  # eps*c*2 = 1/2 < 1
+
+
+def test_params_are_values():
+    # eps_star is kept as a Fraction in lowest terms, whatever number it came as
+    a, b = CodeParams(8, 0.0625), CodeParams(c=8, eps_star=Fraction(3, 48))
+    assert a.eps_star == Fraction(1, 16) and type(a.eps_star) is Fraction
+    assert a == b == DEFAULT_CODE_PARAMS and hash(a) == hash(b) == hash(DEFAULT_CODE_PARAMS)
+    assert a.code_key == b.code_key == (8, 1, 16)
+    assert a != REDUCTION_CODE_PARAMS and a != (8, Fraction(1, 16))
+    assert len({a, b, REDUCTION_CODE_PARAMS}) == 2
+    assert repr(REDUCTION_CODE_PARAMS) == "CodeParams(c=4, eps_star=Fraction(1, 8))"
 
 
 def test_rate_is_exact():
@@ -167,6 +180,32 @@ def test_short_codes_and_two_byte_lanes_never_run_the_lane_walk(params, m, monke
     monkeypatch.setattr(codes, "_lane_min_weight", _refuse)
     code = LinearCode(params, m)
     assert code.radius >= code.contract_radius
+
+
+def test_a_contract_past_the_plotkin_bound_fails_before_the_search(monkeypatch):
+    # no [112, 14] linear code has distance above 112*2^13/(2^14-1) < 57
+    monkeypatch.setattr(codes, "_min_weight", _refuse)
+    with pytest.raises(ConfigError) as err:
+        LinearCode(CodeParams(c=8, eps_star=Fraction(9, 20)), 14)
+    assert str(err.value) == (
+        "distance 101 needed at length 14 exceeds the Plotkin bound 56 of a [112, 14] linear code"
+    )
+
+
+def test_a_contract_at_the_plotkin_bound_is_searched():
+    # at c=3, m=3 distance 5 is the Plotkin bound, but no [9, 3] code has it
+    with pytest.raises(ConfigError) as err:
+        LinearCode(CodeParams(c=3, eps_star=Fraction(2, 9)), 3)
+    assert str(err.value) == (
+        "search found distance 4 at length 3: its certified radius 1 is below the contract radius 2"
+    )
+
+
+def test_no_preset_length_reaches_the_plotkin_bound():
+    for params in (DEFAULT_CODE_PARAMS, REDUCTION_CODE_PARAMS):
+        for m in range(2, 17):
+            plotkin = params.c * m * 2 ** (m - 1) // (2**m - 1)
+            assert 2 * params.contract_radius(m) + 1 <= plotkin, (params, m)
 
 
 def test_unsupported_lengths_fail_fast():
@@ -679,6 +718,7 @@ def test_equal_params_made_apart_share_one_code():
     a = CodeParams(c=8, eps_star=Fraction(2, 32))
     b = CodeParams(c=8, eps_star=Fraction(1, 16))
     assert a is not b and a == b and repr(a) == repr(b) == "CodeParams(c=8, eps_star=Fraction(1, 16))"
+    assert hash(a) == hash(b)
     assert get_code(a, 12) is get_code(b, 12) is get_code(DEFAULT_CODE_PARAMS, 12)
     assert get_code(REDUCTION_CODE_PARAMS, 12) is not get_code(b, 12)
 

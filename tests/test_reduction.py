@@ -245,12 +245,46 @@ def test_learner_error_target_reads_code_params():
 
 
 def test_decider_config_validation():
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match=r"^2\^20 proofs exceed the 2\^16 cap$"):
         DeciderConfig(m=20, r=1, code_params=PARAMS)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^need m >= 0 and r >= 1$"):
         DeciderConfig(m=4, r=0, code_params=PARAMS)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^need m >= 0 and r >= 1$"):
+        DeciderConfig(-1, 3, PARAMS)
+    with pytest.raises(ConfigError, match=r"^unknown variant 'sideways' \(choose from standard, uniform\)$"):
         DeciderConfig(m=4, r=1, code_params=PARAMS, variant="sideways")
+    config = DeciderConfig(12, 5, PARAMS)
+    assert config == DeciderConfig(m=12, r=5, code_params=PARAMS, variant="standard")
+    assert repr(config) == (
+        "DeciderConfig(m=12, r=5, code_params=CodeParams(c=4, eps_star=Fraction(1, 8)), variant='standard')"
+    )
+
+
+class UncallableJunta(JuntaHypothesis):
+    """A junta that must be answered by its word: calling it fails."""
+
+    __slots__ = ()
+
+    def __call__(self, x):
+        raise AssertionError("a junta on the challenge's layout is answered by its word")
+
+
+@pytest.mark.parametrize("variant", LAYOUT_KINDS)
+def test_layouts_made_apart_are_one_value(variant):
+    a, b = (ExampleLayout.of(V2.n, PARAMS, V2.p, variant) for _ in range(2))
+    assert a is not b and a == b and hash(a) == hash(b)
+    other = next(kind for kind in LAYOUT_KINDS if kind != variant)
+    assert a != ExampleLayout.of(V2.n, PARAMS, V2.p, other)
+    # a distribution's index values are made once per layout value
+    dist = paclearn.Distribution.uniform([a.example(Z0, v) for v in range(1 << a.ell)])
+    assert dist.index_values(a) is dist.index_values(b) == tuple(range(1 << a.ell))
+    # the challenge makes its own layout, and answers a junta learned on an
+    # equal one by its word
+    challenge = _Challenge(Z0, V2, sparse_erm, PARAMS, variant)
+    assert challenge.layout is not a and challenge.layout == a
+    _, read_at = challenge.layout.draw(random.Random(5), Z0, 0)
+    junta = UncallableJunta(0b10110101, a, Z0[: a.matched])
+    assert challenge.answers(junta, read_at) == 0b10110101
 
 
 def test_sat_decider_agrees_with_brute_force_on_a_slice():

@@ -332,6 +332,23 @@ def test_encoding_rejects_out_of_range_instances():
         ENC2.encode(ThreeSatInstance(2, [(1,), (2,), (-1,), (-2,)]))
 
 
+def test_encodings_are_values_of_their_two_limits(monkeypatch):
+    a, b = FormulaEncoding(8, 36), FormulaEncoding(max_vars=8, max_clauses=36)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != FormulaEncoding(8, 35) and a != FormulaEncoding(9, 36) and a != (8, 36)
+    assert repr(a) == "FormulaEncoding(max_vars=8, max_clauses=36)"
+    assert (a.num_vars_bits, a.clause_count_bits, a.var_bits, a.slot_bits, a.clause_bits) == (4, 6, 3, 5, 15)
+    assert a.width == 4 + 6 + 36 * 15
+    with pytest.raises(ConfigError, match=r"^max_vars must be >= 1 and max_clauses >= 0$"):
+        FormulaEncoding(0, 1)
+    # the benchmark's tracer wraps the codec on the class
+    calls = []
+    encode = FormulaEncoding.encode
+    monkeypatch.setattr(FormulaEncoding, "encode", lambda self, inst: calls.append(inst) or encode(self, inst))
+    z = a.encode(PHI0)
+    assert calls == [PHI0] and a.decode(z) == PHI0
+
+
 def test_encoding_var_reference_above_num_vars_rejected():
     # craft: num_vars=1 but a literal slot referencing variable 2
     enc = FormulaEncoding(max_vars=2, max_clauses=1)
