@@ -241,6 +241,13 @@ class LinearCode:
                 f"distance {target} needed at length {message_len} exceeds the Plotkin bound "
                 f"{bound} of a [{self.codeword_len}, {message_len}] linear code"
             )
+        # Griesmer: an [n, m] linear code of distance d has n >= sum_{i<m} ceil(d/2^i)
+        needed = sum(-(-target >> i) for i in range(message_len))
+        if needed > self.codeword_len:
+            raise ConfigError(
+                f"distance {target} needed at length {message_len} needs codeword length "
+                f"{needed} by the Griesmer bound, above {self.codeword_len}"
+            )
         rng = random.Random(f"certlab-code-c{params.c}-eps{params.eps_star}-m{message_len}")
         baseline, cap = _search_attempts(message_len)
         best_rows, best_d = None, -1

@@ -121,7 +121,7 @@ class CertConcept(JuntaHypothesis):
         counter: StepCounter | None = None,
     ) -> None:
         layout = ExampleLayout.of(verifier.n, params, verifier.p, kind)
-        code = get_code(params, verifier.p)  # a p outside the codes' range ends before any mask
+        code = get_code(params, verifier.p)  # a p outside the codes' range ends before the search
         self.z = z
         self.first_cert = first_certificate(verifier, z, counter=counter)
         word = 0 if self.first_cert is None else code.encode_value(int(self.first_cert, 2))

@@ -2,9 +2,9 @@
 randomized simulation that enumerates all proofs (label strings for the
 drawn examples), and the assembled SAT decider.
 
-Soundness is structural: the final step always checks the decoded
-certificate against the verifier's accept mask, so an unsatisfiable instance
-is rejected for every seed and every proof.
+Soundness is structural: each proof's verdict is the verifier's check of
+its decoded certificate, so an unsatisfiable instance is rejected for every
+seed and every proof.
 """
 
 from __future__ import annotations
@@ -40,22 +40,20 @@ _Proof = namedtuple("_Proof", "answers w_val verdict")
 
 
 class _Challenge:
-    """One instance's challenge protocol: its example layout, code and
-    accept mask, read once.  `run` proves a repetition's samples in one
-    loop; a proof's verdict is one bit of that mask, read from the mask's
-    bytes."""
+    """One instance's challenge protocol: its example layout and code.  `run`
+    proves a repetition's samples in one loop; a proof's verdict is the
+    verifier's check of its decoded certificate, run once per distinct
+    decoded value and remembered for the instance."""
 
     def __init__(
         self, z: str, verifier: ThreeSatVerifier, learner, params: CodeParams, variant: str
     ):
         check_bits(z, length=verifier.n, name="z")
+        self.z, self.verifier = z, verifier
         self.learner = learner
         self.layout = ExampleLayout.of(verifier.n, params, verifier.p, variant)
-        # get_code rejects a p outside the codes' range before the 2^p-bit mask is built
         self.code = get_code(params, verifier.p)
-        # bit w of the mask is bit w & 7 of byte w >> 3: a read costs the same at every p
-        mask = verifier.accept_mask(z)
-        self.accept_bytes = mask.to_bytes(((1 << verifier.p) + 7) >> 3, "little")
+        self._verdicts: dict[int, int] = {}  # decoded value -> the check's verdict
         self._cp_mask = (1 << self.layout.cp) - 1
         self._read_at: str | None = None
         self._bits: dict[str, int] = {}
@@ -85,12 +83,13 @@ class _Challenge:
     def run(self, samples, read_at: str) -> tuple[int, tuple | None, _Proof | None]:
         """Prove the samples in order up to the first that accepts: learn
         from each, query the hypothesis at every index value with read_at's
-        other bits, decode its first cp answers and read the mask bit at the
-        result.  Returns the proofs run, the last sample and its proof, None
-        when the learner raised on it.  A table hypothesis is answered from
-        its ones that are queries, any other through `answers`."""
+        other bits, decode its first cp answers and check the result.
+        Returns the proofs run, the last sample and its proof, None when the
+        learner raised on it.  A table hypothesis is answered from its ones
+        that are queries, any other through `answers`."""
         learner, decode, cp_mask = self.learner, self.code.decode_value, self._cp_mask
-        accept_bytes, get = self.accept_bytes, self._bits_at(read_at).get
+        z, check, p, verdicts = self.z, self.verifier.check, self.verifier.p, self._verdicts
+        get = self._bits_at(read_at).get
         run, sample, w_val = 0, None, None
         for sample in samples:
             run += 1
@@ -105,7 +104,9 @@ class _Challenge:
             else:
                 answers = self.answers(hypothesis, read_at)
             w_val = decode(answers & cp_mask)
-            verdict = accept_bytes[w_val >> 3] >> (w_val & 7) & 1
+            verdict = verdicts.get(w_val)
+            if verdict is None:
+                verdict = verdicts[w_val] = 1 if check(z, int_to_bits(w_val, p)) else 0
             if verdict:
                 break
         return run, sample, None if w_val is None else _Proof(answers, w_val, verdict)

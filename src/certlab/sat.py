@@ -11,7 +11,7 @@ the unchecked `ThreeSatInstance._of_canonical`.  `satisfying_mask` ANDs each
 narrow half of a doubling mask with cached literal masks.  `first_satisfying`
 runs the same fold over the low variables only, with their literal masks
 alone, and walks the top ones in lex order, so it finds the mask's lowest set
-bit without building the 2^p-bit mask; only the decider needs the whole mask.
+bit without building the 2^p-bit mask, which no command builds.
 """
 
 from __future__ import annotations

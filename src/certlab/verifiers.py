@@ -1,19 +1,19 @@
 """NP-style verifiers, the fixed-width formula encoding, and the
 first-certificate search.
 
-A verifier has an instance length n, a certificate length p and three
+A verifier has an instance length n, a certificate length p and two
 answers for an instance z, where a certificate is numbered by its integer
 value v:
-- check(z, w), whether it accepts the certificate w;
-- accept_mask(z), the big-int mask of the certificates it accepts (bit v set
-  iff it accepts certificate v), which only the decider reads;
+- check(z, w), whether it accepts the certificate w, which the decider runs
+  on each decoded certificate;
 - first_accepted(z), the least v it accepts, or None.
 `ThreeSatVerifier` is the verifier every command builds.  Each formula is
 made canonical once: `FormulaEncoding.decode` builds canonical clauses
 itself, and a caller that holds the formula has `ThreeSatVerifier.encode`
-remember it, so its z is never decoded back.  The verifier works out a
-formula's accept mask and its first accepted value on their first reads
-and holds both in the same memo from then on.
+remember it, so its z is never decoded back.  The verifier memoises a
+formula's first accepted value.  No command builds the 2^p-bit accept
+mask: `accept_mask` and `sat.satisfying_mask` stay only as names the
+benchmark traces, until ROADMAP item 12 moves them beside the tests.
 
 The one NP primitive the rest of the package uses is the lexicographically
 first accepted certificate, which `first_certificate` takes from
@@ -170,8 +170,8 @@ class FormulaEncoding:
         return ThreeSatInstance._of_canonical(num_vars, tuple(clauses))
 
 
-#: A verifier's memo: (z, formula, accept mask, first accepted value).
-_Memo = tuple[str, ThreeSatInstance | None, int | None, int | None]
+#: A verifier's memo: (z, formula, first accepted value).
+_Memo = tuple[str, ThreeSatInstance | None, int | None]
 
 
 class ThreeSatVerifier:
@@ -182,12 +182,11 @@ class ThreeSatVerifier:
     is made.
 
     The verifier remembers only the instance it was last asked about: its
-    string, its decoded formula (None when malformed) and, once each is
-    read, its accept mask and its first accepted value (None before; -1
-    stands for none accepted).  Every caller asks about one instance
-    many times in a row, and a reader takes the whole memo at once, so it
-    never mixes two instances.  A caller that holds the formula has `encode`
-    remember it, and z is not decoded.
+    string, its decoded formula (None when malformed) and, once read, its
+    first accepted value (None before; -1 stands for none accepted).  Every
+    caller asks about one instance many times in a row, and a reader takes
+    the whole memo at once, so it never mixes two instances.  A caller that
+    holds the formula has `encode` remember it, and z is not decoded.
     """
 
     def __init__(self, encoding: FormulaEncoding) -> None:
@@ -196,18 +195,18 @@ class ThreeSatVerifier:
         self.p = encoding.max_vars
         _check_budget(self)
         # "" encodes no instance (every width is at least 2) and rejects everything
-        self._memo: _Memo = ("", None, 0, -1)
+        self._memo: _Memo = ("", None, -1)
 
     def _read(self, z: str) -> _Memo:
-        """(z, decoded formula or None, accept mask or None, first accepted
-        value or None), decoded when z is not the remembered instance; a
-        malformed z's mask is 0 and its first value -1."""
+        """(z, decoded formula or None, first accepted value or None),
+        decoded when z is not the remembered instance; a malformed z's first
+        value is -1."""
         memo = self._memo
         if memo[0] != z:
             try:
-                memo = (z, self.encoding.decode(z), None, None)
+                memo = (z, self.encoding.decode(z), None)
             except FormatError:
-                memo = (z, None, 0, -1)
+                memo = (z, None, -1)
             self._memo = memo
         return memo
 
@@ -216,7 +215,7 @@ class ThreeSatVerifier:
         a decoded instance; inst must be canonical, so that it equals z's
         decoding."""
         z = self.encoding.encode(inst)
-        self._memo = (z, inst, None, None)
+        self._memo = (z, inst, None)
         return z
 
     def check(self, z: str, w: str) -> bool:
@@ -224,21 +223,19 @@ class ThreeSatVerifier:
         return inst is not None and eval_assignment(inst, w)
 
     def accept_mask(self, z: str) -> int:
-        """The instance's accept mask, built on its first read."""
-        z, inst, mask, first = self._read(z)
-        if mask is None:
-            mask = satisfying_mask(inst, self.p)
-            self._memo = (z, inst, mask, first)
-        return mask
+        """Bit v set iff certificate v is accepted, built on every call;
+        no command reads it."""
+        inst = self._read(z)[1]
+        return 0 if inst is None else satisfying_mask(inst, self.p)
 
     def first_accepted(self, z: str) -> int | None:
         """The least accepted certificate's value, or None, searched on its
         first read; the accept mask is not built."""
-        z, inst, mask, first = self._read(z)
+        z, inst, first = self._read(z)
         if first is None:
             found = first_satisfying(inst, self.p)
             first = -1 if found is None else found
-            self._memo = (z, inst, mask, first)
+            self._memo = (z, inst, first)
         return None if first < 0 else first
 
 

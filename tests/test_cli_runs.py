@@ -159,6 +159,16 @@ RUNS = [
         "of a [112, 14] linear code",
         timeout=10,
     ),
+    # ... and within the Plotkin bound, past the Griesmer bound: distance 63
+    # at m=16 needs length 63+32+16+8+4+2+1+9 = 135 > 128
+    Run(
+        "codes-test-contract-past-griesmer",
+        "codes-test",
+        config="codes.lengths = 16\ncode.eps_star = 31/128\n",
+        exit=2,
+        stderr="configuration error: distance 63 needed at length 16 needs codeword length 135 "
+        "by the Griesmer bound, above 128",
+    ),
     # an output file that is a directory
     Run(
         "codes-test-unwritable",

@@ -14,6 +14,8 @@ from certlab.codes import (
     DEFAULT_CODE_PARAMS,
     LANE_WALK_MIN_LEN,
     MAX_CODEWORD_BITS,
+    MAX_MESSAGE_LEN,
+    MIN_MESSAGE_LEN,
     REDUCTION_CODE_PARAMS,
     CodeParams,
     LinearCode,
@@ -192,20 +194,43 @@ def test_a_contract_past_the_plotkin_bound_fails_before_the_search(monkeypatch):
     )
 
 
-def test_a_contract_at_the_plotkin_bound_is_searched():
-    # at c=3, m=3 distance 5 is the Plotkin bound, but no [9, 3] code has it
+@pytest.mark.parametrize(
+    "c, eps_star, m, needed, n",
+    [(8, Fraction(31, 128), 16, 135, 128), (3, Fraction(2, 9), 3, 10, 9)],
+    ids=["c8-m16", "c3-m3"],
+)
+def test_a_contract_past_the_griesmer_bound_fails_before_the_search(
+    c, eps_star, m, needed, n, monkeypatch
+):
+    # both distances are within the Plotkin bound, but an [n, m] code of
+    # distance d needs length sum_{i<m} ceil(d/2^i) > n
+    monkeypatch.setattr(codes, "_min_weight", _refuse)
+    params = CodeParams(c=c, eps_star=eps_star)
+    d = 2 * params.contract_radius(m) + 1
     with pytest.raises(ConfigError) as err:
-        LinearCode(CodeParams(c=3, eps_star=Fraction(2, 9)), 3)
+        LinearCode(params, m)
     assert str(err.value) == (
-        "search found distance 4 at length 3: its certified radius 1 is below the contract radius 2"
+        f"distance {d} needed at length {m} needs codeword length {needed} "
+        f"by the Griesmer bound, above {n}"
     )
 
 
-def test_no_preset_length_reaches_the_plotkin_bound():
+def test_a_contract_at_the_plotkin_bound_is_searched():
+    # at c=3, m=5 distance 7 meets the Plotkin bound and the Griesmer bound
+    # (7+4+2+1+1 = 15 = n); a [15, 5, 7] code exists, but the search misses it
+    with pytest.raises(ConfigError) as err:
+        LinearCode(CodeParams(c=3, eps_star=Fraction(1, 5)), 5)
+    assert str(err.value) == (
+        "search found distance 6 at length 5: its certified radius 2 is below the contract radius 3"
+    )
+
+
+def test_no_preset_length_reaches_the_plotkin_or_griesmer_bound():
     for params in (DEFAULT_CODE_PARAMS, REDUCTION_CODE_PARAMS):
-        for m in range(2, 17):
-            plotkin = params.c * m * 2 ** (m - 1) // (2**m - 1)
-            assert 2 * params.contract_radius(m) + 1 <= plotkin, (params, m)
+        for m in range(MIN_MESSAGE_LEN, MAX_MESSAGE_LEN + 1):
+            d, n = 2 * params.contract_radius(m) + 1, params.codeword_len(m)
+            assert d <= n * 2 ** (m - 1) // (2**m - 1), (params, m)
+            assert sum(-(-d // 2**i) for i in range(m)) <= n, (params, m)
 
 
 def test_unsupported_lengths_fail_fast():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from functools import partial
 from itertools import islice, product
 
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from certlab.bits import int_to_bits
-from certlab.codes import REDUCTION_CODE_PARAMS, get_code
-from certlab import paclearn
+from certlab.codes import REDUCTION_CODE_PARAMS, LinearCode, get_code
+from certlab import paclearn, sat, verifiers
 from certlab.concepts import LAYOUT_KINDS, CertConcept, ExampleLayout
 from certlab.errors import BudgetError, ConfigError, DataInconsistencyError, ShapeError
+from certlab.harness.commands import COMMANDS, cmd_reduce
+from certlab.harness.config import read_config
 from certlab.paclearn import (
     JuntaHypothesis,
     LabeledSample,
@@ -337,27 +340,40 @@ class CountingLearner:
 
 
 class CountingVerifier(ThreeSatVerifier):
-    mask_calls = 0
+    """Counts its checks by (instance, certificate)."""
 
-    def accept_mask(self, z: str) -> int:
-        self.mask_calls += 1
-        return super().accept_mask(z)
+    def __init__(self, encoding) -> None:
+        super().__init__(encoding)
+        self.checks: Counter = Counter()
+
+    def check(self, z: str, w: str) -> bool:
+        self.checks[z, w] += 1
+        return super().check(z, w)
 
 
 @pytest.mark.parametrize("variant", LAYOUT_KINDS)
-def test_the_decider_calls_the_learner_once_per_proof(variant):
-    # and reads the instance's accept mask once, not once per proof
+def test_the_decider_calls_the_learner_once_per_proof(variant, monkeypatch):
+    # and checks each distinct decoded value once per instance, not once per proof
+    decoded = []
+    real_decode = LinearCode.decode_value
+
+    def recording_decode(self, y_int):
+        decoded.append(real_decode(self, y_int))
+        return decoded[-1]
+
+    monkeypatch.setattr(LinearCode, "decode_value", recording_decode)
     inner = JUNTA_V2 if variant == "uniform" else sparse_erm
     config = DeciderConfig(m=6, r=3, code_params=PARAMS, variant=variant)
     verifier = CountingVerifier(ENC2)
     for z in (Z0, Z_UNSAT):
         for seed in range(3):
             learner = CountingLearner(inner)
-            verifier.mask_calls = 0
+            verifier.checks.clear()
+            decoded.clear()
             result = rtime_decide(z, verifier, config, learner, seed)
             assert result.proofs_run > 0
             assert learner.calls == result.proofs_run
-            assert verifier.mask_calls == 1
+            assert verifier.checks == Counter((z, int_to_bits(v, V2.p)) for v in set(decoded))
             learner = CountingLearner(inner)
             am_round(
                 z, verifier, learner, HonestMerlin(), PARAMS, random.Random(seed), 6,
@@ -366,15 +382,36 @@ def test_the_decider_calls_the_learner_once_per_proof(variant):
             assert learner.calls == 1
 
 
-def test_the_decider_rejects_an_uncoded_p_before_reading_the_mask():
-    # the codes take p in 2..16; the 2^p-bit mask is built only after that check
+def test_the_decider_rejects_an_uncoded_p_before_checking_a_certificate():
+    # the codes take p in 2..16, and that is checked before any certificate is
     enc = FormulaEncoding(max_vars=17, max_clauses=1)
     verifier = CountingVerifier(enc)
     z = enc.encode(ThreeSatInstance(17, [(-17,)]))
     config = DeciderConfig(m=4, r=1, code_params=PARAMS)
     with pytest.raises(ConfigError, match="message length 17 unsupported"):
         rtime_decide(z, verifier, config, sparse_erm, 0)
-    assert verifier.mask_calls == 0
+    assert not verifier.checks
+
+
+def test_no_decider_path_builds_an_accept_mask(tmp_path, monkeypatch):
+    # the verdicts come from the verifier's check: both layouts and `reduce`
+    # at its defaults run with every accept-mask function refused
+    def no_mask(*args):
+        raise AssertionError("an accept mask was built")
+
+    for owner in (sat, verifiers):
+        monkeypatch.setattr(owner, "satisfying_mask", no_mask)
+    monkeypatch.setattr(ThreeSatVerifier, "accept_mask", no_mask)
+    for variant, learner in zip(LAYOUT_KINDS, (sparse_erm, JUNTA_V2)):
+        config = DeciderConfig(m=6, r=3, code_params=PARAMS, variant=variant)
+        accepts = [
+            rtime_decide(z, V2, config, learner, seed).accept
+            for z in (Z0, Z_UNSAT)
+            for seed in range(3)
+        ]
+        assert any(accepts[:3]) and not any(accepts[3:]), variant
+    cfg = read_config({}, COMMANDS["reduce"], "reduce")
+    assert cmd_reduce(cfg, tmp_path, 0) == 0
 
 
 # -- uniform variant -----------------------------------------------------------------
