@@ -146,13 +146,12 @@ def _fold(inst: ThreeSatInstance, p: int, steps: int) -> tuple[int, list[list[Cl
     mask = 1
     for e in range(1, steps + 1):
         halves = [mask, mask]  # x_j = 0, x_j = 1
-        for first, *rest in buckets[e]:
-            k = first < 0
-            if len(rest) == 2:
-                h, a, b = halves[k], lits[rest[0]], lits[rest[1]]
-                halves[k] = (h & a) | (h & b)
+        for clause in buckets[e]:
+            k, width = clause[0] < 0, len(clause)
+            if width == 3:
+                halves[k] &= lits[clause[1]] | lits[clause[2]]
             else:
-                halves[k] = halves[k] & lits[rest[0]] if rest else 0
+                halves[k] = halves[k] & lits[clause[1]] if width == 2 else 0
         if not any(halves):
             return 0, buckets, lits
         mask = (halves[1] << (1 << (e - 1))) | halves[0]
@@ -169,9 +168,9 @@ def satisfying_mask(inst: ThreeSatInstance, p: int) -> int:
     first variable is among them.  Variable j = p-e+1 is the top bit of
     step e, so a clause whose first literal is on x_j restricts only one
     half (x_j = 0 for a positive literal, x_j = 1 for a negative one) to its
-    other literals, which live on the lower 2^(e-1) bits: it ANDs that half
-    with their literal masks, one AND (2 literals) or two and an OR of their
-    results (3 literals), or empties it (1 literal).  Below bit 2^(e-1), x_j's
+    other literals, which live on the lower 2^(e-1) bits: one AND with the
+    other literal's mask (2 literals) or with the OR of the other two's
+    (3 literals), or it empties the half (1 literal).  Below bit 2^(e-1), x_j's
     own masks are 0 and all ones, so tautologies need no case.
     """
     return _fold(inst, p, p)[0]
@@ -179,11 +178,11 @@ def satisfying_mask(inst: ThreeSatInstance, p: int) -> int:
 
 #: The variables `first_satisfying` folds, at most: it walks the ones above
 #: them, and its masks stay within 2^13 bits (1 KiB) at any p.  On random
-#: formulas of 4.4p clauses (2-core host, Python 3.11), the fastest width
-#: grew with p, from 12 at p = 16..18 to 14 at p = 22..24; 13 and 14 tied
-#: on the time summed over p = 16..24, and 13 was faster at p = 16 and 20.
-#: At width 13 a search took 86 us at p = 20 and 213 us at p = 24, against
-#: 117 us and 306 us at width 16.
+#: formulas of 4.4p clauses (2-core shared host, Python 3.11, the median of
+#: five runs), 12 beat 13 by 6% at p = 16 and 2% at p = 20, and 14 beat it
+#: by 4% at p = 24; summed over p = 16..24, 13 beat 12 by 1% and 14 by 3%.
+#: At width 13 a search took 87-161 us at p = 20 and 202-359 us at p = 24
+#: as the host's pace moved between runs, 1.9x and 1.7x less than at 16.
 SEARCH_FOLD_VARS = 13
 
 
@@ -205,32 +204,54 @@ def first_satisfying(inst: ThreeSatInstance, p: int) -> int | None:
     mask, buckets, lits = _fold(inst, p, p - k)
     if not mask:
         return None
-    # levels[d]: (care, want, low) per clause applied at x_d.  A prefix of
-    # walked values holds x_j at bit k-j, and the clause's walked literals
+    # zero[d] and one[d]: (care, want, low) per clause applied at x_d whose
+    # x_d literal is false at x_d = 0 (positive) or x_d = 1 (negative), so a
+    # node scans only the clauses its own value of x_d can apply.  A prefix
+    # of walked values holds x_j at bit k-j, and the clause's walked literals
     # are all false iff prefix & care == want.  low ORs its low literals'
     # masks, as narrow as m: one literal's own mask (no copy), 0 for none.
-    walked = {}  # a walked literal: its variable, its care bit, its want bit
+    zero: list[list[tuple[int, int, int]]] = [[] for _ in range(k + 1)]
+    one: list[list[tuple[int, int, int]]] = [[] for _ in range(k + 1)]
+    walked = {}  # a walked literal: the list of clauses it is last in, its care bit, its want bit
     for j in range(1, k + 1):
         bit = 1 << (k - j)
-        walked[j], walked[-j] = (j, bit, 0), (j, bit, bit)
-    levels: list[list[tuple[int, int, int]]] = [[] for _ in range(k + 1)]
+        walked[j], walked[-j] = (zero[j], bit, 0), (one[j], bit, bit)
     for e in range(p - k + 1, p + 1):
         for clause in buckets[e]:
-            care = want = last = low = 0
+            if len(clause) == 3:  # its walked literals are a prefix, clause[0] among them
+                a, b, c = clause
+                last, care, want = walked[a]
+                if b not in walked:
+                    low = lits[b] | lits[c]
+                else:
+                    last, bit, wants = walked[b]
+                    if care & bit:
+                        continue  # x_j or not x_j holds everywhere
+                    care, want = care | bit, want | wants
+                    if c not in walked:
+                        low = lits[c]
+                    else:
+                        last, bit, wants = walked[c]
+                        if care & bit:
+                            continue
+                        care, want, low = care | bit, want | wants, 0
+                last.append((care, want, low))
+                continue
+            care = want = low = 0
             for lit in clause:
                 if lit in walked:
                     last, bit, wants = walked[lit]
                     if care & bit:
-                        break  # x_j or not x_j holds everywhere
+                        break
                     care, want = care | bit, want | wants
                 else:
-                    low = low | lits[lit] if low else lits[lit]
+                    low = lits[lit]  # clause[0] is walked, so at most one is low
             else:
-                levels[last].append((care, want, low))
-    stack = [(0, 0, mask)]  # (depth, prefix, mask): x_1..x_depth set in prefix
+                last.append((care, want, low))
+    stack = [(0, 0, mask, ())]  # (depth, prefix, mask, clauses): x_1..x_depth set in prefix
     while stack:
-        d, prefix, m = stack.pop()
-        for care, want, low in levels[d]:
+        d, prefix, m, clauses = stack.pop()
+        for care, want, low in clauses:
             if prefix & care == want:
                 m &= low
                 if not m:
@@ -239,8 +260,8 @@ def first_satisfying(inst: ThreeSatInstance, p: int) -> int | None:
             if d == k:
                 # m ^ (m - 1) sets the bits up to m's lowest set bit
                 return prefix << (p - k) | (m ^ (m - 1)).bit_length() - 1
-            stack.append((d + 1, prefix | 1 << (k - d - 1), m))
-            stack.append((d + 1, prefix, m))
+            stack.append((d + 1, prefix | 1 << (k - d - 1), m, one[d + 1]))
+            stack.append((d + 1, prefix, m, zero[d + 1]))
     return None
 
 

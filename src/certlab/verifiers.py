@@ -63,18 +63,21 @@ class FormulaEncoding:
     unused slots and unused blocks are all-zero.  The all-zero string decodes
     to the canonical degenerate formula (0 variables, no clauses).
 
-    Three derived tables serve the codec.
+    Four derived tables serve the codec.
     `encode` joins each literal's slot text (an absent slot's is under 0).
     `decode` maps each slot to a key, 2 * var for a positive literal and
     2 * var + 1 for a negative one (0 for an all-zero absent slot, -1 for one
-    with stray bits), so that sorted keys are in canonical order.  It maps
-    each key back to its literal as a 1-tuple, the absent key 0 to (), and a
+    with stray bits), so that sorted keys are in canonical order.  A block
+    whose keys a < b < c are all in range, as `encode` writes a canonical
+    3-literal clause, is the tuple of their literals, read off the key ->
+    literal table.  Any other block takes the general path: a second table
+    maps each key to its literal as a 1-tuple, the absent key 0 to (), and a
     clause is the sum of its sorted keys' tuples, each repeat skipped.
     """
 
     __slots__ = (
         "max_vars", "max_clauses", "num_vars_bits", "clause_count_bits", "var_bits",
-        "slot_bits", "clause_bits", "width", "_slot_text", "_slot_keys", "_key_lits",
+        "slot_bits", "clause_bits", "width", "_slot_text", "_slot_keys", "_lit_of_key", "_key_lits",
     )
 
     def __init__(self, max_vars: int, max_clauses: int) -> None:
@@ -83,12 +86,12 @@ class FormulaEncoding:
         var_bits = max(1, (max_vars - 1).bit_length())
         slot_bits, present, positive = 2 + var_bits, 2 << var_bits, 1 << var_bits
         slot_keys = [0] + [-1] * (2 * present - 1)
-        key_lits = [()] * (2 * positive + 2)
+        lit_of_key = [0] * (2 * positive + 2)
         slot_text = {0: "0" * slot_bits}  # 0 stands for an absent slot
         for var in range(1, positive + 1):
             for lit, slot in ((var, present | positive | var - 1), (-var, present | var - 1)):
                 key = 2 * var + (lit < 0)
-                slot_keys[slot], key_lits[key] = key, (lit,)
+                slot_keys[slot], lit_of_key[key] = key, lit
                 if var <= max_vars:
                     slot_text[lit] = format(slot, f"0{slot_bits}b")
         self.max_vars, self.max_clauses = max_vars, max_clauses
@@ -96,7 +99,9 @@ class FormulaEncoding:
         self.clause_count_bits = max(1, max_clauses.bit_length())
         self.var_bits, self.slot_bits, self.clause_bits = var_bits, slot_bits, 3 * slot_bits
         self.width = self.num_vars_bits + self.clause_count_bits + max_clauses * self.clause_bits
-        self._slot_text, self._slot_keys, self._key_lits = slot_text, tuple(slot_keys), tuple(key_lits)
+        self._slot_text, self._slot_keys = slot_text, tuple(slot_keys)
+        self._lit_of_key = tuple(lit_of_key)
+        self._key_lits = tuple((lit,) if lit else () for lit in lit_of_key)
 
     def __eq__(self, other):
         if type(other) is not FormulaEncoding:
@@ -145,7 +150,7 @@ class FormulaEncoding:
         end = head + count * self.clause_bits
         if "1" in bits[end:]:
             raise FormatError("bits set past the declared clause blocks")
-        slot_keys, key_lit = self._slot_keys, self._key_lits
+        slot_keys, lit_of, key_lit = self._slot_keys, self._lit_of_key, self._key_lits
         slot_bits, clause_bits = self.slot_bits, self.clause_bits
         low = (1 << slot_bits) - 1
         limit, outside = 2 * num_vars + 1, 0  # the largest key in range; the first key above it
@@ -155,6 +160,9 @@ class FormulaEncoding:
             a = slot_keys[block >> 2 * slot_bits]
             b = slot_keys[block >> slot_bits & low]
             c = slot_keys[block & low]
+            if 0 < a < b < c <= limit:  # three literals in range, in canonical order
+                clauses.append((lit_of[a], lit_of[b], lit_of[c]))
+                continue
             x, y, z = sorted((a, b, c))
             if z > limit and not outside:
                 outside = next(k for k in (a, b, c) if k > limit)
@@ -165,8 +173,7 @@ class FormulaEncoding:
                 key_lit[x] + (() if y == x else key_lit[y]) + (() if z == y else key_lit[z])
             )
         if outside:
-            (lit,) = key_lit[outside]
-            raise FormatError(f"literal {lit} references a variable outside [1, {num_vars}]")
+            raise FormatError(f"literal {lit_of[outside]} references a variable outside [1, {num_vars}]")
         return ThreeSatInstance._of_canonical(num_vars, tuple(clauses))
 
 

@@ -514,6 +514,17 @@ def test_decode_builds_canonical_clauses_from_any_slot_order():
     assert_canonical(inst)
 
 
+def test_decode_reads_an_ordered_in_range_block_at_the_edges_of_its_range():
+    enc = FormulaEncoding(max_vars=5, max_clauses=1)  # 3-bit variable field, up to variable 8
+    L = lambda lit: lit_slot(enc, lit)  # noqa: E731
+    # the largest key, -3's, is the largest in range at num_vars = 3
+    assert enc.decode(crafted_word(enc, 3, 1, L(1), L(2), L(-3))).clauses == ((1, 2, -3),)
+    with pytest.raises(FormatError, match=r"^literal 4 references a variable outside \[1, 3\]$"):
+        enc.decode(crafted_word(enc, 3, 1, L(1), L(2), L(4)))
+    # an ordered tautology is canonical as it is
+    assert enc.decode(crafted_word(enc, 3, 1, L(1), L(-1), L(3))).clauses == ((1, -1, 3),)
+
+
 def test_first_certificate_is_one_past_the_first_accepted_value():
     for p in (1, 5, 20):
         for first in (0, 1, 2**p - 1):
